@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from _util import print_table, record
 
-from repro.attacks.scenarios import fig3_break_in
 from repro.core.deployment import SecuredDeployment
 from repro.devices.library import (
     FIREALARM_BACKDOOR_PORT,
     fire_alarm,
     window_actuator,
 )
+from repro.faults.campaign import CampaignRunner
+from repro.faults.campaign_library import FIG3_BREAK_IN
 from repro.learning.repository import CrowdRepository
 from repro.learning.signatures import backdoor_signature
 from repro.policy.builder import PolicyBuilder
@@ -58,7 +59,7 @@ def run(protect: bool) -> dict:
     dep.policy = fig3_policy()
     fa = dep.add_device(fire_alarm, "fire_alarm")
     win = dep.add_device(window_actuator, "window")
-    attacker = dep.add_attacker()
+    dep.add_attacker()
     dep.finalize()
     dep.hub.add_recipe(Recipe("ventilate", "dev:fire_alarm", "alarm", "window", "open"))
     dep.hub.watch_devices(
@@ -71,17 +72,8 @@ def run(protect: bool) -> dict:
         )
         dep.attach_repository(repo)
         dep.enforce_baseline()
-    campaign = fig3_break_in(
-        attacker,
-        dep.sim,
-        fire_alarm="fire_alarm",
-        window="window",
-        window_is_open=lambda: win.state == "open",
-        backdoor_at=5.0,
-        brute_force_at=30.0,
-    )
-    campaign.launch(dep.sim, until=120.0)
-    dep.run(until=120.0)
+    runner = CampaignRunner(FIG3_BREAK_IN, dep).start()
+    dep.run(until=FIG3_BREAK_IN.horizon)
 
     reactions = (
         [
@@ -99,7 +91,7 @@ def run(protect: bool) -> dict:
         else []
     )
     return {
-        "breached": campaign.succeeded(),
+        "breached": any(r.state_after == "open" for r in win.command_log),
         "window_state": win.state,
         "alarm_state": fa.state,
         "fa_context": dep.controller.context_of("fire_alarm") if dep.controller else "-",
@@ -110,7 +102,7 @@ def run(protect: bool) -> dict:
             else "-"
         ),
         "reactions": reactions,
-        "stages": campaign.stage_results(),
+        "stages": {name: r.succeeded for name, r in runner.exploit_results.items()},
     }
 
 

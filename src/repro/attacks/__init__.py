@@ -7,9 +7,9 @@ Every experiment needs a red team.  This package provides:
 - :mod:`repro.attacks.exploits` -- one exploit primitive per Table 1 flaw
   class (default credentials, exposed access, embedded keys, no-credential
   control, open DNS resolver reflection, vendor backdoor) plus brute force.
-- :mod:`repro.attacks.scenarios` -- multi-stage campaigns, including the
-  paper's two narrative attacks: the Fig. 3 fire-alarm/window break-in and
-  the section 2.1 smart-plug -> temperature -> window physical breach.
+
+Multi-stage campaigns (including the paper's Fig. 3 and section 2.1
+break-ins) are declarative data: :mod:`repro.faults.campaign`.
 """
 
 from repro.attacks.attacker import Attacker

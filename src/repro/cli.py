@@ -105,15 +105,22 @@ def _demo_fig5(protect: bool) -> None:
         print(summarize(dep).render())
 
 
+def _was_opened(window) -> bool:
+    """Breached = the actuator's own command log shows it opening (an
+    open-then-close still counts)."""
+    return any(r.state_after == "open" for r in window.command_log)
+
+
 def _demo_fig3(protect: bool) -> None:
     from repro import SecuredDeployment
-    from repro.attacks.scenarios import fig3_break_in
     from repro.core.metrics import summarize
     from repro.devices.library import (
         FIREALARM_BACKDOOR_PORT,
         fire_alarm,
         window_actuator,
     )
+    from repro.faults.campaign import CampaignRunner
+    from repro.faults.campaign_library import FIG3_BREAK_IN
     from repro.learning.repository import CrowdRepository
     from repro.learning.signatures import backdoor_signature
     from repro.policy.builder import PolicyBuilder
@@ -132,7 +139,7 @@ def _demo_fig3(protect: bool) -> None:
     )
     alarm = dep.add_device(fire_alarm, "fire_alarm")
     window = dep.add_device(window_actuator, "window")
-    attacker = dep.add_attacker()
+    dep.add_attacker()
     dep.finalize()
     dep.hub.add_recipe(Recipe("ventilate", "dev:fire_alarm", "alarm", "window", "open"))
     dep.hub.watch_devices(lambda n: dep.devices[n].state if n in dep.devices else None)
@@ -141,22 +148,20 @@ def _demo_fig3(protect: bool) -> None:
         repo.publish(backdoor_signature(alarm.sku, FIREALARM_BACKDOOR_PORT), reporter="crowd")
         dep.attach_repository(repo)
         dep.enforce_baseline()
-    campaign = fig3_break_in(
-        attacker, dep.sim, window_is_open=lambda: window.state == "open"
-    )
-    campaign.launch(dep.sim, until=120.0)
-    dep.run(until=120.0)
+    CampaignRunner(FIG3_BREAK_IN, dep).start()
+    dep.run(until=FIG3_BREAK_IN.horizon)
     arm = "IoTSec" if protect else "current world"
-    print(f"[fig3 / {arm}] breached={campaign.succeeded()} window={window.state}")
+    print(f"[fig3 / {arm}] breached={_was_opened(window)} window={window.state}")
     if protect:
         print(summarize(dep).render())
 
 
 def _demo_thermal(protect: bool) -> None:
     from repro import SecuredDeployment
-    from repro.attacks.scenarios import thermal_break_in
     from repro.devices.library import smart_plug, window_actuator
     from repro.environment.physics import ThermalProcess
+    from repro.faults.campaign import CampaignRunner
+    from repro.faults.campaign_library import THERMAL_BREAK_IN
     from repro.learning.repository import CrowdRepository
     from repro.learning.signatures import backdoor_signature
     from repro.policy.ifttt import Recipe
@@ -164,7 +169,7 @@ def _demo_thermal(protect: bool) -> None:
     dep = SecuredDeployment.build()
     ac = dep.add_device(smart_plug, "ac_plug", load={"cool_watts": 700.0})
     window = dep.add_device(window_actuator, "window")
-    attacker = dep.add_attacker()
+    dep.add_attacker()
     dep.finalize()
     for i, process in enumerate(dep.env.processes):
         if isinstance(process, ThermalProcess):
@@ -178,15 +183,12 @@ def _demo_thermal(protect: bool) -> None:
         )
         dep.attach_repository(repo)
         dep.enforce_baseline()
-    campaign = thermal_break_in(
-        attacker, dep.sim, window_is_open=lambda: window.state == "open"
-    )
-    campaign.launch(dep.sim, until=1200.0)
-    dep.run(until=1200.0)
+    CampaignRunner(THERMAL_BREAK_IN, dep).start()
+    dep.run(until=THERMAL_BREAK_IN.horizon)
     arm = "IoTSec" if protect else "current world"
     print(
         f"[thermal / {arm}] ac={ac.state} temp={dep.env.level('temperature')}"
-        f" window={window.state} breached={campaign.succeeded()}"
+        f" window={window.state} breached={_was_opened(window)}"
     )
 
 
@@ -373,36 +375,27 @@ def cmd_federation(args: argparse.Namespace) -> int:
 
 def cmd_policy(args: argparse.Namespace) -> int:
     """Export a sample home's default policy as reviewable JSON."""
-    from repro import SecuredDeployment
-    from repro.devices.library import smart_camera, smart_plug
+    from repro.faults.scenario import standard_home
     from repro.policy.serialization import dumps
 
-    dep = SecuredDeployment.build()
-    dep.add_device(smart_camera, "cam")
-    dep.add_device(smart_plug, "plug")
-    dep.finalize()
-    print(dumps(dep.policy))
+    print(dumps(standard_home().policy))
     return 0
 
 
-def _attacked_home(setup=None):
+def _attacked_home(setup=None, **planes):
     """The canned scenario behind ``report``/``metrics``/``trace``: a
     secured two-device home whose camera gets brute-forced.
 
-    ``setup(dep)``, when given, runs right before the clock starts --
-    ``metrics --watch`` hooks its periodic re-render there.
+    ``setup(dep)``, when given, runs right before the clock starts (the
+    ``--watch`` re-render and ``dlq``'s rogue peers hook in there);
+    ``planes`` turn on opt-in planes of the deployment.
     """
-    from repro import SecuredDeployment
     from repro.attacks.exploits import EXPLOITS
-    from repro.devices.library import smart_camera, smart_plug
+    from repro.faults.scenario import standard_home
 
-    dep = SecuredDeployment.build()
-    dep.add_device(smart_camera, "cam")
-    dep.add_device(smart_plug, "plug")
-    attacker = dep.add_attacker()
-    dep.finalize()
+    dep = standard_home(**planes)
     dep.enforce_baseline()
-    EXPLOITS["brute_force_login"].launch(attacker, "cam", dep.sim)
+    EXPLOITS["brute_force_login"].launch(dep.attackers["attacker"], "cam", dep.sim)
     if setup is not None:
         setup(dep)
     dep.run(until=60.0)
@@ -416,38 +409,75 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bad_watch(args: argparse.Namespace) -> bool:
+    """``--watch N`` needs a positive period (usage error: exit 2)."""
+    if args.watch is not None and args.watch <= 0:
+        print("error: --watch period must be positive", file=sys.stderr)
+        return True
+    return False
+
+
+def _watch_setup(args: argparse.Namespace, render):
+    """A scenario ``setup`` hook that prints ``render(dep)`` every
+    ``--watch`` simulated seconds (and does nothing when not watching)."""
+
+    def setup(dep) -> None:
+        if args.watch is None:
+            return
+
+        def show() -> None:
+            print(f"--- t={dep.sim.now:.1f}s ---")
+            print(render(dep))
+            print()
+
+        dep.sim.every(args.watch, show)
+
+    return setup
+
+
+def _unknown_device(dep, device: str) -> bool:
+    if device in dep.devices:
+        return False
+    known = ", ".join(sorted(dep.devices))
+    print(f"error: unknown device {device!r} (known: {known})")
+    return True
+
+
+def _load_document(path: str, what: str, parse):
+    """Read + parse a JSON document named on the command line; any
+    failure is a usage error: one line on stderr, ``None`` (exit 2)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse(handle.read())
+    except OSError as exc:
+        print(f"error: cannot read {what} {path!r}: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
 def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs import to_prometheus
 
-    setup = None
+    if _bad_watch(args):
+        return 2
+
+    def render(dep) -> str:
+        if args.json:
+            return json.dumps(dep.sim.metrics.snapshot(), indent=2, sort_keys=True)
+        return to_prometheus(dep.sim.metrics)
+
     if args.watch is not None:
-        if args.watch <= 0:
-            print("error: --watch period must be positive", file=sys.stderr)
-            return 2
-
-        def setup(dep):
-            def show() -> None:
-                print(f"--- t={dep.sim.now:.1f}s ---")
-                if args.json:
-                    print(json.dumps(dep.sim.metrics.snapshot(), indent=2, sort_keys=True))
-                else:
-                    print(to_prometheus(dep.sim.metrics))
-                print()
-
-            dep.sim.every(args.watch, show)
-
-    dep = _attacked_home(setup=setup) if setup is not None else _attacked_home()
+        dep = _attacked_home(setup=_watch_setup(args, render))
+    else:
+        dep = _attacked_home()
     registry = dep.sim.metrics
-    snapshot = registry.snapshot()
-    if not registry.enabled or not any(snapshot.values()):
+    if not registry.enabled or not any(registry.snapshot().values()):
         print("error: metrics registry is empty (observability disabled?)")
         return 1
     if args.watch is not None:
         print(f"--- t={dep.sim.now:.1f}s (final) ---")
-    if args.json:
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-    else:
-        print(to_prometheus(registry))
+    print(render(dep))
     return 0
 
 
@@ -455,9 +485,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import trace_as_dicts
 
     dep = _attacked_home()
-    if args.device not in dep.devices:
-        known = ", ".join(sorted(dep.devices))
-        print(f"error: unknown device {args.device!r} (known: {known})")
+    if _unknown_device(dep, args.device):
         return 1
     tracer = dep.sim.tracer
     trace_ids = tracer.traces_for(args.device)
@@ -601,15 +629,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     elif args.plan == "standard":
         plan = standard_fault_plan()
     else:
-        try:
-            text = open(args.plan, encoding="utf-8").read()
-        except OSError as exc:
-            print(f"error: cannot read fault plan {args.plan!r}: {exc}", file=sys.stderr)
-            return 2
-        try:
-            plan = FaultPlan.from_json(text)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        plan = _load_document(args.plan, "fault plan", FaultPlan.from_json)
+        if plan is None:
             return 2
     arms = [False] if args.no_resilience else [False, True]
     results = [
@@ -630,20 +651,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     for event in plan:
         extra = f" for {event.duration}s" if event.duration else ""
         print(f"  t={event.at:>7.3f}  {event.kind:<12} {event.target}{extra}")
-    cols = (
-        "attack_attempts",
-        "attack_successes",
-        "exposure_s",
-        "mean_time_to_reenforce_s",
-        "ctrl_retries",
-        "ctrl_giveups",
-        "mbox_restarts",
-        "fail_open_passes",
+    _print_arm_table(
+        results,
+        (
+            "attack_attempts",
+            "attack_successes",
+            "exposure_s",
+            "mean_time_to_reenforce_s",
+            "ctrl_retries",
+            "ctrl_giveups",
+            "mbox_restarts",
+            "fail_open_passes",
+        ),
     )
-    print(f"\n{'metric':<26}" + "".join(f"{r['arm']:>12}" for r in results))
-    for col in cols:
-        cells = "".join(f"{str(r.get(col)):>12}" for r in results)
-        print(f"{col:<26}{cells}")
     if len(results) == 2:
         base, res = results
         print(
@@ -691,16 +711,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     )
 
     if args.file:
-        try:
-            text = open(args.file, encoding="utf-8").read()
-        except OSError as exc:
-            print(f"error: cannot read campaign {args.file!r}: {exc}", file=sys.stderr)
+        campaign = _load_document(args.file, "campaign", Campaign.from_json)
+        if campaign is None:
             return 2
-        try:
-            selected = [Campaign.from_json(text)]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        selected = [campaign]
     elif args.name:
         if args.name not in CAMPAIGNS:
             print(
@@ -742,20 +756,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _durable_home():
-    """The canned durable-telemetry scenario behind ``dlq``: a secured
-    home whose alerts ride the store-and-forward stream, with a rogue
-    peer injecting malformed records and a reputation-flagged host."""
-    from repro import SecuredDeployment
-    from repro.attacks.exploits import EXPLOITS
-    from repro.devices.library import smart_camera, smart_plug
-
-    dep = SecuredDeployment.build(durable_telemetry=True)
-    dep.add_device(smart_camera, "cam")
-    dep.add_device(smart_plug, "plug")
-    attacker = dep.add_attacker()
-    dep.finalize()
-    dep.enforce_baseline()
+def _rogue_peers(dep) -> None:
+    """``dlq``'s twist on the attacked home: a rogue peer injects
+    malformed stream records, and a reputation-flagged host a spoofed one."""
     consumer = dep.controller.stream
     assert consumer is not None
     # Reputation decision: everything "rogue-host" sends is quarantined.
@@ -802,14 +805,12 @@ def _durable_home():
 
     dep.sim.schedule(5.0, inject_flagged)
     dep.sim.schedule(6.0, inject_malformed)
-    EXPLOITS["brute_force_login"].launch(attacker, "cam", dep.sim)
-    dep.run(until=60.0)
-    return dep
 
 
 def cmd_dlq(args: argparse.Namespace) -> int:
-    """Inspect the dead-letter queue of the durable-telemetry scenario."""
-    dep = _durable_home()
+    """Inspect the dead-letter queue of the durable-telemetry scenario:
+    the attacked home with its alerts on the store-and-forward stream."""
+    dep = _attacked_home(setup=_rogue_peers, durable_telemetry=True)
     dlq = dep.controller.dlq
     consumer = dep.controller.stream
     assert dlq is not None and consumer is not None
@@ -853,22 +854,9 @@ def cmd_dlq(args: argparse.Namespace) -> int:
 def cmd_health(args: argparse.Namespace) -> int:
     from repro.faults.scenario import HEALTH_PLANS, run_health_scenario
 
-    if args.watch is not None and args.watch <= 0:
-        print("error: --watch period must be positive", file=sys.stderr)
+    if _bad_watch(args):
         return 2
-
-    def setup(dep):
-        if args.watch is None:
-            return
-        plane = dep.health_plane
-
-        def show() -> None:
-            print(f"--- t={dep.sim.now:.1f}s ---")
-            print(plane.render())
-            print()
-
-        dep.sim.every(args.watch, show)
-
+    setup = _watch_setup(args, lambda dep: dep.health_plane.render())
     try:
         result = run_health_scenario(args.plan, seed=args.seed, keep_dep=True, setup=setup)
     except ValueError as exc:
@@ -911,9 +899,7 @@ def cmd_incident(args: argparse.Namespace) -> int:
         dep = run_resilience_scenario(True, keep_dep=True, health=args.site)["dep"]
     else:
         dep = _attacked_home()
-    if args.device not in dep.devices:
-        known = ", ".join(sorted(dep.devices))
-        print(f"error: unknown device {args.device!r} (known: {known})")
+    if _unknown_device(dep, args.device):
         return 1
     state = dep.controller.pipeline.system_state()
     incident = reconstruct(

@@ -24,9 +24,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.netsim.switch import Switch
-
 from repro.attacks.attacker import Attacker
 from repro.core.controller import IoTSecController
 from repro.core.ha import Checkpointer, CheckpointStore, StandbyController, restore_controller
@@ -52,13 +49,14 @@ from repro.sdn.channel import ControlChannel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.learning.repository import CrowdRepository
+    from repro.netsim.switch import Switch
     from repro.obs.health import HealthPlane
-    from repro.obs.stream import HostStream, StreamConfig
+    from repro.obs.stream import HostStream
 
 
-def default_home_environment(sim: Simulator, tick: float = 1.0) -> Environment:
+def default_home_environment(sim: Simulator) -> Environment:
     """The standard simulated home: thermal, smoke, light, occupancy."""
-    env = Environment(sim, tick=tick)
+    env = Environment(sim)
     env.add_continuous(
         "temperature",
         initial=21.0,
@@ -107,13 +105,11 @@ class SecuredDeployment:
         policy: PolicyFSM | None = None,
         with_iotsec: bool = True,
         channel_latency: float = 0.002,
-        env_tick: float = 1.0,
         consistent_updates: bool = False,
         reliable_control: bool = False,
         health_check_period: float | None = None,
         ingest: IngestConfig | None = None,
         durable_telemetry: bool = False,
-        stream_config: "StreamConfig | None" = None,
         checkpointing: bool = False,
         checkpoint_period: float = 5.0,
         standby: bool = False,
@@ -144,7 +140,6 @@ class SecuredDeployment:
         #: and telemetry survive partitions (replayed in order) instead
         #: of vanishing with the wire.
         self.durable_telemetry = durable_telemetry
-        self.stream_config = stream_config
         self.host_stream: "HostStream | None" = None
         self.checkpointing = checkpointing
         self.checkpoint_period = checkpoint_period
@@ -173,7 +168,7 @@ class SecuredDeployment:
         self.topology.connect(self.edge, self.internet, latency=0.010)
         self.topology.connect(self.edge, self.hub, latency=0.002)
 
-        self.env = default_home_environment(self.sim, tick=env_tick)
+        self.env = default_home_environment(self.sim)
         self.hub.watch_environment(self.env)
 
         self.devices: dict[str, IoTDevice] = {}
@@ -321,16 +316,7 @@ class SecuredDeployment:
         assert self.orchestrator is not None and self.cluster is not None
         if self.policy is None:
             self.policy = self.default_policy()
-        self.controller = IoTSecController(
-            name=self.CONTROLLER,
-            sim=self.sim,
-            policy=self.policy,
-            orchestrator=self.orchestrator,
-            channel=self.channel,
-            topology=self.topology,
-            ingest=self.ingest_config,
-            durable_telemetry=self.durable_telemetry,
-        )
+        controller = self.new_controller(self.policy, self.CONTROLLER)
         if self.durable_telemetry:
             from repro.obs.stream import HostStream
 
@@ -339,15 +325,13 @@ class SecuredDeployment:
                 host=self.CLUSTER,
                 channel=self.channel,
                 controller=self.CONTROLLER,
-                config=self.stream_config,
             )
             self.cluster.attach_stream(self.host_stream)
-        self.controller.adopt_packet_in(self.edge)
-        for room in self.rooms.values():
-            self.controller.adopt_packet_in(room)
-        self.controller.watch_environment(self.env)
+        for switch in self.switches():
+            controller.adopt_packet_in(switch)
+        controller.watch_environment(self.env)
         for device in self.devices.values():
-            self.controller.register_device(device)
+            controller.register_device(device)
         # µmbox alerts travel the control channel to the controller.
         self.cluster.alert_sink = self._forward_alert
         # The cluster's context view is the controller's global view.
@@ -359,34 +343,18 @@ class SecuredDeployment:
         if self.health_check_period is not None and self.manager is not None:
             self.manager.on_recovery = lambda device: self.orchestrator.repin(device)
             self.manager.start_health_checks(self.health_check_period)
-        self._wire_survivability(self.controller)
         if self.checkpointing or self.standby:
             self.checkpoint_store = CheckpointStore()
-            self.checkpointer = Checkpointer(
-                self.controller,
-                self.checkpoint_store,
-                period=self.checkpoint_period,
-                channel=self.channel if self.standby else None,
-                standby=self.STANDBY if self.standby else None,
-                heartbeat_period=self.heartbeat_period if self.standby else None,
-            )
+        self._bind(controller, replicate=self.standby)
         if self.standby:
             self.standby_controller = StandbyController(
-                sim=self.sim,
-                channel=self.channel,
-                orchestrator=self.orchestrator,
-                topology=self.topology,
+                self,
                 policy=self.policy,
-                devices=self.devices,
-                switches=[self.edge, *self.rooms.values()],
-                env=self.env,
                 name=self.STANDBY,
                 primary=self.CONTROLLER,
-                ingest=self.ingest_config,
-                durable_telemetry=self.durable_telemetry,
                 heartbeat_timeout=self.failover_timeout,
                 seed=self.ha_seed,
-                on_takeover=self._on_takeover,
+                on_takeover=self._bind,
             )
         if self.health_enabled:
             self.attach_health(self.health_period)
@@ -406,27 +374,57 @@ class SecuredDeployment:
             self.health_plane = attach_health_plane(self, period=period)
         return self.health_plane
 
-    def _wire_survivability(self, controller: IoTSecController) -> None:
-        """Connect the ingest queue's backpressure to the µmbox host."""
-        if controller.ingest is not None and self.cluster is not None:
-            controller.ingest.on_shed = self.cluster.set_backpressure
+    # ------------------------------------------------------------------
+    # The controller seam: one construction site, one adoption path
+    # ------------------------------------------------------------------
+    def switches(self) -> list["Switch"]:
+        """Every switch a controller of this site serves packet-ins for."""
+        return [self.edge, *self.rooms.values()]
 
-    def _on_takeover(self, controller: IoTSecController) -> None:
-        """The standby promoted a new primary: adopt it site-wide.
+    def new_controller(self, policy: PolicyFSM, name: str) -> IoTSecController:
+        """Build a controller incarnation wired to this site's planes.
+
+        First boot, cold restart and standby takeover all construct
+        through here, so a plane the controller must know about is
+        threaded in once.  (Stream offsets are in-memory controller
+        state: a revived controller starts a fresh consumer, hosts replay
+        from their ack watermark and the consumer adopts the base on
+        first contact.)
+        """
+        assert self.orchestrator is not None
+        return IoTSecController(
+            name=name,
+            sim=self.sim,
+            policy=policy,
+            orchestrator=self.orchestrator,
+            channel=self.channel,
+            topology=self.topology,
+            ingest=self.ingest_config,
+            durable_telemetry=self.durable_telemetry,
+        )
+
+    def _bind(self, controller: IoTSecController, replicate: bool = False) -> None:
+        """Adopt ``controller`` as this site's incarnation.
 
         The cluster's alert sink and view closures resolve
         ``self.controller`` dynamically, so rebinding the attribute is
         enough for the data path; backpressure and the checkpoint loop
-        are re-wired to the new instance (local-only -- the standby seat
-        is now empty).
+        are re-wired to the new instance.  Only first boot replicates to
+        the standby -- after a restart or takeover that seat is empty.
         """
         self.controller = controller
-        self._wire_survivability(controller)
+        if controller.ingest is not None and self.cluster is not None:
+            controller.ingest.on_shed = self.cluster.set_backpressure
         if self.checkpoint_store is not None:
             if self.checkpointer is not None:
                 self.checkpointer.stop()
             self.checkpointer = Checkpointer(
-                controller, self.checkpoint_store, period=self.checkpoint_period
+                controller,
+                self.checkpoint_store,
+                period=self.checkpoint_period,
+                channel=self.channel if replicate else None,
+                standby=self.STANDBY if replicate else None,
+                heartbeat_period=self.heartbeat_period if replicate else None,
             )
 
     # ------------------------------------------------------------------
@@ -445,64 +443,39 @@ class SecuredDeployment:
 
     def restart_controller(self) -> IoTSecController:
         """Cold restart from the latest local checkpoint + journal tail."""
-        if self.checkpoint_store is None or self.checkpoint_store.latest() is None:
+        store = self.checkpoint_store
+        checkpoint = store.latest() if store is not None else None
+        if checkpoint is None:
             raise RuntimeError(
                 "no checkpoint to restart from (enable checkpointing=True)"
             )
-        checkpoint = self.checkpoint_store.latest()
-        assert checkpoint is not None
         tail = [
             e.as_dict() for e in self.sim.journal.entries_since(checkpoint.seq)
         ]
-        controller = restore_controller(
-            sim=self.sim,
-            channel=self.channel,
-            orchestrator=self.orchestrator,
-            topology=self.topology,
-            devices=self.devices,
-            switches=[self.edge, *self.rooms.values()],
-            checkpoint=checkpoint,
-            tail=tail,
-            name=self.CONTROLLER,
-            ingest=self.ingest_config,
-            env=self.env,
-            durable_telemetry=self.durable_telemetry,
-        )
-        self.controller = controller
-        self._wire_survivability(controller)
-        self.checkpointer = Checkpointer(
-            controller, self.checkpoint_store, period=self.checkpoint_period
-        )
+        controller = restore_controller(self, checkpoint, tail, name=self.CONTROLLER)
+        self._bind(controller)
         return controller
 
     def _forward_alert(self, alert: Alert) -> None:
+        body = {
+            "device": alert.device,
+            "kind": alert.kind,
+            "mbox": alert.mbox,
+            "detail": dict(alert.detail),
+            "trace": alert.trace_id,
+        }
         if self.host_stream is not None:
             # Durable plane: the alert enters the host's store-and-forward
             # buffer and ships (and re-ships) as an offset-ordered batch
             # until the controller acknowledges it -- partitions delay it,
             # they no longer delete it.
-            self.host_stream.offer(
-                alert.kind,
-                {
-                    "device": alert.device,
-                    "kind": alert.kind,
-                    "mbox": alert.mbox,
-                    "detail": dict(alert.detail),
-                    "trace": alert.trace_id,
-                },
-            )
+            self.host_stream.offer(alert.kind, body)
             return
         self.channel.send(
             self.CLUSTER,
             self.CONTROLLER,
             "alert",
-            {
-                "device": alert.device,
-                "kind": alert.kind,
-                "mbox": alert.mbox,
-                "detail": dict(alert.detail),
-                "trace": alert.trace_id,
-            },
+            body,
             # Security alerts are the trigger for every escalation: a lost
             # alert is a lost re-enforcement, so they ride at-least-once
             # when the deployment opts into reliable control.

@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from repro.core.controller import DEFAULT_ESCALATIONS, EscalationRule, IoTSecController
+from repro.core.controller import IoTSecController
 from repro.policy.fsm import PostureRule, StatePredicate
 from repro.policy.serialization import (
     policy_from_dict,
@@ -56,13 +56,7 @@ from repro.policy.serialization import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.orchestrator import PostureOrchestrator
-    from repro.core.overload import IngestConfig
-    from repro.devices.base import IoTDevice
-    from repro.environment.engine import Environment
-    from repro.netsim.simulator import Simulator
-    from repro.netsim.switch import Switch
-    from repro.netsim.topology import Topology
+    from repro.core.deployment import SecuredDeployment
     from repro.policy.fsm import PolicyFSM
     from repro.sdn.channel import ControlChannel, ControlMessage
 
@@ -401,40 +395,21 @@ def reconcile(controller: IoTSecController) -> tuple[int, int]:
 
 
 def _revive(
-    sim: "Simulator",
-    channel: "ControlChannel",
-    orchestrator: "PostureOrchestrator",
-    topology: "Topology | None",
-    devices: Mapping[str, "IoTDevice"],
-    switches: Iterable["Switch"],
+    site: "SecuredDeployment",
     checkpoint: Checkpoint | None,
     tail: Iterable[Mapping[str, Any]],
     fallback_policy: dict[str, Any],
     name: str,
-    escalations: tuple[EscalationRule, ...],
-    ingest: "IngestConfig | None",
-    env: "Environment | None",
-    durable_telemetry: bool = False,
 ) -> tuple[IoTSecController, dict[str, int], tuple[int, int]]:
-    """Build + restore + replay + re-adopt + reconcile (shared core)."""
+    """Build + restore + replay + re-adopt + reconcile (shared core).
+
+    ``site`` is the deployment the revived controller serves; it builds
+    the incarnation and names what to re-adopt."""
     policy = policy_from_dict(
         checkpoint.policy if checkpoint is not None else fallback_policy
     )
-    controller = IoTSecController(
-        name=name,
-        sim=sim,
-        policy=policy,
-        orchestrator=orchestrator,
-        channel=channel,
-        topology=topology,
-        escalations=escalations,
-        ingest=ingest,
-        # Stream offsets are in-memory controller state, so a revived
-        # controller starts a fresh consumer: hosts replay from their ack
-        # watermark and the consumer adopts the base on first contact.
-        durable_telemetry=durable_telemetry,
-    )
-    for device in devices.values():
+    controller = site.new_controller(policy, name)
+    for device in site.devices.values():
         controller.register_device(device)
     # Registration marked every device dirty with its fresh NORMAL context.
     # Flushing that round would re-derive *default* postures and tear down
@@ -445,28 +420,18 @@ def _revive(
     if checkpoint is not None:
         restore_checkpoint(controller, checkpoint)
     counts = replay_entries(controller, tail)
-    for switch in switches:
+    for switch in site.switches():
         controller.adopt_packet_in(switch)
-    if env is not None:
-        controller.watch_environment(env)
+    controller.watch_environment(site.env)
     checked = reconcile(controller)
     return controller, counts, checked
 
 
 def restore_controller(
-    sim: "Simulator",
-    channel: "ControlChannel",
-    orchestrator: "PostureOrchestrator",
-    topology: "Topology | None",
-    devices: Mapping[str, "IoTDevice"],
-    switches: Iterable["Switch"],
+    site: "SecuredDeployment",
     checkpoint: Checkpoint,
     tail: Iterable[Mapping[str, Any]] = (),
     name: str = "controller",
-    escalations: tuple[EscalationRule, ...] = DEFAULT_ESCALATIONS,
-    ingest: "IngestConfig | None" = None,
-    env: "Environment | None" = None,
-    durable_telemetry: bool = False,
 ) -> IoTSecController:
     """Cold restart: rebuild the controller from checkpoint + WAL tail.
 
@@ -475,22 +440,9 @@ def restore_controller(
     ``sim.journal.entries_since(checkpoint.seq)``.
     """
     controller, counts, (checked, repushed) = _revive(
-        sim=sim,
-        channel=channel,
-        orchestrator=orchestrator,
-        topology=topology,
-        devices=devices,
-        switches=switches,
-        checkpoint=checkpoint,
-        tail=tail,
-        fallback_policy=checkpoint.policy,
-        name=name,
-        escalations=escalations,
-        ingest=ingest,
-        env=env,
-        durable_telemetry=durable_telemetry,
+        site, checkpoint, tail, checkpoint.policy, name
     )
-    sim.journal.record(
+    site.sim.journal.record(
         "controller-restart",
         controller=name,
         checkpoint_seq=checkpoint.seq,
@@ -518,19 +470,10 @@ class StandbyController:
 
     def __init__(
         self,
-        sim: "Simulator",
-        channel: "ControlChannel",
-        orchestrator: "PostureOrchestrator",
-        topology: "Topology | None",
+        site: "SecuredDeployment",
         policy: "PolicyFSM",
-        devices: Mapping[str, "IoTDevice"],
-        switches: Iterable["Switch"] = (),
-        env: "Environment | None" = None,
         name: str = "standby",
         primary: str = "controller",
-        escalations: tuple[EscalationRule, ...] = DEFAULT_ESCALATIONS,
-        ingest: "IngestConfig | None" = None,
-        durable_telemetry: bool = False,
         heartbeat_timeout: float = 1.0,
         check_period: float = 0.25,
         seed: int = 0,
@@ -538,18 +481,11 @@ class StandbyController:
     ) -> None:
         if heartbeat_timeout <= 0:
             raise ValueError(f"heartbeat_timeout must be positive (got {heartbeat_timeout})")
-        self.sim = sim
-        self.channel = channel
-        self.orchestrator = orchestrator
-        self.topology = topology
-        self.devices = devices
-        self.switches = list(switches)
-        self.env = env
+        self.site = site
+        self.sim = site.sim
+        self.channel = site.channel
         self.name = name
         self.primary = primary
-        self.escalations = escalations
-        self.ingest = ingest
-        self.durable_telemetry = durable_telemetry
         self.on_takeover = on_takeover
         #: Cold fallback: a takeover before the first checkpoint arrives
         #: starts from the policy the site was deployed with.
@@ -563,11 +499,11 @@ class StandbyController:
         self.timeout = heartbeat_timeout + random.Random(seed).uniform(
             0.0, 0.1 * heartbeat_timeout
         )
-        self.last_heartbeat = sim.now
+        self.last_heartbeat = self.sim.now
         self.active = False
         self.promoted: IoTSecController | None = None
-        channel.register(name, self.on_control_message)
-        self._stop_check = sim.every(check_period, self._check)
+        self.channel.register(name, self.on_control_message)
+        self._stop_check = self.sim.every(check_period, self._check)
 
     # ------------------------------------------------------------------
     def on_control_message(self, message: "ControlMessage") -> None:
@@ -635,20 +571,7 @@ class StandbyController:
                 if self.checkpoint is None or seq > self.checkpoint.seq
             ]
             controller, counts, (checked, repushed) = _revive(
-                sim=sim,
-                channel=self.channel,
-                orchestrator=self.orchestrator,
-                topology=self.topology,
-                devices=self.devices,
-                switches=self.switches,
-                checkpoint=self.checkpoint,
-                tail=tail,
-                fallback_policy=self._fallback_policy,
-                name=self.primary,
-                escalations=self.escalations,
-                ingest=self.ingest,
-                env=self.env,
-                durable_telemetry=self.durable_telemetry,
+                self.site, self.checkpoint, tail, self._fallback_policy, self.primary
             )
         finally:
             tracer.pop()

@@ -147,32 +147,19 @@ class DeploymentReport:
 def summarize(dep: "SecuredDeployment") -> DeploymentReport:
     """Build a :class:`DeploymentReport` from a deployment's current state.
 
-    When the simulator's metrics registry is enabled (the default), alert
-    volumes, µmbox lifecycle counts and tunnel traffic come from the
-    registry -- the report is a *view over the instrumentation*, so what
-    operators read here and what ``repro metrics`` exports cannot drift
-    apart.  With observability disabled the report falls back to reading
-    the component counters directly.
+    Alert volumes, µmbox lifecycle counts and tunnel traffic are read from
+    the components themselves -- the attributes the metrics registry's
+    callback gauges sample (and the alert list whose appends the
+    ``mbox_alerts`` counter shadows) -- so this report and ``repro
+    metrics`` cannot drift apart, with observability on or off.
     """
     report = DeploymentReport(at=dep.sim.now, events_processed=dep.sim.events_processed)
-    registry = dep.sim.metrics
 
     alerts = dep.alerts()
-    host_label = (
-        dep.cluster.metric_labels.get("host") if dep.cluster is not None else None
-    )
-    if registry.enabled and host_label is not None:
-        for instrument in registry.series("mbox_alerts"):
-            if instrument.labels.get("host") == host_label:
-                kind = instrument.labels.get("kind", "?")
-                report.alerts_by_kind[kind] = (
-                    report.alerts_by_kind.get(kind, 0) + int(instrument.value)
-                )
-    else:
-        for alert in alerts:
-            report.alerts_by_kind[alert.kind] = (
-                report.alerts_by_kind.get(alert.kind, 0) + 1
-            )
+    for alert in alerts:
+        report.alerts_by_kind[alert.kind] = (
+            report.alerts_by_kind.get(alert.kind, 0) + 1
+        )
 
     for name, device in sorted(dep.devices.items()):
         context = dep.controller.context_of(name) if dep.controller else "-"
@@ -197,35 +184,20 @@ def summarize(dep: "SecuredDeployment") -> DeploymentReport:
     if dep.orchestrator is not None:
         report.postures_applied = len(dep.orchestrator.records)
     if dep.manager is not None:
-        labels = dep.manager.metric_labels
-        if registry.enabled:
-            report.mbox_active = int(registry.value("mbox_active", **labels) or 0)
-            report.mbox_boots = int(registry.value("mbox_boots", **labels) or 0)
-            report.mbox_reconfigs = int(registry.value("mbox_reconfigs", **labels) or 0)
-        else:
-            report.mbox_active = dep.manager.active_count()
-            report.mbox_boots = dep.manager.boots
-            report.mbox_reconfigs = dep.manager.reconfigs
+        report.mbox_active = dep.manager.active_count()
+        report.mbox_boots = dep.manager.boots
+        report.mbox_reconfigs = dep.manager.reconfigs
     if dep.cluster is not None:
-        labels = dep.cluster.metric_labels
-        if registry.enabled:
-            report.packets_tunnelled = int(
-                registry.value("mbox_tunnelled_in", **labels) or 0
-            )
-            report.packets_dropped_unbound = int(
-                registry.value("mbox_unbound_drops", **labels) or 0
-            )
-        else:
-            report.packets_tunnelled = dep.cluster.tunnelled_in
-            report.packets_dropped_unbound = dep.cluster.unbound_drops
+        report.packets_tunnelled = dep.cluster.tunnelled_in
+        report.packets_dropped_unbound = dep.cluster.unbound_drops
     if dep.controller is not None and dep.controller.reactions:
         # Exact quantiles from the reaction list (the registry histogram
         # only has bucket resolution; benches rely on precise latencies).
         latencies = sorted(r.latency for r in dep.controller.reactions)
         report.reaction_p50_ms = latencies[len(latencies) // 2] * 1e3
         report.reaction_max_ms = latencies[-1] * 1e3
-    if registry.enabled:
-        report.metrics = registry.snapshot()
+    if dep.sim.metrics.enabled:
+        report.metrics = dep.sim.metrics.snapshot()
     journal = dep.sim.journal
     if journal.enabled:
         report.journal = {
@@ -249,7 +221,7 @@ def summarize(dep: "SecuredDeployment") -> DeploymentReport:
                 "alerts_by_kind": dict(incident.alerts_by_kind),
                 "applies": incident.applies,
             }
-    plane = getattr(dep, "health_plane", None)
+    plane = dep.health_plane
     if plane is not None and plane.enabled:
         report.health = plane.snapshot()
     return report

@@ -108,6 +108,19 @@ class PostureOrchestrator:
     def posture_of(self, device: str) -> Posture | None:
         return self.current.get(device)
 
+    def first_enforced_at(self, device: str, after: float = 0.0) -> float | None:
+        """When ``device`` first received an enforcing posture (anything
+        stricter than ``allow``/``monitor``) at or past ``after``; ``None``
+        if it never did.  The containment instant every scorecard reads."""
+        for record in self.records:
+            if (
+                record.at >= after
+                and record.device == device
+                and record.posture not in ("allow", "monitor")
+            ):
+                return record.at
+        return None
+
     # ------------------------------------------------------------------
     def pin(self, device: str) -> None:
         """Mark the device's posture as administratively pinned."""

@@ -675,38 +675,24 @@ class ContainmentTracker:
         self.expected = tuple(expected)
         self.deadline = deadline
         self.first_attack: dict[str, float] = {}
-        self.contained: dict[str, float] = {}
         self.ok_ticks = 0
         self.miss_ticks = 0
         self.current_misses: tuple[str, ...] = ()
-        self._seen_records = 0
         if self.expected:
             dep.sim.every(period, self._tick)
 
     def note_attack(self, device: str, at: float) -> None:
         self.first_attack.setdefault(device, at)
 
-    def _scan(self) -> None:
-        orch = self.dep.orchestrator
-        if orch is None:
-            return
-        records = orch.records
-        if len(records) < self._seen_records:  # controller rebind
-            self._seen_records = 0
-        for record in records[self._seen_records:]:
-            if record.posture not in ("allow", "monitor"):
-                self.contained.setdefault(record.device, record.at)
-        self._seen_records = len(records)
-
     def _tick(self) -> None:
-        self._scan()
         now = self.dep.sim.now
+        orch = self.dep.orchestrator
         misses = tuple(
             device
             for device in self.expected
             if device in self.first_attack
-            and device not in self.contained
             and now - self.first_attack[device] > self.deadline
+            and (orch is None or orch.first_enforced_at(device) is None)
         )
         self.current_misses = misses
         if misses:
@@ -830,9 +816,10 @@ def score_campaign(
 
     contained: dict[str, float] = {}
     if dep.orchestrator is not None:
-        for record in dep.orchestrator.records:
-            if record.posture not in ("allow", "monitor"):
-                contained.setdefault(record.device, record.at)
+        for device in dep.devices:
+            enforced_at = dep.orchestrator.first_enforced_at(device)
+            if enforced_at is not None:
+                contained[device] = enforced_at
 
     ttc: dict[str, float] = {}
     exposure: dict[str, float] = {}

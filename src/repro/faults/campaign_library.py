@@ -53,6 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ENFORCING_CLASSES",
     "CAMPAIGNS",
+    "FIG3_BREAK_IN",
+    "THERMAL_BREAK_IN",
+    "OVEN_ARSON",
     "build_home",
     "build_library",
     "campaigns_by_class",
@@ -572,6 +575,50 @@ def build_library() -> dict[str, Campaign]:
 
 #: The standing corpus.
 CAMPAIGNS: dict[str, Campaign] = build_library()
+
+
+#: The paper's own break-ins (Fig. 3, section 2.1, Fig. 5).  They name
+#: the devices of the figures' bespoke homes, not the standard home, so
+#: they sit beside the corpus rather than in it: the demos, tests and
+#: bench build the home and drive them with a plain ``CampaignRunner``.
+FIG3_BREAK_IN = Campaign(
+    "fig3-break-in",
+    "lateral-movement",
+    description="Force the alarm state through the FireAlarm backdoor so a "
+    "ventilation recipe opens the window; fall back to brute-forcing the "
+    "window's password (both attack transitions of the Fig. 3 FSM).",
+    horizon=120.0,
+    stages=(
+        S("firealarm_backdoor", 5.0, "exploit",
+          {"exploit": "backdoor_command", "backdoor_port": FIREALARM_BACKDOOR, "command": "test"},
+          target="fire_alarm"),
+        S("window_brute_force", 30.0, "exploit",
+          {"exploit": "brute_force_login", "command": "open"}, target="window"),
+    ),
+)
+THERMAL_BREAK_IN = Campaign(
+    "thermal-break-in",
+    "automation-abuse",
+    description="One backdoor packet turns the AC plug off; heat and the "
+    "victim's own cool-down recipe open the window (section 2.1).",
+    horizon=1200.0,
+    stages=(
+        S("plug_backdoor_off", 10.0, "exploit",
+          {"exploit": "backdoor_command", "backdoor_port": WEMO_BACKDOOR, "command": "off"},
+          target="ac_plug"),
+    ),
+)
+OVEN_ARSON = Campaign(
+    "oven-arson",
+    "single-flaw",
+    description="Remotely power the oven while nobody is home (Fig. 5).",
+    horizon=600.0,
+    stages=(
+        S("oven_plug_backdoor_on", 10.0, "exploit",
+          {"exploit": "backdoor_command", "backdoor_port": WEMO_BACKDOOR, "command": "on"},
+          target="oven_plug"),
+    ),
+)
 
 
 def get_campaign(name: str) -> Campaign:

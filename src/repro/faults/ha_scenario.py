@@ -38,6 +38,7 @@ from typing import Any
 
 from repro.core.overload import CLASS_NAMES, IngestConfig
 from repro.faults.plan import FaultEvent, FaultPlan
+from repro.faults.scenario import schedule_wave, standard_home
 
 #: Failover-scenario schedule (seconds, simulated).
 CRASH_AT = 10.0
@@ -68,12 +69,10 @@ def run_failover_scenario(
     keep_dep: bool = False,
 ) -> dict[str, Any]:
     """Run one arm of the crash-vs-failover experiment."""
-    from repro.core.deployment import SecuredDeployment
     from repro.devices import protocol
-    from repro.devices.library import smart_camera, smart_plug
     from repro.policy.posture import block_commands
 
-    dep = SecuredDeployment.build(
+    dep = standard_home(
         consistent_updates=True,
         reliable_control=True,
         checkpointing=True,
@@ -83,10 +82,6 @@ def run_failover_scenario(
         failover_timeout=FAILOVER_TIMEOUT,
         ha_seed=seed,
     )
-    dep.add_device(smart_camera, "cam")
-    dep.add_device(smart_plug, "plug", load={"hazard": 1.0})
-    attacker = dep.add_attacker()
-    dep.finalize()
 
     # The crash is a declared fault -- journaled, reproducible, reviewable.
     FaultPlan([FaultEvent(CRASH_AT, "controller-crash", "controller")]).apply(dep)
@@ -99,38 +94,18 @@ def run_failover_scenario(
     # Pre-crash background logins: two of the five the escalation window
     # needs.  Only a restore that rebuilds the sliding windows lets the
     # post-crash wave escalate on its third attempt instead of its fifth.
-    for t in BACKGROUND_LOGINS:
-        dep.sim.schedule_at(
-            t,
-            attacker.fire_and_forget,
-            protocol.login("attacker", "cam", "admin", "admin"),
-        )
+    def login():
+        return protocol.login("attacker", "cam", "admin", "admin")
 
-    attempts = 0
-    t = ATTACK_START
-    while t < horizon:
-        dep.sim.schedule_at(
-            t,
-            attacker.fire_and_forget,
-            protocol.login("attacker", "cam", "admin", "admin"),
-        )
-        attempts += 1
-        t += ATTACK_PERIOD
+    for t in BACKGROUND_LOGINS:
+        dep.sim.schedule_at(t, dep.attackers["attacker"].fire_and_forget, login())
+    attempts = schedule_wave(dep, ATTACK_START, ATTACK_PERIOD, horizon, login)
 
     dep.run(until=horizon)
 
     # Blind window: attack time from the crash until the first *enforcing*
     # posture lands anywhere post-crash (the camera's firewall).
-    enforced_at = next(
-        (
-            r.at
-            for r in dep.orchestrator.records
-            if r.at > CRASH_AT
-            and r.device == "cam"
-            and r.posture not in ("allow", "monitor")
-        ),
-        None,
-    )
+    enforced_at = dep.orchestrator.first_enforced_at("cam", after=CRASH_AT)
     blind = (enforced_at - CRASH_AT) if enforced_at is not None else horizon - CRASH_AT
 
     journal = dep.sim.journal
@@ -186,8 +161,6 @@ def run_storm_scenario(
     keep_dep: bool = False,
 ) -> dict[str, Any]:
     """Run one arm of the 10x-alert-storm experiment."""
-    from repro.core.deployment import SecuredDeployment
-    from repro.devices.library import smart_camera, smart_plug
     from repro.policy.posture import block_commands
 
     config = IngestConfig(
@@ -196,14 +169,7 @@ def run_storm_scenario(
         prioritized=shedding,
         shed=shedding,
     )
-    dep = SecuredDeployment.build(
-        consistent_updates=True,
-        reliable_control=True,
-        ingest=config,
-    )
-    dep.add_device(smart_camera, "cam")
-    dep.add_device(smart_plug, "plug", load={"hazard": 1.0})
-    dep.finalize()
+    dep = standard_home(consistent_updates=True, reliable_control=True, ingest=config)
     dep.secure("plug", block_commands("on"))  # enforcing posture -> class 0
     dep.enforce_baseline()
 

@@ -27,9 +27,13 @@ the exposure window in CI.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.faults.plan import FaultEvent, FaultPlan
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.deployment import SecuredDeployment
+    from repro.netsim.packet import Packet
 
 #: The standard fault schedule (see module docstring).
 PARTITION_AT = 4.0
@@ -49,6 +53,43 @@ FEDERATION_BLACKOUT_START = 30.0
 FEDERATION_BLACKOUT_END = 90.0
 FEDERATION_HORIZON = 120.0
 FEDERATION_SYNC_PERIOD = 5.0
+
+
+def standard_home(**planes: Any) -> "SecuredDeployment":
+    """The finalized cam + plug home every canned scenario runs on.
+
+    ``planes`` are :class:`SecuredDeployment` keywords (which opt-in
+    planes this run turns on).  The plug powers a hazardous load (the
+    oven); the one attacker is ``dep.attackers["attacker"]``.
+    """
+    from repro.core.deployment import SecuredDeployment
+    from repro.devices.library import smart_camera, smart_plug
+
+    dep = SecuredDeployment.build(**planes)
+    dep.add_device(smart_camera, "cam")
+    dep.add_device(smart_plug, "plug", load={"hazard": 1.0})
+    dep.add_attacker()
+    dep.finalize()
+    return dep
+
+
+def schedule_wave(
+    dep: "SecuredDeployment",
+    start: float,
+    period: float,
+    horizon: float,
+    make_packet: Callable[[], "Packet"],
+) -> int:
+    """Arm one fresh attacker packet every ``period`` seconds over
+    ``[start, horizon)`` at absolute times; returns how many."""
+    attacker = dep.attackers["attacker"]
+    attempts = 0
+    t = start
+    while t < horizon:
+        dep.sim.schedule_at(t, attacker.fire_and_forget, make_packet())
+        attempts += 1
+        t += period
+    return attempts
 
 
 def standard_fault_plan() -> FaultPlan:
@@ -83,23 +124,18 @@ def run_resilience_scenario(
     summary into the result.  ``setup(dep)``, when given, runs right
     before the clock starts (the CLI hooks periodic re-renders there).
     """
-    from repro.core.deployment import SecuredDeployment
     from repro.devices import protocol
-    from repro.devices.library import WEMO_BACKDOOR_PORT, smart_camera, smart_plug
+    from repro.devices.library import WEMO_BACKDOOR_PORT
     from repro.policy.posture import block_commands
     from repro.sdn.channel import FaultModel
 
-    dep = SecuredDeployment.build(
+    dep = standard_home(
         consistent_updates=True,
         reliable_control=resilient,
         health_check_period=HEALTH_PERIOD if resilient else None,
         health=health,
         health_period=HEALTH_PERIOD,
     )
-    dep.add_device(smart_camera, "cam")
-    dep.add_device(smart_plug, "plug", load={"hazard": 1.0})
-    attacker = dep.add_attacker()
-    dep.finalize()
     dep.channel.inject_faults(FaultModel(seed=seed, drop_prob=drop_prob, jitter=jitter))
     plan = plan or standard_fault_plan()
     plan.apply(dep)
@@ -114,28 +150,14 @@ def run_resilience_scenario(
             mbox.fail_mode = "open"
 
     # -- attack waves ---------------------------------------------------
-    cam_attempts = 0
-    t = ATTACK_CAM_START
-    while t < horizon:
-        dep.sim.schedule_at(
-            t,
-            attacker.fire_and_forget,
-            protocol.login("attacker", "cam", "admin", "admin"),
-        )
-        cam_attempts += 1
-        t += ATTACK_CAM_PERIOD
-    plug_attempts = 0
-    t = ATTACK_PLUG_START
-    while t < horizon:
-        dep.sim.schedule_at(
-            t,
-            attacker.fire_and_forget,
-            protocol.command(
-                "attacker", "plug", "on", dport=WEMO_BACKDOOR_PORT
-            ),
-        )
-        plug_attempts += 1
-        t += ATTACK_PLUG_PERIOD
+    cam_attempts = schedule_wave(
+        dep, ATTACK_CAM_START, ATTACK_CAM_PERIOD, horizon,
+        lambda: protocol.login("attacker", "cam", "admin", "admin"),
+    )
+    plug_attempts = schedule_wave(
+        dep, ATTACK_PLUG_START, ATTACK_PLUG_PERIOD, horizon,
+        lambda: protocol.command("attacker", "plug", "on", dport=WEMO_BACKDOOR_PORT),
+    )
 
     if setup is not None:
         setup(dep)
@@ -153,14 +175,7 @@ def run_resilience_scenario(
 
     # Time from the first attack packet to the camera's enforcement
     # posture landing (the detect -> escalate -> re-enforce chain).
-    cam_enforced_at = next(
-        (
-            r.at
-            for r in dep.orchestrator.records
-            if r.device == "cam" and r.posture not in ("allow", "monitor")
-        ),
-        None,
-    )
+    cam_enforced_at = dep.orchestrator.first_enforced_at("cam")
     cam_exposure = (
         (cam_enforced_at - ATTACK_CAM_START)
         if cam_enforced_at is not None
@@ -304,9 +319,7 @@ def run_health_scenario(
     when given, runs right before the clock starts.
     """
     from repro.attacks.exploits import EXPLOITS
-    from repro.core.deployment import SecuredDeployment
-    from repro.devices.library import smart_camera, smart_plug
-    from repro.faults.plan import FaultEvent, long_partition_plan
+    from repro.faults.plan import long_partition_plan
 
     if plan not in HEALTH_PLANS:
         raise ValueError(f"unknown health plan {plan!r} (choose from {HEALTH_PLANS})")
@@ -330,7 +343,7 @@ def run_health_scenario(
             horizon = LONG_PARTITION_START + LONG_PARTITION_HOURS * 3600.0 + 120.0
         else:
             horizon = 60.0
-    dep = SecuredDeployment.build(
+    dep = standard_home(
         consistent_updates=True,
         reliable_control=True,
         health_check_period=HEALTH_PERIOD,
@@ -341,13 +354,9 @@ def run_health_scenario(
         health=True,
         health_period=HEALTH_PERIOD,
     )
-    dep.add_device(smart_camera, "cam")
-    dep.add_device(smart_plug, "plug")
-    attacker = dep.add_attacker()
-    dep.finalize()
     dep.enforce_baseline()
     if plan == "none":
-        EXPLOITS["brute_force_login"].launch(attacker, "cam", dep.sim)
+        EXPLOITS["brute_force_login"].launch(dep.attackers["attacker"], "cam", dep.sim)
     elif plan == "controller":
         FaultPlan([FaultEvent(CONTROLLER_CRASH_AT, "controller-crash", "*")]).apply(dep)
     elif plan == "long-partition":

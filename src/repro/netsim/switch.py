@@ -85,16 +85,13 @@ class Switch(Node):
 
     def install(self, rule: FlowRule) -> None:
         """Install a rule, keeping the table sorted for lookup."""
-        self.flow_table.append(rule)
-        self.flow_table.sort(key=FlowRule.sort_key)
-        self._index_add(rule)
-        self._lookup_cache.clear()
+        self.install_many([rule])
 
     def install_many(self, rules: list[FlowRule]) -> None:
         """Install a batch of rules with a single table re-sort.
 
-        The orchestrator's batched actuation stage pushes one rule batch
-        per switch per evaluation round through here.
+        The orchestrator's batched actuation stage and the consistent
+        updater's epochs push one rule batch per switch through here.
         """
         if not rules:
             return

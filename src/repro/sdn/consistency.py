@@ -120,21 +120,25 @@ class ConsistentUpdater:
             switches=len(assignments),
         )
         self.reports.append(report)
-        if not assignments:
+
+        def commit() -> None:
             report.committed_at = self.sim.now
             self._c_committed.inc()
-            self._h_commit.observe(0.0)
+            self._h_commit.observe(report.committed_at - report.started_at)
             self.sim.journal.record(
                 "epoch-commit",
                 version=report.version,
                 mode=report.mode,
-                switches=0,
-                rules_installed=0,
-                rules_removed=0,
-                duration=0.0,
+                switches=report.switches,
+                rules_installed=report.rules_installed,
+                rules_removed=report.rules_removed,
+                duration=report.duration,
             )
             if on_committed:
                 on_committed(report)
+
+        if not assignments:
+            commit()  # an empty epoch commits on the spot, duration 0.0
             return report
 
         acks_needed = len(assignments)
@@ -146,20 +150,7 @@ class ConsistentUpdater:
             def done() -> None:
                 flip_done["n"] += 1
                 if flip_done["n"] == acks_needed:
-                    report.committed_at = self.sim.now
-                    self._c_committed.inc()
-                    self._h_commit.observe(report.committed_at - report.started_at)
-                    self.sim.journal.record(
-                        "epoch-commit",
-                        version=report.version,
-                        mode=report.mode,
-                        switches=report.switches,
-                        rules_installed=report.rules_installed,
-                        rules_removed=report.rules_removed,
-                        duration=report.duration,
-                    )
-                    if on_committed:
-                        on_committed(report)
+                    commit()
 
             for switch in assignments:
 
@@ -194,8 +185,7 @@ class ConsistentUpdater:
             def make_install(
                 sw: "Switch" = switch, rs: list[FlowRule] = stamped
             ) -> None:
-                for r in rs:
-                    sw.install(r)
+                sw.install_many(rs)
                 # Ack travels back over the channel.
                 self.sim.schedule(self.channel.latency_to(sw.name), phase_one_ack)
 
@@ -228,7 +218,7 @@ class ConsistentUpdater:
             ) -> None:
                 for r in rs:
                     r.version = None
-                    sw.install(r)
+                sw.install_many(rs)
 
             self._send_and_apply(switch, make_install)
         # Best effort "commits" as soon as the last install lands.

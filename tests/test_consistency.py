@@ -1,5 +1,9 @@
 """Tests for two-phase consistent updates."""
 
+import random
+
+import pytest
+
 from repro.netsim.link import Link
 from repro.netsim.node import Host
 from repro.netsim.packet import Packet
@@ -102,3 +106,49 @@ def test_best_effort_faster_than_two_phase(sim):
     tp = updater.push_two_phase({sw: drop_rules() for sw in switches})
     sim.run()
     assert be.duration < tp.duration
+
+
+class CountingSwitch(Switch):
+    """Counts batch installs (each is one table sort + one cache clear)."""
+
+    def __init__(self, name, sim):
+        super().__init__(name, sim)
+        self.batches = 0
+
+    def install_many(self, rules):
+        self.batches += 1
+        super().install_many(rules)
+
+
+def seeded_epoch(n=40, seed=7):
+    rng = random.Random(seed)
+    return [
+        FlowRule(
+            match=FlowMatch(
+                src=rng.choice([None, "a", "b"]),
+                dst=rng.choice([None, "c", "d"]),
+                dport=rng.choice([None, 80, 443]),
+            ),
+            actions=(Action.drop(),),
+            priority=rng.choice([100, 500, 890, 900]),
+        )
+        for __ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("mode", ["push_two_phase", "push_best_effort"])
+def test_an_epoch_is_one_batch_install_per_switch(sim, mode):
+    channel = ControlChannel(sim, latency=0.01)
+    updater = ConsistentUpdater(sim, channel)
+    switches = [CountingSwitch(f"sw{i}", sim) for i in range(2)]
+    rules = seeded_epoch()
+    # The order a rule-by-rule install (sort after every append) yields.
+    reference = Switch("ref", sim)
+    for rule in rules:
+        reference.install(rule)
+    getattr(updater, mode)({sw: list(rules) for sw in switches})
+    sim.run()
+    for sw in switches:
+        assert sw.batches == 1
+        assert sw.flow_table == reference.flow_table
+        assert sw.flow_table == sorted(rules, key=FlowRule.sort_key)

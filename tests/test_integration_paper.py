@@ -9,7 +9,6 @@ harness re-runs these scenarios with measurement; these tests pin the
 import pytest
 
 from repro.attacks.exploits import EXPLOITS
-from repro.attacks.scenarios import fig3_break_in
 from repro.core.deployment import SecuredDeployment
 from repro.core.orchestrator import build_recommended_posture
 from repro.devices import protocol
@@ -21,6 +20,8 @@ from repro.devices.library import (
     smart_plug,
     window_actuator,
 )
+from repro.faults.campaign import CampaignRunner
+from repro.faults.campaign_library import FIG3_BREAK_IN
 from repro.learning.repository import CrowdRepository
 from repro.learning.signatures import backdoor_signature
 from repro.policy.builder import PolicyBuilder
@@ -181,7 +182,7 @@ class TestFig3PolicyFsm:
         dep.policy = fig3_policy()
         fa = dep.add_device(fire_alarm, "fire_alarm")
         win = dep.add_device(window_actuator, "window")
-        attacker = dep.add_attacker()
+        dep.add_attacker()
         dep.finalize()
         dep.hub.add_recipe(Recipe("ventilate", "dev:fire_alarm", "alarm", "window", "open"))
         dep.hub.watch_devices(
@@ -195,30 +196,32 @@ class TestFig3PolicyFsm:
             )
             dep.attach_repository(repo)
             dep.enforce_baseline()
-        campaign = fig3_break_in(
-            attacker,
-            dep.sim,
-            fire_alarm="fire_alarm",
-            window="window",
-            window_is_open=lambda: win.state == "open",
-        )
-        campaign.launch(dep.sim, until=120.0)
-        return dep, campaign, fa, win
+        runner = CampaignRunner(FIG3_BREAK_IN, dep).start()
+        return dep, runner, fa, win
+
+    @staticmethod
+    def stage_results(runner):
+        return {name: r.succeeded for name, r in runner.exploit_results.items()}
 
     def test_current_world_both_transitions_breach(self):
-        dep, campaign, fa, win = self.build(protect=False)
+        dep, runner, fa, win = self.build(protect=False)
         dep.run(until=120.0)
-        assert campaign.succeeded()
+        assert any(r.state_after == "open" for r in win.command_log)
         assert fa.state == "alarm"
-        assert campaign.stage_results() == {
+        assert self.stage_results(runner) == {
             "firealarm_backdoor": True,
             "window_brute_force": True,
         }
 
     def test_iotsec_blocks_both_transitions(self):
-        dep, campaign, fa, win = self.build(protect=True)
+        dep, runner, fa, win = self.build(protect=True)
         dep.run(until=120.0)
-        assert not campaign.succeeded()
+        # the brute force still finds the password; its "open" is what dies
+        assert self.stage_results(runner) == {
+            "firealarm_backdoor": False,
+            "window_brute_force": True,
+        }
+        assert not any(r.state_after == "open" for r in win.command_log)
         assert win.state == "closed"
         assert fa.state == "ok"  # backdoor command never reached it
         # context escalated and the cross-device posture engaged

@@ -1,8 +1,5 @@
 """Integration tests for the paper's narrative attack campaigns."""
 
-import pytest
-
-from repro.attacks.scenarios import fig3_break_in, oven_arson, thermal_break_in
 from repro.core.deployment import SecuredDeployment
 from repro.devices.library import (
     fire_alarm,
@@ -10,9 +7,16 @@ from repro.devices.library import (
     window_actuator,
 )
 from repro.environment.physics import ThermalProcess
+from repro.faults.campaign import CampaignRunner
+from repro.faults.campaign_library import FIG3_BREAK_IN, OVEN_ARSON, THERMAL_BREAK_IN
 from repro.learning.repository import CrowdRepository
 from repro.learning.signatures import backdoor_signature
 from repro.policy.ifttt import Recipe
+
+
+def opened(window):
+    """Breached: the actuator's own log shows it opening at some point."""
+    return any(r.state_after == "open" for r in window.command_log)
 
 
 def hot_summer(dep):
@@ -30,7 +34,7 @@ class TestThermalBreakIn:
         dep = SecuredDeployment.build()
         ac = dep.add_device(smart_plug, "ac_plug", load={"cool_watts": 700.0})
         win = dep.add_device(window_actuator, "window")
-        attacker = dep.add_attacker()
+        dep.add_attacker()
         dep.finalize()
         hot_summer(dep)
         ac.apply_command("on", src="hub", via="local")  # AC running
@@ -45,30 +49,26 @@ class TestThermalBreakIn:
             )
             dep.attach_repository(repo)
             dep.enforce_baseline()
-        campaign = thermal_break_in(
-            attacker,
-            dep.sim,
-            ac_plug="ac_plug",
-            window_is_open=lambda: win.state == "open",
-        )
-        campaign.launch(dep.sim, until=1200.0)
-        return dep, campaign, ac, win
+        runner = CampaignRunner(THERMAL_BREAK_IN, dep).start()
+        return dep, runner, ac, win
 
     def test_current_world_breached_without_touching_the_window(self):
-        dep, campaign, ac, win = self.build(protect=False)
+        dep, runner, ac, win = self.build(protect=False)
         dep.run(until=1200.0)
+        assert runner.exploit_results["plug_backdoor_off"].succeeded
         assert ac.state == "off"           # stage 1 landed
         assert win.state == "open"         # physics + automation did the rest
-        assert campaign.succeeded()
+        assert opened(win)
         # the attacker never sent a packet to the window
         assert all(r.src != "attacker" for r in win.command_log)
 
     def test_iotsec_blocks_the_backdoor_stage(self):
-        dep, campaign, ac, win = self.build(protect=True)
+        dep, runner, ac, win = self.build(protect=True)
         dep.run(until=1200.0)
+        assert not runner.exploit_results["plug_backdoor_off"].succeeded
         assert ac.state == "on"            # backdoor command dropped
         assert win.state == "closed"
-        assert not campaign.succeeded()
+        assert not opened(win)
         assert any(a.kind == "signature-match" for a in dep.alerts("ac_plug"))
 
 
@@ -81,7 +81,7 @@ class TestOvenArson:
             smart_plug, "oven_plug", load={"hazard": 1.0, "heat_watts": 2000.0}
         )
         alarm = dep.add_device(fire_alarm, "alarm", with_backdoor=False)
-        attacker = dep.add_attacker()
+        dep.add_attacker()
         dep.finalize()
         if protect:
             from repro.policy.posture import MboxSpec, Posture
@@ -97,58 +97,40 @@ class TestOvenArson:
                     ),
                 ),
             )
-        campaign = oven_arson(
-            attacker,
-            dep.sim,
-            oven_plug="oven_plug",
-            smoke_detected=lambda: dep.env.level("smoke") == "detected",
-        )
-        campaign.launch(dep.sim, until=600.0)
-        return dep, campaign, oven_plug, alarm
+        runner = CampaignRunner(OVEN_ARSON, dep).start()
+        return dep, runner, oven_plug, alarm
 
     def test_current_world_smoke_and_alarm(self):
-        dep, campaign, plug, alarm = self.build(protect=False)
+        dep, runner, plug, alarm = self.build(protect=False)
         dep.run(until=600.0)
+        assert runner.exploit_results["oven_plug_backdoor_on"].succeeded
         assert plug.state == "on"
-        assert campaign.succeeded()
+        assert dep.env.level("smoke") == "detected"
         assert alarm.state == "alarm"  # the physical cascade tripped it
 
     def test_iotsec_context_gate_blocks_when_absent(self):
-        dep, campaign, plug, alarm = self.build(protect=True)
+        dep, runner, plug, alarm = self.build(protect=True)
         dep.run(until=600.0)
+        assert not runner.exploit_results["oven_plug_backdoor_on"].succeeded
         assert plug.state == "off"
-        assert not campaign.succeeded()
+        assert dep.env.level("smoke") == "clear"
         assert alarm.state == "ok"
 
 
 class TestFig3Campaign:
     def test_stage_bookkeeping(self, sim):
-        from repro.attacks.attacker import Attacker
-
-        attacker = Attacker("attacker", sim)
-        campaign = fig3_break_in(attacker, sim, window_is_open=lambda: False)
-        assert [s.label for s in campaign.stages] == [
+        dep = SecuredDeployment.build(sim=sim, with_iotsec=False)
+        dep.add_attacker()
+        assert [s.name for s in FIG3_BREAK_IN.stages] == [
             "firealarm_backdoor",
             "window_brute_force",
         ]
-        campaign.launch(sim, until=60.0)
-        sim.run(until=60.0)
-        assert not campaign.succeeded()
-        results = campaign.stage_results()
-        # stages ran (results recorded), but with no network they failed
-        assert set(results) == {"firealarm_backdoor", "window_brute_force"}
-
-
-def test_campaign_goal_timestamp(sim):
-    from repro.attacks.attacker import Attacker
-    from repro.attacks.scenarios import Campaign
-
-    flag = {"open": False}
-    campaign = Campaign(
-        name="x", attacker=Attacker("a", sim), goal=lambda: flag["open"]
-    )
-    campaign.launch(sim, goal_poll=1.0, until=100.0)
-    sim.schedule(5.5, lambda: flag.update(open=True))
-    sim.run(until=20.0)
-    assert campaign.succeeded()
-    assert campaign.goal_reached_at == pytest.approx(6.0)
+        runner = CampaignRunner(FIG3_BREAK_IN, dep).start()
+        dep.run(until=60.0)
+        # stages ran (results recorded), but with no devices they failed
+        assert runner.stage_statuses() == {
+            "firealarm_backdoor": "ok",
+            "window_brute_force": "ok",
+        }
+        assert set(runner.exploit_results) == {"firealarm_backdoor", "window_brute_force"}
+        assert not any(r.succeeded for r in runner.exploit_results.values())
