@@ -2,15 +2,23 @@
 
 Two claims, one bench:
 
-**Scale.** One flat deployment's cost grows super-linearly with fleet
-size (E9 measures the curve), so a fleet sharded into per-site
-controllers does strictly less total work -- and parallel site workers
-overlap what remains.  We run the same fleet twice: once as a single
-site, once sharded across >= 4 federated sites in parallel worker
-processes, and assert the federated aggregate throughput (total
-simulated events over end-to-end wall clock, build included for both
-arms) clears ``REPRO_E15_MIN_SPEEDUP`` x the single-site arm at 10k
-devices.
+**Scale.**  We run the same fleet twice: once as a single site, once
+sharded across >= 4 federated sites in parallel worker processes, and
+compare aggregate throughput (total simulated events over end-to-end
+wall clock, build included for both arms) at 10k devices.
+
+Control-plane work is O(change) per device event, so the flat arm does
+the same total work as the shards (about 9-11 s single vs 4-5.6 s
+federated at 10k on 2 vCPUs; it was 161.7 s vs 48.3 s, 3.35x, while the
+flat build was quadratic) and sharding wins what parallelism gives.  The
+10k floor is set from that: ``PARALLEL_EFFICIENCY`` x ``min(WORKERS,
+SITES, nproc)`` -- 1.5x on the 2-vCPU sandbox, where the pair reads
+1.8-2.25x; 3x on four cores.  ``REPRO_E15_MIN_SPEEDUP`` overrides it.
+Both arms' absolute wall times are in the recorded baseline
+(``single_wall_s``/``fed_wall_s``), so a slower flat arm cannot hide
+behind a better ratio.  A shared host that withholds its second vCPU
+during the federated arm collapses the ratio toward 1x whatever the code
+does: the 2k pair reads 2.2-2.5x on most runs here and 1.04-1.26x on the rest.
 
 **Partition tolerance.** The seeded coordinator-blackout scenario: a
 signature mined at one site propagates fleet-wide in two WAN hops, then
@@ -18,9 +26,7 @@ the coordinator disappears for a minute while every site is attacked --
 zero enforcement gaps on cached policy, in-order replay on heal, one
 poisoned report quarantined to the DLQ.
 
-``REPRO_E15_FULL=1`` adds a federated-only 100k-device arm (no
-single-site twin -- the flat build at 100k is quadratic and would take
-hours, which is of course the point).
+``REPRO_E15_FULL=1`` adds a federated-only 100k-device arm.
 """
 
 from __future__ import annotations
@@ -40,7 +46,21 @@ WORKERS = 4
 HORIZON = 120.0
 PAIR_SWEEP = (1_000, 10_000)
 FULL_DEVICES = 100_000
-MIN_SPEEDUP = float(os.environ.get("REPRO_E15_MIN_SPEEDUP", "2.0"))
+#: Share of the ideal parallel speedup the 10k pair must keep (fork,
+#: pickling and the slowest shard eat the rest; 0.9 measured on 2 vCPUs).
+PARALLEL_EFFICIENCY = 0.75
+
+
+def parallel_floor() -> float:
+    """The speedup parallelism alone should give on this machine."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))  # what ``nproc`` prints
+    else:
+        cores = os.cpu_count() or 1
+    return PARALLEL_EFFICIENCY * min(WORKERS, SITES, cores)
+
+
+MIN_SPEEDUP = float(os.environ.get("REPRO_E15_MIN_SPEEDUP") or parallel_floor())
 
 
 def run_pair(total: int, sites: int = SITES, workers: int = WORKERS,
@@ -104,7 +124,7 @@ def test_e15_federated_scale():
         assert r["compromised"] == 0
         assert r["sites"] >= 4
     # The tentpole gate: sharding the 10k fleet across >= 4 federated
-    # sites must at least double aggregate throughput.
+    # sites must keep most of what its parallel workers can give.
     big = rows[-1]
     assert big["devices"] == PAIR_SWEEP[-1]
     assert big["speedup"] >= MIN_SPEEDUP, (

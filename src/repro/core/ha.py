@@ -42,15 +42,16 @@ the gap is measurable.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.core.controller import IoTSecController
 from repro.policy.fsm import PostureRule, StatePredicate
 from repro.policy.serialization import (
+    canonical_json,
     policy_from_dict,
+    policy_section,
     policy_to_dict,
     posture_from_dict,
 )
@@ -95,17 +96,24 @@ class Checkpoint:
     #: ``[[device, trigger_key, trigger_at], ...]`` sorted (trace ids are
     #: process-local and deliberately dropped).
     dirty: list[list[Any]]
-    #: The full serialized policy, runtime rules included.
+    #: The full serialized policy, runtime rules included.  Captures at
+    #: one policy revision share this dict: read-only.
     policy: dict[str, Any]
     #: ``[[device, posture_name], ...]`` -- what the data plane had
     #: installed at capture time (reconciliation evidence).
     postures: list[list[str]]
     epochs: dict[str, int]
+    #: Canonical JSON of ``policy`` when :meth:`capture` had it cached
+    #: (``None``, e.g. after :meth:`from_dict`: :meth:`digest` encodes).
+    _policy_json: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def capture(cls, controller: IoTSecController) -> "Checkpoint":
         pipeline = controller.pipeline
-        return cls(
+        policy, policy_json = policy_section(controller.policy)
+        checkpoint = cls(
             version=CHECKPOINT_VERSION,
             at=controller.sim.now,
             seq=controller.sim.journal.last_seq,
@@ -113,12 +121,14 @@ class Checkpoint:
             view=controller.view.snapshot(),
             escalations=pipeline.escalator.snapshot(),
             dirty=pipeline.dirty_snapshot(),
-            policy=policy_to_dict(controller.policy),
+            policy=policy,
             postures=sorted(
                 [d, p.name] for d, p in controller.orchestrator.current.items()
             ),
             epochs={"rounds": pipeline.stats.rounds},
         )
+        object.__setattr__(checkpoint, "_policy_json", policy_json)
+        return checkpoint
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -156,10 +166,21 @@ class Checkpoint:
         )
 
     def digest(self) -> str:
-        """Stable content digest: sha256 over the canonical JSON form."""
-        canonical = json.dumps(
-            self.as_dict(), sort_keys=True, separators=(",", ":")
-        )
+        """Stable content digest: sha256 over the canonical JSON form.
+
+        The bytes are ``canonical_json(self.as_dict())``, assembled
+        section by section so a cached policy fragment is spliced in
+        instead of encoded again.
+        """
+        sections = self.as_dict()
+        fragments = []
+        for key in sorted(sections):
+            if key == "policy" and self._policy_json is not None:
+                fragment = self._policy_json
+            else:
+                fragment = canonical_json(sections[key])
+            fragments.append(f"{canonical_json(key)}:{fragment}")
+        canonical = "{" + ",".join(fragments) + "}"
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def __repr__(self) -> str:
@@ -225,6 +246,15 @@ class Checkpointer:
         self.channel = channel
         self.standby = standby
         self._last_shipped_seq = controller.sim.journal.last_seq
+        # Reuse rate = sections_reused / captured: how many ticks shared
+        # the previous checkpoint's policy section instead of building one.
+        metrics = controller.sim.metrics
+        self._c_captured = metrics.counter(
+            "checkpoints_captured", controller=controller.name
+        )
+        self._c_reused = metrics.counter(
+            "checkpoint_sections_reused", controller=controller.name
+        )
         self._stops: list[Callable[[], None]] = [
             controller.sim.every(period, self._tick)
         ]
@@ -237,7 +267,11 @@ class Checkpointer:
         controller = self.controller
         if controller.crashed:
             return
+        previous = self.store.latest()
         checkpoint = Checkpoint.capture(controller)
+        self._c_captured.inc()
+        if previous is not None and checkpoint.policy is previous.policy:
+            self._c_reused.inc()
         self.store.add(checkpoint)
         controller.sim.journal.record(
             "checkpoint",

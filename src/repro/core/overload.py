@@ -135,9 +135,9 @@ class IngestQueue:
 
     # ------------------------------------------------------------------
     def depth(self) -> int:
-        if self.config.prioritized:
-            return sum(len(q) for q in self._queues)
-        return len(self._fifo)
+        # Only the configured mode's deques ever hold entries.
+        enforcing, monitor, telemetry = self._queues
+        return len(enforcing) + len(monitor) + len(telemetry) + len(self._fifo)
 
     # ------------------------------------------------------------------
     # Admission

@@ -303,17 +303,26 @@ class ReactivePipeline:
         self.stats.rounds += 1
         self._h_batch.observe(len(batch))
         orchestrator = self.orchestrator
-        state = self.view.system_state(self._policy_keys, self._defaults)
-        assignments = []
-        triggers: dict[str, tuple[str, float, int | None]] = {}
-        for device in sorted(batch):
-            if device in orchestrator.pinned or device not in orchestrator.attachments:
-                continue
-            self.stats.evaluations += 1
-            assignments.append((device, self.pruned.posture_for(state, device)))
-            triggers[device] = batch[device]
-        if not assignments:
+        devices = [
+            device
+            for device in sorted(batch)
+            if device not in orchestrator.pinned and device in orchestrator.attachments
+        ]
+        if not devices:
             return
+        # The round's state covers only what its lookups read: each
+        # projected table projects the state onto its own variables, so a
+        # state over their union yields the postures the full state would.
+        pruned = self.pruned
+        keys: set[str] = set()
+        for device in devices:
+            table = pruned.tables.get(device)
+            if table is not None:
+                keys.update(table.variables)
+        state = self.view.system_state(keys, self._defaults)
+        self.stats.evaluations += len(devices)
+        assignments = [(device, pruned.posture_for(state, device)) for device in devices]
+        triggers = {device: batch[device] for device in devices}
         records = orchestrator.apply_many(
             assignments,
             traces={dev: t[2] for dev, t in triggers.items() if t[2] is not None},

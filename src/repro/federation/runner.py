@@ -3,18 +3,11 @@
 The shared-sim :class:`Federation` nails the cross-site *semantics*; this
 module is the *throughput* half of the tentpole.  A fleet is sharded into
 :class:`SiteSpec` slices, each worker process builds and runs one full
-site deployment on its own simulator, and the parent aggregates.  Two
-things make the sharding pay:
-
-- **per-site cost is flat**: a single flat deployment's per-event cost
-  grows super-linearly with fleet size (the context view, policy domain
-  scans and posture bookkeeping all walk structures proportional to the
-  device count -- exactly the §5.1 motivation for hierarchy), so four
-  quarter-size sites do strictly less total work than one 4x site even
-  on one core;
-- **cores multiply**: workers are separate processes (fork when the
-  platform has it), so a multi-core box overlaps the site runs on top of
-  the algorithmic win.
+site deployment on its own simulator, and the parent aggregates.
+Workers are separate processes (fork when the platform has it), so a
+multi-core box overlaps the site runs.  That is the whole of the win:
+control-plane work per device event is O(change), so four quarter-size
+sites do the same total work as one flat site.
 
 Fleet immunity rides into every worker: the specs carry the coordinator's
 current signature log (plain wire dicts -- picklable), each site seeds
@@ -151,9 +144,8 @@ def run_federation(
     ``workers`` <= 1 runs serially in-process (deterministic, debuggable
     and the honest baseline for the aggregate-throughput comparison on a
     single-core box).  The aggregate throughput is total simulated events
-    over the *end-to-end* wall clock -- build included, because sharding
-    wins on build cost too and hiding that would flatter the single-site
-    arm."""
+    over the *end-to-end* wall clock -- build included, for both arms of
+    the comparison."""
     start = time.perf_counter()
     if workers is None:
         workers = len(specs)

@@ -25,12 +25,17 @@ class Node:
     ``__slots__`` themselves).
     """
 
-    __slots__ = ("name", "sim", "ports", "rx_count", "tx_count", "rx_bytes", "tx_bytes")
+    __slots__ = (
+        "name", "sim", "ports", "rx_count", "tx_count", "rx_bytes", "tx_bytes", "_port_hint"
+    )
 
     def __init__(self, name: str, sim: "Simulator") -> None:
         self.name = name
         self.sim = sim
         self.ports: dict[int, "Link"] = {}
+        #: Low-water mark for :meth:`free_port`: every port below it is
+        #: attached (ports are never detached, so it only moves up).
+        self._port_hint = 0
         self.rx_count = 0
         self.tx_count = 0
         self.rx_bytes = 0
@@ -47,9 +52,10 @@ class Node:
 
     def free_port(self) -> int:
         """The lowest unattached port number."""
-        port = 0
+        port = self._port_hint
         while port in self.ports:
             port += 1
+        self._port_hint = port
         return port
 
     def port_to(self, neighbor: str) -> Optional[int]:

@@ -9,6 +9,7 @@ assumes.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.netsim.node import Node
@@ -88,16 +89,18 @@ class Switch(Node):
         self.install_many([rule])
 
     def install_many(self, rules: list[FlowRule]) -> None:
-        """Install a batch of rules with a single table re-sort.
+        """Install a batch of rules, each at its sorted position.
 
         The orchestrator's batched actuation stage and the consistent
         updater's epochs push one rule batch per switch through here.
+        Inserting right of equal keys, in batch order, leaves the table
+        exactly as appending the batch and stable-sorting would, for a
+        binary search per rule instead of a pass over the whole table.
         """
         if not rules:
             return
-        self.flow_table.extend(rules)
-        self.flow_table.sort(key=FlowRule.sort_key)
         for rule in rules:
+            insort(self.flow_table, rule, key=FlowRule.sort_key)
             self._index_add(rule)
         self._lookup_cache.clear()
 

@@ -146,8 +146,8 @@ class StateSpace:
 
     def __init__(self, domains: Iterable[ContextDomain]) -> None:
         self.domains: tuple[ContextDomain, ...] = tuple(domains)
-        keys = [d.variable.key for d in self.domains]
-        if len(set(keys)) != len(keys):
+        self._by_key = {d.variable.key: d for d in self.domains}
+        if len(self._by_key) != len(self.domains):
             raise ValueError("duplicate variables in state space")
 
     def size(self) -> int:
@@ -182,10 +182,7 @@ class StateSpace:
 
     def domain_of(self, variable: Variable | str) -> ContextDomain:
         key = variable.key if isinstance(variable, Variable) else variable
-        for domain in self.domains:
-            if domain.variable.key == key:
-                return domain
-        raise KeyError(key)
+        return self._by_key[key]
 
     def variables(self) -> list[Variable]:
         return [d.variable for d in self.domains]

@@ -101,6 +101,12 @@ class PolicyFSM:
         self.rules: list[PostureRule] = sorted(rules, key=PostureRule.sort_key)
         self.default_posture = default_posture
         self._rules_by_device: dict[str, list[PostureRule]] | None = None
+        #: Bumped by :meth:`add_rule`, the only mutator: forms derived from
+        #: the policy (its serialized section) are valid while it stands.
+        self.revision = 0
+        #: ``(revision, dict, canonical JSON)`` memo owned by this policy and
+        #: filled by :func:`repro.policy.serialization.policy_section`.
+        self._section: tuple[int, dict, str] | None = None
         known = {
             v.name for v in self.space.variables() if v.kind == "ctx"
         }
@@ -133,6 +139,7 @@ class PolicyFSM:
         self.rules.append(rule)
         self.rules.sort(key=PostureRule.sort_key)
         self._rules_by_device = None
+        self.revision += 1
         if rule.device not in self.devices:
             self.devices = tuple(sorted({*self.devices, rule.device}))
         self._validate()

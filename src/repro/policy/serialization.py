@@ -84,6 +84,27 @@ def policy_to_dict(policy: PolicyFSM) -> dict[str, Any]:
     }
 
 
+def canonical_json(value: Any) -> str:
+    """The form content digests hash: sorted keys, no whitespace."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def policy_section(policy: PolicyFSM) -> tuple[dict[str, Any], str]:
+    """``policy_to_dict(policy)`` and its canonical JSON, built once per
+    policy revision.
+
+    Every checkpoint captured while the revision stands shares the one
+    dict, so it is read-only: ``add_rule`` bumps the revision and the next
+    call builds a new pair, leaving retained checkpoints on the old one.
+    Callers that want a dict to edit use :func:`policy_to_dict`.
+    """
+    memo = policy._section
+    if memo is None or memo[0] != policy.revision:
+        data = policy_to_dict(policy)
+        memo = policy._section = (policy.revision, data, canonical_json(data))
+    return memo[1], memo[2]
+
+
 def policy_from_dict(data: Mapping[str, Any]) -> PolicyFSM:
     domains = [
         ContextDomain(Variable.parse(key), tuple(values))

@@ -150,8 +150,8 @@ class FlowRule:
         self.actions = tuple(self.actions)
         if not self.actions:
             raise ValueError("a flow rule needs at least one action")
-        # priority/match/rule_id never change after construction, and table
-        # re-sorts on every epoch push made recomputing this a hotspot
+        # priority/match/rule_id never change after construction, and every
+        # sorted insert and bucketed lookup compares on this
         self._sort_key = (-self.priority, -self.match.specificity(), self.rule_id)
 
     def record_hit(self, packet: Packet) -> None:

@@ -1,0 +1,85 @@
+"""Scaling guard: control-plane work is O(change), not O(fleet).
+
+Counted, never timed, so the guard is deterministic: building a fleet twice
+the size may cost about twice the work -- a device's registration touches
+its own policy variables, its own flow rules and its own port -- and a
+checkpoint tick under an unchanged policy serializes no posture at all.
+Quadratic growth (4x for 2x the devices) is what these paths used to do.
+"""
+
+from repro.core.deployment import SecuredDeployment
+from repro.core.view import GlobalView
+from repro.devices.library import smart_plug
+from repro.policy import serialization
+from repro.policy.context import Variable
+from repro.policy.posture import block_commands
+from repro.sdn.flowrule import FlowRule
+
+#: Doubling the fleet may double the work, with room for the binary
+#: search's log factor -- nowhere near the 4x of a per-event fleet scan.
+LINEAR = 2.3
+
+
+def count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` (method or property) to count its uses."""
+    calls = [0]
+    original = owner.__dict__[name]
+    if isinstance(original, property):
+
+        def getter(self):
+            calls[0] += 1
+            return original.fget(self)
+
+        monkeypatch.setattr(owner, name, property(getter))
+    else:
+
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def fleet_build_cost(monkeypatch, n):
+    with monkeypatch.context() as patch:
+        counters = {
+            # one per flow-table comparison (install_many's placement)
+            "FlowRule.sort_key": count_calls(patch, FlowRule, "sort_key"),
+            # one per variable a policy round reads from the view
+            "GlobalView.get": count_calls(patch, GlobalView, "get"),
+            # one per domain a ``StateSpace.domain_of`` scan steps over
+            "Variable.key": count_calls(patch, Variable, "key"),
+        }
+        dep = SecuredDeployment.build()
+        dep.manager.capacity = n
+        for i in range(n):
+            dep.add_device(smart_plug, f"plug{i:03d}")
+        dep.finalize()
+        for name in dep.devices:  # one posture push, one rule batch, each
+            dep.secure(name, block_commands("on"))
+        assert dep.edge.table_size() >= n
+        return {name: calls[0] for name, calls in counters.items()}
+
+
+def test_fleet_build_work_grows_linearly(monkeypatch):
+    small = fleet_build_cost(monkeypatch, 200)
+    large = fleet_build_cost(monkeypatch, 400)
+    for name, count in small.items():
+        assert count > 0, name
+        assert large[name] <= LINEAR * count, (name, count, large[name])
+
+
+def test_steady_state_checkpoint_tick_serializes_no_posture(monkeypatch):
+    dep = SecuredDeployment.build(checkpointing=True, checkpoint_period=1.0)
+    for i in range(20):
+        dep.add_device(smart_plug, f"plug{i:02d}")
+    dep.finalize()
+    dep.secure("plug00", block_commands("on"))
+    dep.run(until=1.5)  # the first tick serializes the policy once
+    calls = count_calls(monkeypatch, serialization, "posture_to_dict")
+    dep.run(until=4.5)
+    assert dep.checkpoint_store.captured == 4
+    assert calls[0] == 0
+    digests = {e.fields["digest"] for e in dep.sim.journal.entries(kind="checkpoint")}
+    assert len(digests) == 4  # the ticks still checkpoint (distinct ``at``)

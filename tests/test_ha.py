@@ -12,12 +12,25 @@ The contract under test:
   endpoint name and never *lowers* a device's defenses while reconciling.
 """
 
+import hashlib
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.deployment import SecuredDeployment
-from repro.core.ha import CHECKPOINT_VERSION, Checkpoint, CheckpointStore
+from repro.core.ha import (
+    CHECKPOINT_VERSION,
+    Checkpoint,
+    CheckpointStore,
+    restore_controller,
+)
 from repro.devices.library import smart_camera, smart_plug
+from repro.policy.fsm import PostureRule, StatePredicate
 from repro.policy.posture import block_commands
+from repro.policy.serialization import policy_to_dict
+from tests.test_properties import random_policies
 
 
 def make_dep(sim=None, **kwargs):
@@ -62,6 +75,15 @@ def drive(dep, horizon=8.0):
     return dep
 
 
+def reference_digest(checkpoint):
+    """The digest as it was first defined: one ``json.dumps`` of the whole
+    checkpoint.  ``Checkpoint.digest`` must assemble these exact bytes."""
+    canonical = json.dumps(
+        checkpoint.as_dict(), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # Checkpoint determinism
 # ---------------------------------------------------------------------------
@@ -99,6 +121,98 @@ class TestCheckpointDeterminism:
         data["version"] = CHECKPOINT_VERSION + 1
         with pytest.raises(ValueError):
             Checkpoint.from_dict(data)
+
+
+class TestPolicySectionReuse:
+    """Checkpoints at one policy revision share the serialized policy;
+    ``add_rule`` moves later captures to a new section and leaves
+    retained checkpoints on the old one."""
+
+    @staticmethod
+    def lock_stream_rule():
+        return PostureRule(
+            predicate=StatePredicate.make({"ctx:cam": "suspicious"}),
+            device="cam",
+            posture=block_commands("stream"),
+            priority=900,
+        )
+
+    @staticmethod
+    def suspicious_cam_posture(checkpoint):
+        """The cam's posture once suspicious, on a site revived from
+        ``checkpoint`` alone (no journal tail)."""
+        site = make_dep()
+        site.crash_controller()
+        controller = restore_controller(site, checkpoint, (), name=site.CONTROLLER)
+        site._bind(controller)
+        controller.set_context("cam", "suspicious")
+        return site.orchestrator.posture_of("cam").name
+
+    def test_add_rule_invalidates_without_touching_retained_checkpoints(self):
+        dep = make_dep()
+        dep.run(until=0.5)
+        old = Checkpoint.capture(dep.controller)
+        assert Checkpoint.capture(dep.controller).policy is old.policy
+        old_policy = policy_to_dict(dep.controller.policy)
+        old_digest = old.digest()
+        dep.checkpoint_store.add(old)
+        shipped = old.as_dict()
+
+        dep.controller.update_policy(self.lock_stream_rule())
+        new = Checkpoint.capture(dep.controller)
+
+        assert new.policy is not old.policy
+        assert old.policy == old_policy == shipped["policy"]
+        assert dep.checkpoint_store.latest().policy == old_policy
+        assert new.policy == policy_to_dict(dep.controller.policy)
+        assert len(new.policy["rules"]) == len(old.policy["rules"]) + 1
+        assert old.digest() == old_digest == reference_digest(old)
+        assert new.digest() == reference_digest(new) != old_digest
+        # Each checkpoint revives a controller that enforces *its* policy.
+        assert self.suspicious_cam_posture(old) == "stateful_firewall"
+        assert self.suspicious_cam_posture(new) == "block-commands"
+
+    def test_policy_to_dict_callers_get_their_own_dict(self):
+        dep = make_dep()
+        shared = Checkpoint.capture(dep.controller).policy
+        mine = policy_to_dict(dep.controller.policy)
+        mine["rules"].clear()
+        mine["default_posture"]["name"] = "edited"
+        assert Checkpoint.capture(dep.controller).policy is shared
+        assert shared == policy_to_dict(dep.controller.policy)
+
+    def test_reuse_counter_counts_shared_sections(self):
+        dep = make_dep()
+        dep.run(until=3.5)  # ticks at 1, 2, 3: the first builds, two reuse
+        dep.controller.update_policy(self.lock_stream_rule())
+        dep.run(until=5.5)  # tick 4 builds the new section, tick 5 reuses
+        metrics = dep.sim.metrics
+        assert metrics.value("checkpoints_captured", controller=dep.CONTROLLER) == 5
+        assert metrics.value("checkpoint_sections_reused", controller=dep.CONTROLLER) == 3
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_policies(), st.data())
+    def test_digest_is_byte_equal_to_the_reference_encoding(self, policy, data):
+        dep = SecuredDeployment.build()
+        dep.policy = policy
+        dep.finalize()
+        controller = dep.controller
+        for domain in policy.space.domains:
+            value = data.draw(st.sampled_from((None, *domain.values)))
+            if value is not None:
+                controller.view.set(domain.variable.key, value)
+        # Free text exercises the encoder's escaping in a spliced neighbour.
+        controller.view.set("env:note", data.draw(st.text(max_size=8)))
+        first = Checkpoint.capture(controller)
+        cached = Checkpoint.capture(controller)
+        shipped = Checkpoint.from_dict(cached.as_dict())
+        assert cached.policy is first.policy
+        assert (
+            first.digest()
+            == cached.digest()
+            == shipped.digest()
+            == reference_digest(first)
+        )
 
 
 class TestCheckpointStore:

@@ -96,6 +96,24 @@ def test_port_to_and_free_port(sim):
     assert a.free_port() == 1
 
 
+def test_free_port_returns_lowest_hole_after_explicit_attaches(sim):
+    hub = Host("hub", sim)
+    peers = [Host(f"p{i}", sim) for i in range(6)]
+    Link(sim, hub, peers[0], port_a=1)
+    Link(sim, hub, peers[1], port_a=3)
+    assert hub.free_port() == 0  # asking does not claim the port
+    assert hub.free_port() == 0
+    Link(sim, hub, peers[2])
+    assert hub.ports.keys() == {0, 1, 3}
+    assert hub.free_port() == 2
+    Link(sim, hub, peers[3], port_a=5)
+    Link(sim, hub, peers[4])  # fills the hole at 2
+    assert hub.free_port() == 4
+    Link(sim, hub, peers[5])
+    assert sorted(hub.ports) == [0, 1, 2, 3, 4, 5]
+    assert hub.free_port() == 6
+
+
 def test_duplicate_port_attach_rejected(sim):
     a, b, link = make_pair(sim)
     with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import ReactivePipeline
+from repro.core.view import GlobalView
 from repro.learning.reputation import ReputationSystem
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
@@ -179,6 +181,44 @@ def test_pruned_policy_sound_for_random_policies(policy):
             assert pruned.posture_for(state, device) == policy.posture_for(
                 state, device
             )
+
+
+class _RecordingOrchestrator:
+    """The pipeline's actuation seam, keeping each round's assignments."""
+
+    def __init__(self, devices):
+        self.pinned = set()
+        self.attachments = dict.fromkeys(devices)
+        self.rounds = []
+
+    def apply_many(self, assignments, traces=None):
+        self.rounds.append(list(assignments))
+        return []
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_policies(), st.data())
+def test_batch_local_round_matches_full_state_evaluation(policy, data):
+    """A round builds its state over the batch's projected variables only;
+    the postures it assigns must be the brute-force FSM's answers on the
+    *full* state, for any view (unobserved variables included) and batch."""
+    sim = Simulator()
+    view = GlobalView(sim)
+    orchestrator = _RecordingOrchestrator(policy.devices)
+    pipeline = ReactivePipeline(sim, view, policy, orchestrator)
+    for domain in policy.space.domains:
+        value = data.draw(st.sampled_from((None, *domain.values)))
+        if value is not None:
+            view.set(domain.variable.key, value)
+    batch = data.draw(
+        st.lists(st.sampled_from(policy.devices), unique=True, min_size=1)
+    )
+    orchestrator.rounds.clear()
+    pipeline.restore_dirty([[device, "test", 0.0] for device in batch])
+    full_state = pipeline.system_state()
+    assert orchestrator.rounds == [
+        [(device, policy.posture_for(full_state, device)) for device in sorted(batch)]
+    ]
 
 
 @settings(max_examples=40, deadline=None)

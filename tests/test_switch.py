@@ -1,8 +1,12 @@
 """Tests for the OpenFlow-style switch."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.netsim.link import Link
 from repro.netsim.node import Host
 from repro.netsim.packet import Packet
+from repro.netsim.simulator import Simulator
 from repro.netsim.switch import Switch
 from repro.sdn.flowrule import Action, FlowMatch, FlowRule
 from repro.sdn.tunnel import tunnel_packet
@@ -158,3 +162,48 @@ def test_rules_for_device(sim):
     sw.install(FlowRule(match=FlowMatch(src="cam"), actions=(Action.drop(),)))
     sw.install(FlowRule(match=FlowMatch(dst="other"), actions=(Action.drop(),)))
     assert len(sw.rules_for("cam")) == 2
+
+
+# ----------------------------------------------------------------------
+# Table order: sorted insertion == append + stable re-sort
+# ----------------------------------------------------------------------
+_RULE_SPECS = st.tuples(
+    st.sampled_from([100, 900]),            # priority
+    st.sampled_from([None, "cam"]),         # dst: two specificities
+    st.integers(min_value=1, max_value=4),  # rule_id: collisions => equal sort keys
+)
+_TABLE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("install"), st.lists(_RULE_SPECS, max_size=6)),
+        st.tuples(st.just("remove"), st.sampled_from([100, 900])),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TABLE_OPS)
+def test_install_many_order_matches_extend_and_stable_sort(ops):
+    """The reference is the old implementation: extend the table with the
+    batch and stable-sort the whole of it.  Ties (equal sort keys) must
+    land in the same places, across interleaved ``remove_where`` calls."""
+    sw = Switch("sw", Simulator())
+    reference: list[FlowRule] = []
+    for op, arg in ops:
+        if op == "install":
+            batch = [
+                FlowRule(
+                    match=FlowMatch(dst=dst),
+                    actions=(Action.drop(),),
+                    priority=priority,
+                    rule_id=rule_id,
+                )
+                for priority, dst, rule_id in arg
+            ]
+            sw.install_many(batch)
+            reference.extend(batch)
+            reference.sort(key=FlowRule.sort_key)
+        else:
+            sw.remove_where(lambda r: r.priority == arg)
+            reference = [r for r in reference if r.priority != arg]
+        assert [id(r) for r in sw.flow_table] == [id(r) for r in reference]
