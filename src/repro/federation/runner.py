@@ -20,6 +20,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.attacks.exploits import EXPLOITS
+from repro.core.deployment import SecuredDeployment
+from repro.core.orchestrator import build_recommended_posture
+from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
+from repro.learning.repository import CrowdRepository
+from repro.learning.signatures import AttackSignature
+
 
 @dataclass(frozen=True)
 class SiteSpec:
@@ -69,14 +76,14 @@ def run_site_worker(spec: SiteSpec) -> dict[str, Any]:
     four-device factory cycle, everyone telemetering, first camera and
     first plug attacked) so single-site and federated arms of bench E15
     run the identical per-device workload.
-    """
-    from repro.attacks.exploits import EXPLOITS
-    from repro.core.deployment import SecuredDeployment
-    from repro.core.orchestrator import build_recommended_posture
-    from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
-    from repro.learning.repository import CrowdRepository
-    from repro.learning.signatures import AttackSignature
 
+    A worker that starts cold (spawned, or forked from a parent that has
+    not built a site) imports this module and through it the whole site
+    stack -- ``repro.core.deployment`` and its netsim/sdn/mboxes/policy/
+    obs dependencies, the device library, the exploit table and the
+    signature repository: the standard library plus ``repro``, about 160
+    modules, and no third-party graph library.
+    """
     factory_cycle = (smart_camera, smart_plug, thermostat, smart_bulb)
     build_start = time.perf_counter()
     dep = SecuredDeployment.build()

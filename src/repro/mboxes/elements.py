@@ -139,12 +139,18 @@ class PacketLogger(Element):
     With ``capture=True`` it also retains full packet copies (bounded by
     ``capture_limit``) -- the forensic capture a victim site mines
     signatures from after an incident (:mod:`repro.learning.traceminer`).
+
+    ``log`` is a ring: past ``log_limit`` records the older half is
+    dropped, so a µmbox that runs for simulated weeks holds bounded
+    metadata; ``logged`` counts every packet ever recorded.
     """
 
     name = "packet_logger"
+    log_limit = 10_000
 
     def __init__(self, capture: bool = False, capture_limit: int = 1000) -> None:
         self.log: list[LoggedPacket] = []
+        self.logged = 0
         self.capture = capture
         self.capture_limit = capture_limit
         self.captured: list[Packet] = []
@@ -161,6 +167,9 @@ class PacketLogger(Element):
                 size=packet.size,
             )
         )
+        self.logged += 1
+        if len(self.log) > self.log_limit:
+            del self.log[: len(self.log) // 2]
         if self.capture and len(self.captured) < self.capture_limit:
             self.captured.append(packet.copy())
             if len(self.captured) == self.capture_limit:

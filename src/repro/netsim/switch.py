@@ -23,10 +23,12 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Cache-miss sentinel (``None`` is a valid cached lookup result).
 _MISS = object()
 
-#: Megaflow cache bound: IoT homes have few distinct 5-tuples, so the
-#: cache normally holds tens of entries; the cap only guards pathological
-#: traffic (e.g. a port-scanning attacker) from growing it without bound.
-_LOOKUP_CACHE_MAX = 1024
+#: Megaflow cache floor: the cache may hold this many entries or four per
+#: installed rule, whichever is more.  Conforming traffic needs a few keys
+#: per rule (a fleet of N devices has O(N) rules and O(N) live 5-tuples),
+#: so it never overflows; the bound only keeps pathological traffic (e.g.
+#: a port-scanning attacker) from growing the cache past O(rules).
+_LOOKUP_CACHE_MIN = 1024
 
 
 class Switch(Node):
@@ -165,7 +167,7 @@ class Switch(Node):
                 ):
                     best, best_key = rule, key
         cache = self._lookup_cache
-        if len(cache) >= _LOOKUP_CACHE_MAX:
+        if len(cache) >= max(_LOOKUP_CACHE_MIN, 4 * len(self.flow_table)):
             cache.clear()
         cache[cache_key] = best
         return best

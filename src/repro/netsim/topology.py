@@ -9,9 +9,8 @@ that shape.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Iterable
-
-import networkx as nx
 
 from repro.netsim.link import Link
 from repro.netsim.node import Host, Node
@@ -26,8 +25,11 @@ class Topology:
         self.sim = sim or Simulator()
         self.nodes: dict[str, Node] = {}
         self.links: list[Link] = []
-        self._route_cache: dict[tuple[str, str], int | None] = {}
         self._route_fingerprint: tuple = ()
+        #: node -> [(latency, neighbour, egress port)] over *up* links
+        self._adjacency: dict[str, list[tuple[float, str, int]]] = {}
+        #: source -> {destination: egress port at source}
+        self._next_hops: dict[str, dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -129,15 +131,6 @@ class Topology:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def graph(self) -> nx.Graph:
-        """The topology as a networkx graph (edges carry the Link object)."""
-        g = nx.Graph()
-        g.add_nodes_from(self.nodes)
-        for link in self.links:
-            if link.up:
-                g.add_edge(link.a.name, link.b.name, link=link, weight=link.latency)
-        return g
-
     def _fingerprint(self) -> tuple:
         """A cheap digest of routing-relevant state; when it changes,
         cached routes are stale.  O(1): link up/down flips bump the global
@@ -145,30 +138,69 @@ class Topology:
         the per-packet lookup path."""
         return (len(self.nodes), len(self.links), Link.state_version)
 
+    def _build_adjacency(self) -> dict[str, list[tuple[float, str, int]]]:
+        """Neighbours of every node over the links that are up, in link
+        insertion order, each with the port that reaches it."""
+        adjacency: dict[str, list[tuple[float, str, int]]] = {
+            name: [] for name in self.nodes
+        }
+        for link in self.links:
+            if link.up:
+                a, b = link.a.name, link.b.name
+                adjacency.setdefault(a, []).append((link.latency, b, link.port_a))
+                adjacency.setdefault(b, []).append((link.latency, a, link.port_b))
+        return adjacency
+
+    def _first_hops(self, source: str) -> dict[str, int]:
+        """Dijkstra from ``source``: every reachable destination mapped to
+        the port at ``source`` that starts a least-latency path to it.
+
+        Among equal-cost paths the first discovered wins (a neighbour is
+        re-labelled only by a strictly cheaper path, and the heap breaks
+        cost ties by discovery order), so the choice is deterministic.
+        """
+        adjacency = self._adjacency
+        hops: dict[str, int] = {}
+        if source not in adjacency:
+            return hops
+        cost = {source: 0.0}
+        heap: list[tuple[float, int, str, int | None]] = [(0.0, 0, source, None)]
+        discovered = 1
+        while heap:
+            so_far, _, node, port = heappop(heap)
+            if so_far > cost[node]:
+                continue  # superseded by a cheaper label pushed later
+            if port is not None:
+                hops[node] = port
+            for latency, neighbour, egress in adjacency[node]:
+                through = so_far + latency
+                if neighbour not in cost or through < cost[neighbour]:
+                    cost[neighbour] = through
+                    first = egress if port is None else port
+                    heappush(heap, (through, discovered, neighbour, first))
+                    discovered += 1
+        return hops
+
     def next_hop_port(self, at: str, toward: str) -> int | None:
         """The output port at node ``at`` on a shortest path to ``toward``.
 
-        Cached: reactive forwarding calls this per packet, and rebuilding
-        the graph each time dominated simulation cost at scale.  The cache
-        invalidates whenever nodes/links are added or links change state.
+        Reactive forwarding calls this per packet, so the answer is read
+        from a per-source table that one Dijkstra from ``at`` fills for
+        every destination at once.  The tables (and the adjacency they are
+        computed over) are dropped whenever nodes/links are added or links
+        change state.
         """
         if at == toward:
             return None
         fingerprint = self._fingerprint()
         if fingerprint != self._route_fingerprint:
-            self._route_cache.clear()
+            self._adjacency = self._build_adjacency()
+            self._next_hops.clear()
             self._route_fingerprint = fingerprint
-        key = (at, toward)
-        if key in self._route_cache:
-            return self._route_cache[key]
-        g = self.graph()
-        try:
-            path = nx.shortest_path(g, at, toward, weight="weight")
-            port = self._resolve(at).port_to(path[1])
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            port = None
-        self._route_cache[key] = port
-        return port
+        table = self._next_hops.get(at)
+        if table is None:
+            table = self._next_hops[at] = self._first_hops(at)
+        return table.get(toward)
 
     def switches(self) -> list[Switch]:
         return [n for n in self.nodes.values() if isinstance(n, Switch)]

@@ -216,6 +216,7 @@ class _Lane:
         "max_segments",
         "evict_unacked",
         "_segments",
+        "_retained",
         "next_offset",
         "acked",
         "sent_high",
@@ -234,6 +235,9 @@ class _Lane:
         self.max_segments = max_segments
         self.evict_unacked = evict_unacked
         self._segments: deque[list[StreamRecord]] = deque([[]])
+        #: Records across all segments, kept in step wherever a segment is
+        #: appended to, freed or evicted (``append`` reads it per record).
+        self._retained = 0
         self.next_offset = 1
         #: Cumulative ack watermark: every offset <= acked was consumed.
         self.acked = 0
@@ -263,7 +267,7 @@ class _Lane:
 
     def depth(self) -> int:
         """Retained records (acked ones linger until their segment frees)."""
-        return sum(len(segment) for segment in self._segments)
+        return self._retained
 
     def replay_lag(self) -> int:
         """Records appended but not yet acknowledged downstream."""
@@ -281,10 +285,10 @@ class _Lane:
             self._segments.append(head)
         else:
             head.append(record)
+        self._retained += 1
         evicted = self._enforce_bound()
-        depth = self.depth()
-        if depth > self.peak_depth:
-            self.peak_depth = depth
+        if self._retained > self.peak_depth:
+            self.peak_depth = self._retained
         return record, evicted
 
     def _enforce_bound(self) -> int:
@@ -294,6 +298,7 @@ class _Lane:
             front = self._segments[0]
             if front and front[-1].offset <= self.acked:
                 self._segments.popleft()  # fully consumed: plain free
+                self._retained -= len(front)
                 continue
             if not self.evict_unacked:
                 # Urgent lane: retained past capacity rather than losing
@@ -301,6 +306,7 @@ class _Lane:
                 self.overflow += 1
                 break
             self._segments.popleft()
+            self._retained -= len(front)
             unacked = sum(1 for r in front if r.offset > self.acked)
             evicted_unacked += unacked
             self.lost += unacked
@@ -321,9 +327,11 @@ class _Lane:
             if front and front[-1].offset > self.acked:
                 break
             self._segments.popleft()
+            self._retained -= len(front)
         head = self._segments[0]
         if len(self._segments) == 1 and head and head[-1].offset <= self.acked:
             # Everything acked: recycle the sole segment.
+            self._retained -= len(head)
             head.clear()
 
     # -- reading -------------------------------------------------------

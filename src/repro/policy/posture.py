@@ -15,8 +15,9 @@ collapse states.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 
 def _freeze(value: Any) -> Any:

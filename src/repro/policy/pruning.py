@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.policy.context import SystemState
 from repro.policy.fsm import PolicyFSM
 from repro.policy.posture import Posture
@@ -48,17 +46,28 @@ def independence_groups(fsm: PolicyFSM) -> list[set[str]]:
     be monitored and updated by separate (local) controllers -- the
     hierarchy of section 5.1 builds on exactly this partition.
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(v.key for v in fsm.space.variables())
+    parent = {v.key: v.key for v in fsm.space.variables()}
+
+    def find(key: str) -> str:
+        root = parent.setdefault(key, key)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[key] != root:  # path compression
+            parent[key], key = root, parent[key]
+        return root
+
     for device in fsm.devices:
         refs = sorted(relevant_variables(fsm, device))
         # The device's own context is coupled to everything deciding it.
         own = f"ctx:{device}"
-        if own in graph:
+        if own in parent:
             refs.append(own)
         for a, b in zip(refs, refs[1:]):
-            graph.add_edge(a, b)
-    return [set(component) for component in nx.connected_components(graph)]
+            parent[find(a)] = find(b)
+    groups: dict[str, set[str]] = {}
+    for key in parent:
+        groups.setdefault(find(key), set()).add(key)
+    return list(groups.values())
 
 
 @dataclass

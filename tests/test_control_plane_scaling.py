@@ -10,6 +10,8 @@ Quadratic growth (4x for 2x the devices) is what these paths used to do.
 from repro.core.deployment import SecuredDeployment
 from repro.core.view import GlobalView
 from repro.devices.library import smart_plug
+from repro.netsim.link import Link
+from repro.netsim.topology import Topology
 from repro.policy import serialization
 from repro.policy.context import Variable
 from repro.policy.posture import block_commands
@@ -30,7 +32,7 @@ def count_calls(monkeypatch, owner, name):
             calls[0] += 1
             return original.fget(self)
 
-        monkeypatch.setattr(owner, name, property(getter))
+        monkeypatch.setattr(owner, name, original.getter(getter))
     else:
 
         def wrapper(*args, **kwargs):
@@ -68,6 +70,30 @@ def test_fleet_build_work_grows_linearly(monkeypatch):
     for name, count in small.items():
         assert count > 0, name
         assert large[name] <= LINEAR * count, (name, count, large[name])
+
+
+def first_contact_cost(monkeypatch, n):
+    """Route from the edge to every device of an n-device home, once each."""
+    names = [f"dev{i:03d}" for i in range(n)]
+    topo = Topology.smart_home(names)
+    with monkeypatch.context() as patch:
+        builds = count_calls(patch, Topology, "_build_adjacency")
+        # one per Link a routing computation looks at
+        visited = count_calls(patch, Link, "up")
+        ports = [topo.next_hop_port("edge", name) for name in names]
+        assert len(set(ports)) == n and None not in ports
+        topo.links[-1].fail()  # a flap charges one rebuild, not one per device
+        ports = [topo.next_hop_port("edge", name) for name in names]
+        assert ports.count(None) == 1
+        return {"builds": builds[0], "links visited": visited[0]}
+
+
+def test_first_contact_with_a_site_grows_linearly(monkeypatch):
+    small = first_contact_cost(monkeypatch, 200)
+    large = first_contact_cost(monkeypatch, 400)
+    assert small["builds"] == large["builds"] == 2  # once per fingerprint
+    assert small["links visited"] >= 200
+    assert large["links visited"] <= 2.2 * small["links visited"], (small, large)
 
 
 def test_steady_state_checkpoint_tick_serializes_no_posture(monkeypatch):

@@ -258,6 +258,20 @@ class TestLoggerAndTap:
         assert len(logger.log) == 2
         assert logger.log[0].cmd == "on"
         assert logger.log[1].direction == "from_device"
+        assert logger.logged == 2
+
+    def test_packet_logger_log_is_a_ring_with_an_exact_count(self, ctx):
+        logger = PacketLogger()
+        logger.log_limit = 8
+        for i in range(100):
+            logger.process(to_device({"cmd": str(i)}), ctx)
+            assert len(logger.log) <= 8
+        assert logger.logged == 100
+        # the most recent records survive, in order, ending at the last one
+        assert [entry.cmd for entry in logger.log] == [
+            str(i) for i in range(100 - len(logger.log), 100)
+        ]
+        assert len(logger.log) >= 4
 
     def test_telemetry_tap_reports_to_controller(self, ctx):
         tap = TelemetryTap()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ from repro.policy.builder import PolicyBuilder
 from repro.policy.context import SystemState
 from repro.policy.fsm import PolicyFSM, StatePredicate
 from repro.policy.posture import MboxSpec, Posture
-from repro.policy.pruning import PrunedPolicy
+from repro.policy.pruning import PrunedPolicy, independence_groups, relevant_variables
 from repro.sdn.flowrule import FlowMatch
 
 
@@ -181,6 +182,23 @@ def test_pruned_policy_sound_for_random_policies(policy):
             assert pruned.posture_for(state, device) == policy.posture_for(
                 state, device
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_policies())
+def test_independence_groups_are_the_connected_components(policy):
+    """The union-find partition equals networkx's connected components of
+    the coupling graph (every variable a node; each device chains the
+    variables its rules test, and its own context, together)."""
+    graph = nx.Graph()
+    graph.add_nodes_from(v.key for v in policy.space.variables())
+    for device in policy.devices:
+        refs = sorted(relevant_variables(policy, device)) + [f"ctx:{device}"]
+        graph.add_edges_from(zip(refs, refs[1:]))
+    expected = {frozenset(c) for c in nx.connected_components(graph)}
+    groups = independence_groups(policy)
+    assert {frozenset(g) for g in groups} == expected
+    assert sum(len(g) for g in groups) == len(graph)  # a partition: no overlap
 
 
 class _RecordingOrchestrator:

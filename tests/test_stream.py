@@ -7,6 +7,8 @@ buffered record is delivered exactly once, in order, per lane.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.netsim.simulator import Simulator
 from repro.obs.stream import (
@@ -124,6 +126,25 @@ class TestLane:
             lane.append({"i": i}, 0.0)
         lane.ack(9)
         assert lane.depth() == 0 and lane.peak_depth == 9
+
+    @given(
+        st.booleans(),
+        st.lists(st.one_of(st.none(), st.integers(min_value=0, max_value=40)), max_size=60),
+    )
+    def test_depth_is_the_sum_over_segments(self, evict_unacked, steps):
+        """``depth`` is a maintained count; the reference is the sum it
+        replaced, across appends, frees, evictions and full-drain recycles."""
+        lane = _Lane("lane", segment_size=3, max_segments=2, evict_unacked=evict_unacked)
+        peak = 0
+        for ack in steps:
+            if ack is None:
+                lane.append({}, 0.0)
+            else:
+                lane.ack(ack)
+            depth = sum(len(segment) for segment in lane._segments)
+            peak = max(peak, depth)
+            assert lane.depth() == lane.stats()["depth"] == depth
+            assert lane.peak_depth == peak
 
 
 class TestConfig:

@@ -207,3 +207,50 @@ def test_install_many_order_matches_extend_and_stable_sort(ops):
             sw.remove_where(lambda r: r.priority == arg)
             reference = [r for r in reference if r.priority != arg]
         assert [id(r) for r in sw.flow_table] == [id(r) for r in reference]
+
+
+# ----------------------------------------------------------------------
+# Megaflow cache: sized from the table, bounded under spoofed traffic
+# ----------------------------------------------------------------------
+class CountingDict(dict):
+    """A bucket index that counts the probes only a cache miss makes."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def fleet_switch(devices):
+    sw = Switch("sw", Simulator())
+    rules = []
+    for i in range(devices):
+        rules.append(FlowRule(match=FlowMatch(src=f"dev{i}"), actions=(Action.drop(),)))
+        rules.append(FlowRule(match=FlowMatch(dst=f"dev{i}"), actions=(Action.drop(),)))
+    sw.install_many(rules)
+    sw._by_dst = CountingDict(sw._by_dst)
+    return sw
+
+
+def test_megaflow_cache_holds_a_fleet_larger_than_its_floor():
+    sw = fleet_switch(1100)
+    flows = [Packet(src=f"dev{i}", dst="hub", dport=8883) for i in range(1100)]
+    flows += [Packet(src="hub", dst=f"dev{i}", dport=80) for i in range(1100)]
+    winners = [sw.lookup(packet, 0) for packet in flows]
+    assert None not in winners
+    assert sw._by_dst.gets == len(flows)  # the warm pass scanned once per flow
+    assert [sw.lookup(packet, 0) for packet in flows] == winners
+    assert sw._by_dst.gets == len(flows)  # the second pass scanned no bucket
+
+
+def test_megaflow_cache_stays_bounded_under_spoofed_tuples():
+    for devices in (5, 600):
+        sw = fleet_switch(devices)
+        bound = max(1024, 4 * sw.table_size())
+        largest = 0
+        for i in range(100_000):
+            sw.lookup(Packet(src=f"spoof{i}", dst="dev0", sport=i % 60_000, dport=23), 0)
+            largest = max(largest, len(sw._lookup_cache))
+        assert 1024 <= largest <= bound
+        assert sw._by_dst.gets == 100_000  # distinct tuples: every one a miss
