@@ -17,8 +17,11 @@ Three seeded scenarios are pinned:
   replication, takeover).
 
 Each scenario is reduced to a sha256 digest over every retained journal
-entry plus a handful of deterministic counters.  Re-record (only after an
-*intentional* behavior change) with::
+entry plus a handful of deterministic counters.  e9-small additionally
+pins what the journal cannot see (``state``): telemetry alerts are
+deliberately unjournaled, so the alert -> channel -> controller -> view leg
+and the per-hop counters are digested from the objects themselves.
+Re-record (only after an *intentional* behavior change) with::
 
     REPRO_RECORD_FIXTURES=1 PYTHONPATH=src python -m pytest \
         tests/test_hot_path_equivalence.py -q
@@ -29,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -65,6 +69,48 @@ def journal_digest(sim) -> str:
         h.update(json.dumps(d, sort_keys=True, default=str).encode("utf-8"))
         h.update(b"\n")
     return h.hexdigest()
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True, default=str).encode("utf-8")
+    ).hexdigest()
+
+
+def unjournaled_state(dep, attacker) -> dict:
+    """What the conforming-traffic path leaves behind outside the journal.
+
+    Process-global ids (alert, event, packet ids) are left out for the same
+    reason :func:`journal_digest` drops them.
+    """
+    view, bus = dep.controller.view, dep.controller.bus
+    cluster, edge = dep.cluster, dep.edge
+    end_hosts = [*dep.devices.values(), dep.hub, attacker]
+    return {
+        "view_sha256": _digest(view.snapshot()),
+        "view_history_sha256": _digest(
+            {k: [e.value, e.updated_at, e.updates] for k, e in view.entries.items()}
+        ),
+        "view_total_updates": view.total_updates,
+        "bus_counts": dict(bus.counts),
+        "bus_history_sha256": _digest(
+            [[e.at, e.kind, e.source, e.device, e.body] for e in bus.history]
+        ),
+        "edge_punted": edge.punted,
+        "cluster_tunnelled_in": cluster.tunnelled_in,
+        "cluster_returned": cluster.returned,
+        "cluster_alerts_by_kind": dict(Counter(a.kind for a in cluster.alerts)),
+        "cluster_alerts_sha256": _digest(
+            [[a.at, a.mbox, a.device, a.kind, a.detail, a.trace_id] for a in cluster.alerts]
+        ),
+        "channel_undeliverable": dep.channel.undeliverable,
+        "end_host_io": {
+            field: sum(getattr(node, field) for node in end_hosts)
+            for field in ("rx_count", "tx_count", "rx_bytes", "tx_bytes")
+        },
+        "edge_rule_hits": sum(rule.hits for rule in edge.flow_table),
+        "edge_rule_hit_bytes": sum(rule.hit_bytes for rule in edge.flow_table),
+    }
 
 
 def run_e9_small(n_devices: int = 12, until: float = 240.0) -> dict:
@@ -115,6 +161,7 @@ def run_e9_small(n_devices: int = 12, until: float = 240.0) -> dict:
                 1 for d in dep.devices.values() if d.is_compromised()
             ),
         },
+        "state": unjournaled_state(dep, attacker),
     }
 
 
@@ -193,6 +240,10 @@ def test_seeded_run_matches_pre_refactor_fixture(name):
         f"{name}: journal digest changed -- the flight recorder saw a "
         "different history than the pre-refactor tree"
     )
+    assert result.get("state") == expected.get("state"), (
+        f"{name}: unjournaled state drifted -- views, counters or alerts the "
+        "journal does not record differ from the pre-refactor tree"
+    )
 
 
 def test_seeded_run_is_self_deterministic():
@@ -202,3 +253,4 @@ def test_seeded_run_is_self_deterministic():
     b = run_e9_small(n_devices=6, until=120.0)
     assert a["counters"] == b["counters"]
     assert a["journal_sha256"] == b["journal_sha256"]
+    assert a["state"] == b["state"]
