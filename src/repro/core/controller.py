@@ -45,6 +45,7 @@ from repro.obs.stream import DeadLetterQueue, StreamConsumer
 from repro.policy.context import NORMAL, SEVERITY, UNPATCHED
 from repro.policy.fsm import PolicyFSM
 from repro.sdn.channel import ControlChannel, ControlMessage
+from repro.sdn.tunnel import tunnel_packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devices.base import IoTDevice
@@ -117,10 +118,10 @@ class IoTSecController:
             else None
         )
         channel.register(name, self.on_control_message)
-        # Hot-path dispatch: control-message kinds resolve through one dict
-        # lookup instead of an if/elif chain that grows with each kind.
+        # Control-message kinds other than "alert" (which
+        # :meth:`on_control_message` hands to :meth:`_on_alert` itself)
+        # resolve through one dict lookup.
         self._control_dispatch: dict[str, Any] = {
-            "alert": self._on_alert_message,
             "context": self._on_context_message,
         }
         #: Durable telemetry plane (opt-in): the consumer end of every
@@ -235,8 +236,6 @@ class IoTSecController:
             and packet.dst in self.orchestrator.tunnels
             and packet.dst not in packet.meta.get("inspected_devices", ())
         ):
-            from repro.sdn.tunnel import tunnel_packet
-
             outer = tunnel_packet(packet, switch.name, packet.dst)
             # Address the outer packet to the cluster host so intermediate
             # switches (enterprise core) can route it there.
@@ -260,12 +259,13 @@ class IoTSecController:
     def on_control_message(self, message: ControlMessage) -> None:
         if self.crashed:
             return
-        handler = self._control_dispatch.get(message.kind)
+        kind = message.kind
+        if kind == "alert":
+            self._on_alert(message.body, message.sent_at)
+            return
+        handler = self._control_dispatch.get(kind)
         if handler is not None:
             handler(message)
-
-    def _on_alert_message(self, message: ControlMessage) -> None:
-        self._on_alert(message.body, message.sent_at)
 
     def _on_context_message(self, message: ControlMessage) -> None:
         variable = str(message.body.get("variable", ""))
@@ -310,6 +310,8 @@ class IoTSecController:
 
         if self.ingest is not None:
             self.ingest.offer(self._alert_class(device, kind), (body, sent_at))
+        elif kind == "telemetry":
+            self._ingest_telemetry(device, detail)
         else:
             self._dispatch_alert(body, sent_at)
 

@@ -67,9 +67,7 @@ class EventBus:
         device: str = "",
         **body: Any,
     ) -> SecurityEvent:
-        event = SecurityEvent(
-            at=self.sim.now, kind=kind, source=source, device=device, body=body
-        )
+        event = SecurityEvent(self.sim.now, kind, source, device, body, next(_EVENT_IDS))
         self.published += 1
         self.counts[kind] += 1
         self.history.append(event)

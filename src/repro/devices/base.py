@@ -109,10 +109,12 @@ class IoTDevice(Node):
         """Current sensed levels, keyed by report name."""
         if self.env is None:
             return {}
+        variables = self.env.variables
         readings = {}
-        for report_key, variable in self.model.sensors:
-            if variable in self.env.variables:
-                readings[report_key] = self.env.level(variable)
+        for report_key, name in self.model.sensors:
+            variable = variables.get(name)
+            if variable is not None:
+                readings[report_key] = variable.level
         return readings
 
     # ------------------------------------------------------------------
@@ -306,16 +308,12 @@ class IoTDevice(Node):
 
     def _report(self) -> None:
         packet = Packet(
-            src=self.name,
-            dst=self.report_to or "",
-            protocol="udp",
-            dport=TELEMETRY_PORT,
-            payload={
-                "action": "telemetry",
-                "state": self.state,
-                "readings": self.sensor_readings(),
-            },
-            size=64,
+            self.name,
+            self.report_to or "",
+            "udp",
+            0,
+            TELEMETRY_PORT,
+            {"action": "telemetry", "state": self.state, "readings": self.sensor_readings()},
         )
         if self.ports:
             self.send(packet, next(iter(self.ports)))

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
 from repro.obs.journal import UNJOURNALED_ALERT_KINDS
-from repro.sdn.tunnel import detunnel, is_tunnelled, tunnel_packet
+from repro.sdn.tunnel import TUNNEL_OVERHEAD_BYTES, TUNNEL_PROTOCOL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.simulator import Simulator
@@ -95,12 +95,7 @@ class MboxContext:
                     attrs["src"] = self.packet.src
                 tracer.span(trace_id, "detect", start, self.now, device=self.device, **attrs)
         alert = Alert(
-            at=self.now,
-            mbox=self.mbox_name,
-            device=self.device,
-            kind=kind,
-            detail=detail,
-            trace_id=trace_id,
+            self.sim.now, self.mbox_name, self.device, kind, detail, trace_id, next(_ALERT_IDS)
         )
         if kind not in UNJOURNALED_ALERT_KINDS:
             # Flight recorder: the alert's birth is durable evidence even
@@ -299,14 +294,16 @@ class MboxHost(Node):
     # Data path
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet, in_port: int) -> None:
-        if not is_tunnelled(packet):
+        if packet.protocol != TUNNEL_PROTOCOL:
             return  # the cluster only speaks tunnel
         self.tunnelled_in += 1
         self._process_inner(packet, in_port)
 
     def _process_inner(self, outer: Packet, in_port: int) -> None:
-        inner, ingress = detunnel(outer)
-        device = outer.payload.get("target", "")
+        payload = outer.payload
+        inner: Packet = payload["inner"]
+        ingress: str = payload["ingress"]
+        device = payload.get("target", "")
         mbox = self.mboxes.get(device)
         if mbox is None:
             if self.default_verdict is Verdict.PASS:
@@ -398,7 +395,9 @@ class MboxHost(Node):
                 )
                 self._ctx_cache[device] = ctx
             ctx.packet = copied
-            self._inspect(mbox, copied, ctx, ingress, device, in_port)
+            verdict, result = mbox.process(copied, ctx)
+            if verdict is Verdict.PASS:
+                self._return_packet(result, ingress, device, in_port)
 
     def _inspect(
         self,
@@ -417,13 +416,24 @@ class MboxHost(Node):
         """Send the surviving packet back to the ingress switch, marked as
         already-inspected so the switch's bypass rule forwards it."""
         self.returned += 1
-        inspected = list(inner.meta.get("inspected_devices", []))
-        if device not in inspected:
-            inspected.append(device)
-        inner.meta["inspected_devices"] = inspected
-        outer = tunnel_packet(inner, ingress=self.name, target=device)
-        outer.dst = ingress
-        outer.payload["inspected"] = True
+        # Always a fresh list: ``inner`` is usually a copy whose meta still
+        # shares the sender's list.
+        inspected = inner.meta.get("inspected_devices") or ()
+        inner.meta["inspected_devices"] = (
+            [*inspected] if device in inspected else [*inspected, device]
+        )
+        # The return envelope of repro.sdn.tunnel, built in one step:
+        # addressed to the ingress switch and marked inspected.
+        name = self.name
+        outer = Packet(
+            name,
+            ingress,
+            TUNNEL_PROTOCOL,
+            0,
+            0,
+            {"inner": inner, "ingress": name, "target": device, "inspected": True},
+            inner.size + TUNNEL_OVERHEAD_BYTES,
+        )
         self.send(outer, in_port)
 
     def attach_stream(self, stream) -> None:

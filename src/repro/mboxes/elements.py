@@ -156,20 +156,21 @@ class PacketLogger(Element):
         self.captured: list[Packet] = []
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
-        self.log.append(
+        log = self.log
+        log.append(
             LoggedPacket(
-                at=ctx.now,
-                direction=str(packet.meta.get("direction", "")),
-                src=packet.src,
-                dst=packet.dst,
-                dport=packet.dport,
-                cmd=packet.payload.get("cmd"),
-                size=packet.size,
+                ctx.sim.now,
+                str(packet.meta.get("direction", "")),
+                packet.src,
+                packet.dst,
+                packet.dport,
+                packet.payload.get("cmd"),
+                packet.size,
             )
         )
         self.logged += 1
-        if len(self.log) > self.log_limit:
-            del self.log[: len(self.log) // 2]
+        if len(log) > self.log_limit:
+            del log[: len(log) // 2]
         if self.capture and len(self.captured) < self.capture_limit:
             self.captured.append(packet.copy())
             if len(self.captured) == self.capture_limit:

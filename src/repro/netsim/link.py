@@ -156,7 +156,11 @@ class Link:
             self.dropped += 1
             return
         self.delivered += 1
-        receiver.receive(packet, in_port)
+        # The receiver's arrival counters are bumped here, not in a method of
+        # the node: one Python call per hop instead of two.
+        receiver.rx_count += 1
+        receiver.rx_bytes += packet.size
+        receiver.on_packet(packet, in_port)
 
     def fail(self) -> None:
         """Administratively down the link; in-flight packets are dropped."""

@@ -88,22 +88,23 @@ class Node:
         link = ports.get(port)
         if link is None:
             return False
-        if not packet.created_at:
+        trace = packet.trace
+        if not trace:
+            # First send only: a forwarded packet (or a copy of one) keeps
+            # its origin's stamp -- also when that stamp is t = 0.0.
             packet.created_at = self.sim.now
-        packet.trace.append(self.name)
+        trace.append(self.name)
         self.tx_count += 1
         self.tx_bytes += packet.size
         link.transmit(self, packet)
         return True
 
-    def receive(self, packet: Packet, in_port: int) -> None:
-        """Entry point called by the link when a packet arrives."""
-        self.rx_count += 1
-        self.rx_bytes += packet.size
-        self.on_packet(packet, in_port)
-
     def on_packet(self, packet: Packet, in_port: int) -> None:
-        """Handle a delivered packet.  Default: drop silently (a sink)."""
+        """Handle a delivered packet.  Default: drop silently (a sink).
+
+        The delivering :class:`~repro.netsim.link.Link` has already counted
+        the arrival in ``rx_count``/``rx_bytes``.
+        """
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"

@@ -140,32 +140,30 @@ class Packet:
         ``payload``, ``trace`` and ``meta`` are shallow-copied so the clone
         can be rewritten without mutating the original.
         """
-        clone = Packet(
-            src=self.src,
-            dst=self.dst,
-            protocol=self.protocol,
-            sport=self.sport,
-            dport=self.dport,
-            payload=dict(self.payload),
-            size=self.size,
-            created_at=self.created_at,
-            trace=list(self.trace),
-            meta=dict(self.meta),
-        )
-        for key, value in overrides.items():
-            setattr(clone, key, value)
+        # Field by field, not through ``__init__``: every inspected packet
+        # is copied once, and an eleven-argument constructor call costs
+        # more than the stores it makes.
+        clone = Packet.__new__(Packet)
+        clone.src = self.src
+        clone.dst = self.dst
+        clone.protocol = self.protocol
+        clone.sport = self.sport
+        clone.dport = self.dport
+        clone.payload = dict(self.payload)
+        clone.size = self.size
+        clone.created_at = self.created_at
+        clone.pkt_id = next(_PACKET_IDS)
+        clone.trace = list(self.trace)
+        clone.meta = dict(self.meta)
+        if overrides:
+            for key, value in overrides.items():
+                setattr(clone, key, value)
         return clone
 
     def reply(self, payload: dict[str, Any] | None = None, size: int = 64) -> "Packet":
         """Construct a response packet along the reversed flow."""
         return Packet(
-            src=self.dst,
-            dst=self.src,
-            protocol=self.protocol,
-            sport=self.dport,
-            dport=self.sport,
-            payload=dict(payload or {}),
-            size=size,
+            self.dst, self.src, self.protocol, self.dport, self.sport, dict(payload or {}), size
         )
 
     def __repr__(self) -> str:

@@ -15,13 +15,16 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
 from repro.sdn.flowrule import Action, FlowRule
-from repro.sdn.tunnel import TUNNEL_PROTOCOL, detunnel, tunnel_packet
+from repro.sdn.tunnel import TUNNEL_PROTOCOL, tunnel_packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.simulator import Simulator
 
 #: Cache-miss sentinel (``None`` is a valid cached lookup result).
 _MISS = object()
+
+#: What a packet no rule matches gets: the table-miss entry, packet-in.
+_TABLE_MISS = (Action.controller(),)
 
 #: Megaflow cache floor: the cache may hold this many entries or four per
 #: installed rule, whichever is more.  Conforming traffic needs a few keys
@@ -176,36 +179,38 @@ class Switch(Node):
     # Data path
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet, in_port: int) -> None:
-        if (
+        name = self.name
+        while (
             packet.protocol == TUNNEL_PROTOCOL
-            and packet.dst == self.name
+            and packet.dst == name
             and packet.payload.get("inspected")
         ):
-            # A µmbox returned an inspected packet: decapsulate and run it
-            # through the table again.  The in_port is the cluster-facing
-            # port, which the orchestrator's bypass rules key on -- that is
-            # what prevents re-tunnelling loops.
-            inner, __ = detunnel(packet)
-            inner.meta["inspected"] = True
-            self.on_packet(inner, in_port)
-            return
-        rule = self.lookup(packet, in_port)
+            # A µmbox returned an inspected packet: decapsulate and run the
+            # inner packet through the table.  The in_port is the
+            # cluster-facing port, which the orchestrator's bypass rules
+            # key on -- that is what prevents re-tunnelling loops.
+            packet = packet.payload["inner"]
+            packet.meta["inspected"] = True
+        # The megaflow probe and the hit counters of ``lookup`` /
+        # ``FlowRule.record_hit``, done here: a cached flow costs this
+        # method one dict probe, not two more calls.
+        rule = self._lookup_cache.get(
+            (packet.src, packet.dst, packet.protocol, packet.sport, packet.dport, in_port),
+            _MISS,
+        )
+        if rule is _MISS:
+            rule = self.lookup(packet, in_port)
         if rule is None:
-            self._table_miss(packet, in_port)
+            self._apply(_TABLE_MISS, packet, in_port)
             return
-        rule.record_hit(packet)
+        rule.hits += 1
+        rule.hit_bytes += packet.size
         self._apply(rule.actions, packet, in_port)
 
-    def _table_miss(self, packet: Packet, in_port: int) -> None:
-        if self.packet_in_handler is not None:
-            self.punted += 1
-            self.packet_in_handler(self, packet, in_port)
-        else:
-            self.miss_drops += 1
-
     def _apply(self, actions: tuple[Action, ...], packet: Packet, in_port: int) -> None:
-        # Ordered by data-path frequency: edge traffic is dominated by
-        # tunnel/forward actions; drop/controller are the cold verdicts.
+        # Ordered by data-path frequency: conforming edge traffic tunnels
+        # on the way in and punts on the way back (the orchestrator's
+        # bypass rules are ``controller`` actions); forward/drop are colder.
         for action in actions:
             kind = action.kind
             if kind == "tunnel":
@@ -215,12 +220,17 @@ class Switch(Node):
                     # intermediate switches can route it there.
                     outer.dst = action.via
                 self.send(outer, action.port)
+            elif kind == "controller":
+                handler = self.packet_in_handler
+                if handler is not None:
+                    self.punted += 1
+                    handler(self, packet, in_port)
+                else:
+                    self.miss_drops += 1
             elif kind == "forward":
                 self.send(packet, action.port)
             elif kind == "drop":
                 self.dropped += 1
-            elif kind == "controller":
-                self._table_miss(packet, in_port)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -131,13 +131,6 @@ class Topology:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _fingerprint(self) -> tuple:
-        """A cheap digest of routing-relevant state; when it changes,
-        cached routes are stale.  O(1): link up/down flips bump the global
-        ``Link.state_version`` counter, so no per-link scan is needed on
-        the per-packet lookup path."""
-        return (len(self.nodes), len(self.links), Link.state_version)
-
     def _build_adjacency(self) -> dict[str, list[tuple[float, str, int]]]:
         """Neighbours of every node over the links that are up, in link
         insertion order, each with the port that reaches it."""
@@ -192,7 +185,11 @@ class Topology:
         """
         if at == toward:
             return None
-        fingerprint = self._fingerprint()
+        # A cheap digest of routing-relevant state; when it changes, cached
+        # routes are stale.  O(1): link up/down flips bump the global
+        # ``Link.state_version`` counter, so this per-packet path scans no
+        # links.
+        fingerprint = (len(self.nodes), len(self.links), Link.state_version)
         if fingerprint != self._route_fingerprint:
             self._adjacency = self._build_adjacency()
             self._next_hops.clear()

@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -311,22 +312,30 @@ class ControlChannel:
         (exponential backoff, capped) and deduplicated at the receiver, so
         the handler observes it exactly once -- or a journaled give-up.
         """
-        message = ControlMessage(
-            kind=kind, sender=sender, body=dict(body or {}), sent_at=self.sim.now
-        )
+        sim = self.sim
+        message = ControlMessage(kind, sender, dict(body or {}), sim.now, next(_MSG_IDS))
         self.sent += 1
-
-        def deliver_to_handler() -> bool:
-            handler = self._handlers.get(to)
-            if handler is None:
-                self.undeliverable += 1
-                return False
-            self.delivered += 1
-            handler(message)
-            return True
-
-        self._transmit(message, to, deliver_to_handler, reliable, attempt=0)
+        if not reliable and self.fault_model is None:
+            # Fire-and-forget on a healthy wire (alerts and telemetry ride
+            # here, at data-plane volume): nothing can drop, delay or retry
+            # the message, so what :meth:`_transmit` would schedule is
+            # scheduled directly.
+            sim.schedule(
+                self._latency_override.get(to, self.latency), self._deliver, to, message
+            )
+            return message
+        self._transmit(message, to, partial(self._deliver, to, message), reliable, attempt=0)
         return message
+
+    def _deliver(self, to: str, message: ControlMessage) -> bool:
+        """Hand ``message`` to whoever is registered as ``to`` *now*."""
+        handler = self._handlers.get(to)
+        if handler is None:
+            self.undeliverable += 1
+            return False
+        self.delivered += 1
+        handler(message)
+        return True
 
     def call(
         self,
@@ -344,7 +353,7 @@ class ControlChannel:
         dedup all apply, and dedup guarantees ``fn`` executes at most once
         however many retransmissions the fault pattern forces.
         """
-        message = ControlMessage(kind=kind, sender=sender, sent_at=self.sim.now)
+        message = ControlMessage(kind, sender, {}, self.sim.now, next(_MSG_IDS))
         self.sent += 1
 
         def deliver_fn() -> bool:
@@ -397,9 +406,8 @@ class ControlChannel:
             delay += self.fault_model.extra_delay()
 
         if not reliable:
-            # Fast path: no dedup, no ack -- deliver directly, without
-            # building the reliable arrival closure (alerts and telemetry
-            # ride here, at data-plane volume).
+            # No dedup, no ack: deliver directly, without building the
+            # reliable arrival closure.
             self.sim.schedule(delay, deliver)
             return
 

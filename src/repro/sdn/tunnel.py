@@ -22,11 +22,13 @@ def tunnel_packet(packet: Packet, ingress: str, target: str) -> Packet:
     return the (possibly rewritten) packet to the right place.
     """
     return Packet(
-        src=ingress,
-        dst=target,
-        protocol=TUNNEL_PROTOCOL,
-        payload={"inner": packet, "ingress": ingress, "target": target},
-        size=packet.size + TUNNEL_OVERHEAD_BYTES,
+        ingress,
+        target,
+        TUNNEL_PROTOCOL,
+        0,
+        0,
+        {"inner": packet, "ingress": ingress, "target": target},
+        packet.size + TUNNEL_OVERHEAD_BYTES,
     )
 
 

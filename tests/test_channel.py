@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sdn.channel import ControlChannel
+from repro.netsim.simulator import Simulator
+from repro.sdn.channel import ControlChannel, FaultModel
 
 
 def test_delivery_after_latency(sim):
@@ -142,3 +143,63 @@ def test_dedup_ttl_expires_old_entries(sim):
     # Two evictions: the receiver's seen-id and the sender's acked-id,
     # both expired by the time the second exchange prunes the tables.
     assert chan.dedup_evictions == 2
+
+
+# ----------------------------------------------------------------------
+# The fire-and-forget path (unreliable send, no fault model installed)
+# schedules its delivery directly; these pin what it must still honour.
+# ----------------------------------------------------------------------
+def test_handler_is_resolved_at_delivery_time(sim):
+    chan = ControlChannel(sim, latency=0.05)
+    first, second = [], []
+    chan.register("ctrl", first.append)
+    chan.send("a", "ctrl", "x")
+    sim.schedule(0.01, chan.register, "ctrl", second.append)  # e.g. a failover
+    chan.send("a", "gone", "x")
+    chan.register("gone", first.append)
+    sim.schedule(0.01, chan.unregister, "gone")
+    sim.run()
+    assert first == [] and [m.kind for m in second] == ["x"]
+    assert (chan.sent, chan.delivered, chan.undeliverable) == (2, 1, 1)
+
+
+def test_faults_injected_mid_flight_do_not_touch_a_message_already_sent(sim):
+    chan = ControlChannel(sim, latency=0.05)
+    got = []
+    chan.register("ctrl", lambda m: got.append(sim.now))
+    chan.send("a", "ctrl", "x")
+    model = FaultModel(jitter=0.5)
+    model.add_partition(0.0, 10.0)
+    sim.schedule(0.01, chan.inject_faults, model)
+    sim.run()
+    assert got == [0.05] and chan.dropped == 0
+
+
+def test_benign_fault_model_changes_nothing(sim):
+    """``FaultModel()`` drops nothing and delays nothing, so the channel
+    with one installed is observably the channel with none."""
+    def run(model):
+        local = Simulator()
+        chan = ControlChannel(local, latency=0.002)
+        chan.set_latency_to("cloud", 0.1)
+        chan.inject_faults(model)
+        got = []
+        for name in ("ctrl", "cloud"):
+            chan.register(name, lambda m, n=name: got.append((local.now, n, m.kind, m.body)))
+        body = {"device": "cam", "detail": {"state": "idle"}}
+        for i, to in enumerate(("ctrl", "cloud", "ghost", "ctrl")):
+            local.schedule(0.5 * i, chan.send, "cluster", to, f"k{i}", body)
+        local.schedule(0.6, body.__setitem__, "device", "mutated-after-two-sends")
+        local.run()
+        counters = (chan.sent, chan.delivered, chan.undeliverable, chan.dropped, chan.retries)
+        return got, counters, local.events_processed
+
+    bare = run(None)
+    assert run(FaultModel()) == bare
+    got, counters, __ = bare
+    assert [(at, to) for at, to, __, __ in got] == [
+        (0.002, "ctrl"), (0.6, "cloud"), (1.502, "ctrl")
+    ]
+    assert got[0][3]["device"] == "cam"  # body copied when sent
+    assert got[2][3]["device"] == "mutated-after-two-sends"
+    assert counters == (4, 3, 1, 0, 0)

@@ -113,19 +113,22 @@ def unjournaled_state(dep, attacker) -> dict:
     }
 
 
-def run_e9_small(n_devices: int = 12, until: float = 240.0) -> dict:
-    """The E9 hot path in miniature: tunnelled devices, telemetry, attacks."""
-    dep = SecuredDeployment.build()
+def build_e9_small(
+    n_devices: int = 12, telemetry_period: float = 20.0, with_iotsec: bool = True
+):
+    """The E9 home in miniature: reporting devices under E9's posture mix
+    and its two opening attacks.  Returns ``(deployment, attacker)``."""
+    dep = SecuredDeployment.build(with_iotsec=with_iotsec)
     trusted = (dep.HUB, dep.CONTROLLER)
     for i in range(n_devices):
         factory = FACTORY_CYCLE[i % len(FACTORY_CYCLE)]
         device = dep.add_device(
-            factory, f"dev{i}", report_to="hub", telemetry_period=20.0
+            factory, f"dev{i}", report_to="hub", telemetry_period=telemetry_period
         )
         device.start_telemetry()
     attacker = dep.add_attacker()
     dep.finalize()
-    for i in range(n_devices):
+    for i in range(n_devices if with_iotsec else 0):
         name = f"dev{i}"
         device = dep.devices[name]
         if "exposed-credentials" in device.firmware.flaw_classes():
@@ -141,6 +144,12 @@ def run_e9_small(n_devices: int = 12, until: float = 240.0) -> dict:
     EXPLOITS["backdoor_command"].launch(
         attacker, "dev1", dep.sim, backdoor_port=49153, command="on"
     )
+    return dep, attacker
+
+
+def run_e9_small(n_devices: int = 12, until: float = 240.0) -> dict:
+    """The E9 hot path in miniature: tunnelled devices, telemetry, attacks."""
+    dep, attacker = build_e9_small(n_devices)
     dep.run(until=until)
 
     stats = dep.controller.pipeline.stats

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.core.deployment import SecuredDeployment
+from repro.core.orchestrator import build_recommended_posture
+from repro.devices import protocol
+from repro.devices.library import smart_camera, smart_plug
 from repro.mboxes.base import Mbox, MboxHost, Verdict
 from repro.mboxes.elements import CommandFilter
 from repro.netsim.link import Link
@@ -216,3 +220,63 @@ class TestBackpressureWindow:
         assert len(forwarded) == 8
         assert host.telemetry_suppressed == 0
         assert sim.journal.entries(kind="telemetry-elided") == []
+
+
+class TestSenderPacketIsNeverShared:
+    """Inspection works on copies: whatever a rewriting element or the
+    return path writes, the sender's ``Packet`` object does not see it."""
+
+    @staticmethod
+    def site():
+        dep = SecuredDeployment.build()
+        dep.add_device(smart_camera, "cam")
+        dep.add_device(smart_plug, "plug")
+        dep.finalize()
+        dep.secure("cam", build_recommended_posture("password_proxy", "cam"))
+        dep.secure("plug", build_recommended_posture("monitor", "plug", sku=dep.devices["plug"].sku))
+        dep.run(until=1.0)  # µmboxes booted
+        received = {name: [] for name in dep.devices}
+        for name, device in dep.devices.items():
+            handle = device.on_packet
+            device.on_packet = (  # type: ignore[method-assign]
+                lambda packet, in_port, n=name, h=handle: (received[n].append(packet), h(packet, in_port))
+            )
+        return dep, received
+
+    def test_password_proxy_rewrites_a_copy(self):
+        dep, received = self.site()
+        original = protocol.login("hub", "cam", "admin", "S3cure!gateway")
+        payload, meta = original.payload, original.meta
+        dep.hub.send(original)
+        dep.run(until=2.0)
+        (arrived,) = received["cam"]
+        assert arrived.payload["password"] == "admin"  # rewritten for the device
+        assert arrived is not original
+        assert original.payload is payload and payload["password"] == "S3cure!gateway"
+        assert original.meta is meta and meta == {}
+        assert arrived.meta["inspected_devices"] == ["cam"]
+
+    def test_two_mbox_visit_shares_no_inspected_list(self):
+        dep, received = self.site()
+        at_cluster = []
+        handle = dep.cluster.on_packet
+        dep.cluster.on_packet = (  # type: ignore[method-assign]
+            lambda packet, in_port: (at_cluster.append(packet.payload["inner"]), handle(packet, in_port))
+        )
+        # device-to-device: inspected by the camera's µmbox on the way out,
+        # then re-tunnelled by the controller into the plug's on the way in
+        original = protocol.command("cam", "plug", "on")
+        payload = original.payload
+        dep.devices["cam"].send(original)
+        dep.run(until=2.0)
+        (arrived,) = received["plug"]
+        first_visit, second_visit = at_cluster[:2]  # then the plug's reply
+        assert first_visit is original and original.meta == {}
+        assert original.payload is payload and original.trace == ["cam"]
+        assert second_visit.meta["inspected_devices"] == ["cam"]
+        assert arrived.meta["inspected_devices"] == ["cam", "plug"]
+        assert arrived is not second_visit and second_visit is not original
+        assert arrived.payload == payload and arrived.payload is not payload
+        assert arrived.payload is not second_visit.payload
+        assert arrived.meta is not second_visit.meta
+        assert arrived.trace[0] == "cam" and arrived.trace is not original.trace

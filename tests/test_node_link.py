@@ -200,3 +200,30 @@ def test_unlimited_links_never_queue(sim):
     sim.run()
     assert len(b.inbox) == 100
     assert sim.now == pytest.approx(0.01)
+
+
+def test_created_at_stamped_on_first_send_only_even_at_time_zero(sim):
+    """A packet first sent at t = 0.0 keeps that stamp over later hops
+    (``if not packet.created_at`` used to re-stamp it at every relay)."""
+    a, relay, b = Host("a", sim), Host("relay", sim), Host("b", sim)
+    Link(sim, a, relay, latency=0.003)
+    out = Link(sim, relay, b, latency=0.003)
+    relay.responder = lambda packet: relay.send(packet, out.port_a) and None
+    a.send(Packet(src="a", dst="b"))
+    sim.run()
+    (arrived,) = b.inbox
+    assert sim.now == pytest.approx(0.006)
+    assert arrived.trace == ["a", "relay"]
+    assert arrived.created_at == 0.0
+
+
+def test_created_at_of_a_copy_keeps_the_origins_stamp(sim):
+    a, b, __ = make_pair(sim, latency=0.25)
+    sim.run(until=1.0)
+    a.send(Packet(src="a", dst="b"))
+    sim.run()
+    (arrived,) = b.inbox
+    clone = arrived.copy()
+    b.send(clone)
+    sim.run()
+    assert arrived.created_at == clone.created_at == 1.0

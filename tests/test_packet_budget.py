@@ -1,0 +1,84 @@
+"""The per-packet call budget of the conforming-traffic path.
+
+Counts Python-level ``call`` events (``sys.setprofile``) per end-host
+packet delivered on a fixed seeded site -- e9-small at 2 s telemetry, warmed
+up, over a fixed simulated window -- so a trampoline added to the fast path
+(device -> edge -> tunnel -> MboxHost -> chain -> tunnel back -> edge -> hub,
+plus the telemetry alert -> channel -> controller -> view leg) fails a
+deterministic test instead of a noisy benchmark.  No timing is involved.
+
+Before the path was put on this budget the same window read 74.42 calls a
+packet with the security stack on and 27.17 with it off
+(``with_iotsec=False``); it reads 52.42 and 22.67 now (Python 3.11; the
+ledger benchmark's ``home-steady`` mix, 80 devices, reads 71.1 -> 49.1 and
+its ``bare-forward`` 23.9 -> 19.4).  Comprehensions are calls before Python
+3.12, so the ceilings are upper bounds taken on the older interpreters; the
+count can only read lower on a newer one.
+
+The layer-by-layer table and the list of entry points that must stay real
+call boundaries (the ledger benchmark wraps them) are in
+``docs/architecture.md``, "Performance architecture".
+"""
+
+from __future__ import annotations
+
+import sys
+
+from tests.test_hot_path_equivalence import build_e9_small
+
+WARMUP = 20.0
+WINDOW = 60.0
+
+#: Calls per delivered packet at the commit before the budget, stack on.
+PARENT_STACK = 74.42
+#: What the path achieves now, plus two calls of slack (the bare ceiling
+#: sits below the 27.17 of that commit).
+STACK_CEILING = 54.5
+BARE_CEILING = 24.7
+#: Simulated work in the window, unchanged from that commit: the budget
+#: removes calls, never events.
+STACK_EVENTS, BARE_EVENTS, PACKETS = 2040, 1140, 360
+
+
+def measure(with_iotsec: bool) -> tuple[float, int, int]:
+    """``(calls per packet, events, packets)`` over the counted window."""
+    dep, attacker = build_e9_small(telemetry_period=2.0, with_iotsec=with_iotsec)
+    end_hosts = [*dep.devices.values(), dep.hub, dep.internet, attacker]
+    dep.run(until=WARMUP)
+    packets = sum(node.rx_count for node in end_hosts)
+    events = dep.sim.events_processed
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        dep.run(until=WARMUP + WINDOW)
+    finally:
+        sys.setprofile(previous)
+    packets = sum(node.rx_count for node in end_hosts) - packets
+    events = dep.sim.events_processed - events
+    return calls / packets, events, packets
+
+
+def test_stack_path_stays_within_its_call_budget():
+    calls_per_packet, events, packets = measure(with_iotsec=True)
+    assert (events, packets) == (STACK_EVENTS, PACKETS)
+    assert calls_per_packet <= 0.75 * PARENT_STACK
+    assert calls_per_packet <= STACK_CEILING, (
+        f"{calls_per_packet:.2f} Python calls per delivered packet (ceiling "
+        f"{STACK_CEILING}): something on the conforming-traffic path gained a call"
+    )
+
+
+def test_bare_forwarding_stays_within_its_call_budget():
+    calls_per_packet, events, packets = measure(with_iotsec=False)
+    assert (events, packets) == (BARE_EVENTS, PACKETS)
+    assert calls_per_packet <= BARE_CEILING, (
+        f"{calls_per_packet:.2f} Python calls per delivered packet (ceiling "
+        f"{BARE_CEILING}): plain forwarding gained a call"
+    )

@@ -156,6 +156,86 @@ def test_inspected_tunnel_return_decapsulated_and_reprocessed(sim):
     assert hosts["b"].inbox[0].meta.get("inspected") is True
 
 
+def _inspecting_site(sim):
+    """a -> sw (tunnel) -> c, which returns the envelope marked inspected
+    -> sw (bypass: a ``controller`` action, as the orchestrator compiles it)
+    -> packet-in handler forwards to b."""
+    sw, hosts = build(sim)
+    tunnel = FlowRule(
+        match=FlowMatch(dst="b"), actions=(Action.tunnel("b", port_of(sw, "c")),)
+    )
+    bypass = FlowRule(
+        match=FlowMatch(dst="b", in_port=port_of(sw, "c")),
+        actions=(Action.controller(),),
+        priority=900,
+    )
+    sw.install_many([tunnel, bypass])
+    sw.packet_in_handler = lambda switch, packet, in_port: switch.send(
+        packet, port_of(switch, packet.dst)
+    )
+
+    def inspect_and_return(outer):
+        back = tunnel_packet(outer.payload["inner"], ingress="c", target="b")
+        back.dst = "sw"
+        back.payload["inspected"] = True
+        return back
+
+    hosts["c"].responder = inspect_and_return
+    return sw, hosts, tunnel, bypass
+
+
+def test_inspected_return_counts_one_arrival_and_hits_on_the_inner_packet(sim):
+    """The unwrapped inner packet is looked up in the same ``on_packet``:
+    the switch counts the envelope's arrival once, the bypass rule counts
+    the *inner* packet's bytes, and the inner's trace gains one hop."""
+    sw, hosts, tunnel, bypass = _inspecting_site(sim)
+    inner = Packet(src="a", dst="b", payload={"cmd": "on"}, size=96)
+    hosts["a"].send(inner)
+    sim.run()
+    (arrived,) = hosts["b"].inbox
+    assert arrived is inner
+    assert arrived.trace == ["a", "sw"]
+    assert arrived.meta == {"inspected": True}
+    # two arrivals at the switch: the inner from a, the envelope from c
+    assert sw.rx_count == 2
+    assert sw.rx_bytes == 96 + (96 + 20)
+    assert sw.tx_count == 2
+    assert sw.punted == 1 and sw.miss_drops == 0 and sw.dropped == 0
+    assert (tunnel.hits, tunnel.hit_bytes) == (1, 96)
+    assert (bypass.hits, bypass.hit_bytes) == (1, 96)
+
+
+def test_nested_inspected_envelopes_unwrap_to_the_innermost_packet(sim):
+    sw, hosts, __, bypass = _inspecting_site(sim)
+    inner = Packet(src="a", dst="b", size=64)
+    packet = inner
+    for __ in range(2):
+        packet = tunnel_packet(packet, ingress="c", target="b")
+        packet.dst = "sw"
+        packet.payload["inspected"] = True
+    hosts["c"].responder = None
+    hosts["c"].send(packet)
+    sim.run()
+    assert hosts["b"].inbox == [inner]
+    assert sw.rx_count == 1 and sw.punted == 1
+    assert (bypass.hits, bypass.hit_bytes) == (1, 64)
+
+
+def test_table_miss_and_controller_action_share_the_punt_counters(sim):
+    sw, hosts = build(sim)
+    sw.install(FlowRule(match=FlowMatch(dst="b"), actions=(Action.controller(),)))
+    for dst in ("b", "c"):  # a rule hit with a controller action, then a miss
+        hosts["a"].send(Packet(src="a", dst=dst))
+    sim.run()
+    assert (sw.punted, sw.miss_drops) == (0, 2)
+    seen = []
+    sw.packet_in_handler = lambda switch, packet, in_port: seen.append(packet.dst)
+    for dst in ("b", "c"):
+        hosts["a"].send(Packet(src="a", dst=dst))
+    sim.run()
+    assert (sw.punted, sw.miss_drops) == (2, 2) and seen == ["b", "c"]
+
+
 def test_rules_for_device(sim):
     sw, __ = build(sim)
     sw.install(FlowRule(match=FlowMatch(dst="cam"), actions=(Action.drop(),)))
