@@ -31,6 +31,7 @@ arm's enforcing fraction above ``STORM_MIN_ENFORCING_FRAC``.
 from __future__ import annotations
 
 from _util import print_table, record
+from regression import FAILOVER_BLIND_RATIO, STORM_MIN_ENFORCING_FRAC
 
 from repro.faults.ha_scenario import run_failover_scenario, run_storm_scenario
 
@@ -116,9 +117,9 @@ def test_e13_controller_ha(scenario_benchmark):
 
     # Both arms face the identical attack schedule...
     assert crash["attack_attempts"] == standby["attack_attempts"]
-    # ...but failover collapses the blind window to well under a fifth of
-    # the cold-restart outage (the issue's acceptance bound is < 20%).
-    assert standby["blind_window_s"] < 0.2 * crash["blind_window_s"]
+    # ...but failover collapses the blind window to well under the gated
+    # share of the cold-restart outage.
+    assert standby["blind_window_s"] < FAILOVER_BLIND_RATIO * crash["blind_window_s"]
     assert standby["failovers"] == 1 and standby["restarts"] == 0
     assert crash["failovers"] == 0 and crash["restarts"] == 1
     # The standby adopts the primary's endpoint, so the alert retries that
@@ -130,9 +131,9 @@ def test_e13_controller_ha(scenario_benchmark):
 
     # Storm: same flood, same service rate, same capacity in both arms.
     assert fifo["events"] > 0 and shed["events"] > 0
-    # Shedding keeps >= 90% of enforcing-class alerts (the issue's bound);
-    # drop-tail loses them indiscriminately alongside the telemetry.
-    assert shed["enforcing_processed_frac"] >= 0.90
+    # Shedding keeps the gated share of enforcing-class alerts; drop-tail
+    # loses them indiscriminately alongside the telemetry.
+    assert shed["enforcing_processed_frac"] >= STORM_MIN_ENFORCING_FRAC
     assert fifo["enforcing_processed_frac"] < 0.5
     # Priority service also bounds enforcing-class queueing latency: the
     # storm cannot queue ahead of a real alert.

@@ -16,46 +16,17 @@ import types
 
 from _util import print_table, record, record_metrics
 
-from repro.attacks.exploits import EXPLOITS
-from repro.core.deployment import SecuredDeployment
-from repro.core.orchestrator import build_recommended_posture
-from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
+from repro.faults.scenario import e9_home, launch_e9_attacks
 from repro.netsim.simulator import Simulator
-
-FACTORY_CYCLE = [smart_camera, smart_plug, thermostat, smart_bulb]
 
 
 def run_scale(n_devices: int) -> dict:
     start = time.perf_counter()
-    dep = SecuredDeployment.build()
-    trusted = (dep.HUB, dep.CONTROLLER)
-    for i in range(n_devices):
-        factory = FACTORY_CYCLE[i % len(FACTORY_CYCLE)]
-        device = dep.add_device(factory, f"dev{i}", report_to="hub", telemetry_period=20.0)
-        device.start_telemetry()
-    attacker = dep.add_attacker()
-    dep.finalize()
-    for i in range(n_devices):
-        name = f"dev{i}"
-        device = dep.devices[name]
-        if "exposed-credentials" in device.firmware.flaw_classes():
-            posture = build_recommended_posture("password_proxy", name)
-        elif device.firmware.flaw_classes() & {"backdoor", "exposed-access"}:
-            posture = build_recommended_posture(
-                "stateful_firewall", name, trusted_sources=trusted
-            )
-        else:
-            posture = build_recommended_posture("monitor", name, sku=device.sku)
-        dep.secure(name, posture)
+    dep = e9_home(n_devices)
     build_s = time.perf_counter() - start
 
     # attack the first camera and the first plug
-    results = [
-        EXPLOITS["default_credential_hijack"].launch(attacker, "dev0", dep.sim),
-        EXPLOITS["backdoor_command"].launch(
-            attacker, "dev1", dep.sim, backdoor_port=49153, command="on"
-        ),
-    ]
+    results = launch_e9_attacks(dep)
     start = time.perf_counter()
     dep.run(until=600.0)
     run_s = time.perf_counter() - start

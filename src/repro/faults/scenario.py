@@ -27,7 +27,7 @@ the exposure window in CI.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.faults.plan import FaultEvent, FaultPlan
 
@@ -71,6 +71,80 @@ def standard_home(**planes: Any) -> "SecuredDeployment":
     dep.add_attacker()
     dep.finalize()
     return dep
+
+
+def e9_home(
+    n_devices: int,
+    telemetry_period: float = 20.0,
+    signatures: Sequence[dict] = (),
+    **planes: Any,
+) -> "SecuredDeployment":
+    """The E9 home: ``n_devices`` reporting devices and one attacker.
+
+    Device ``i`` is ``dev{i}``, built camera, plug, thermostat, bulb in
+    turn and telemetering to the hub; each is pinned to the posture its
+    flaw class calls for (password proxy for exposed credentials, a
+    stateful firewall for a backdoor or exposed access, a monitor
+    otherwise).  ``signatures`` (wire dicts) seed a local repository
+    before the postures go in, as a first federation sync would.
+    ``planes`` are :class:`SecuredDeployment` keywords; with
+    ``with_iotsec=False`` nothing is pinned.  Bench E9, bench E15's site
+    workers and the equivalence fixtures all run this home.
+    """
+    from repro.core.deployment import SecuredDeployment
+    from repro.core.orchestrator import build_recommended_posture
+    from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
+
+    factory_cycle = (smart_camera, smart_plug, thermostat, smart_bulb)
+    dep = SecuredDeployment.build(**planes)
+    for i in range(n_devices):
+        device = dep.add_device(
+            factory_cycle[i % len(factory_cycle)],
+            f"dev{i}",
+            report_to="hub",
+            telemetry_period=telemetry_period,
+        )
+        device.start_telemetry()
+    dep.add_attacker()
+    dep.finalize()
+    if not dep.with_iotsec:
+        return dep
+    dep.manager.capacity = max(dep.manager.capacity, n_devices + 8)
+    if signatures:
+        from repro.learning.repository import CrowdRepository
+        from repro.learning.signatures import AttackSignature
+
+        cache = CrowdRepository(dep.sim, free_rider_delay=0.0, base_delay=0.0)
+        for wire in signatures:
+            cache.publish(AttackSignature.from_dict(wire), reporter="coordinator")
+        dep.attach_repository(cache)
+    trusted = (dep.HUB, dep.CONTROLLER)
+    for name, device in dep.devices.items():
+        flaws = device.firmware.flaw_classes()
+        if "exposed-credentials" in flaws:
+            posture = build_recommended_posture("password_proxy", name)
+        elif flaws & {"backdoor", "exposed-access"}:
+            posture = build_recommended_posture(
+                "stateful_firewall", name, trusted_sources=trusted
+            )
+        else:
+            posture = build_recommended_posture("monitor", name, sku=device.sku)
+        dep.secure(name, posture)
+    return dep
+
+
+def launch_e9_attacks(dep: "SecuredDeployment") -> list[Any]:
+    """E9's two opening attacks: hijack the first camera's default
+    credentials, fire the first plug's backdoor."""
+    from repro.attacks.exploits import EXPLOITS
+
+    attacker = dep.attackers["attacker"]
+    return [
+        EXPLOITS["default_credential_hijack"].launch(attacker, "dev0", dep.sim),
+        EXPLOITS["backdoor_command"].launch(
+            attacker, "dev1", dep.sim, backdoor_port=49153, command="on"
+        ),
+    ]
 
 
 def schedule_wave(

@@ -1,8 +1,7 @@
 """Federated multi-site control plane (ROADMAP item: scaling §5.1 out).
 
 One :class:`GlobalCoordinator` owns the versioned cross-site
-:class:`SignatureRepository` and the cross-site policy bundle; each
-:class:`FederatedSite` wraps a full :class:`SecuredDeployment` slice with
+:class:`SignatureRepository`; each :class:`FederatedSite` wraps a full :class:`SecuredDeployment` slice with
 its own local signature cache, syncing over a WAN control channel that
 can partition.  Sites require one successful first sync, then enforce
 autonomously on cached policy for as long as the coordinator stays

@@ -1,11 +1,11 @@
-"""The global coordinator: cross-site policy + the versioned repository.
+"""The global coordinator: owner of the versioned repository.
 
 Section 5.1's "global controller", promoted to deployment scale: sites
 handle their own devices end to end; the coordinator owns only what must
-be fleet-wide -- the versioned :class:`SignatureRepository` and the
-cross-site policy bundle.  Everything it says to a site rides the WAN
-control channel, so partitions, latency and loss come from the same
-seeded fault model every other experiment uses.
+be fleet-wide -- the versioned :class:`SignatureRepository`.  Everything
+it says to a site rides the WAN control channel, so partitions, latency
+and loss come from the same seeded fault model every other experiment
+uses.
 
 Delivery model: accepted publications are **pushed** to every currently
 reachable site (one WAN hop of lag -- the fleet-immunity propagation
@@ -17,7 +17,7 @@ mechanism, the push only shaves propagation lag.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro.federation.repository import SignatureRepository
 
@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class GlobalCoordinator:
-    """Owns the signature log and the cross-site policy bundle."""
+    """Owns the fleet-wide signature log."""
 
     NAME = "coordinator"
 
@@ -44,11 +44,6 @@ class GlobalCoordinator:
         self.wan = wan
         self.repository = repository or SignatureRepository(sim, dlq=dlq)
         self.sites: dict[str, "FederatedSite"] = {}
-        #: Cross-site policy bundle (advisory posture map + knobs); sites
-        #: cache the latest version they saw and keep enforcing it while
-        #: the coordinator is unreachable.
-        self.policy_version = 0
-        self.policy_bundle: dict[str, Any] = {}
         self.sync_requests = 0
         self.reports = 0
         wan.register(self.NAME, self._on_message)
@@ -65,19 +60,6 @@ class GlobalCoordinator:
         self.sites[site.name] = site
         if self.wan.reachable(site.endpoint):
             self._send_updates(site.name, since=site.version)
-
-    # ------------------------------------------------------------------
-    # Policy distribution
-    # ------------------------------------------------------------------
-    def push_policy(self, bundle: Mapping[str, Any]) -> int:
-        """Publish a new cross-site policy bundle; returns its version."""
-        self.policy_version += 1
-        self.policy_bundle = dict(bundle)
-        body = {"version": self.policy_version, "bundle": self.policy_bundle}
-        for site in self.sites.values():
-            if self.wan.reachable(site.endpoint):
-                self.wan.send(self.NAME, site.endpoint, "policy-update", body)
-        return self.policy_version
 
     # ------------------------------------------------------------------
     # Message handling
@@ -103,11 +85,7 @@ class GlobalCoordinator:
             self.NAME,
             site.endpoint,
             "sync-updates",
-            {
-                "since": since,
-                "updates": updates,
-                "policy_version": self.policy_version,
-            },
+            {"since": since, "updates": updates},
         )
 
     def _broadcast(self, update: "Any", exclude: str = "") -> int:
@@ -131,7 +109,6 @@ class GlobalCoordinator:
     def snapshot(self) -> dict[str, Any]:
         return {
             "version": self.repository.version,
-            "policy_version": self.policy_version,
             "sites": len(self.sites),
             "converged": self.converged(),
             "sync_requests": self.sync_requests,

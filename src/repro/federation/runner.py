@@ -20,12 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.attacks.exploits import EXPLOITS
-from repro.core.deployment import SecuredDeployment
-from repro.core.orchestrator import build_recommended_posture
-from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
-from repro.learning.repository import CrowdRepository
-from repro.learning.signatures import AttackSignature
+from repro.faults.scenario import e9_home, launch_e9_attacks
 
 
 @dataclass(frozen=True)
@@ -36,7 +31,6 @@ class SiteSpec:
     devices: int
     horizon: float = 120.0
     telemetry_period: float = 20.0
-    attack: bool = True
     #: Coordinator signature log at launch (wire dicts), the site's
     #: cached global state -- applied before the clock starts.
     signatures: tuple = field(default_factory=tuple)
@@ -84,46 +78,11 @@ def run_site_worker(spec: SiteSpec) -> dict[str, Any]:
     signature repository: the standard library plus ``repro``, about 160
     modules, and no third-party graph library.
     """
-    factory_cycle = (smart_camera, smart_plug, thermostat, smart_bulb)
     build_start = time.perf_counter()
-    dep = SecuredDeployment.build()
-    dep.manager.capacity = max(256, spec.devices + 8)
-    trusted = (dep.HUB, dep.CONTROLLER)
-    for i in range(spec.devices):
-        factory = factory_cycle[i % len(factory_cycle)]
-        device = dep.add_device(
-            factory, f"dev{i}", report_to="hub", telemetry_period=spec.telemetry_period
-        )
-        device.start_telemetry()
-    attacker = dep.add_attacker() if spec.attack else None
-    dep.finalize()
-    if spec.signatures:
-        cache = CrowdRepository(dep.sim, free_rider_delay=0.0, base_delay=0.0)
-        for wire in spec.signatures:
-            cache.publish(AttackSignature.from_dict(wire), reporter="coordinator")
-        dep.attach_repository(cache)
-    for i in range(spec.devices):
-        name = f"dev{i}"
-        device = dep.devices[name]
-        if "exposed-credentials" in device.firmware.flaw_classes():
-            posture = build_recommended_posture("password_proxy", name)
-        elif device.firmware.flaw_classes() & {"backdoor", "exposed-access"}:
-            posture = build_recommended_posture(
-                "stateful_firewall", name, trusted_sources=trusted
-            )
-        else:
-            posture = build_recommended_posture("monitor", name, sku=device.sku)
-        dep.secure(name, posture)
+    dep = e9_home(spec.devices, spec.telemetry_period, spec.signatures)
     build_s = time.perf_counter() - build_start
 
-    results = []
-    if attacker is not None and spec.devices >= 2:
-        results = [
-            EXPLOITS["default_credential_hijack"].launch(attacker, "dev0", dep.sim),
-            EXPLOITS["backdoor_command"].launch(
-                attacker, "dev1", dep.sim, backdoor_port=49153, command="on"
-            ),
-        ]
+    results = launch_e9_attacks(dep) if spec.devices >= 2 else []
     run_start = time.perf_counter()
     dep.run(until=spec.horizon)
     run_s = time.perf_counter() - run_start

@@ -62,9 +62,6 @@ class AbstractEnvironment:
             exogenous=tuple(sorted(exogenous)),
         )
 
-    def variable_names(self) -> tuple[str, ...]:
-        return tuple(name for name, __ in self.variables)
-
     def levels_of(self, name: str) -> tuple[str, ...]:
         for var, levels in self.variables:
             if var == name:

@@ -49,9 +49,6 @@ class ExtractionReport:
     def effects_for_state(self, state: str) -> list[ObservedEffect]:
         return [e for e in self.effects if e.state == state]
 
-    def touched_variables(self) -> set[str]:
-        return {e.variable for e in self.effects}
-
     def as_response_rules(self) -> list[ResponseRule]:
         """Crude rule synthesis: each observed effect becomes a response
         rule keyed on a synthetic per-device-state input.  Useful for

@@ -211,12 +211,8 @@ class MboxHost(Node):
         alert_sink: Callable[[Alert], None] | None = None,
         default_verdict: Verdict = Verdict.DROP,
         boot_queue_limit: int = 64,
-        processing_latency: float = 0.0,
     ) -> None:
         super().__init__(name, sim)
-        if processing_latency < 0:
-            raise ValueError("processing_latency must be >= 0")
-        self.processing_latency = processing_latency
         self.mboxes: dict[str, Mbox] = {}          # device -> mbox
         self.view = view or (lambda key: None)
         self.alert_sink = alert_sink or (lambda alert: None)
@@ -263,9 +259,8 @@ class MboxHost(Node):
             **self.metric_labels,
         )
         self._alert_counters: dict[str, Any] = {}
-        # Zero-latency inspection reuses one context per device (only
-        # ``packet`` varies); a delayed inspection gets a fresh context so
-        # an in-flight one never sees a later packet.
+        # Inspection is synchronous, so one context per device is reused
+        # (only ``packet`` varies).
         self._ctx_cache: dict[str, MboxContext] = {}
 
     # ------------------------------------------------------------------
@@ -367,48 +362,18 @@ class MboxHost(Node):
         copied = inner.copy()
         copied.meta["direction"] = direction
 
-        if self.processing_latency > 0:
-            # Model the µmbox's per-packet compute cost ("lightweight and
-            # not ... high traffic rates", section 5.2) in simulated time.
-            # Fresh context: it must still hold *this* packet when the
-            # delayed inspection fires.
+        ctx = self._ctx_cache.get(device)
+        if ctx is None or ctx.mbox_name != mbox.name:
             ctx = MboxContext(
                 sim=self.sim,
                 mbox_name=mbox.name,
                 device=device,
                 view=self.view,
                 emit_alert=self._on_alert,
-                packet=copied,
             )
-            self.sim.schedule(
-                self.processing_latency, self._inspect, mbox, copied, ctx, ingress, device, in_port
-            )
-        else:
-            ctx = self._ctx_cache.get(device)
-            if ctx is None or ctx.mbox_name != mbox.name:
-                ctx = MboxContext(
-                    sim=self.sim,
-                    mbox_name=mbox.name,
-                    device=device,
-                    view=self.view,
-                    emit_alert=self._on_alert,
-                )
-                self._ctx_cache[device] = ctx
-            ctx.packet = copied
-            verdict, result = mbox.process(copied, ctx)
-            if verdict is Verdict.PASS:
-                self._return_packet(result, ingress, device, in_port)
-
-    def _inspect(
-        self,
-        mbox: "Mbox",
-        packet: Packet,
-        ctx: MboxContext,
-        ingress: str,
-        device: str,
-        in_port: int,
-    ) -> None:
-        verdict, result = mbox.process(packet, ctx)
+            self._ctx_cache[device] = ctx
+        ctx.packet = copied
+        verdict, result = mbox.process(copied, ctx)
         if verdict is Verdict.PASS:
             self._return_packet(result, ingress, device, in_port)
 

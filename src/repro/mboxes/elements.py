@@ -7,7 +7,7 @@ gates (the Fig. 5 occupancy condition), logging, and telemetry tapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.mboxes.base import Element, MboxContext, Verdict
@@ -241,14 +241,3 @@ class LoginMonitor(Element):
                 username=packet.payload.get("username"),
             )
         return Verdict.PASS, packet
-
-
-@dataclass
-class ElementChainStats:
-    """Aggregated pipeline statistics (used by the agility bench)."""
-
-    elements: int = 0
-    passes: int = 0
-    drops: int = 0
-    rewrites: int = 0
-    per_element: dict[str, int] = field(default_factory=dict)

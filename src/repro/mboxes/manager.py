@@ -385,12 +385,6 @@ class MboxManager:
         self._stop_health = self.sim.every(period, self._health_sweep)
         return self._stop_health
 
-    def stop_health_checks(self) -> None:
-        if self._stop_health is not None:
-            self._stop_health()
-            self._stop_health = None
-            self.health_check_period = None
-
     def _outage_for(self, device: str) -> OutageRecord | None:
         for record in reversed(self.outages):
             if record.device == device:

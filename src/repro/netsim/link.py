@@ -116,9 +116,6 @@ class Link:
             return self.a
         raise ValueError(f"{node!r} is not attached to this link")
 
-    def _ingress_port(self, receiver: "Node") -> int:
-        return self.port_a if receiver is self.a else self.port_b
-
     def transmit(self, sender: "Node", packet: Packet) -> None:
         """Schedule delivery of ``packet`` to the far end.
 

@@ -769,9 +769,6 @@ class StreamConsumer:
         """Reputation decision: quarantine everything this host sends."""
         self.flagged.add(host)
 
-    def unflag_host(self, host: str) -> None:
-        self.flagged.discard(host)
-
     def _host_flagged(self, host: str) -> bool:
         if host in self.flagged:
             return True

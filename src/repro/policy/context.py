@@ -115,12 +115,6 @@ class SystemState(Mapping[str, str]):
             return self._items == other._items
         return NotImplemented
 
-    def with_values(self, **overrides: str) -> "SystemState":
-        """A copy with some ``key=value`` entries replaced (keys use the
-        ``kind_name`` form is not supported here -- pass full keys via
-        :meth:`updated` instead)."""
-        return self.updated({k.replace("__", ":"): v for k, v in overrides.items()})
-
     def updated(self, changes: Mapping[str, str]) -> "SystemState":
         merged = dict(self._items)
         merged.update(changes)

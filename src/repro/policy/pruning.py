@@ -87,9 +87,6 @@ class ProjectedTable:
     def size(self) -> int:
         return len(self.table)
 
-    def distinct_postures(self) -> set[Posture]:
-        return set(self.table.values()) | {self.default}
-
 
 _NO_DEVICES: frozenset[str] = frozenset()
 

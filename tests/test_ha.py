@@ -340,14 +340,14 @@ class TestFailover:
         dep.run(until=15.0)
         assert dep.controller.view.get("ctx:cam") == "suspicious"
 
-    def test_scenario_blind_window_ratio(self):
-        """The E13 acceptance bound: failover's blind window is under 20%
-        of the cold-restart outage, and nothing retried at the dead
-        primary is abandoned."""
+    def test_scenario_blind_window_ratio(self, gate):
+        """The E13 acceptance bound: failover's blind window stays under
+        the gated share of the cold-restart outage, and nothing retried at
+        the dead primary is abandoned."""
         from repro.faults.ha_scenario import run_failover_scenario
 
         crash = run_failover_scenario(standby=False)
         standby = run_failover_scenario(standby=True)
         assert standby["failovers"] == 1 and crash["restarts"] == 1
-        assert standby["blind_window_s"] < 0.2 * crash["blind_window_s"]
+        assert standby["blind_window_s"] < gate.FAILOVER_BLIND_RATIO * crash["blind_window_s"]
         assert standby["ctrl_giveups"] == 0

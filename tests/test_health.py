@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.deployment import SecuredDeployment
 from repro.core.metrics import summarize
-from repro.faults.scenario import run_health_scenario
+from repro.faults.scenario import e9_home, launch_e9_attacks, run_health_scenario
 from repro.netsim.simulator import Simulator
 from repro.obs.health import (
     HEALTH_CRITICAL,
@@ -182,6 +182,29 @@ class TestDeploymentPlane:
         # No health timer: the only events are the deployment's own.
         assert dep.sim.journal.recorded == 0
         assert summarize(dep).health == {}
+
+    def test_plane_costs_its_ticks_and_observe_false_is_a_null_instrument(self):
+        """The E9 home under attack, observed and not: the same simulated
+        work plus one event per SLO tick; off, nothing is registered,
+        traced or journaled.  Retention stays inside the journal's ring."""
+        runs = {}
+        for observe in (True, False):
+            dep = e9_home(20, sim=Simulator(observe=observe), health=True)
+            launch_e9_attacks(dep)
+            dep.run(until=600.0)
+            assert not any(d.is_compromised() for d in dep.devices.values())
+            runs[observe] = dep
+        on, off = runs[True], runs[False]
+        ticks = on.health_plane.slos.ticks
+        assert ticks > 0 and off.health_plane.slos.ticks == 0
+        assert on.sim.events_processed == off.sim.events_processed + ticks
+        assert on.health_plane.health.rollup() == "ok"
+        assert on.health_plane.slos.breach_total() == 0
+        assert len(off.sim.metrics) == 0 and off.sim.tracer.started == 0
+        assert off.sim.journal.recorded == 0
+        journal = on.sim.journal
+        assert len(on.sim.metrics) > 0 and on.sim.tracer.started > 0
+        assert 0 < len(journal) <= journal.segment_size * journal.max_segments
 
 
 class TestHealthScenarios:

@@ -37,17 +37,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.attacks.exploits import EXPLOITS
-from repro.core.deployment import SecuredDeployment
-from repro.core.orchestrator import build_recommended_posture
-from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
 from repro.faults.ha_scenario import run_failover_scenario
-from repro.faults.scenario import run_resilience_scenario
+from repro.faults.scenario import e9_home, launch_e9_attacks, run_resilience_scenario
 
 FIXTURE_PATH = Path(__file__).resolve().parent / "fixtures" / "hot_path_equivalence.json"
 RECORDING = bool(os.environ.get("REPRO_RECORD_FIXTURES"))
-
-FACTORY_CYCLE = (smart_camera, smart_plug, thermostat, smart_bulb)
 
 
 # Journal fields backed by process-global allocation counters (packet ids,
@@ -118,33 +112,9 @@ def build_e9_small(
 ):
     """The E9 home in miniature: reporting devices under E9's posture mix
     and its two opening attacks.  Returns ``(deployment, attacker)``."""
-    dep = SecuredDeployment.build(with_iotsec=with_iotsec)
-    trusted = (dep.HUB, dep.CONTROLLER)
-    for i in range(n_devices):
-        factory = FACTORY_CYCLE[i % len(FACTORY_CYCLE)]
-        device = dep.add_device(
-            factory, f"dev{i}", report_to="hub", telemetry_period=telemetry_period
-        )
-        device.start_telemetry()
-    attacker = dep.add_attacker()
-    dep.finalize()
-    for i in range(n_devices if with_iotsec else 0):
-        name = f"dev{i}"
-        device = dep.devices[name]
-        if "exposed-credentials" in device.firmware.flaw_classes():
-            posture = build_recommended_posture("password_proxy", name)
-        elif device.firmware.flaw_classes() & {"backdoor", "exposed-access"}:
-            posture = build_recommended_posture(
-                "stateful_firewall", name, trusted_sources=trusted
-            )
-        else:
-            posture = build_recommended_posture("monitor", name, sku=device.sku)
-        dep.secure(name, posture)
-    EXPLOITS["default_credential_hijack"].launch(attacker, "dev0", dep.sim)
-    EXPLOITS["backdoor_command"].launch(
-        attacker, "dev1", dep.sim, backdoor_port=49153, command="on"
-    )
-    return dep, attacker
+    dep = e9_home(n_devices, telemetry_period, with_iotsec=with_iotsec)
+    launch_e9_attacks(dep)
+    return dep, dep.attackers["attacker"]
 
 
 def run_e9_small(n_devices: int = 12, until: float = 240.0) -> dict:

@@ -146,24 +146,6 @@ def test_inner_packet_not_mutated_across_inspection(sim, rig):
     assert returned.pkt_id != inner.pkt_id
 
 
-def test_processing_latency_defers_inspection(sim, rig):
-    host, switch_side = rig
-    host.processing_latency = 0.010
-    host.bind("dev", Mbox("m1", "dev", []))
-    send_tunnelled(sim, switch_side, {"cmd": "x"})
-    sim.run(until=0.005)
-    assert host.returned == 0  # still "computing"
-    sim.run()
-    assert host.returned == 1
-    # one-way: link (1ms) + processing (10ms) + link back (1ms)
-    assert sim.now == pytest.approx(0.012)
-
-
-def test_processing_latency_validation(sim):
-    with pytest.raises(ValueError):
-        MboxHost("c", sim, processing_latency=-0.1)
-
-
 class TestBackpressureWindow:
     """Shed-mode sampling journals what it elided, per device, per window."""
 

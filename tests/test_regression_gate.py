@@ -1,106 +1,164 @@
 """The perf-regression gate (``benchmarks/regression.py``) as a pure function.
 
-The gate's ``compare`` takes plain dicts, so every CI-failure mode --
-including the acceptance criterion's synthetic >20% E9 throughput drop --
-is exercised here without running a single benchmark (the bench imports
-inside ``measure()`` are lazy for exactly this reason).
+The gate's ``compare`` takes plain dicts, so every CI-failure mode -- a
+synthetic ``stack.tax_x`` or ``obs.cost_frac`` rise, a one-count change in
+an exact counter -- is exercised here without running a single benchmark
+(the bench imports inside ``measure()`` are lazy for exactly this reason).
+The ``gate`` fixture lives in ``conftest.py``.
 """
 
-import importlib.util
 import json
-import sys
+import re
 from pathlib import Path
 
 import pytest
 
-_GATE_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "regression.py"
-
-
-@pytest.fixture(scope="module")
-def gate():
-    spec = importlib.util.spec_from_file_location("regression_gate", _GATE_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("regression_gate", module)
-    spec.loader.exec_module(module)
-    return module
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _baseline():
     return {
-        "e9": [
-            {
+        "e9": {
+            "80dev": {
                 "devices": 80,
                 "events": 13_530,
                 "events_per_s": 100_000.0,
                 "pipeline_rounds": 30,
                 "pipeline_applies": 160,
             }
-        ],
-        "obs_overhead": 0.01,
+        },
     }
 
 
-def _current(events_per_s=100_000.0, **overrides):
-    row = dict(_baseline()["e9"][0], events_per_s=events_per_s, **overrides)
-    return {"e9": [row], "obs_overhead": 0.01}
+def _current(**overrides):
+    return {"e9": {"80dev": dict(_baseline()["e9"]["80dev"], **overrides)}}
 
 
-class TestThroughputGate:
-    def test_synthetic_25pct_drop_fails(self, gate):
-        """Acceptance: a synthetic >20% E9 throughput drop trips the gate."""
-        violations = gate.compare(
-            _current(events_per_s=75_000.0), _baseline(), throughput_regression=0.20
-        )
+def _ledger(gate, **overrides):
+    row = {
+        "pkts_per_s": 50_000.0,
+        "pkts_per_s_spread": 0.03,
+        "stack.tax_x": 4.0,
+        "obs.cost_frac": 0.0,
+        "ledger.closure_frac": 1.0,
+        "failed_checks": [],
+    }
+    row.update({f"{layer}.calls_per_pkt": 1.0 for layer in gate.FAST_PATH_LAYERS})
+    row.update(overrides)
+    return {"ledger": row}
+
+
+class TestLedgerGate:
+    """Wall clock is gated only as what one ledger process measures
+    against itself."""
+
+    def test_healthy_readings_pass(self, gate):
+        assert gate.compare(_ledger(gate), _baseline()) == []
+
+    def test_stack_tax_rise_fails(self, gate):
+        current = _ledger(gate, **{"stack.tax_x": gate.STACK_TAX_LIMIT * 1.1})
+        violations = gate.compare(current, _baseline())
         assert len(violations) == 1
-        assert "e9@80dev" in violations[0]
-        assert "throughput dropped 25.0%" in violations[0]
+        assert violations[0].startswith("ledger/stack.tax_x")
 
-    def test_10pct_drop_passes(self, gate):
-        violations = gate.compare(
-            _current(events_per_s=90_000.0), _baseline(), throughput_regression=0.20
-        )
-        assert violations == []
+    def test_inlined_fast_path_layer_fails(self, gate):
+        current = _ledger(gate, **{"mboxes.host.calls_per_pkt": 0.0})
+        violations = gate.compare(current, _baseline())
+        assert len(violations) == 1
+        assert violations[0].startswith("ledger/mboxes.host.calls_per_pkt")
 
-    def test_speedup_never_fails(self, gate):
-        assert gate.compare(_current(events_per_s=250_000.0), _baseline()) == []
+    def test_failed_ledger_check_is_named(self, gate):
+        check = "ledger.closure_frac within [0.9, 1.1]"
+        violations = gate.compare(_ledger(gate, failed_checks=[check]), _baseline())
+        assert violations == [f"ledger: correctness check failed: {check}"]
 
-    def test_sizes_missing_from_baseline_are_skipped(self, gate):
-        current = _current(events_per_s=10.0)
-        current["e9"][0]["devices"] = 160  # no such baseline row
+    def test_raw_wall_clock_is_never_gated(self, gate):
+        """A tenfold packet-rate drop on a slower machine is not a violation."""
+        assert gate.compare(_ledger(gate, pkts_per_s=5_000.0), _baseline()) == []
+        assert gate.compare(_current(events_per_s=10_000.0), _baseline()) == []
+
+    def test_missing_ledger_section_is_not_a_violation(self, gate):
+        assert gate.compare(_current(), _baseline()) == []
+        assert gate.compare({"ledger": {}}, _baseline()) == []
+
+
+class TestOverheadGate:
+    """The observability-overhead gate, read from the ledger's
+    ``obs.cost_frac`` (same run with and without instruments, one process)."""
+
+    def test_excessive_obs_overhead_fails(self, gate):
+        current = _ledger(gate, **{"obs.cost_frac": gate.OBS_COST_LIMIT + 0.05})
+        violations = gate.compare(current, _baseline())
+        assert len(violations) == 1
+        assert violations[0].startswith("ledger/obs.cost_frac")
+
+    def test_missing_overhead_is_not_a_violation(self, gate):
+        current = _ledger(gate)
+        del current["ledger"]["obs.cost_frac"]
         assert gate.compare(current, _baseline()) == []
+
+
+class TestExitCode:
+    """``main`` with the measurement stubbed: exit 1 names the gate."""
+
+    def _run(self, gate, monkeypatch, capsys, current):
+        entries = []
+        monkeypatch.setattr(gate, "measure", lambda: current)
+        monkeypatch.setattr(gate, "append_trajectory", entries.append)
+        code = gate.main([])
+        return code, capsys.readouterr().out, entries[0]
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ({"stack.tax_x": 9.0}, "ledger/stack.tax_x"),
+            ({"obs.cost_frac": 0.5}, "ledger/obs.cost_frac"),
+            ({"sdn.channel.calls_per_pkt": 0}, "ledger/sdn.channel.calls_per_pkt"),
+        ],
+    )
+    def test_synthetic_regression_exits_1_naming_the_gate(
+        self, gate, monkeypatch, capsys, override, named
+    ):
+        code, out, entry = self._run(gate, monkeypatch, capsys, _ledger(gate, **override))
+        assert code == 1
+        assert "REGRESSIONS DETECTED" in out and named in out
+        assert any(named in v for v in entry["violations"])
+
+    def test_clean_run_exits_0_and_records_the_readings(self, gate, monkeypatch, capsys):
+        code, out, entry = self._run(gate, monkeypatch, capsys, _ledger(gate))
+        assert code == 0 and "no regressions" in out
+        assert entry["violations"] == [] and entry["ledger"]["ledger"]["pkts_per_s"] == 50_000.0
 
 
 class TestDeterminismGate:
     def test_event_count_drift_fails(self, gate):
-        violations = gate.compare(
-            _current(events=14_000), _baseline(), event_count_drift=0.02
-        )
+        violations = gate.compare(_current(events=14_000), _baseline())
         assert len(violations) == 1
-        assert "events" in violations[0]
+        assert "e9/80dev" in violations[0] and "events" in violations[0]
         assert "re-record the baselines" in violations[0]
 
     def test_pipeline_counter_drift_fails(self, gate):
-        violations = gate.compare(
-            _current(pipeline_applies=200), _baseline(), event_count_drift=0.02
-        )
+        violations = gate.compare(_current(pipeline_applies=200), _baseline())
         assert any("pipeline_applies" in v for v in violations)
 
-    def test_within_drift_tolerance_passes(self, gate):
-        assert gate.compare(_current(events=13_531), _baseline()) == []
+    def test_one_count_change_in_any_listed_counter_fails(self, gate):
+        """Exact means exact: every key of every section, off by one."""
+        for section, keys in gate.EXACT.items():
+            for key in keys:
+                baseline = {section: {"arm": {"nested": {key: 7}}}}
+                current = {section: {"arm": {"nested": {key: 8}}}}
+                violations = gate.exact_drift(current, baseline)
+                assert len(violations) == 1, (section, key)
+                assert f"{section}/arm/nested" in violations[0] and key in violations[0]
+                assert gate.exact_drift(baseline, baseline) == []
 
-
-class TestOverheadGate:
-    def test_excessive_obs_overhead_fails(self, gate):
-        current = _current()
-        current["obs_overhead"] = 0.15
-        violations = gate.compare(current, _baseline(), obs_overhead_limit=0.10)
-        assert len(violations) == 1
-        assert "obs-overhead" in violations[0]
-
-    def test_missing_overhead_is_not_a_violation(self, gate):
-        current = _current()
-        current["obs_overhead"] = None
+    def test_sizes_missing_from_baseline_are_skipped(self, gate):
+        current = {"e9": {"160dev": dict(_current()["e9"]["80dev"], events=1)}}
         assert gate.compare(current, _baseline()) == []
+
+    def test_drift_message_is_stated_once(self, gate):
+        source = (ROOT / "benchmarks" / "regression.py").read_text()
+        assert source.count("re-record the baselines") == 1
 
 
 def _e12(resilient_exposure=3.0, baseline_exposure=24.0, **overrides):
@@ -138,7 +196,7 @@ class TestResilienceGate:
         current["e12"] = _e12(resilient_exposure=3.9)  # +30%
         baseline = _baseline()
         baseline["e12"] = _e12()
-        violations = gate.compare(current, baseline, resilience_regression=0.20)
+        violations = gate.compare(current, baseline)
         assert any("exposure window grew 30.0%" in v for v in violations)
 
     def test_exposure_within_threshold_passes(self, gate):
@@ -146,7 +204,7 @@ class TestResilienceGate:
         current["e12"] = _e12(resilient_exposure=3.3)  # +10%
         baseline = _baseline()
         baseline["e12"] = _e12()
-        assert gate.compare(current, baseline, resilience_regression=0.20) == []
+        assert gate.compare(current, baseline) == []
 
     def test_deterministic_counter_drift_fails(self, gate):
         current = _current()
@@ -164,23 +222,64 @@ class TestResilienceGate:
 
 class TestThresholdConfig:
     def test_thresholds_pinned_in_one_config_block(self, gate):
-        # Tightened from 0.20 once the hot-path refactor recovered the
-        # PR-5 regression: throughput is now guarded at 10%.
-        assert gate.THROUGHPUT_REGRESSION == 0.10
-        assert gate.OBS_OVERHEAD_LIMIT == 0.10
-        assert gate.OBS_PROFILE_FRAC == 0.10
-        assert gate.EVENT_COUNT_DRIFT == 0.02
         assert gate.RESILIENCE_REGRESSION == 0.20
-        assert set(gate.DETERMINISTIC_KEYS) == {
-            "events",
-            "pipeline_rounds",
-            "pipeline_applies",
-        }
+        assert 1.0 < gate.STACK_TAX_LIMIT and 0.0 < gate.OBS_COST_LIMIT < 1.0
+        assert set(gate.EXACT["e9"]) == {"events", "pipeline_rounds", "pipeline_applies"}
+        assert set(gate.EXACT) == set(gate.BASELINES)
 
-    def test_env_overrides(self, gate, monkeypatch):
-        monkeypatch.setenv("REPRO_REGRESSION_THROUGHPUT", "0.5")
-        violations = gate.compare(_current(events_per_s=60_000.0), _baseline())
-        assert violations == []  # 40% drop allowed under the override
+    def test_no_threshold_reads_the_environment(self, gate):
+        source = (ROOT / "benchmarks" / "regression.py").read_text()
+        assert "environ" not in source
+
+
+def _unread_ci_env(ci_text: str) -> list[str]:
+    """``REPRO_*`` names a CI step sets that the file it runs never reads.
+
+    A step is the text from one ``- name:``/``- uses:`` line to the next;
+    the files it runs are the ``benchmarks/`` or ``tests/`` paths in it (a
+    step naming none, like the tier-1 run, may be read by any of them).
+    """
+    unread = []
+    for step in re.split(r"\n\s+- (?=name:|uses:)", ci_text):
+        names = re.findall(r"^\s+(REPRO_\w+):", step, re.M)
+        files = [ROOT / path for path in re.findall(r"(?:benchmarks|tests)/[\w/]+\.py", step)]
+        if names and not files:
+            files = [*ROOT.glob("benchmarks/*.py"), *ROOT.glob("tests/*.py")]
+        texts = [path.read_text() for path in files if path.exists()]
+        unread += [name for name in names if not any(name in text for text in texts)]
+    return unread
+
+
+class TestCiEnvGuard:
+    """CI may not set a knob nothing reads, and no threshold is a knob."""
+
+    RUN_SELECTION_FLAGS = {"REPRO_E15_FULL", "REPRO_RECORD_FIXTURES"}
+
+    def test_every_ci_env_var_is_read_by_the_step_it_is_set_on(self):
+        ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        assert _unread_ci_env(ci) == []
+
+    def test_guard_catches_a_threshold_set_on_a_step_that_ignores_it(self):
+        step = """
+      - name: Durable-telemetry bench E14
+        run: python -m pytest -q -s benchmarks/bench_e14_durable_telemetry.py
+        env:
+          PYTHONPATH: src
+          REPRO_E14_PEAK_BUFFER: "1"
+      - name: Federation bench E15
+        run: python -m pytest -q -s benchmarks/bench_e15_federation.py
+        env:
+          REPRO_E15_FULL: "1"
+"""
+        assert _unread_ci_env(step) == ["REPRO_E14_PEAK_BUFFER"]
+
+    def test_only_run_selection_flags_are_read_from_the_environment(self):
+        ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        found = set(re.findall(r"^\s+(REPRO_\w+):", ci, re.M))
+        for top in ("src", "benchmarks", "tests", "examples"):
+            for path in (ROOT / top).rglob("*.py"):
+                found |= set(re.findall(r"environ[^\n]*?[\"'](REPRO_\w+)", path.read_text()))
+        assert found <= self.RUN_SELECTION_FLAGS, sorted(found - self.RUN_SELECTION_FLAGS)
 
 
 class TestTrajectory:
@@ -203,17 +302,28 @@ class TestTrajectory:
         history = json.loads(gate.TRAJECTORY_PATH.read_text())
         assert isinstance(history, list) and history
         entry = history[-1]
-        assert {"git_sha", "recorded_at", "e9", "obs_overhead", "violations"} <= set(
-            entry
-        )
+        assert {"git_sha", "recorded_at", "ledger", "e9", "violations"} <= set(entry)
+        readings = entry["ledger"]["ledger"]
+        assert {"pkts_per_s", "pkts_per_s_spread", "host.calib_events_per_s"} <= set(readings)
+        assert entry["violations"] == []
+
+    def test_entry_is_generated_from_the_tables(self, gate):
+        current = _ledger(gate)
+        current["e9"] = _current(events_per_s=1.0)["e9"]
+        current["e12"] = _e12()
+        summary = gate.summarize(current)
+        assert summary["e9"] == {
+            "e9/80dev": {"events": 13_530, "pipeline_rounds": 30, "pipeline_applies": 160}
+        }
+        assert summary["e12"]["e12/resilient"]["exposure_s"] == 3.0
+        assert "failed_checks" not in summary["ledger"]["ledger"]
 
 
 class TestBaselines:
     def test_committed_baselines_load(self, gate):
         baseline = gate.load_baseline()
         assert baseline["e9"], "E9 baseline missing from benchmarks/results/"
-        assert {row["devices"] for row in baseline["e9"]} >= set(gate.SWEEP)
-        assert baseline["obs_overhead"] is not None
+        assert set(baseline["e9"]) >= {f"{n}dev" for n in gate.SWEEP}
         assert set(baseline["e12"]) == {"baseline", "resilient"}, (
             "E12 baseline missing from benchmarks/results/"
         )
@@ -252,15 +362,13 @@ class TestSurvivabilityGate:
         this is the issue's acceptance bound, not a baseline delta."""
         current = _current()
         current["e13"] = _e13(blind_standby=5.0)  # 25% of 20s
-        violations = gate.compare(current, _baseline(), failover_blind_ratio=0.20)
+        violations = gate.compare(current, _baseline())
         assert any("blind window" in v for v in violations)
 
     def test_storm_fraction_below_floor_fails(self, gate):
         current = _current()
         current["e13"] = _e13(enforcing_frac=0.8)
-        violations = gate.compare(
-            current, _baseline(), storm_min_enforcing_frac=0.90
-        )
+        violations = gate.compare(current, _baseline())
         assert any("enforcing" in v for v in violations)
 
     def test_within_bounds_passes(self, gate):
@@ -332,7 +440,7 @@ class TestDurabilityGate:
     def test_peak_depth_beyond_ceiling_fails(self, gate):
         current = _current()
         current["e14"] = _e14(peak_depth=3000)
-        violations = gate.compare(current, _baseline(), e14_peak_buffer_limit=2048)
+        violations = gate.compare(current, _baseline())
         assert any("memory budget" in v for v in violations)
 
     def test_lossless_lossy_arm_fails(self, gate):
@@ -364,6 +472,31 @@ class TestDurabilityGate:
             "E14 baseline missing from benchmarks/results/"
         )
         assert baseline["e14"]["durable"]["telemetry_loss"] == 0
+
+
+class TestFederationGate:
+    """The E15 pair is defined in bench E15; the gate reads the floor the
+    row carries."""
+
+    def test_floor_follows_the_core_count(self, gate, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+        import bench_e15_federation as e15
+
+        pair = {"devices": e15.PAIR_SWEEP[-1], "speedup": 2.0, "compromised": 0}
+        for cores, violated in ((1, False), (2, False), (4, True)):
+            monkeypatch.setattr(
+                e15.os, "sched_getaffinity", lambda pid, n=cores: set(range(n)), raising=False
+            )
+            floor = e15.parallel_floor()
+            assert floor == e15.PARALLEL_EFFICIENCY * cores
+            current = {"e15": {"pair": {**pair, "min_speedup": floor}}}
+            violations = gate.compare(current, _baseline())
+            assert bool(violations) is violated
+            if violated:
+                assert "e15" in violations[0] and f"floor {floor}x" in violations[0]
+
+    def test_pair_without_a_floor_is_not_a_violation(self, gate):
+        assert gate.compare({"e15": {"pair": {"speedup": 0.5}}}, _baseline()) == []
 
 
 class TestHealthGate:
