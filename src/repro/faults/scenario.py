@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
 from repro.faults.plan import FaultEvent, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,7 +64,6 @@ def standard_home(**planes: Any) -> "SecuredDeployment":
     oven); the one attacker is ``dep.attackers["attacker"]``.
     """
     from repro.core.deployment import SecuredDeployment
-    from repro.devices.library import smart_camera, smart_plug
 
     dep = SecuredDeployment.build(**planes)
     dep.add_device(smart_camera, "cam")
@@ -93,7 +93,6 @@ def e9_home(
     """
     from repro.core.deployment import SecuredDeployment
     from repro.core.orchestrator import build_recommended_posture
-    from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
 
     factory_cycle = (smart_camera, smart_plug, thermostat, smart_bulb)
     dep = SecuredDeployment.build(**planes)

@@ -156,7 +156,7 @@ class TestDeterminismGate:
         current = {"e9": {"160dev": dict(_current()["e9"]["80dev"], events=1)}}
         assert gate.compare(current, _baseline()) == []
 
-    def test_drift_message_is_stated_once(self, gate):
+    def test_drift_message_is_stated_once(self):
         source = (ROOT / "benchmarks" / "regression.py").read_text()
         assert source.count("re-record the baselines") == 1
 
@@ -227,7 +227,7 @@ class TestThresholdConfig:
         assert set(gate.EXACT["e9"]) == {"events", "pipeline_rounds", "pipeline_applies"}
         assert set(gate.EXACT) == set(gate.BASELINES)
 
-    def test_no_threshold_reads_the_environment(self, gate):
+    def test_no_threshold_reads_the_environment(self):
         source = (ROOT / "benchmarks" / "regression.py").read_text()
         assert "environ" not in source
 
