@@ -481,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if violations else 0
     for rows in summary.values():
         for label, values in rows.items():
-            shown = (f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}" for k, v in values.items())
+            shown = (f"{k}={round(v, 4) if isinstance(v, float) else v}" for k, v in values.items())
             print(f"{label}: " + ", ".join(shown))
     print(f"trajectory: appended to {TRAJECTORY_PATH}")
     print(f"artifacts: journal, DLQ, health, federation and campaign samples -> {RESULTS_DIR}")
