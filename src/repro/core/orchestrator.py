@@ -10,8 +10,9 @@ Flow-rule scheme per secured device (priorities matter):
 ====  =========================================  =======================
 prio  match                                      action
 ====  =========================================  =======================
- 900  dst=D, in_port=cluster_port                forward(device_port)
+ 900  dst=D, in_port=cluster_port                controller (reactive fwd)
  890  src=D, in_port=cluster_port                controller (reactive fwd)
+ 700  src=D[, dst=peer], in_port=device_port     controller (reactive fwd)
  500  dst=D                                      tunnel(mbox, cluster_port)
  500  src=D                                      tunnel(mbox, cluster_port)
 ====  =========================================  =======================
@@ -20,12 +21,34 @@ Inspected packets return from the cluster on ``cluster_port`` and hit the
 900/890 bypasses, which is what breaks the re-tunnelling loop.  Device-to-
 device traffic is inspected by the *destination's* µmbox (the dst rule is
 installed ahead of the src rule at equal priority/specificity).
+
+The 700 rows exist only for a **pinned** device, one per *blind flow* of
+its chain.  A chain is blind to a flow when every element declares
+(:attr:`repro.mboxes.base.Element.blind_peers`) that it neither judges nor
+remembers such a packet: the µmbox would return it untouched, so the edge
+hands it straight to the same reactive forwarder inspected packets come
+back through -- two hops instead of four, and the destination's µmbox (if
+it has one) still sees it, because that forwarder re-tunnels toward an
+uninspected secured destination.  The rule names the device's own port, so
+a packet forging ``src=D`` from anywhere else still tunnels.  Pinned-only
+because a pinned posture is the administrator's vetted resting state that
+the policy loop never changes: the rules are static and ride the flow push
+``secure()`` makes anyway, and a policy-driven device (whose chain may be
+swapped under traffic at any instant) never has one.  They are withdrawn
+-- by direct removal in both update modes, since losing one only sends the
+packet to the tunnel rule beneath it -- on ``unpin``, on teardown and
+*before* a chain that is not blind to them is deployed.  (Consistent mode
+keeps one residual: an epoch whose install message is still on the wire at
+that instant was built before the withdrawal and carries the rule until the
+next epoch, pushed by the same action, supersedes it one flip later.)
+Fail-closed therefore covers what the chain inspects: while a pinned
+device's µmbox is down its blind outbound flows keep flowing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.mboxes.manager import MboxManager
 from repro.obs import COUNT_BUCKETS
@@ -40,7 +63,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 BYPASS_DST_PRIORITY = 900
 BYPASS_SRC_PRIORITY = 890
+OFFLOAD_PRIORITY = 700
 TUNNEL_PRIORITY = 500
+RULE_PRIORITIES = (BYPASS_DST_PRIORITY, BYPASS_SRC_PRIORITY, OFFLOAD_PRIORITY, TUNNEL_PRIORITY)
+
+#: The empty blind set: a chain with one undeclared module, and every
+#: device that is not pinned.
+_NOTHING: frozenset[str] = frozenset()
+
+
+def _peers_text(blind: frozenset[str] | None) -> str:
+    """A blind set as a journal field: ``*`` is any peer."""
+    return "*" if blind is None else ",".join(sorted(blind))
 
 
 @dataclass
@@ -84,6 +118,12 @@ class PostureOrchestrator:
         #: Devices whose posture an administrator pinned: the policy loop
         #: must not override these (it may still *observe* the device).
         self.pinned: set[str] = set()
+        #: Pinned device -> the blind set of its chain whose 700 rules are
+        #: (being) installed; absent means none.  ``_blind_by_chain`` holds
+        #: the derivation, once per distinct chain however many devices
+        #: share it.
+        self.offloaded: dict[str, frozenset[str] | None] = {}
+        self._blind_by_chain: dict[tuple[MboxSpec, ...], frozenset[str] | None] = {}
         # Observability: actuation gauges plus the per-switch rule batch
         # size distribution (one observation per flow push).
         metrics = sim.metrics
@@ -121,13 +161,68 @@ class PostureOrchestrator:
                 return record.at
         return None
 
+    def offload_violations(self) -> list[str]:
+        """Run-level invariant, checked over a finished (or paused) run:
+        every live 700 rule belongs to a pinned device, sits on that
+        device's own port, and names a flow its *current* chain declares
+        blind.  One line per offending rule; empty when it holds.  Reads
+        the tables and derives from the postures afresh, trusting neither
+        ``offloaded`` nor the per-chain memo.
+        """
+        violations = []
+        switches = {id(att.switch): att.switch for att in self.attachments.values()}
+        for switch in switches.values():
+            for rule in switch.flow_table:
+                if rule.priority != OFFLOAD_PRIORITY or rule.version not in (
+                    None,
+                    switch.active_version,
+                ):
+                    continue
+                device, peer = rule.match.src, rule.match.dst
+                att = self.attachments.get(device)
+                posture = self.current.get(device)
+                if att is None or att.switch is not switch or rule.match.in_port != att.device_port:
+                    why = "is not on the device's own port"
+                elif device not in self.pinned:
+                    why = "belongs to an unpinned device"
+                elif posture is None:
+                    why = "belongs to a device with no posture"
+                else:
+                    blind = posture.blind_peers()
+                    if blind is None or peer in blind:
+                        continue
+                    why = f"is not blind under {posture.summary()}"
+                violations.append(f"{switch.name}: offload {device} -> {peer or '*'} {why}")
+        return violations
+
     # ------------------------------------------------------------------
     def pin(self, device: str) -> None:
-        """Mark the device's posture as administratively pinned."""
+        """Mark the device's posture as administratively pinned.
+
+        Pin *before* applying the posture (as ``secure()`` does) and the
+        chain's blind flows ride that one flow push; pinning a chain that
+        is already running installs them here.
+        """
+        if device in self.pinned:
+            return
         self.pinned.add(device)
+        blind = self._blind_peers(device, self.current.get(device))
+        if blind != _NOTHING:
+            attachment = self.attachments[device]
+            self.offloaded[device] = blind
+            if self.updater is not None:
+                self._push_epoch(attachment.switch)
+            else:
+                attachment.switch.install_many(self._offload_rules(device, attachment))
+            self._journal_offload(device, "pin", offloaded=_peers_text(blind))
 
     def unpin(self, device: str) -> None:
+        """Hand the device back to the policy loop, which may swap its
+        chain at any instant: its blind flows return to the tunnel now."""
         self.pinned.discard(device)
+        withdrawn = self._withdraw_offload(device)
+        if withdrawn:
+            self._journal_offload(device, "unpin", withdrawn=withdrawn)
 
     def apply(self, device: str, posture: Posture) -> OrchestrationRecord | None:
         """Make ``posture`` effective for ``device``.  Idempotent."""
@@ -166,6 +261,19 @@ class PostureOrchestrator:
             trace = traces.get(device)
             now = self.sim.now
             flow_change = False
+            # Blind flows the new chain does not share leave the fabric
+            # before that chain is deployed, never after.
+            blind = self._blind_peers(device, posture)
+            offload: dict[str, str] = {}
+            if blind != self.offloaded.get(device, _NOTHING):
+                withdrawn = self._withdraw_offload(device)
+                if withdrawn:
+                    offload["withdrawn"] = withdrawn
+                if blind != _NOTHING:
+                    self.offloaded[device] = blind
+                    flow_change = True
+            if device in self.offloaded:
+                offload["offloaded"] = _peers_text(blind)
 
             if posture.is_permissive:
                 self._remove_tunnel(device, attachment, epoch_switches)
@@ -178,8 +286,14 @@ class PostureOrchestrator:
                 deploy = self.manager.deploy(device, posture)
                 mbox_name = self.manager.host.mboxes[device].name
                 if device not in self.tunnels:
-                    self._install_tunnel(device, attachment, installs, epoch_switches)
+                    self._install(
+                        self._device_rules, device, attachment, installs, epoch_switches
+                    )
                     flow_change = True
+                elif flow_change:  # a running chain gained blind flows
+                    self._install(
+                        self._offload_rules, device, attachment, installs, epoch_switches
+                    )
                 self.tunnels.bind(device, mbox_name)
                 ready_at = deploy.ready_at
                 operation = deploy.operation
@@ -208,6 +322,7 @@ class PostureOrchestrator:
                 previous=previous.name if previous is not None else "",
                 operation=operation,
                 ready_at=ready_at,
+                **offload,
             )
             record = OrchestrationRecord(
                 device=device,
@@ -268,15 +383,39 @@ class PostureOrchestrator:
         else:
             # Direct mode: rules are keyed by device/priority, not by mbox
             # instance, so a re-install refreshes them idempotently.
-            attachment.switch.remove_where(
-                lambda r: device in (r.match.src, r.match.dst)
-                and r.priority
-                in (BYPASS_DST_PRIORITY, BYPASS_SRC_PRIORITY, TUNNEL_PRIORITY)
-            )
+            self._remove_rules(device)
             attachment.switch.install_many(self._device_rules(device, attachment))
         return True
 
     # ------------------------------------------------------------------
+    def _blind_peers(self, device: str, posture: Posture | None) -> frozenset[str] | None:
+        """What the edge may offload for ``device`` under ``posture``."""
+        if posture is None or device not in self.pinned:
+            return _NOTHING
+        try:
+            return self._blind_by_chain[posture.modules]
+        except KeyError:
+            blind = self._blind_by_chain[posture.modules] = posture.blind_peers()
+            return blind
+
+    def _withdraw_offload(self, device: str) -> str:
+        """Remove the device's 700 rules, directly; returns what they
+        covered (``""`` when there were none)."""
+        blind = self.offloaded.pop(device, _NOTHING)
+        if blind == _NOTHING:
+            return ""
+        self._remove_rules(device, (OFFLOAD_PRIORITY,))
+        return _peers_text(blind)
+
+    def _journal_offload(self, device: str, operation: str, **fields: str) -> None:
+        self.sim.journal.record(
+            "offload",
+            device=device,
+            posture=self.current[device].name,
+            operation=operation,
+            **fields,
+        )
+
     def _device_rules(self, device: str, att: SwitchAttachment) -> list[FlowRule]:
         return [
             # Returned-from-cluster packets go through the controller's
@@ -307,21 +446,39 @@ class PostureOrchestrator:
                 ),
                 priority=TUNNEL_PRIORITY,
             ),
+            *self._offload_rules(device, att),
         ]
 
-    def _install_tunnel(
+    def _offload_rules(self, device: str, att: SwitchAttachment) -> list[FlowRule]:
+        """One rule per blind flow of a pinned device's chain, matched on
+        the device's own port and handed to the reactive forwarder."""
+        blind = self.offloaded.get(device, _NOTHING)
+        return [
+            FlowRule(
+                match=FlowMatch(src=device, dst=peer, in_port=att.device_port),
+                actions=(Action.controller(),),
+                priority=OFFLOAD_PRIORITY,
+            )
+            for peer in ((None,) if blind is None else sorted(blind))
+        ]
+
+    def _install(
         self,
+        rules_of: Callable[[str, SwitchAttachment], list[FlowRule]],
         device: str,
         att: SwitchAttachment,
         installs: dict[str, tuple["Switch", list[FlowRule]]],
         epoch_switches: dict[str, "Switch"],
     ) -> None:
+        """Put ``rules_of(device, att)`` on the one push its switch gets
+        this round (an epoch rebuilds the switch's whole desired set, so
+        there the switch is only marked)."""
         if self.updater is not None:
             self._rule_specs[device] = []
             epoch_switches[att.switch.name] = att.switch
             return
         __, rules = installs.setdefault(att.switch.name, (att.switch, []))
-        rules.extend(self._device_rules(device, att))
+        rules.extend(rules_of(device, att))
 
     def _remove_tunnel(
         self,
@@ -333,9 +490,15 @@ class PostureOrchestrator:
             self._rule_specs.pop(device, None)
             epoch_switches[att.switch.name] = att.switch
             return
-        att.switch.remove_where(
-            lambda r: device in (r.match.src, r.match.dst)
-            and r.priority in (BYPASS_DST_PRIORITY, BYPASS_SRC_PRIORITY, TUNNEL_PRIORITY)
+        self._remove_rules(device)
+
+    def _remove_rules(
+        self, device: str, priorities: tuple[int, ...] = RULE_PRIORITIES
+    ) -> None:
+        """Drop the rules this orchestrator keyed on ``device`` (its src,
+        else its dst: another device's ``src=X, dst=device`` is X's)."""
+        self.attachments[device].switch.remove_where(
+            lambda r: (r.match.src or r.match.dst) == device and r.priority in priorities
         )
 
     def _push_epoch(self, switch: "Switch", trace_ids: Iterable[int] = ()) -> None:

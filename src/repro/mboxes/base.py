@@ -129,6 +129,18 @@ class Element:
 
     name = "element"
 
+    #: The device-originated (``from_device``) traffic this element neither
+    #: judges nor remembers, as the peers it may be addressed to: for such
+    #: a packet ``process`` returns ``(PASS, packet)`` -- the same object --
+    #: raises no alert, journals nothing, and leaves no state any later
+    #: verdict reads.  ``frozenset()`` declares nothing (the default: the
+    #: element must see everything); ``None`` is every peer, the
+    #: :class:`~repro.sdn.flowrule.FlowMatch` wildcard.  A pinned posture
+    #: whose every module is blind to a flow has it offloaded at the edge
+    #: (see :mod:`repro.core.orchestrator`), so a declaration is a promise
+    #: ``tests/test_blind_flows.py`` holds every registered kind to.
+    blind_peers: frozenset[str] | None = frozenset()
+
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
         raise NotImplementedError
 

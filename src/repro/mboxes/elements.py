@@ -18,6 +18,7 @@ class CommandFilter(Element):
     """Drop control packets whose command is on the deny list."""
 
     name = "command_filter"
+    blind_peers = None  # judges device-bound traffic only
 
     def __init__(self, deny: Iterable[str]) -> None:
         self.deny = frozenset(deny)
@@ -45,6 +46,7 @@ class CommandWhitelist(Element):
     """
 
     name = "command_whitelist"
+    blind_peers = None  # judges device-bound traffic only
 
     def __init__(self, allow: Iterable[str], allowed_sources: Iterable[str] = ()) -> None:
         self.allow = frozenset(allow)
@@ -75,6 +77,7 @@ class ContextGate(Element):
     """
 
     name = "context_gate"
+    blind_peers = None  # judges device-bound traffic only
 
     def __init__(self, commands: Iterable[str], require: dict[str, str]) -> None:
         self.commands = frozenset(commands)
@@ -106,6 +109,7 @@ class SourceFilter(Element):
     """Allow device-bound traffic only from an approved set of sources."""
 
     name = "source_filter"
+    blind_peers = None  # judges device-bound traffic only
 
     def __init__(self, allowed_sources: Iterable[str]) -> None:
         self.allowed_sources = frozenset(allowed_sources)
@@ -223,6 +227,7 @@ class LoginMonitor(Element):
     """
 
     name = "login_monitor"
+    blind_peers = None  # judges device-bound traffic only
 
     def __init__(self, mgmt_port: int = 80) -> None:
         self.mgmt_port = mgmt_port

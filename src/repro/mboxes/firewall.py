@@ -40,6 +40,10 @@ class StatefulFirewall(Element):
         self.default = default
         self.tracker = ConnectionTracker()
         self.blocked = 0
+        # Outbound traffic is never judged, only remembered, and a
+        # conntrack entry toward a trusted peer is never read: ``process``
+        # admits that peer's packets before it consults ``is_reply``.
+        self.blind_peers = self.trusted_sources
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
         direction = packet.meta.get("direction")

@@ -49,8 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover
 SignatureProvider = Callable[[str], list[AttackSignature]]
 
 
-def _build_element(
-    spec: MboxSpec, signature_provider: SignatureProvider | None
+def build_element(
+    spec: MboxSpec, signature_provider: SignatureProvider | None = None
 ) -> Element:
     config: dict[str, Any] = spec.config_dict()
     kind = spec.kind
@@ -248,7 +248,7 @@ class MboxManager:
 
     def _elements_for(self, posture: Posture) -> list[Element]:
         return [
-            _build_element(spec, self.signature_provider) for spec in posture.modules
+            build_element(spec, self.signature_provider) for spec in posture.modules
         ]
 
     def deploy(self, device: str, posture: Posture) -> DeploymentRecord:

@@ -23,6 +23,7 @@ class PasswordProxy(Element):
     """Rewrites good logins, drops bad ones, on the management port."""
 
     name = "password_proxy"
+    blind_peers = None  # judges device-bound logins only
 
     def __init__(
         self,

@@ -30,6 +30,7 @@ class RateLimiter(Element):
     """
 
     name = "rate_limiter"
+    blind_peers = None  # meters device-bound traffic only
 
     def __init__(
         self,

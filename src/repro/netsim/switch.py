@@ -46,10 +46,13 @@ class Switch(Node):
         self.dropped = 0
         self.miss_drops = 0
         # Lookup accelerator: every rule lands in exactly one bucket --
-        # keyed by its concrete dst, else by its concrete src, else the
-        # wildcard list.  A packet can only match rules in the buckets for
-        # its own dst/src (plus wildcards), so lookup scans a handful of
-        # candidates instead of the whole table.  Entries carry the
+        # keyed by its concrete src, else by its concrete dst, else the
+        # wildcard list (src first: a fleet's ``src=D, dst=hub`` rules
+        # would otherwise all share the hub's bucket, and every lookup
+        # miss for hub-bound traffic would scan the fleet).  A packet can
+        # only match rules in the buckets for its own dst/src (plus
+        # wildcards), so lookup scans a handful of candidates instead of
+        # the whole table.  Entries carry the
         # precomputed sort key; the winner is the minimum over matches,
         # which is exactly what the sorted linear scan returned (sort keys
         # are totally ordered via the unique rule_id).
@@ -74,10 +77,10 @@ class Switch(Node):
     # ------------------------------------------------------------------
     def _index_add(self, rule: FlowRule) -> None:
         entry = (rule.sort_key(), rule)
-        if rule.match.dst is not None:
-            self._by_dst.setdefault(rule.match.dst, []).append(entry)
-        elif rule.match.src is not None:
+        if rule.match.src is not None:
             self._by_src.setdefault(rule.match.src, []).append(entry)
+        elif rule.match.dst is not None:
+            self._by_dst.setdefault(rule.match.dst, []).append(entry)
         else:
             self._wild.append(entry)
 

@@ -121,6 +121,7 @@ def run_e9_small(n_devices: int = 12, until: float = 240.0) -> dict:
     """The E9 hot path in miniature: tunnelled devices, telemetry, attacks."""
     dep, attacker = build_e9_small(n_devices)
     dep.run(until=until)
+    assert dep.orchestrator.offload_violations() == []
 
     stats = dep.controller.pipeline.stats
     channel = dep.channel
@@ -147,6 +148,7 @@ def run_e9_small(n_devices: int = 12, until: float = 240.0) -> dict:
 def run_e12_resilient() -> dict:
     row = run_resilience_scenario(resilient=True, seed=7, keep_dep=True)
     dep = row.pop("dep")
+    assert dep.orchestrator.offload_violations() == []
     return {
         "journal_sha256": journal_digest(dep.sim),
         "counters": {
@@ -166,6 +168,7 @@ def run_e12_resilient() -> dict:
 def run_e13_standby() -> dict:
     row = run_failover_scenario(standby=True, seed=7, keep_dep=True)
     dep = row.pop("dep")
+    assert dep.orchestrator.offload_violations() == []
     return {
         "journal_sha256": journal_digest(dep.sim),
         "counters": {
