@@ -22,7 +22,9 @@ def test_rules_installed_with_version_tags(dep):
     dep.secure("cam", block_commands("stop"))
     dep.run(until=1.0)
     rules = dep.edge.rules_for("cam")
-    assert len(rules) == 4
+    # two bypasses, two tunnel rules and the pinned command filter's one
+    # blind flow (anything the camera sends), all in the same epoch
+    assert sorted(r.priority for r in rules) == [500, 500, 700, 890, 900]
     assert all(r.version is not None for r in rules)
     assert dep.edge.active_version == rules[0].version
 
@@ -54,8 +56,8 @@ def test_second_device_epoch_keeps_first_devices_rules(dep):
     dep.run(until=1.0)
     dep.secure("plug", block_commands("on"))
     dep.run(until=2.0)
-    assert len(dep.edge.rules_for("cam")) == 4
-    assert len(dep.edge.rules_for("plug")) == 4
+    assert len(dep.edge.rules_for("cam")) == 5
+    assert len(dep.edge.rules_for("plug")) == 5
     # all live rules belong to the latest epoch (old one garbage-collected)
     versions = {r.version for r in dep.edge.flow_table}
     assert len(versions) == 1
@@ -70,7 +72,7 @@ def test_removal_epoch_drops_only_that_device(dep):
     dep.orchestrator.apply("cam", ALLOW_ALL)
     dep.run(until=2.0)
     assert dep.edge.rules_for("cam") == []
-    assert len(dep.edge.rules_for("plug")) == 4
+    assert len(dep.edge.rules_for("plug")) == 5
 
 
 def test_both_devices_protected_end_to_end(dep):

@@ -209,12 +209,14 @@ class TestSenderPacketIsNeverShared:
     return path writes, the sender's ``Packet`` object does not see it."""
 
     @staticmethod
-    def site():
+    def site(cam_mitigation="password_proxy"):
         dep = SecuredDeployment.build()
         dep.add_device(smart_camera, "cam")
         dep.add_device(smart_plug, "plug")
         dep.finalize()
-        dep.secure("cam", build_recommended_posture("password_proxy", "cam"))
+        dep.secure(
+            "cam", build_recommended_posture(cam_mitigation, "cam", sku=dep.devices["cam"].sku)
+        )
         dep.secure("plug", build_recommended_posture("monitor", "plug", sku=dep.devices["plug"].sku))
         dep.run(until=1.0)  # µmboxes booted
         received = {name: [] for name in dep.devices}
@@ -239,7 +241,9 @@ class TestSenderPacketIsNeverShared:
         assert arrived.meta["inspected_devices"] == ["cam"]
 
     def test_two_mbox_visit_shares_no_inspected_list(self):
-        dep, received = self.site()
+        # a monitor chain on the camera: it is blind to nothing, so the
+        # camera's own traffic is not offloaded past its µmbox
+        dep, received = self.site(cam_mitigation="monitor")
         at_cluster = []
         handle = dep.cluster.on_packet
         dep.cluster.on_packet = (  # type: ignore[method-assign]

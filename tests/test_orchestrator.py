@@ -23,7 +23,7 @@ def test_apply_installs_tunnel_rules(dep):
     dep.secure("cam", block_commands("stop"))
     rules = dep.edge.rules_for("cam")
     priorities = sorted(r.priority for r in rules)
-    assert priorities == [500, 500, 890, 900]
+    assert priorities == [500, 500, 700, 890, 900]  # 700: the pinned filter's blind flow
     assert dep.orchestrator.tunnels.mbox_for("cam") is not None
 
 
