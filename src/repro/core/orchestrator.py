@@ -172,11 +172,9 @@ class PostureOrchestrator:
         violations = []
         switches = {id(att.switch): att.switch for att in self.attachments.values()}
         for switch in switches.values():
+            live = (None, switch.active_version)
             for rule in switch.flow_table:
-                if rule.priority != OFFLOAD_PRIORITY or rule.version not in (
-                    None,
-                    switch.active_version,
-                ):
+                if rule.priority != OFFLOAD_PRIORITY or rule.version not in live:
                     continue
                 device, peer = rule.match.src, rule.match.dst
                 att = self.attachments.get(device)
@@ -264,16 +262,8 @@ class PostureOrchestrator:
             # Blind flows the new chain does not share leave the fabric
             # before that chain is deployed, never after.
             blind = self._blind_peers(device, posture)
-            offload: dict[str, str] = {}
-            if blind != self.offloaded.get(device, _NOTHING):
-                withdrawn = self._withdraw_offload(device)
-                if withdrawn:
-                    offload["withdrawn"] = withdrawn
-                if blind != _NOTHING:
-                    self.offloaded[device] = blind
-                    flow_change = True
-            if device in self.offloaded:
-                offload["offloaded"] = _peers_text(blind)
+            moved = blind != self.offloaded.get(device, _NOTHING)
+            withdrawn = self._withdraw_offload(device) if moved else ""
 
             if posture.is_permissive:
                 self._remove_tunnel(device, attachment, epoch_switches)
@@ -285,15 +275,18 @@ class PostureOrchestrator:
             else:
                 deploy = self.manager.deploy(device, posture)
                 mbox_name = self.manager.host.mboxes[device].name
+                if moved and blind != _NOTHING:
+                    self.offloaded[device] = blind
                 if device not in self.tunnels:
                     self._install(
                         self._device_rules, device, attachment, installs, epoch_switches
                     )
                     flow_change = True
-                elif flow_change:  # a running chain gained blind flows
+                elif moved and device in self.offloaded:  # a running chain gained some
                     self._install(
                         self._offload_rules, device, attachment, installs, epoch_switches
                     )
+                    flow_change = True
                 self.tunnels.bind(device, mbox_name)
                 ready_at = deploy.ready_at
                 operation = deploy.operation
@@ -322,7 +315,8 @@ class PostureOrchestrator:
                 previous=previous.name if previous is not None else "",
                 operation=operation,
                 ready_at=ready_at,
-                **offload,
+                **({"withdrawn": withdrawn} if withdrawn else {}),
+                **({"offloaded": _peers_text(blind)} if device in self.offloaded else {}),
             )
             record = OrchestrationRecord(
                 device=device,

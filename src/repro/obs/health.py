@@ -373,7 +373,7 @@ def standard_slos(dep: SecuredDeployment, plane: HealthPlane) -> None:
             SLO(
                 name="exposure-window",
                 subsystem="mbox-fleet",
-                objective="99% of device traffic traverses a live µmbox (no fail-open passes)",
+                objective="99% of tunnelled traffic traverses a live µmbox (no fail-open passes)",
                 target=0.99,
                 fast_window=10.0,
                 slow_window=60.0,

@@ -38,7 +38,7 @@ def _ledger(gate, **overrides):
     row = {
         "pkts_per_s": 50_000.0,
         "pkts_per_s_spread": 0.03,
-        "stack.tax_x": 4.0,
+        "stack.tax_x": 3.0,
         "obs.cost_frac": 0.0,
         "ledger.closure_frac": 1.0,
         "failed_checks": [],
