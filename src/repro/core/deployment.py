@@ -490,18 +490,19 @@ class SecuredDeployment:
 
         Pinned by default: the policy loop will not override an explicit
         administrator decision (Fig. 4's proxy must survive the context
-        escalation that the attack it blocks provokes).  Pinned first,
-        so the flows the chain declares itself blind to (see
-        :mod:`repro.core.orchestrator`) ride the same flow push as its
-        tunnel rules.
+        escalation that the attack it blocks provokes).  Pinned and
+        applied as one flow change, so the flows the chain declares itself
+        blind to (see :mod:`repro.core.orchestrator`) ride the same push
+        as its tunnel rules.
         """
         if self.orchestrator is None:
             raise RuntimeError("deployment built without IoTSec")
         if not self._finalized:
             self.finalize()
         if pin:
-            self.orchestrator.pin(device)
-        self.orchestrator.apply(device, posture)
+            self.orchestrator.apply_pinned(device, posture)
+        else:
+            self.orchestrator.apply(device, posture)
 
     def enforce_baseline(self, monitor: bool = True) -> None:
         """Give every device its policy posture (plus a monitor posture

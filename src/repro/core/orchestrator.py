@@ -33,14 +33,18 @@ uninspected secured destination.  The rule names the device's own port, so
 a packet forging ``src=D`` from anywhere else still tunnels.  Pinned-only
 because a pinned posture is the administrator's vetted resting state that
 the policy loop never changes: the rules are static and ride the flow push
-``secure()`` makes anyway, and a policy-driven device (whose chain may be
-swapped under traffic at any instant) never has one.  They are withdrawn
--- by direct removal in both update modes, since losing one only sends the
-packet to the tunnel rule beneath it -- on ``unpin``, on teardown and
-*before* a chain that is not blind to them is deployed.  (Consistent mode
-keeps one residual: an epoch whose install message is still on the wire at
-that instant was built before the withdrawal and carries the rule until the
-next epoch, pushed by the same action, supersedes it one flip later.)
+``secure()`` makes anyway (``apply_pinned``: the outgoing chain's blind
+flows are never installed on the way), and a policy-driven device (whose
+chain may be swapped under traffic at any instant) never has one.  They
+are withdrawn -- by direct removal in both update modes, since losing one
+only sends the packet to the tunnel rule beneath it -- on ``unpin``, on
+teardown and *before* a chain that is not blind to them is deployed.
+Consistent mode also pushes an epoch on every withdrawal, because an epoch
+whose install message is still on the wire at that instant was built
+before it and carries the rule.  That leaves one bounded residual: two
+administrator actions on one device less than a channel latency apart,
+the first granting and the second withdrawing, let the first epoch flip
+with the rule and the second remove it that same interval later.
 Fail-closed therefore covers what the chain inspects: while a pinned
 device's µmbox is down its blind outbound flows keep flowing.
 """
@@ -48,9 +52,9 @@ device's µmbox is down its blind outbound flows keep flowing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.mboxes.manager import MboxManager
+from repro.mboxes.manager import MboxManager, blind_peers
 from repro.obs import COUNT_BUCKETS
 from repro.policy.posture import MboxSpec, Posture
 from repro.sdn.flowrule import Action, FlowMatch, FlowRule
@@ -186,7 +190,7 @@ class PostureOrchestrator:
                 elif posture is None:
                     why = "belongs to a device with no posture"
                 else:
-                    blind = posture.blind_peers()
+                    blind = blind_peers(posture)
                     if blind is None or peer in blind:
                         continue
                     why = f"is not blind under {posture.summary()}"
@@ -195,32 +199,34 @@ class PostureOrchestrator:
 
     # ------------------------------------------------------------------
     def pin(self, device: str) -> None:
-        """Mark the device's posture as administratively pinned.
-
-        Pin *before* applying the posture (as ``secure()`` does) and the
-        chain's blind flows ride that one flow push; pinning a chain that
-        is already running installs them here.
-        """
-        if device in self.pinned:
-            return
+        """Mark the device's posture as administratively pinned; a chain
+        that is already running has its blind flows offloaded here."""
         self.pinned.add(device)
-        blind = self._blind_peers(device, self.current.get(device))
-        if blind != _NOTHING:
-            attachment = self.attachments[device]
-            self.offloaded[device] = blind
-            if self.updater is not None:
-                self._push_epoch(attachment.switch)
-            else:
-                attachment.switch.install_many(self._offload_rules(device, attachment))
-            self._journal_offload(device, "pin", offloaded=_peers_text(blind))
+        self._sync_offload(device, "pin")
 
     def unpin(self, device: str) -> None:
         """Hand the device back to the policy loop, which may swap its
         chain at any instant: its blind flows return to the tunnel now."""
         self.pinned.discard(device)
-        withdrawn = self._withdraw_offload(device)
-        if withdrawn:
-            self._journal_offload(device, "unpin", withdrawn=withdrawn)
+        self._sync_offload(device, "unpin")
+
+    def apply_pinned(self, device: str, posture: Posture) -> OrchestrationRecord | None:
+        """Administrator action: make ``posture`` effective and pin it, as
+        one flow change.  The device counts as pinned while the chain is
+        deployed, so the new chain's blind flows ride the push its tunnel
+        rules make and the outgoing chain's are never installed; a refused
+        deploy leaves the device as unpinned as it was."""
+        newly = device not in self.pinned
+        self.pinned.add(device)
+        try:
+            record = self.apply(device, posture)
+        except Exception:
+            if newly:
+                self.pinned.discard(device)
+            raise
+        if record is None:  # ``posture`` was already running: only the pin is new
+            self._sync_offload(device, "pin")
+        return record
 
     def apply(self, device: str, posture: Posture) -> OrchestrationRecord | None:
         """Make ``posture`` effective for ``device``.  Idempotent."""
@@ -250,82 +256,89 @@ class PostureOrchestrator:
         epoch_switches: dict[str, "Switch"] = {}
         #: switch name -> trace ids whose posture change touched its table
         switch_traces: dict[str, list[int]] = {}
-        for device, posture in assignments:
-            if self.current.get(device) == posture:
-                continue
-            attachment = self.attachments.get(device)
-            if attachment is None:
-                raise KeyError(f"no switch attachment registered for {device!r}")
-            trace = traces.get(device)
-            now = self.sim.now
-            flow_change = False
-            # Blind flows the new chain does not share leave the fabric
-            # before that chain is deployed, never after.
-            blind = self._blind_peers(device, posture)
-            moved = blind != self.offloaded.get(device, _NOTHING)
-            withdrawn = self._withdraw_offload(device) if moved else ""
+        try:
+            for device, posture in assignments:
+                if self.current.get(device) == posture:
+                    continue
+                attachment = self.attachments.get(device)
+                if attachment is None:
+                    raise KeyError(f"no switch attachment registered for {device!r}")
+                trace = traces.get(device)
+                now = self.sim.now
+                flow_change = False
+                # Blind flows the new chain does not share leave the fabric
+                # before that chain is deployed, never after.
+                blind = self._blind_peers(device, posture)
+                withdrawn = self._withdraw_offload(device, blind, attachment, epoch_switches)
 
-            if posture.is_permissive:
-                self._remove_tunnel(device, attachment, epoch_switches)
-                self.manager.teardown(device)
-                self.tunnels.unbind(device)
-                ready_at = now
-                operation = "teardown"
-                flow_change = True
-            else:
-                deploy = self.manager.deploy(device, posture)
-                mbox_name = self.manager.host.mboxes[device].name
-                if moved and blind != _NOTHING:
-                    self.offloaded[device] = blind
-                if device not in self.tunnels:
-                    self._install(
-                        self._device_rules, device, attachment, installs, epoch_switches
-                    )
+                if posture.is_permissive:
+                    self._remove_tunnel(device, attachment, epoch_switches)
+                    self.manager.teardown(device)
+                    self.tunnels.unbind(device)
+                    ready_at = now
+                    operation = "teardown"
                     flow_change = True
-                elif moved and device in self.offloaded:  # a running chain gained some
-                    self._install(
-                        self._offload_rules, device, attachment, installs, epoch_switches
-                    )
-                    flow_change = True
-                self.tunnels.bind(device, mbox_name)
-                ready_at = deploy.ready_at
-                operation = deploy.operation
+                else:
+                    deploy = self.manager.deploy(device, posture)
+                    mbox_name = self.manager.host.mboxes[device].name
+                    granted = self._grant_offload(device, blind)
+                    if granted or device not in self.tunnels:
+                        self._install(device, attachment, installs, epoch_switches)
+                        flow_change = True
+                    self.tunnels.bind(device, mbox_name)
+                    ready_at = deploy.ready_at
+                    operation = deploy.operation
 
-            if trace is not None:
-                tracer.span(
-                    trace,
-                    "actuate",
-                    now,
-                    ready_at,
+                if trace is not None:
+                    tracer.span(
+                        trace,
+                        "actuate",
+                        now,
+                        ready_at,
+                        device=device,
+                        posture=posture.name,
+                        operation=operation,
+                    )
+                    if flow_change:
+                        switch_traces.setdefault(attachment.switch.name, []).append(trace)
+
+                previous = self.current.get(device)
+                self.current[device] = posture
+                self.sim.journal.record(
+                    "posture",
+                    device=device,
+                    trace=trace,
+                    posture=posture.name,
+                    summary=posture.summary(),
+                    previous=previous.name if previous is not None else "",
+                    operation=operation,
+                    ready_at=ready_at,
+                    **({"withdrawn": withdrawn} if withdrawn else {}),
+                    **({"offloaded": _peers_text(blind)} if device in self.offloaded else {}),
+                )
+                record = OrchestrationRecord(
                     device=device,
                     posture=posture.name,
-                    operation=operation,
+                    at=self.sim.now,
+                    tunnelled=not posture.is_permissive,
                 )
-                if flow_change:
-                    switch_traces.setdefault(attachment.switch.name, []).append(trace)
+                self.records.append(record)
+                records.append(record)
+        finally:
+            # Also when a deploy was refused mid-round: what the round has
+            # already withdrawn or deployed must still reach the switches.
+            self._push(installs, epoch_switches, switch_traces)
+        return records
 
-            previous = self.current.get(device)
-            self.current[device] = posture
-            self.sim.journal.record(
-                "posture",
-                device=device,
-                trace=trace,
-                posture=posture.name,
-                summary=posture.summary(),
-                previous=previous.name if previous is not None else "",
-                operation=operation,
-                ready_at=ready_at,
-                **({"withdrawn": withdrawn} if withdrawn else {}),
-                **({"offloaded": _peers_text(blind)} if device in self.offloaded else {}),
-            )
-            record = OrchestrationRecord(
-                device=device,
-                posture=posture.name,
-                at=self.sim.now,
-                tunnelled=not posture.is_permissive,
-            )
-            self.records.append(record)
-            records.append(record)
+    def _push(
+        self,
+        installs: dict[str, tuple["Switch", list[FlowRule]]],
+        epoch_switches: dict[str, "Switch"],
+        switch_traces: dict[str, list[int]],
+    ) -> None:
+        """One flow push per touched switch: a rule batch in direct mode,
+        a two-phase epoch in consistent mode."""
+        tracer = self.sim.tracer
         for switch, rules in installs.values():
             switch.install_many(rules)
             self._h_rules_batch.observe(len(rules))
@@ -347,7 +360,6 @@ class PostureOrchestrator:
                 )
         for switch in epoch_switches.values():
             self._push_epoch(switch, switch_traces.get(switch.name, ()))
-        return records
 
     # ------------------------------------------------------------------
     def repin(self, device: str) -> bool:
@@ -389,26 +401,65 @@ class PostureOrchestrator:
         try:
             return self._blind_by_chain[posture.modules]
         except KeyError:
-            blind = self._blind_by_chain[posture.modules] = posture.blind_peers()
+            blind = self._blind_by_chain[posture.modules] = blind_peers(posture)
             return blind
 
-    def _withdraw_offload(self, device: str) -> str:
-        """Remove the device's 700 rules, directly; returns what they
-        covered (``""`` when there were none)."""
-        blind = self.offloaded.pop(device, _NOTHING)
-        if blind == _NOTHING:
-            return ""
-        self._remove_rules(device, (OFFLOAD_PRIORITY,))
-        return _peers_text(blind)
+    def _withdraw_offload(
+        self,
+        device: str,
+        keep: frozenset[str] | None,
+        att: SwitchAttachment,
+        epoch_switches: dict[str, "Switch"],
+    ) -> str:
+        """Remove the device's 700 rules unless they already cover exactly
+        ``keep``; returns what they covered (``""`` when nothing left).
 
-    def _journal_offload(self, device: str, operation: str, **fields: str) -> None:
+        Removed directly in both update modes: losing one only sends the
+        packet to the tunnel rule beneath it.  In consistent mode the
+        switch is also marked for an epoch, built after this point, to
+        replace one still on the wire that was built before it.
+        """
+        have = self.offloaded.get(device, _NOTHING)
+        if have == keep or have == _NOTHING:
+            return ""
+        del self.offloaded[device]
+        self._remove_rules(device, (OFFLOAD_PRIORITY,))
+        if self.updater is not None:
+            epoch_switches[att.switch.name] = att.switch
+        return _peers_text(have)
+
+    def _grant_offload(self, device: str, blind: frozenset[str] | None) -> bool:
+        """Record ``blind`` as the device's offloaded set, from which
+        ``_offload_rules`` builds; False when there is nothing new."""
+        if blind == _NOTHING or self.offloaded.get(device, _NOTHING) == blind:
+            return False
+        self.offloaded[device] = blind
+        return True
+
+    def _sync_offload(self, device: str, operation: str) -> None:
+        """Reconcile the device's 700 rules with what its running chain
+        and pin state allow, outside a posture change (``pin``/``unpin``)."""
+        posture = self.current.get(device)
+        attachment = self.attachments.get(device)
+        if posture is None or attachment is None:
+            return
+        installs: dict[str, tuple["Switch", list[FlowRule]]] = {}
+        epoch_switches: dict[str, "Switch"] = {}
+        blind = self._blind_peers(device, posture)
+        withdrawn = self._withdraw_offload(device, blind, attachment, epoch_switches)
+        if self._grant_offload(device, blind):
+            self._install(device, attachment, installs, epoch_switches)
+        elif not withdrawn:
+            return
         self.sim.journal.record(
             "offload",
             device=device,
-            posture=self.current[device].name,
+            posture=posture.name,
             operation=operation,
-            **fields,
+            **({"withdrawn": withdrawn} if withdrawn else {}),
+            **({"offloaded": _peers_text(blind)} if device in self.offloaded else {}),
         )
+        self._push(installs, epoch_switches, {})
 
     def _device_rules(self, device: str, att: SwitchAttachment) -> list[FlowRule]:
         return [
@@ -458,19 +509,20 @@ class PostureOrchestrator:
 
     def _install(
         self,
-        rules_of: Callable[[str, SwitchAttachment], list[FlowRule]],
         device: str,
         att: SwitchAttachment,
         installs: dict[str, tuple["Switch", list[FlowRule]]],
         epoch_switches: dict[str, "Switch"],
     ) -> None:
-        """Put ``rules_of(device, att)`` on the one push its switch gets
-        this round (an epoch rebuilds the switch's whole desired set, so
-        there the switch is only marked)."""
+        """Put what the device's table lacks -- everything for a device
+        not yet tunnelled, else its newly granted 700 rules -- on the one
+        push its switch gets this round (an epoch rebuilds the switch's
+        whole desired set, so there the switch is only marked)."""
         if self.updater is not None:
             self._rule_specs[device] = []
             epoch_switches[att.switch.name] = att.switch
             return
+        rules_of = self._offload_rules if device in self.tunnels else self._device_rules
         __, rules = installs.setdefault(att.switch.name, (att.switch, []))
         rules.extend(rules_of(device, att))
 

@@ -50,7 +50,7 @@ SignatureProvider = Callable[[str], list[AttackSignature]]
 
 
 def build_element(
-    spec: MboxSpec, signature_provider: SignatureProvider | None = None
+    spec: MboxSpec, signature_provider: SignatureProvider | None
 ) -> Element:
     config: dict[str, Any] = spec.config_dict()
     kind = spec.kind
@@ -125,6 +125,28 @@ def build_element(
             enforce=bool(config.get("enforce", True)),
         )
     raise KeyError(f"unknown µmbox element kind {kind!r}")
+
+
+def blind_peers(posture: Posture) -> frozenset[str] | None:
+    """The device-originated traffic ``posture``'s chain is blind to.
+
+    The intersection of its elements' declarations
+    (:attr:`repro.mboxes.base.Element.blind_peers`): the peers a packet
+    *from* the device may be addressed to such that no element judges or
+    remembers it -- ``frozenset()`` for none (one undeclared module is
+    enough), ``None`` for any peer.  A function of the modules alone, so
+    the orchestrator derives it once per distinct chain, not per device.
+    """
+    if not posture.modules:
+        return frozenset()  # no chain: nothing is tunnelled, nothing to skip
+    blind: frozenset[str] | None = None
+    for spec in posture.modules:
+        peers = build_element(spec, None).blind_peers
+        if peers is not None:
+            blind = peers if blind is None else blind & peers
+            if not blind:
+                break
+    return blind
 
 
 #: The registry of element kinds a posture may reference.

@@ -128,30 +128,6 @@ class Posture:
         """True when no module interposes (traffic flows untouched)."""
         return not self.modules
 
-    def blind_peers(self) -> frozenset[str] | None:
-        """The device-originated traffic this posture's chain is blind to.
-
-        The intersection of its modules' declarations
-        (:attr:`repro.mboxes.base.Element.blind_peers`): the peers a
-        packet *from* the device may be addressed to such that no element
-        judges or remembers it -- ``frozenset()`` for none (one undeclared
-        module is enough), ``None`` for any peer.  A function of the
-        modules alone, so the orchestrator derives it once per distinct
-        chain, not per device.
-        """
-        from repro.mboxes.manager import build_element  # mboxes imports us
-
-        if not self.modules:
-            return frozenset()  # no chain: nothing is tunnelled, nothing to skip
-        blind: frozenset[str] | None = None
-        for spec in self.modules:
-            peers = build_element(spec).blind_peers
-            if peers is not None:
-                blind = peers if blind is None else blind & peers
-                if not blind:
-                    break
-        return blind
-
     def module_kinds(self) -> tuple[str, ...]:
         return tuple(spec.kind for spec in self.modules)
 

@@ -34,7 +34,7 @@ from repro.devices.library import smart_camera, smart_plug
 from repro.faults.campaign_library import CAMPAIGNS, run_campaign
 from repro.mboxes.base import MboxContext, Verdict
 from repro.mboxes.firewall import StatefulFirewall
-from repro.mboxes.manager import MBOX_KINDS, build_element
+from repro.mboxes.manager import MBOX_KINDS, blind_peers, build_element
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
 from repro.policy.posture import ALLOW_ALL, MboxSpec, Posture, block_commands
@@ -112,7 +112,7 @@ def context(sim, alerts):
 
 
 def element_of(kind):
-    return build_element(MboxSpec.make(kind, **KIND_CONFIG.get(kind, {})))
+    return build_element(MboxSpec.make(kind, **KIND_CONFIG.get(kind, {})), None)
 
 
 # ----------------------------------------------------------------------
@@ -205,15 +205,15 @@ def test_posture_blind_set_is_the_intersection_over_its_modules():
     proxy = build_recommended_posture("password_proxy", "cam")
     firewall = build_recommended_posture("stateful_firewall", "plug", trusted_sources=TRUSTED)
     narrower = MboxSpec.make("stateful_firewall", trusted_sources=["hub", "phone"])
-    assert proxy.blind_peers() is None  # proxy + rate limiter: any peer
-    assert firewall.blind_peers() == TRUSTED
-    assert Posture.make("both", *firewall.modules, narrower).blind_peers() == {"hub"}
-    assert Posture.make("mixed", *proxy.modules, *firewall.modules).blind_peers() == TRUSTED
-    assert build_recommended_posture("monitor", "x", sku="sku").blind_peers() == frozenset()
-    assert build_recommended_posture("quarantine", "x").blind_peers() == frozenset()
+    assert blind_peers(proxy) is None  # proxy + rate limiter: any peer
+    assert blind_peers(firewall) == TRUSTED
+    assert blind_peers(Posture.make("both", *firewall.modules, narrower)) == {"hub"}
+    assert blind_peers(Posture.make("mixed", *proxy.modules, *firewall.modules)) == TRUSTED
+    assert blind_peers(build_recommended_posture("monitor", "x", sku="sku")) == frozenset()
+    assert blind_peers(build_recommended_posture("quarantine", "x")) == frozenset()
     tapped = Posture.make("tapped", *proxy.modules, MboxSpec.make("telemetry_tap"))
-    assert tapped.blind_peers() == frozenset()
-    assert ALLOW_ALL.blind_peers() == frozenset()
+    assert blind_peers(tapped) == frozenset()
+    assert blind_peers(ALLOW_ALL) == frozenset()
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +365,38 @@ def test_resecure_to_a_chain_that_is_not_blind_withdraws_before_the_swap(site):
     assert site.cluster.tunnelled_in == tunnelled + 1
 
 
+def test_securing_a_policy_driven_device_never_installs_its_old_chains_blind_flows(site):
+    """``secure()`` on a device the policy loop was driving, with no time
+    for anything to settle in between: the outgoing chain's blind flows
+    must not ride an epoch that outlives the swap."""
+    site.orchestrator.unpin("plug")
+    site.orchestrator.apply("plug", block_commands("on"))  # policy-driven, blind to any peer
+    site.secure("plug", monitor(site, "plug"))  # nothing has run since the unpin
+    assert "plug" not in site.orchestrator.offloaded
+    for until in (1.002, 1.004, 1.006, 1.01, 2.0):
+        site.run(until=until)
+        assert offload_rules(site, "plug", live_only=True) == []
+    assert offload_rules(site, "plug") == [] and site.orchestrator.offload_violations() == []
+    assert [e.fields["operation"] for e in site.sim.journal.entries(kind="offload")] == ["unpin"]
+
+
+def test_a_withdrawal_supersedes_the_epoch_still_on_the_wire(site):
+    """Two administrator actions inside one channel latency, the first
+    granting and the second withdrawing: whatever the first put on the
+    wire, no 700 rule survives the second's own flow push."""
+    site.secure("plug", block_commands("on"))  # grants ``*`` (an epoch, in consistent mode)
+    site.secure("plug", monitor(site, "plug"))  # withdraws it before that epoch lands
+    site.orchestrator.unpin("cam")
+    site.run(until=2.0)
+    assert offload_rules(site, "plug") == [] and offload_rules(site, "cam") == []
+    assert site.orchestrator.offload_violations() == []
+    tunnelled = site.cluster.tunnelled_in
+    site.devices["plug"].send(protocol.telemetry("plug", "hub", "on", {}))
+    site.devices["cam"].send(protocol.telemetry("cam", "hub", "idle", {}))
+    site.run(until=3.0)
+    assert site.cluster.tunnelled_in == tunnelled + 2
+
+
 def test_resecure_between_blind_chains_swaps_the_rules(site):
     n_pushes = len(site.sim.journal.entries(kind="flow-install")) + len(
         site.orchestrator.updater.reports if site.orchestrator.updater else ()
@@ -393,6 +425,10 @@ def test_pinning_a_running_chain_installs_and_policy_driven_devices_never_have_o
     assert len(offload_rules(site, "cam", live_only=True)) == 1
     entry = site.sim.journal.entries(kind="offload")[-1]
     assert (entry.fields["operation"], entry.fields["offloaded"]) == ("pin", "*")
+    site.orchestrator.unpin("cam")
+    site.secure("cam", block_commands("record", name="other"))  # same chain: only the pin is new
+    site.run(until=4.0)
+    assert len(offload_rules(site, "cam", live_only=True)) == 1
     assert site.orchestrator.offload_violations() == []
 
 
@@ -438,6 +474,22 @@ def test_a_refused_deploy_offloads_nothing():
     with pytest.raises(RuntimeError, match="capacity"):
         dep.secure("cam", build_recommended_posture("password_proxy", "cam"))
     assert dep.orchestrator.offloaded == {} and dep.edge.flow_table == []
+    assert dep.orchestrator.pinned == set()  # the policy loop still owns it
+
+
+def test_a_refused_resecure_keeps_the_pin_and_withdraws_for_good(site):
+    site.secure("plug", block_commands("on"))  # in consistent mode: an epoch on the wire
+    site.manager.deploy = lambda device, posture: (_ for _ in ()).throw(  # type: ignore[method-assign]
+        RuntimeError("capacity")
+    )
+    with pytest.raises(RuntimeError, match="capacity"):
+        site.secure("plug", monitor(site, "plug"))
+    # the filter still runs, pinned, on four hops: safe, and the withdrawal
+    # reached the switch although the round that made it failed
+    assert "plug" in site.orchestrator.pinned and "plug" not in site.orchestrator.offloaded
+    site.orchestrator.unpin("plug")
+    site.run(until=2.0)
+    assert offload_rules(site, "plug") == [] and site.orchestrator.offload_violations() == []
 
 
 def test_offload_works_from_a_room_switch():
@@ -504,7 +556,7 @@ def both_arms(monkeypatch):
     def run(scenario):
         offloaded = scenario()
         with monkeypatch.context() as patch:
-            patch.setattr(Posture, "blind_peers", lambda self: frozenset())
+            patch.setattr("repro.core.orchestrator.blind_peers", lambda posture: frozenset())
             inspected = scenario()
         return offloaded, inspected
 
