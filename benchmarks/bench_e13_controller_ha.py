@@ -1,6 +1,6 @@
 """E13: controller survivability -- failover blind window and storm shedding.
 
-Two experiments from ``repro.faults.ha_scenario``, both seeded and
+Two experiments from ``repro.faults.scenario``, both seeded and
 sim-timed (machine-independent):
 
 **Failover**: the controller crashes at t=10 s, half a second before a
@@ -33,7 +33,7 @@ from __future__ import annotations
 from _util import print_table, record
 from regression import FAILOVER_BLIND_RATIO, STORM_MIN_ENFORCING_FRAC
 
-from repro.faults.ha_scenario import run_failover_scenario, run_storm_scenario
+from repro.faults.scenario import run_failover_scenario, run_storm_scenario
 
 SEED = 7
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -382,24 +383,37 @@ def cmd_policy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _attacked_home(setup=None, **planes):
-    """The canned scenario behind ``report``/``metrics``/``trace``: a
-    secured two-device home whose camera gets brute-forced.
+def _run(armed, watch=None, render=None):
+    """Run an armed scenario (:mod:`repro.faults.scenario`) to its
+    campaign's horizon and hand back the finished deployment.
 
-    ``setup(dep)``, when given, runs right before the clock starts (the
-    ``--watch`` re-render and ``dlq``'s rogue peers hook in there);
-    ``planes`` turn on opt-in planes of the deployment.
+    With ``watch``, the run is cut into slices of that many simulated
+    seconds and ``render(dep)`` is printed between them: each frame shows
+    the home going into its instant (what fires *at* it opens the next
+    slice, so periodic windows read whole periods).  Slicing adds no
+    event, so a watched run is the run it reports on.
     """
-    from repro.attacks.exploits import EXPLOITS
-    from repro.faults.scenario import standard_home
-
-    dep = standard_home(**planes)
-    dep.enforce_baseline()
-    EXPLOITS["brute_force_login"].launch(dep.attackers["attacker"], "cam", dep.sim)
-    if setup is not None:
-        setup(dep)
-    dep.run(until=60.0)
+    dep, runner = armed
+    horizon = runner.campaign.horizon
+    if watch is not None:
+        at = watch
+        while at <= horizon:
+            dep.run(until=math.nextafter(at, 0.0))
+            print(f"--- t={at:.1f}s ---")
+            print(render(dep))
+            print()
+            at += watch
+    dep.run(until=horizon)
     return dep
+
+
+def _attacked_home(watch=None, render=None):
+    """The canned scenario behind ``report``/``metrics``/``trace``/
+    ``audit``/``incident``: a secured two-device home whose camera gets
+    brute-forced."""
+    from repro.faults.scenario import arm_attacked_home
+
+    return _run(arm_attacked_home(), watch, render)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -415,24 +429,6 @@ def _bad_watch(args: argparse.Namespace) -> bool:
         print("error: --watch period must be positive", file=sys.stderr)
         return True
     return False
-
-
-def _watch_setup(args: argparse.Namespace, render):
-    """A scenario ``setup`` hook that prints ``render(dep)`` every
-    ``--watch`` simulated seconds (and does nothing when not watching)."""
-
-    def setup(dep) -> None:
-        if args.watch is None:
-            return
-
-        def show() -> None:
-            print(f"--- t={dep.sim.now:.1f}s ---")
-            print(render(dep))
-            print()
-
-        dep.sim.every(args.watch, show)
-
-    return setup
 
 
 def _unknown_device(dep, device: str) -> bool:
@@ -467,10 +463,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             return json.dumps(dep.sim.metrics.snapshot(), indent=2, sort_keys=True)
         return to_prometheus(dep.sim.metrics)
 
-    if args.watch is not None:
-        dep = _attacked_home(setup=_watch_setup(args, render))
-    else:
-        dep = _attacked_home()
+    dep = _attacked_home(args.watch, render)
     registry = dep.sim.metrics
     if not registry.enabled or not any(registry.snapshot().values()):
         print("error: metrics registry is empty (observability disabled?)")
@@ -525,38 +518,42 @@ def cmd_journal_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_arm_table(results: list[dict], cols: tuple[str, ...]) -> None:
+def _print_arms(args, results: list[dict], cols: tuple[str, ...], doc=None, header=()) -> bool:
+    """The one printer of a scenario's arms.  ``--json`` dumps ``doc``
+    (default: the result dicts) and returns False; otherwise prints the
+    ``header`` lines and one column per arm, and returns True so the
+    caller can add its text-only trailer."""
+    if args.json:
+        print(json.dumps(results if doc is None else doc, indent=2))
+        return False
+    for line in header:
+        print(line)
     print(f"\n{'metric':<26}" + "".join(f"{r['arm']:>12}" for r in results))
     for col in cols:
         cells = "".join(f"{str(r.get(col)):>12}" for r in results)
         print(f"{col:<26}{cells}")
+    return True
 
 
-def _failover_comparison(seed: int, json_out: bool) -> int:
+def _failover_comparison(args: argparse.Namespace) -> int:
     """Both arms of the controller-crash experiment (bench E13a)."""
-    from repro.faults.ha_scenario import run_failover_scenario
+    from repro.faults.scenario import run_failover_scenario
 
-    results = [run_failover_scenario(standby, seed=seed) for standby in (False, True)]
-    if json_out:
-        print(json.dumps(results, indent=2))
-        return 0
-    _print_arm_table(
-        results,
-        (
-            "attack_attempts",
-            "cam_login_successes",
-            "blind_window_s",
-            "cam_enforced_at",
-            "checkpoints",
-            "failovers",
-            "restarts",
-            "ctrl_retries",
-            "ctrl_giveups",
-            "events",
-        ),
+    results = [run_failover_scenario(standby, seed=args.seed) for standby in (False, True)]
+    cols = (
+        "attack_attempts",
+        "cam_login_successes",
+        "blind_window_s",
+        "cam_enforced_at",
+        "checkpoints",
+        "failovers",
+        "restarts",
+        "ctrl_retries",
+        "ctrl_giveups",
+        "events",
     )
     crash, standby = results
-    if crash["blind_window_s"] > 0:
+    if _print_arms(args, results, cols) and crash["blind_window_s"] > 0:
         ratio = standby["blind_window_s"] / crash["blind_window_s"]
         print(
             f"\nblind window: {crash['blind_window_s']}s (cold restart) -> "
@@ -574,26 +571,21 @@ def cmd_failover(args: argparse.Namespace) -> int:
     against prioritized shedding.
     """
     if not args.storm:
-        return _failover_comparison(args.seed, args.json)
+        return _failover_comparison(args)
 
-    from repro.faults.ha_scenario import run_storm_scenario
+    from repro.faults.scenario import run_storm_scenario
 
     results = [run_storm_scenario(shedding, seed=args.seed) for shedding in (False, True)]
-    if args.json:
-        print(json.dumps(results, indent=2))
-        return 0
-    _print_arm_table(
-        results, ("enforcing_processed_frac", "shed_transitions", "events")
-    )
-    for cls in ("enforcing", "telemetry"):
-        cells = "".join(f"{str(r['p99_latency_s'][cls]):>12}" for r in results)
-        print(f"{'p99_latency_s[' + cls + ']':<26}{cells}")
-    fifo, shed = results
-    print(
-        f"\nenforcing alerts kept under the storm: "
-        f"{fifo['enforcing_processed_frac']:.1%} (drop-tail) -> "
-        f"{shed['enforcing_processed_frac']:.1%} (prioritized shedding)"
-    )
+    if _print_arms(args, results, ("enforcing_processed_frac", "shed_transitions", "events")):
+        for cls in ("enforcing", "telemetry"):
+            cells = "".join(f"{str(r['p99_latency_s'][cls]):>12}" for r in results)
+            print(f"{'p99_latency_s[' + cls + ']':<26}{cells}")
+        fifo, shed = results
+        print(
+            f"\nenforcing alerts kept under the storm: "
+            f"{fifo['enforcing_processed_frac']:.1%} (drop-tail) -> "
+            f"{shed['enforcing_processed_frac']:.1%} (prioritized shedding)"
+        )
     return 0
 
 
@@ -615,7 +607,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.scenario import run_resilience_scenario, standard_fault_plan
 
     if args.plan == "controller":
-        return _failover_comparison(args.seed, args.json)
+        return _failover_comparison(args)
     if args.random:
         plan = ChaosGenerator(args.seed).generate(
             args.duration,
@@ -644,27 +636,22 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
         for resilient in arms
     ]
-    if args.json:
-        print(json.dumps({"plan": plan.as_dict(), "arms": results}, indent=2))
-        return 0
-    print(f"fault plan: {plan!r}")
+    header = [f"fault plan: {plan!r}"]
     for event in plan:
         extra = f" for {event.duration}s" if event.duration else ""
-        print(f"  t={event.at:>7.3f}  {event.kind:<12} {event.target}{extra}")
-    _print_arm_table(
-        results,
-        (
-            "attack_attempts",
-            "attack_successes",
-            "exposure_s",
-            "mean_time_to_reenforce_s",
-            "ctrl_retries",
-            "ctrl_giveups",
-            "mbox_restarts",
-            "fail_open_passes",
-        ),
+        header.append(f"  t={event.at:>7.3f}  {event.kind:<12} {event.target}{extra}")
+    cols = (
+        "attack_attempts",
+        "attack_successes",
+        "exposure_s",
+        "mean_time_to_reenforce_s",
+        "ctrl_retries",
+        "ctrl_giveups",
+        "mbox_restarts",
+        "fail_open_passes",
     )
-    if len(results) == 2:
+    doc = {"plan": plan.as_dict(), "arms": results}
+    if _print_arms(args, results, cols, doc, header) and len(results) == 2:
         base, res = results
         print(
             f"\nexposure window: {base['exposure_s']}s -> {res['exposure_s']}s "
@@ -810,7 +797,11 @@ def _rogue_peers(dep) -> None:
 def cmd_dlq(args: argparse.Namespace) -> int:
     """Inspect the dead-letter queue of the durable-telemetry scenario:
     the attacked home with its alerts on the store-and-forward stream."""
-    dep = _attacked_home(setup=_rogue_peers, durable_telemetry=True)
+    from repro.faults.scenario import arm_attacked_home
+
+    armed = arm_attacked_home(durable_telemetry=True)
+    _rogue_peers(armed[0])
+    dep = _run(armed)
     dlq = dep.controller.dlq
     consumer = dep.controller.stream
     assert dlq is not None and consumer is not None
@@ -852,21 +843,17 @@ def cmd_dlq(args: argparse.Namespace) -> int:
 
 
 def cmd_health(args: argparse.Namespace) -> int:
-    from repro.faults.scenario import HEALTH_PLANS, run_health_scenario
+    from repro.faults.scenario import arm_health, measure_health
 
     if _bad_watch(args):
         return 2
-    setup = _watch_setup(args, lambda dep: dep.health_plane.render())
     try:
-        result = run_health_scenario(args.plan, seed=args.seed, keep_dep=True, setup=setup)
+        armed = arm_health(args.plan, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    dep = result.pop("dep")
-    plane = dep.health_plane
-    if plane is None or not plane.enabled:
-        print("error: health plane is disabled (observe=False?)", file=sys.stderr)
-        return 1
+    plane = _run(armed, args.watch, lambda dep: dep.health_plane.render()).health_plane
+    result = {"plan": args.plan, **measure_health(*armed)}
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
         return 0
@@ -894,9 +881,9 @@ def cmd_incident(args: argparse.Namespace) -> int:
     from repro.obs import reconstruct
 
     if args.chaos:
-        from repro.faults.scenario import run_resilience_scenario
+        from repro.faults.scenario import arm_resilience
 
-        dep = run_resilience_scenario(True, keep_dep=True, health=args.site)["dep"]
+        dep = _run(arm_resilience(True, health=args.site))
     else:
         dep = _attacked_home()
     if _unknown_device(dep, args.device):
@@ -982,8 +969,8 @@ def main(argv: list[str] | None = None) -> int:
     health.add_argument(
         "--plan",
         default="none",
-        choices=("none", "standard", "controller", "long-partition"),
-        help="fault plan to drive the run (default: the all-green standard run)",
+        help="scenario to run: none (default, the all-green attacked home),"
+        " standard, controller or long-partition",
     )
     health.add_argument("--seed", type=int, default=7)
     health.add_argument("--json", action="store_true", help="summary dict instead of text")

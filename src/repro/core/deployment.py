@@ -113,8 +113,6 @@ class SecuredDeployment:
         checkpointing: bool = False,
         checkpoint_period: float = 5.0,
         standby: bool = False,
-        heartbeat_period: float = 0.25,
-        failover_timeout: float = 1.0,
         ha_seed: int = 0,
         health: bool = False,
         health_period: float = 5.0,
@@ -144,8 +142,6 @@ class SecuredDeployment:
         self.checkpointing = checkpointing
         self.checkpoint_period = checkpoint_period
         self.standby = standby
-        self.heartbeat_period = heartbeat_period
-        self.failover_timeout = failover_timeout
         self.ha_seed = ha_seed
         self.checkpoint_store: CheckpointStore | None = None
         self.checkpointer: Checkpointer | None = None
@@ -352,7 +348,6 @@ class SecuredDeployment:
                 policy=self.policy,
                 name=self.STANDBY,
                 primary=self.CONTROLLER,
-                heartbeat_timeout=self.failover_timeout,
                 seed=self.ha_seed,
                 on_takeover=self._bind,
             )
@@ -424,7 +419,6 @@ class SecuredDeployment:
                 period=self.checkpoint_period,
                 channel=self.channel if replicate else None,
                 standby=self.STANDBY if replicate else None,
-                heartbeat_period=self.heartbeat_period if replicate else None,
             )
 
     # ------------------------------------------------------------------

@@ -76,6 +76,11 @@ __all__ = [
 #: Checkpoint format version; bumped on any incompatible layout change.
 CHECKPOINT_VERSION = 1
 
+#: How often a replicating primary heartbeats its standby, and how long
+#: the standby waits in silence before taking over (plus seeded jitter).
+HEARTBEAT_PERIOD = 0.25
+FAILOVER_TIMEOUT = 1.0
+
 
 # ----------------------------------------------------------------------
 # Checkpoints
@@ -236,7 +241,7 @@ class Checkpointer:
         period: float = 5.0,
         channel: "ControlChannel | None" = None,
         standby: str | None = None,
-        heartbeat_period: float | None = None,
+        heartbeat_period: float = HEARTBEAT_PERIOD,
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive (got {period})")
@@ -258,7 +263,7 @@ class Checkpointer:
         self._stops: list[Callable[[], None]] = [
             controller.sim.every(period, self._tick)
         ]
-        if channel is not None and standby is not None and heartbeat_period:
+        if channel is not None and standby is not None:
             self._stops.append(
                 controller.sim.every(heartbeat_period, self._heartbeat)
             )
@@ -508,7 +513,7 @@ class StandbyController:
         policy: "PolicyFSM",
         name: str = "standby",
         primary: str = "controller",
-        heartbeat_timeout: float = 1.0,
+        heartbeat_timeout: float = FAILOVER_TIMEOUT,
         check_period: float = 0.25,
         seed: int = 0,
         on_takeover: Callable[[IoTSecController], None] | None = None,

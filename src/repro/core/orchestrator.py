@@ -115,7 +115,6 @@ class PostureOrchestrator:
         #: updates (whole-switch epochs) instead of direct installation --
         #: no packet ever sees a mix of old and new tunnel rules.
         self.updater = updater
-        self._rule_specs: dict[str, list[FlowRule]] = {}
         self.tunnels = TunnelTable()
         self.current: dict[str, Posture] = {}
         self.records: list[OrchestrationRecord] = []
@@ -384,7 +383,6 @@ class PostureOrchestrator:
             switch=attachment.switch.name,
         )
         if self.updater is not None:
-            self._rule_specs.setdefault(device, [])
             self._push_epoch(attachment.switch)
         else:
             # Direct mode: rules are keyed by device/priority, not by mbox
@@ -519,7 +517,6 @@ class PostureOrchestrator:
         push its switch gets this round (an epoch rebuilds the switch's
         whole desired set, so there the switch is only marked)."""
         if self.updater is not None:
-            self._rule_specs[device] = []
             epoch_switches[att.switch.name] = att.switch
             return
         rules_of = self._offload_rules if device in self.tunnels else self._device_rules
@@ -533,7 +530,6 @@ class PostureOrchestrator:
         epoch_switches: dict[str, "Switch"],
     ) -> None:
         if self.updater is not None:
-            self._rule_specs.pop(device, None)
             epoch_switches[att.switch.name] = att.switch
             return
         self._remove_rules(device)
@@ -557,7 +553,7 @@ class PostureOrchestrator:
         for device, attachment in self.attachments.items():
             if attachment.switch is not switch:
                 continue
-            if device in self.tunnels or device in self._rule_specs:
+            if device in self.tunnels:
                 desired.extend(self._device_rules(device, attachment))
         self._h_rules_batch.observe(len(desired))
         trace_ids = tuple(trace_ids)

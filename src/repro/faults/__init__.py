@@ -1,5 +1,5 @@
-"""Fault injection: declarative plans, seeded chaos, and the standard
-resilience scenario (bench E12 / ``repro chaos``)."""
+"""Fault injection: declarative plans and campaigns, seeded chaos, and the
+canned scenarios built from them (:mod:`repro.faults.scenario`)."""
 
 from repro.faults.chaos import ChaosGenerator
 from repro.faults.plan import FAULT_KINDS, FaultEvent, FaultPlan, long_partition_plan

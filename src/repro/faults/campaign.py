@@ -537,11 +537,19 @@ class CampaignRunner:
         self.exploit_results[stage.name] = result
         return f"launched {name} against {stage.target}"
 
+    def _wave(self, params: dict[str, Any], fire: Any) -> int:
+        """Fire now, then ``count - 1`` more times ``period`` apart (both
+        consumed from ``params``, so they never reach the packet)."""
+        count = int(params.pop("count", 1))
+        period = float(params.pop("period", 0.5))
+        fire()
+        for i in range(1, count):
+            self.sim.schedule(i * period, fire)
+        return count
+
     def _execute_command(self, stage: CampaignStage) -> str:
         params = dict(stage.params)
         cmd = str(params.pop("command"))
-        count = int(params.pop("count", 1))
-        period = float(params.pop("period", 0.5))
         dport = params.pop("dport", None)
         use_session = bool(params.pop("use_session", False))
         target = stage.target
@@ -556,17 +564,13 @@ class CampaignRunner:
                 protocol.command(attacker.name, target, cmd, session=session, **kwargs)
             )
 
-        fire()
-        for i in range(1, count):
-            self.sim.schedule(i * period, fire)
+        count = self._wave(params, fire)
         return f"{count}x {cmd!r} to {target}"
 
     def _execute_login(self, stage: CampaignStage) -> str:
         params = dict(stage.params)
         username = str(params["username"])
         password = str(params["password"])
-        count = int(params.get("count", 1))
-        period = float(params.get("period", 0.5))
         target = stage.target
         attacker = self.attacker
 
@@ -575,9 +579,7 @@ class CampaignRunner:
                 protocol.login(attacker.name, target, username, password)
             )
 
-        fire()
-        for i in range(1, count):
-            self.sim.schedule(i * period, fire)
+        count = self._wave(params, fire)
         return f"{count}x login {username!r} to {target}"
 
     def _execute_fault(self, stage: CampaignStage) -> str:

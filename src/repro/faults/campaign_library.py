@@ -34,6 +34,7 @@ packets, outages, ``chain-repin``) while still containing by horizon.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.faults.campaign import (
@@ -56,10 +57,17 @@ __all__ = [
     "FIG3_BREAK_IN",
     "THERMAL_BREAK_IN",
     "OVEN_ARSON",
+    "CAM_BRUTE_FORCE",
+    "FAILOVER_WAVES",
+    "resilience_waves",
+    "no_attack",
     "build_home",
     "build_library",
     "campaigns_by_class",
     "get_campaign",
+    "arm_campaign",
+    "checked",
+    "measure_campaign",
     "run_campaign",
     "run_class",
 ]
@@ -621,6 +629,75 @@ OVEN_ARSON = Campaign(
 )
 
 
+#: The attacks of the canned scenarios (:mod:`repro.faults.scenario`),
+#: aimed at the two-device ``standard_home``.
+CAM_BRUTE_FORCE = Campaign(
+    "cam-brute-force",
+    "single-flaw",
+    description="Dictionary attack on the camera's login from t=0 (the "
+    "attacked home behind `repro report` and friends).",
+    stages=(S("brute", 0.0, "exploit", {"exploit": "brute_force_login"}, target="cam"),),
+)
+FAILOVER_WAVES = Campaign(
+    "failover-waves",
+    "fabric-degradation",
+    description="Two logins before the controller dies at t=10 -- two of the "
+    "five the escalation window needs, so only a restore that rebuilds the "
+    "sliding windows escalates on the wave's third attempt, not its fifth -- "
+    "then a credential wave from t=10.5 to the horizon (bench E13a).",
+    horizon=40.0,
+    expect_contained=("cam",),
+    stages=(
+        S("background", 3.0, "login",
+          {"username": "admin", "password": "admin", "count": 2, "period": 3.0},
+          target="cam"),
+        S("wave", 10.5, "login",
+          {"username": "admin", "password": "admin", "count": 59, "period": 0.5},
+          target="cam"),
+    ),
+)
+
+
+def resilience_waves(horizon: float = 30.0) -> Campaign:
+    """Bench E12's attack: backdoor ``on`` commands at the plug every
+    0.25 s from t=1, and from t=4.5 (inside the partition) also
+    default-credential logins at the camera every 0.5 s, until ``horizon``.
+
+    The plug's wave is two stages, split where the camera's begins and
+    listed after it.  A wave arms its shots when its stage fires, so on
+    every instant the two waves share the camera's shot goes first --
+    and under seeded channel loss (``repro chaos --drop``) the order of
+    two sends decides which alert a drop lands on.
+    """
+
+    def wave(name: str, start: float, end: float, period: float, kind: str,
+             target: str, **params: Any) -> list[CampaignStage]:
+        count = math.ceil((min(end, horizon) - start) / period)
+        params.update(count=count, period=period)
+        return [S(name, start, kind, params, target=target)] if count > 0 else []
+
+    backdoor = {"command": "on", "dport": WEMO_BACKDOOR}
+    return Campaign(
+        "resilience-waves",
+        "fabric-degradation",
+        description="Hammer the plug's backdoor, then the camera's login too, "
+        "while the control channel partitions and the plug's µmbox crashes.",
+        horizon=horizon,
+        expect_contained=("cam",),
+        stages=(
+            *wave("plug-probe", 1.0, 4.5, 0.25, "command", "plug", **backdoor),
+            *wave("cam-logins", 4.5, horizon, 0.5, "login", "cam",
+                  username="admin", password="admin"),
+            *wave("plug-backdoor", 4.5, horizon, 0.25, "command", "plug", **backdoor),
+        ),
+    )
+
+
+def no_attack(horizon: float) -> Campaign:
+    """Nobody attacks: the scenario's adversity is all in its fault plan."""
+    return Campaign("no-attack", "fabric-degradation", horizon=horizon)
+
+
 def get_campaign(name: str) -> Campaign:
     try:
         return CAMPAIGNS[name]
@@ -637,28 +714,34 @@ def campaigns_by_class(campaign_class: str) -> list[Campaign]:
 # ----------------------------------------------------------------------
 # Execution + per-class rollup
 # ----------------------------------------------------------------------
-def run_campaign(
-    campaign: Campaign,
-    seed: int | None = None,
-    health: bool = True,
-    keep_dep: bool = False,
-) -> dict[str, Any]:
-    """Run one campaign against a fresh standard home; return its scorecard.
-
-    Adds the SLO fold-in on top of :func:`score_campaign`: the number of
-    journaled breaches overall and of the campaign-containment SLO in
-    particular, plus the deterministic journal digest.
-    """
+def arm_campaign(
+    campaign: Campaign, seed: int | None = None, health: bool = True
+) -> tuple["SecuredDeployment", CampaignRunner]:
+    """A fresh standard home with ``campaign`` armed on it, its
+    containment tracked live and (with ``health``) folded into the SLO
+    plane; the caller runs it to ``campaign.horizon``."""
     dep = build_home(health=health)
     tracker = ContainmentTracker(
         dep, campaign.expect_contained, deadline=campaign.deadline,
         period=HEALTH_PERIOD,
     )
-    if health and dep.health_plane is not None:
+    if dep.health_plane is not None:
         attach_campaign_slos(dep, dep.health_plane, tracker)
-    runner = CampaignRunner(campaign, dep, seed=seed, tracker=tracker).start()
-    dep.run(until=campaign.horizon)
-    score = score_campaign(dep, runner)
+    return dep, CampaignRunner(campaign, dep, seed=seed, tracker=tracker).start()
+
+
+def checked(dep: "SecuredDeployment") -> "SecuredDeployment":
+    """The run-level invariants every measure step holds a finished run to."""
+    violations = dep.orchestrator.offload_violations()
+    assert not violations, violations
+    return dep
+
+
+def measure_campaign(dep: "SecuredDeployment", runner: CampaignRunner) -> dict[str, Any]:
+    """:func:`score_campaign` plus the SLO fold-in: the number of
+    journaled breaches overall and of the campaign-containment SLO in
+    particular, and the deterministic journal digest."""
+    score = score_campaign(checked(dep), runner)
     journal = dep.sim.journal
     breaches = journal.entries(kind="slo-breach")
     score["slo_breaches"] = len(breaches)
@@ -668,10 +751,16 @@ def run_campaign(
     score["repin_count"] = len(journal.entries(kind="chain-repin"))
     score["routing_attack_records"] = len(journal.entries(kind="routing-attack"))
     score["journal_digest"] = journal_digest(journal)
-    if keep_dep:
-        score["dep"] = dep
-        score["runner"] = runner
     return score
+
+
+def run_campaign(
+    campaign: Campaign, seed: int | None = None, health: bool = True
+) -> dict[str, Any]:
+    """Arm, run to the campaign's horizon, measure."""
+    dep, runner = arm_campaign(campaign, seed, health)
+    dep.run(until=campaign.horizon)
+    return measure_campaign(dep, runner)
 
 
 def run_class(

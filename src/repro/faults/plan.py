@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import SecuredDeployment
@@ -107,6 +107,30 @@ def long_partition_plan(
             )
         ]
     )
+
+
+def inject_alerts(
+    dep: "SecuredDeployment",
+    sender: str,
+    rate: float,
+    start: float,
+    end: float,
+    alert: Callable[[int], dict[str, Any]],
+) -> None:
+    """Send the controller ``alert(n)`` (n = 1, 2, ...) from ``sender`` at
+    ``rate`` alerts/second over ``[start, end)``."""
+    sim = dep.sim
+    period = 1.0 / rate
+    sent = 0
+
+    def burst() -> None:
+        nonlocal sent
+        sent += 1
+        dep.channel.send(sender, dep.CONTROLLER, "alert", alert(sent))
+        if sim.now + period < end:
+            sim.schedule(period, burst)
+
+    sim.schedule_at(start, burst)
 
 
 class FaultPlan:
@@ -245,34 +269,23 @@ class FaultPlan:
         control channel, so it competes with real alerts exactly the way
         the load-shedding queue is designed to arbitrate.
         """
-        sim = dep.sim
         targets = (
             sorted(dep.devices) if event.target == "*" else [event.target]
         )
         if not targets:
             return
-        rate = event.intensity or DEFAULT_STORM_RATE
-        period = 1.0 / rate
-        end = event.at + event.duration
-        counter = {"n": 0}
-
-        def burst() -> None:
-            device = targets[counter["n"] % len(targets)]
-            counter["n"] += 1
-            dep.channel.send(
-                "storm",
-                dep.CONTROLLER,
-                "alert",
-                {
-                    "device": device,
-                    "kind": "telemetry",
-                    "detail": {"storm": True, "n": counter["n"]},
-                },
-            )
-            if sim.now + period < end:
-                sim.schedule(period, burst)
-
-        sim.schedule_at(event.at, burst)
+        inject_alerts(
+            dep,
+            "storm",
+            event.intensity or DEFAULT_STORM_RATE,
+            event.at,
+            event.at + event.duration,
+            lambda n: {
+                "device": targets[(n - 1) % len(targets)],
+                "kind": "telemetry",
+                "detail": {"storm": True, "n": n},
+            },
+        )
 
     @staticmethod
     def _find_link(dep: "SecuredDeployment", target: str):

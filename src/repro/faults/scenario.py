@@ -1,51 +1,77 @@
-"""The standard resilience scenario: partition + µmbox crash under attack.
+"""The canned single-site scenarios: arm, run, measure.
 
-One protected home, two devices, two faults, two arms:
+Every scenario is a home, a fault plan and a campaign, taken in three
+steps the caller can pull apart:
 
-- ``cam`` runs an (unpinned) monitor posture; an attacker hammers its
-  default-credential login.  The µmbox's login monitor raises alerts that
-  must cross the control channel for the policy loop to escalate the
-  camera to a firewall posture -- and the attack begins *inside* a
-  control-channel partition, so the first alerts are exactly the ones the
-  wire loses.
-- ``plug`` is pinned behind a command filter (``block_commands("on")``);
-  its µmbox is crashed mid-run while the attacker keeps firing backdoor
-  ``on`` commands.
+- **arm** (``arm_*``) builds the home with the planes the scenario turns
+  on, applies its :class:`~repro.faults.plan.FaultPlan` up front and
+  starts its attacks -- a :class:`~repro.faults.campaign.Campaign` from
+  :mod:`repro.faults.campaign_library` -- on a ``CampaignRunner``.  It
+  returns ``(dep, runner)`` with the clock at zero.
+- **run** is the caller's own ``dep.run(until=...)``, to
+  ``runner.campaign.horizon`` in one call or in slices (slicing adds no
+  event and journals the same bytes).
+- **measure** (``measure_*``) is a function of the finished deployment
+  and runner alone, and checks the run-level invariants first.
 
-The **resilient** arm uses at-least-once control delivery (alerts and
-flow-mods retry across the partition), fail-closed degradation, and the
-µmbox health loop (crash -> sweep -> reboot -> chain re-pin).  The
-**baseline** arm is the paper's implicit adversary: exactly-once-if-lucky
-delivery, no health model, and fail-open degradation -- a lost alert is
-lost forever and a dead µmbox silently reverts its device to the
-vulnerable default.
+``run_*_scenario`` is the three in a row.  The scenarios: **resilience**
+(bench E12, ``repro chaos``), **failover** and **storm** (bench E13,
+``repro failover [--storm]``), the **health** plans (``repro health
+--plan``) and the **attacked home** behind ``repro report``/``metrics``/
+``trace``/``audit``/``incident``/``dlq``.  All are seeded and sim-timed:
+the same seed reproduces the same packets, drops, crashes and
+recoveries, which is what lets the benches gate their numbers in CI.
 
-Everything is seeded and sim-timed: the same seed reproduces the same
-packets, drops, crashes and recoveries, which is what lets bench E12 gate
-the exposure window in CI.
+The E9 home with its two opening attacks, and the multi-site federation
+blackout, live here too; they are not campaigns.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from repro.core.overload import CLASS_NAMES, IngestConfig
 from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
-from repro.faults.plan import FaultEvent, FaultPlan
+from repro.faults.campaign import Campaign, CampaignRunner
+from repro.faults.campaign_library import (
+    CAM_BRUTE_FORCE,
+    FAILOVER_WAVES,
+    HEALTH_PERIOD,
+    checked,
+    no_attack,
+    resilience_waves,
+)
+from repro.faults.plan import FaultEvent, FaultPlan, inject_alerts, long_partition_plan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import SecuredDeployment
-    from repro.netsim.packet import Packet
 
-#: The standard fault schedule (see module docstring).
+#: What ``arm_*`` returns and ``measure_*`` takes.
+Armed = tuple["SecuredDeployment", CampaignRunner]
+
+#: The resilience scenario's fault schedule and default horizon.
 PARTITION_AT = 4.0
 PARTITION_LEN = 3.0
 CRASH_AT = 10.0
-ATTACK_CAM_START = 4.5
-ATTACK_CAM_PERIOD = 0.5
-ATTACK_PLUG_START = 1.0
-ATTACK_PLUG_PERIOD = 0.25
 HORIZON = 30.0
-HEALTH_PERIOD = 0.5
+
+#: Failover: the controller dies at :data:`CRASH_AT` too.
+RESTART_AFTER = 20.0          # cold-restart delay in the no-standby arm
+CHECKPOINT_PERIOD = 2.0
+
+#: Storm schedule and rates.
+STORM_HORIZON = 20.0
+TELEMETRY_RATE = 50.0         # background telemetry, alerts/s over [1, 19)
+STORM_RATE = 500.0            # the 10x flood, alerts/s over [5, 13)
+ENFORCING_RATE = 20.0         # real alerts for an enforcing device
+STORM_START = 5.0
+STORM_LEN = 8.0
+INGEST_CAPACITY = 128
+INGEST_SERVICE_TIME = 0.004   # 250 alerts/s service ceiling
+
+LONG_PARTITION_START = 60.0
+LONG_PARTITION_HOURS = 0.5
 
 #: The federation blackout schedule: first sync and one cross-site
 #: signature propagate cleanly, then the coordinator WAN goes dark for a
@@ -146,25 +172,40 @@ def launch_e9_attacks(dep: "SecuredDeployment") -> list[Any]:
     ]
 
 
-def schedule_wave(
+def _arm(
     dep: "SecuredDeployment",
-    start: float,
-    period: float,
-    horizon: float,
-    make_packet: Callable[[], "Packet"],
-) -> int:
-    """Arm one fresh attacker packet every ``period`` seconds over
-    ``[start, horizon)`` at absolute times; returns how many."""
-    attacker = dep.attackers["attacker"]
-    attempts = 0
-    t = start
-    while t < horizon:
-        dep.sim.schedule_at(t, attacker.fire_and_forget, make_packet())
-        attempts += 1
-        t += period
-    return attempts
+    campaign: Campaign,
+    seed: int | None = None,
+    plan: FaultPlan | None = None,
+    pin_plug: bool = False,
+) -> Armed:
+    """What every scenario does to its freshly built home: faults up
+    front, the plug's pin, the baseline postures, the campaign armed."""
+    from repro.policy.posture import block_commands
+
+    if plan is not None:
+        plan.apply(dep)
+    if pin_plug:
+        dep.secure("plug", block_commands("on"))  # enforcing: fail-closed, class 0
+    dep.enforce_baseline()  # cam: unpinned monitor posture, policy-driven
+    return dep, CampaignRunner(campaign, dep, seed=seed).start()
 
 
+def _finish(armed: Armed, measure: Callable[..., dict[str, Any]]) -> dict[str, Any]:
+    dep, runner = armed
+    dep.run(until=runner.campaign.horizon)
+    return measure(dep, runner)
+
+
+def _attacker_logins(dep: "SecuredDeployment") -> int:
+    return sum(
+        1 for __, src, __, ok in dep.devices["cam"].login_log if ok and src == "attacker"
+    )
+
+
+# ----------------------------------------------------------------------
+# Resilience: partition + µmbox crash under attack (E12)
+# ----------------------------------------------------------------------
 def standard_fault_plan() -> FaultPlan:
     """Partition the whole control channel, then crash the plug's µmbox."""
     return FaultPlan(
@@ -175,31 +216,30 @@ def standard_fault_plan() -> FaultPlan:
     )
 
 
-def run_resilience_scenario(
+def arm_resilience(
     resilient: bool,
     seed: int = 7,
     horizon: float = HORIZON,
     drop_prob: float = 0.0,
     jitter: float = 0.0,
     plan: FaultPlan | None = None,
-    keep_dep: bool = False,
     health: bool = False,
-    setup: Any = None,
-) -> dict[str, Any]:
-    """Run one arm of the standard scenario; returns the measurements.
+) -> Armed:
+    """Arm one arm of the resilience scenario: partition + µmbox crash
+    under attack (bench E12's docstring tells the story).
+
+    The **resilient** arm has at-least-once control delivery, fail-closed
+    degradation and the µmbox health loop.  The **baseline** arm is the
+    paper's implicit adversary: a lost alert is lost forever and a dead
+    µmbox silently reverts its device to the vulnerable default.
 
     ``drop_prob``/``jitter`` add seeded background loss and delay on top
     of the plan's partitions (the chaos CLI exposes them; the bench keeps
-    them at zero so the numbers isolate the two injected faults).  With
-    ``keep_dep`` the deployment rides along under ``"dep"`` for forensics
-    (``repro incident --chaos``).  ``health`` attaches the SLO/health
-    plane (eval period :data:`HEALTH_PERIOD`) and folds its breach
-    summary into the result.  ``setup(dep)``, when given, runs right
-    before the clock starts (the CLI hooks periodic re-renders there).
+    them at zero so the numbers isolate the two injected faults).
+    ``horizon`` is how long the attack waves last.  ``health`` attaches
+    the SLO/health plane (eval period :data:`HEALTH_PERIOD`), whose
+    breach summary the measurement then carries.
     """
-    from repro.devices import protocol
-    from repro.devices.library import WEMO_BACKDOOR_PORT
-    from repro.policy.posture import block_commands
     from repro.sdn.channel import FaultModel
 
     dep = standard_home(
@@ -210,58 +250,38 @@ def run_resilience_scenario(
         health_period=HEALTH_PERIOD,
     )
     dep.channel.inject_faults(FaultModel(seed=seed, drop_prob=drop_prob, jitter=jitter))
-    plan = plan or standard_fault_plan()
-    plan.apply(dep)
-
-    dep.secure("plug", block_commands("on"))  # pinned, fail-closed
-    dep.enforce_baseline()  # cam: unpinned monitor posture, policy-driven
-
+    armed = _arm(
+        dep, resilience_waves(horizon), seed, plan or standard_fault_plan(), pin_plug=True
+    )
     if not resilient:
         # The no-resilience world has no degradation policy: a dead µmbox
         # simply stops standing between the attacker and the device.
         for mbox in dep.cluster.mboxes.values():
             mbox.fail_mode = "open"
+    return armed
 
-    # -- attack waves ---------------------------------------------------
-    cam_attempts = schedule_wave(
-        dep, ATTACK_CAM_START, ATTACK_CAM_PERIOD, horizon,
-        lambda: protocol.login("attacker", "cam", "admin", "admin"),
-    )
-    plug_attempts = schedule_wave(
-        dep, ATTACK_PLUG_START, ATTACK_PLUG_PERIOD, horizon,
-        lambda: protocol.command("attacker", "plug", "on", dport=WEMO_BACKDOOR_PORT),
-    )
 
-    if setup is not None:
-        setup(dep)
-    dep.run(until=horizon)
-
-    # -- measurements ---------------------------------------------------
-    cam = dep.devices["cam"]
-    plug = dep.devices["plug"]
-    cam_logins_ok = sum(
-        1 for __, src, __, ok in cam.login_log if ok and src == "attacker"
-    )
+def measure_resilience(dep: "SecuredDeployment", runner: CampaignRunner) -> dict[str, Any]:
+    horizon = runner.campaign.horizon
+    plug = checked(dep).devices["plug"]
+    cam_logins_ok = _attacker_logins(dep)
     plug_cmds_ok = sum(
         1 for r in plug.command_log if r.accepted and r.src == "attacker"
     )
 
-    # Time from the first attack packet to the camera's enforcement
-    # posture landing (the detect -> escalate -> re-enforce chain).
+    # Time from the camera's first attack packet to its enforcement
+    # posture landing (the detect -> escalate -> re-enforce chain).  The
+    # campaign scorecard's ``exposure_s["cam"]``, unrounded for the mean.
     cam_enforced_at = dep.orchestrator.first_enforced_at("cam")
     cam_exposure = (
-        (cam_enforced_at - ATTACK_CAM_START)
-        if cam_enforced_at is not None
-        else horizon - ATTACK_CAM_START
-    )
+        horizon if cam_enforced_at is None else cam_enforced_at
+    ) - runner.first_attacks().get("cam", horizon)
 
     # The plug is exposed only while its traffic flows *uninspected*:
     # fail-open downtime counts, fail-closed downtime blocks instead.
     plug_exposure = 0.0
     plug_downtime = 0.0
-    reenforce_times = []
-    if cam_enforced_at is not None:
-        reenforce_times.append(cam_exposure)
+    reenforce_times = [] if cam_enforced_at is None else [cam_exposure]
     for outage in dep.manager.outages:
         end = outage.restored_at if outage.restored_at is not None else horizon
         plug_downtime += end - outage.down_at
@@ -272,10 +292,10 @@ def run_resilience_scenario(
 
     channel = dep.channel
     result: dict[str, Any] = {
-        "arm": "resilient" if resilient else "baseline",
-        "seed": seed,
+        "arm": "resilient" if dep.reliable_control else "baseline",
+        "seed": runner.seed,
         "horizon_s": horizon,
-        "attack_attempts": cam_attempts + plug_attempts,
+        "attack_attempts": sum(stage.params["count"] for stage in runner.campaign),
         "attack_successes": cam_logins_ok + plug_cmds_ok,
         "cam_login_successes": cam_logins_ok,
         "plug_command_successes": plug_cmds_ok,
@@ -300,22 +320,224 @@ def run_resilience_scenario(
         "fail_open_passes": dep.cluster.fail_open_passes,
         "events": dep.sim.events_processed,
     }
-    if health and dep.health_plane is not None:
+    if dep.health_plane is not None:
         result["health"] = health_summary(dep)
-    if keep_dep:
-        result["dep"] = dep
     return result
 
 
-# ----------------------------------------------------------------------
-# Health-plane scenarios (the `repro health` CLI + the regression gate)
-# ----------------------------------------------------------------------
+def run_resilience_scenario(resilient: bool, **options: Any) -> dict[str, Any]:
+    """Arm (``options`` are :func:`arm_resilience`'s), run to the horizon,
+    measure."""
+    return _finish(arm_resilience(resilient, **options), measure_resilience)
 
-#: Named fault plans `repro health --plan` understands.
-HEALTH_PLANS = ("none", "standard", "controller", "long-partition")
-CONTROLLER_CRASH_AT = 10.0
-LONG_PARTITION_START = 60.0
-LONG_PARTITION_HOURS = 0.5
+
+# ----------------------------------------------------------------------
+# Controller survivability: crash/failover and the alert storm (E13)
+# ----------------------------------------------------------------------
+def arm_failover(standby: bool, seed: int = 7) -> Armed:
+    """Arm one arm of the crash-vs-failover experiment (bench E13a).
+
+    The controller dies half a second before the camera's brute-force
+    wave.  The **crash** arm checkpoints locally and is cold-restarted
+    :data:`RESTART_AFTER` seconds later, so its *blind window* -- attack
+    seconds before the first post-crash enforcing posture -- is
+    essentially the outage; the **standby** arm's hot standby takes over
+    under the primary's endpoint name, and pending alert retransmissions
+    deliver to it.
+    """
+    dep = standard_home(
+        consistent_updates=True,
+        reliable_control=True,
+        checkpointing=True,
+        checkpoint_period=CHECKPOINT_PERIOD,
+        standby=standby,
+        ha_seed=seed,
+    )
+    # The crash is a declared fault -- journaled, reproducible, reviewable.
+    crash = FaultPlan([FaultEvent(CRASH_AT, "controller-crash", "controller")])
+    armed = _arm(dep, FAILOVER_WAVES, seed, crash, pin_plug=True)  # the pin survives failover
+    if not standby:
+        dep.sim.schedule_at(CRASH_AT + RESTART_AFTER, dep.restart_controller)
+    return armed
+
+
+def measure_failover(dep: "SecuredDeployment", runner: CampaignRunner) -> dict[str, Any]:
+    checked(dep)
+    horizon = runner.campaign.horizon
+    # Blind window: attack time from the crash until the first *enforcing*
+    # posture lands anywhere post-crash (the camera's firewall).
+    enforced_at = dep.orchestrator.first_enforced_at("cam", after=CRASH_AT)
+    blind = (enforced_at - CRASH_AT) if enforced_at is not None else horizon - CRASH_AT
+
+    journal = dep.sim.journal
+    failover_entries = journal.entries(kind="failover-complete")
+    restart_entries = journal.entries(kind="controller-restart")
+    return {
+        "arm": "standby" if dep.standby else "crash",
+        "seed": runner.seed,
+        "horizon_s": horizon,
+        # The post-crash wave; the two background logins are not attempts.
+        "attack_attempts": runner.campaign.stages[-1].params["count"],
+        "cam_login_successes": _attacker_logins(dep),
+        "blind_window_s": round(blind, 6),
+        "cam_enforced_at": round(enforced_at, 6) if enforced_at is not None else None,
+        "checkpoints": dep.checkpoint_store.captured if dep.checkpoint_store else 0,
+        "failovers": len(failover_entries),
+        "restarts": len(restart_entries),
+        "replayed": (
+            failover_entries[0].fields["replayed_alerts"]
+            + failover_entries[0].fields["replayed_contexts"]
+            if failover_entries
+            else (restart_entries[0].fields["replayed"] if restart_entries else 0)
+        ),
+        "reconciled": (
+            failover_entries[0].fields["reconciled"]
+            if failover_entries
+            else (restart_entries[0].fields["reconciled"] if restart_entries else 0)
+        ),
+        "ctrl_retries": dep.channel.retries,
+        "ctrl_giveups": dep.channel.giveups,
+        "ctrl_duplicates": dep.channel.duplicates,
+        "dedup_evictions": dep.channel.dedup_evictions,
+        "events": dep.sim.events_processed,
+    }
+
+
+def run_failover_scenario(standby: bool, seed: int = 7) -> dict[str, Any]:
+    return _finish(arm_failover(standby, seed), measure_failover)
+
+
+def _note_latency(latencies: dict[int, list[float]], cls: int, latency: float) -> None:
+    latencies[cls].append(latency)
+
+
+def arm_storm(shedding: bool, seed: int = 7) -> Armed:
+    """Arm one arm of the 10x-alert-storm experiment: the ingest queue
+    class-prioritized with watermark shedding (**shed**), or plain
+    drop-tail FIFO of the same capacity and service rate (**fifo**).
+    Nobody attacks; the flood and the genuine alerts enter at the
+    control channel."""
+    config = IngestConfig(
+        capacity=INGEST_CAPACITY,
+        service_time=INGEST_SERVICE_TIME,
+        prioritized=shedding,
+        shed=shedding,
+    )
+    dep = standard_home(consistent_updates=True, reliable_control=True, ingest=config)
+    # The 10x flood rides the declarative fault plan (journaled).
+    flood = FaultPlan(
+        [FaultEvent(STORM_START, "alert-storm", "cam", STORM_LEN, intensity=STORM_RATE)]
+    )
+    armed = _arm(dep, no_attack(STORM_HORIZON), seed, flood, pin_plug=True)
+    dep.controller.ingest.on_processed = partial(_note_latency, {0: [], 1: [], 2: []})
+
+    def feed(kind: str, device: str, rate: float, start: float, end: float) -> None:
+        inject_alerts(
+            dep, dep.CLUSTER, rate, start, end,
+            lambda n: {"device": device, "kind": kind, "detail": {"feed": kind}},
+        )
+
+    # Routine background telemetry (class 2) and genuine alerts for the
+    # enforcing-posture plug (class 0) that must survive the storm.
+    feed("telemetry", "cam", TELEMETRY_RATE, 1.0, STORM_HORIZON - 1.0)
+    feed("anomalous-command", "plug", ENFORCING_RATE, STORM_START, STORM_START + STORM_LEN)
+    return armed
+
+
+def measure_storm(dep: "SecuredDeployment", runner: CampaignRunner) -> dict[str, Any]:
+    queue = checked(dep).controller.ingest
+    latencies = queue.on_processed.args[0]
+    arrived = [a + d for a, d in zip(queue.accepted, queue.dropped)]
+    fractions = {
+        CLASS_NAMES[cls]: (
+            round(queue.processed[cls] / arrived[cls], 6) if arrived[cls] else None
+        )
+        for cls in (0, 1, 2)
+    }
+
+    def p99(samples: list[float]) -> float | None:
+        if not samples:
+            return None
+        ordered = sorted(samples)
+        return round(ordered[int(0.99 * (len(ordered) - 1))], 6)
+
+    return {
+        "arm": "shed" if queue.config.shed else "fifo",
+        "seed": runner.seed,
+        "horizon_s": runner.campaign.horizon,
+        "storm_rate": STORM_RATE,
+        "service_rate": round(1.0 / INGEST_SERVICE_TIME, 6),
+        "queue": queue.stats(),
+        "enforcing_processed_frac": fractions["enforcing"],
+        "processed_frac": fractions,
+        "p99_latency_s": {CLASS_NAMES[cls]: p99(latencies[cls]) for cls in (0, 1, 2)},
+        "shed_transitions": queue.shed_transitions,
+        "events": dep.sim.events_processed,
+    }
+
+
+def run_storm_scenario(shedding: bool, seed: int = 7) -> dict[str, Any]:
+    return _finish(arm_storm(shedding, seed), measure_storm)
+
+
+# ----------------------------------------------------------------------
+# The attacked home and the health-plane scenarios
+# ----------------------------------------------------------------------
+def arm_attacked_home(**planes: Any) -> Armed:
+    """The canned scenario behind ``repro report``/``metrics``/``trace``/
+    ``audit``/``incident``/``dlq``: the two-device home on baseline
+    postures, its camera brute-forced from t=0.  ``planes`` turn on
+    opt-in planes of the deployment."""
+    return _arm(standard_home(**planes), CAM_BRUTE_FORCE)
+
+
+def _arm_survivable(
+    campaign: Campaign, plan: FaultPlan | None, seed: int = 7, **planes: Any
+) -> Armed:
+    """The same home with the full survivability stack and the SLO/health
+    plane on."""
+    dep = standard_home(
+        consistent_updates=True,
+        reliable_control=True,
+        health_check_period=HEALTH_PERIOD,
+        checkpointing=True,
+        ha_seed=seed,
+        health=True,
+        health_period=HEALTH_PERIOD,
+        **planes,
+    )
+    return _arm(dep, campaign, seed, plan)
+
+
+#: ``repro health --plan``: name -> how to arm it, given a seed.  The
+#: fault plans must drive deterministic, journaled breach -> recovery
+#: chains; the regression gate asserts exactly that.
+HEALTH_SCENARIOS: dict[str, Callable[..., Armed]] = {
+    # the attacked home, which must end all-green
+    "none": partial(_arm_survivable, CAM_BRUTE_FORCE, None, durable_telemetry=True),
+    # the resilient arm of the resilience scenario
+    "standard": partial(arm_resilience, True, health=True),
+    # primary controller crash with a hot standby (failover blind window)
+    "controller": partial(
+        _arm_survivable,
+        no_attack(60.0),
+        FaultPlan([FaultEvent(CRASH_AT, "controller-crash", "*")]),
+        standby=True,
+    ),
+    # a control blackout over the durable telemetry plane
+    "long-partition": partial(
+        _arm_survivable,
+        no_attack(LONG_PARTITION_START + LONG_PARTITION_HOURS * 3600.0 + 120.0),
+        long_partition_plan(start=LONG_PARTITION_START, hours=LONG_PARTITION_HOURS),
+        durable_telemetry=True,
+    ),
+}
+
+
+def arm_health(plan: str = "none", seed: int = 7) -> Armed:
+    if plan not in HEALTH_SCENARIOS:
+        raise ValueError(f"unknown health plan {plan!r} (choose from {tuple(HEALTH_SCENARIOS)})")
+    return HEALTH_SCENARIOS[plan](seed=seed)
 
 
 def health_summary(dep: Any) -> dict[str, Any]:
@@ -367,91 +589,18 @@ def health_summary(dep: Any) -> dict[str, Any]:
     }
 
 
-def run_health_scenario(
-    plan: str = "none",
-    seed: int = 7,
-    horizon: float | None = None,
-    keep_dep: bool = False,
-    setup: Any = None,
-) -> dict[str, Any]:
-    """Run one named health scenario and return its summary.
+def measure_health(dep: "SecuredDeployment", runner: CampaignRunner) -> dict[str, Any]:
+    return {**health_summary(checked(dep)), "events": dep.sim.events_processed}
 
-    ``plan`` picks the schedule:
 
-    - ``none`` -- the standard seeded run (attacked two-device home with
-      the full survivability stack), which must end all-green;
-    - ``standard`` -- the resilient arm of the standard chaos scenario
-      (partition + µmbox crash);
-    - ``controller`` -- primary controller crash with a hot standby
-      (failover blind window);
-    - ``long-partition`` -- a :data:`LONG_PARTITION_HOURS`-hour control
-      blackout over the durable telemetry plane.
-
-    The fault plans must drive deterministic, journaled breach->recovery
-    chains; the regression gate asserts exactly that.  ``setup(dep)``,
-    when given, runs right before the clock starts.
-    """
-    from repro.attacks.exploits import EXPLOITS
-    from repro.faults.plan import long_partition_plan
-
-    if plan not in HEALTH_PLANS:
-        raise ValueError(f"unknown health plan {plan!r} (choose from {HEALTH_PLANS})")
-
-    if plan == "standard":
-        result = run_resilience_scenario(
-            resilient=True, seed=seed, horizon=horizon or HORIZON,
-            health=True, keep_dep=keep_dep, setup=setup,
-        )
-        out = dict(result["health"])
-        out["plan"] = plan
-        out["events"] = result["events"]
-        if keep_dep:
-            out["dep"] = result["dep"]
-        return out
-
-    standby = plan == "controller"
-    durable = plan in ("none", "long-partition")
-    if horizon is None:
-        if plan == "long-partition":
-            horizon = LONG_PARTITION_START + LONG_PARTITION_HOURS * 3600.0 + 120.0
-        else:
-            horizon = 60.0
-    dep = standard_home(
-        consistent_updates=True,
-        reliable_control=True,
-        health_check_period=HEALTH_PERIOD,
-        durable_telemetry=durable,
-        checkpointing=True,
-        standby=standby,
-        ha_seed=seed,
-        health=True,
-        health_period=HEALTH_PERIOD,
-    )
-    dep.enforce_baseline()
-    if plan == "none":
-        EXPLOITS["brute_force_login"].launch(dep.attackers["attacker"], "cam", dep.sim)
-    elif plan == "controller":
-        FaultPlan([FaultEvent(CONTROLLER_CRASH_AT, "controller-crash", "*")]).apply(dep)
-    elif plan == "long-partition":
-        long_partition_plan(
-            start=LONG_PARTITION_START, hours=LONG_PARTITION_HOURS
-        ).apply(dep)
-    if setup is not None:
-        setup(dep)
-    dep.run(until=horizon)
-    out = health_summary(dep)
-    out["plan"] = plan
-    out["events"] = dep.sim.events_processed
-    if keep_dep:
-        out["dep"] = dep
-    return out
+def run_health_scenario(plan: str = "none", seed: int = 7) -> dict[str, Any]:
+    return {"plan": plan, **_finish(arm_health(plan, seed), measure_health)}
 
 
 def run_federation_blackout_scenario(
     sites: int = 4,
     seed: int = 7,
     horizon: float = FEDERATION_HORIZON,
-    keep_fed: bool = False,
 ) -> dict[str, Any]:
     """The seeded coordinator-blackout scenario (federation tentpole).
 
@@ -482,7 +631,6 @@ def run_federation_blackout_scenario(
         backdoor_signature,
         default_credential_signature,
     )
-    from repro.devices.library import smart_camera
     from repro.policy.posture import MboxSpec, Posture
 
     if sites < 2:
@@ -558,7 +706,7 @@ def run_federation_blackout_scenario(
             gaps.append(f"{name}: blackout attack compromised the camera")
 
     repo = fed.coordinator.repository
-    out = {
+    return {
         "sites": sites,
         "events": fed.sim.events_processed,
         "attacks_launched": len(results),
@@ -576,6 +724,3 @@ def run_federation_blackout_scenario(
         "offline_s": round(sum(s.offline_s for s in fed.sites.values()), 3),
         "propagation_lag_v1": fed.propagation_lag(1),
     }
-    if keep_fed:
-        out["fed"] = fed
-    return out

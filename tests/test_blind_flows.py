@@ -31,7 +31,7 @@ from repro.core.deployment import SecuredDeployment
 from repro.core.orchestrator import OFFLOAD_PRIORITY, build_recommended_posture
 from repro.devices import protocol
 from repro.devices.library import smart_camera, smart_plug
-from repro.faults.campaign_library import CAMPAIGNS, run_campaign
+from repro.faults.campaign_library import CAMPAIGNS, arm_campaign, measure_campaign
 from repro.mboxes.base import MboxContext, Verdict
 from repro.mboxes.firewall import StatefulFirewall
 from repro.mboxes.manager import MBOX_KINDS, blind_peers, build_element
@@ -580,15 +580,15 @@ def test_e9_home_differs_only_in_hops(both_arms):
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
 def test_campaign_scorecard_does_not_move(both_arms, name):
     def scenario():
-        score = run_campaign(CAMPAIGNS[name], keep_dep=True)
-        assert score["dep"].orchestrator.offload_violations() == []
-        return score
+        dep, runner = arm_campaign(CAMPAIGNS[name])
+        dep.run(until=runner.campaign.horizon)
+        # measuring checks offload_violations() == []
+        return dep, measure_campaign(dep, runner)
 
-    offloaded, inspected = both_arms(scenario)
-    deps = offloaded.pop("dep"), inspected.pop("dep")
+    (dep_offloaded, offloaded), (dep_inspected, inspected) = both_arms(scenario)
+    deps = dep_offloaded, dep_inspected
     assert offloaded.pop("events") <= inspected.pop("events")
     for score in (offloaded, inspected):
-        del score["runner"]
         # the posture entry of the pinned lock names its blind set
         del score["journal_digest"]
     assert offloaded == inspected

@@ -17,9 +17,11 @@ from repro.faults.campaign import (
 from repro.faults.campaign_library import (
     CAMPAIGNS,
     ENFORCING_CLASSES,
+    arm_campaign,
     build_home,
     campaigns_by_class,
     get_campaign,
+    measure_campaign,
     run_campaign,
 )
 
@@ -247,12 +249,15 @@ class TestScorecard:
         assert score["exposure_s"]["stb"] == pytest.approx(5.0)
 
     def test_automation_abuse_chain_fires_recipe(self):
-        score = run_campaign(CAMPAIGNS["plug-unlock-chain"], keep_dep=True)
+        campaign = CAMPAIGNS["plug-unlock-chain"]
+        dep, runner = arm_campaign(campaign)
+        dep.run(until=campaign.horizon)
+        score = measure_campaign(dep, runner)
         # The recipe chain really ran: the lock ended up unlocked by the
         # hub (trusted through the pinned firewall), and the follow-on
         # stage was not precondition-skipped.
         assert score["stage_statuses"]["burgle-cam"] == "ok"
-        assert score["dep"].devices["lock"].state == "unlocked"
+        assert dep.devices["lock"].state == "unlocked"
         assert score["containment_misses"] == []
 
 

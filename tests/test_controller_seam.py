@@ -42,8 +42,6 @@ def build(standby, ingest):
         checkpointing=True,
         checkpoint_period=1.0,
         standby=standby,
-        heartbeat_period=0.25,
-        failover_timeout=1.0,
         ingest=IngestConfig() if ingest else None,
     )
     dep.add_device(smart_camera, "cam")

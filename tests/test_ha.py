@@ -292,8 +292,6 @@ class TestFailover:
             checkpointing=True,
             checkpoint_period=1.0,
             standby=True,
-            heartbeat_period=0.25,
-            failover_timeout=1.0,
             ha_seed=7,
         )
         dep.add_device(smart_camera, "cam")
@@ -344,7 +342,7 @@ class TestFailover:
         """The E13 acceptance bound: failover's blind window stays under
         the gated share of the cold-restart outage, and nothing retried at
         the dead primary is abandoned."""
-        from repro.faults.ha_scenario import run_failover_scenario
+        from repro.faults.scenario import run_failover_scenario
 
         crash = run_failover_scenario(standby=False)
         standby = run_failover_scenario(standby=True)

@@ -12,7 +12,13 @@ import pytest
 
 from repro.core.deployment import SecuredDeployment
 from repro.core.metrics import summarize
-from repro.faults.scenario import e9_home, launch_e9_attacks, run_health_scenario
+from repro.faults.scenario import (
+    arm_health,
+    e9_home,
+    launch_e9_attacks,
+    measure_health,
+    run_health_scenario,
+)
 from repro.netsim.simulator import Simulator
 from repro.obs.health import (
     HEALTH_CRITICAL,
@@ -264,16 +270,11 @@ class TestIncidentInterleaving:
             "trace": None,
         }
 
-        def setup(dep):
-            dep.sim.schedule_at(
-                30.0, lambda: dep.host_stream.offer("port-scan", poison)
-            )
-            dep.sim.schedule_at(
-                100.0, lambda: dep.host_stream.offer("port-scan", buffered)
-            )
-
-        out = run_health_scenario("long-partition", keep_dep=True, setup=setup)
-        dep = out["dep"]
+        dep, runner = arm_health("long-partition")
+        dep.sim.schedule_at(30.0, lambda: dep.host_stream.offer("port-scan", poison))
+        dep.sim.schedule_at(100.0, lambda: dep.host_stream.offer("port-scan", buffered))
+        dep.run(until=runner.campaign.horizon)
+        out = measure_health(dep, runner)
         assert out["slo_breaches"] >= 1 and out["matched_recoveries"] >= 1
 
         incident = reconstruct(
@@ -307,8 +308,9 @@ class TestIncidentInterleaving:
         assert any(e["source"] == "journal" for e in incident.timeline)
 
     def test_site_events_stay_out_of_default_timelines(self):
-        out = run_health_scenario("controller", keep_dep=True)
-        dep = out["dep"]
+        dep, runner = arm_health("controller")
+        dep.run(until=runner.campaign.horizon)
+        out = measure_health(dep, runner)
         assert out["slo_breaches"] >= 1
         scoped = reconstruct(dep.sim, "cam")
         assert all(e["source"] != "site" for e in scoped.timeline)

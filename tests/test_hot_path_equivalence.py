@@ -37,8 +37,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults.ha_scenario import run_failover_scenario
-from repro.faults.scenario import e9_home, launch_e9_attacks, run_resilience_scenario
+from repro.faults.scenario import (
+    arm_failover,
+    arm_resilience,
+    e9_home,
+    launch_e9_attacks,
+    measure_failover,
+    measure_resilience,
+)
 
 FIXTURE_PATH = Path(__file__).resolve().parent / "fixtures" / "hot_path_equivalence.json"
 RECORDING = bool(os.environ.get("REPRO_RECORD_FIXTURES"))
@@ -146,9 +152,9 @@ def run_e9_small(n_devices: int = 12, until: float = 240.0) -> dict:
 
 
 def run_e12_resilient() -> dict:
-    row = run_resilience_scenario(resilient=True, seed=7, keep_dep=True)
-    dep = row.pop("dep")
-    assert dep.orchestrator.offload_violations() == []
+    dep, runner = arm_resilience(resilient=True, seed=7)
+    dep.run(until=runner.campaign.horizon)
+    row = measure_resilience(dep, runner)  # checks offload_violations() == []
     return {
         "journal_sha256": journal_digest(dep.sim),
         "counters": {
@@ -166,9 +172,9 @@ def run_e12_resilient() -> dict:
 
 
 def run_e13_standby() -> dict:
-    row = run_failover_scenario(standby=True, seed=7, keep_dep=True)
-    dep = row.pop("dep")
-    assert dep.orchestrator.offload_violations() == []
+    dep, runner = arm_failover(standby=True, seed=7)
+    dep.run(until=runner.campaign.horizon)
+    row = measure_failover(dep, runner)  # checks offload_violations() == []
     return {
         "journal_sha256": journal_digest(dep.sim),
         "counters": {

@@ -206,7 +206,7 @@ class TestObservabilityCli:
         import repro.cli as cli
         from repro.netsim.simulator import Simulator
 
-        def unobserved_home():
+        def unobserved_home(*_):
             dep = SecuredDeployment.build(sim=Simulator(observe=False))
             dep.add_device(smart_camera, "cam")
             dep.finalize()
