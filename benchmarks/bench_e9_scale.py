@@ -62,12 +62,12 @@ def run_small(observe: bool = True) -> dict:
 
     E9 measures the *whole secured stack* (packets through µmboxes, the
     control pipeline, telemetry); its events/s is bounded from above by
-    how fast the event loop itself can schedule, dispatch and recycle
-    events.  E9-small measures that ceiling: the E9 timer mix (periodic
+    how fast the event loop itself can schedule and dispatch events.
+    E9-small measures that ceiling: the E9 timer mix (periodic
     telemetry-style timers, one reschedule per firing) with null handlers,
-    so the slab/free-list ``Event`` pool, the precomputed ``every()``
-    dispatch and the run loop are the entire cost.  This is the number
-    that must approach 1M events/s for the full stack to ever get there.
+    so the list heap entries, the precomputed ``every()`` dispatch and the
+    run loop are the entire cost.  This is the number that must approach
+    1M events/s for the full stack to ever get there.
     """
     sim = Simulator(observe=observe)
 

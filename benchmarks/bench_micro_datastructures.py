@@ -12,7 +12,7 @@ every packet or policy decision touches:
 
 plus one bench per hot-path refactor win, so each stays won:
 
-- schedule/fire through the slab/free-list ``Event`` pool,
+- schedule/fire with the list heap entry (``[time, seq, fn, args]``),
 - slotted ``Packet`` construction,
 - interned flow-key lookup (cache hit),
 - buffered journal append (the amortized write path),
@@ -142,11 +142,9 @@ def test_pruned_policy_lookup_30_devices(benchmark):
     benchmark(pruned.posture_for, state, "dev7")
 
 
-def test_event_pool_schedule_fire(benchmark):
-    """Schedule + fire 100 events through the slab/free-list pool.
-
-    After the first batch every schedule() is a pool hit (pop + reinit,
-    no allocation): this is the per-event floor of the whole simulator.
+def test_event_entry_schedule_fire(benchmark):
+    """Schedule + fire 100 events, each one plain list that is both the
+    heap entry and the handle: the per-event floor of the whole simulator.
     """
     sim = Simulator(observe=False)
 
@@ -154,13 +152,18 @@ def test_event_pool_schedule_fire(benchmark):
         pass
 
     def batch():
-        for i in range(100):
-            sim.schedule(0.001 * i, tick)
+        handles = [sim.schedule(0.001 * i, tick) for i in range(100)]
         sim.run()
+        return handles
 
-    batch()  # prime the free list
-    benchmark(batch)
-    assert len(sim._free) >= 100  # the pool, not the allocator, fed the batch
+    handles = benchmark(batch)
+    assert sim._heap == []  # nothing is kept back: no pool, no leftovers
+    fired = []
+    sim.schedule(0.0, fired.append, "live")
+    for handle in handles:
+        sim.cancel(handle)  # fired handles: inert, whatever was scheduled since
+    sim.run()
+    assert fired == ["live"]
 
 
 def test_slotted_packet_construction(benchmark):

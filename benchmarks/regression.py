@@ -54,13 +54,16 @@ LEDGER_ARGS = ("--workload", "home-steady", "--seed", "1", "--seconds", "12")
 # Each ratio limit is the median of ten driver-form readings of the tree
 # that set it plus three of their spreads (IQR), the ledger's own rule for
 # a bound (2-vCPU sandbox, py3.11, LEDGER_ARGS with --trace 1):
-#   stack.tax_x    3.08 3.05 3.06 2.99 3.27 3.16 3.07 3.05 3.21 3.03
-#                  median 3.06, IQR 0.09 -> 3.06 + 0.27, stated to the
-#                  next 0.05 (taken with the blind flows of home-steady's
-#                  pinned chains offloaded; the four-hop path read 4.14)
+#   stack.tax_x    3.34 2.84 3.43 3.65 3.52 3.28 3.44 3.36 3.23 2.97
+#                  median 3.35, IQR 0.19 -> 3.35 + 0.58, stated to the
+#                  next 0.05 (taken with the heap entry as the event: the
+#                  ratio's denominator, bare-forward's packet cost, fell
+#                  12-14% and its numerator 4%, so the same stack reads a
+#                  higher tax; the tree before read 3.20, IQR 0.10, the
+#                  same day, and the four-hop path 4.14)
 #   obs.cost_frac  .021 .036 -.082 .037 -.003 .002 .048 .021 .026 .037
 #                  median 0.024, IQR 0.036 -> 0.024 + 0.108
-STACK_TAX_LIMIT = 3.35         # max bare-forward / home-steady packet rate
+STACK_TAX_LIMIT = 3.95         # max bare-forward / home-steady packet rate
 OBS_COST_LIMIT = 0.13          # max share of the packet rate observability costs
 #: Layers every conforming packet crosses: zero calls means a wrapped
 #: entry point was inlined away and its ledger line silently reads 0.

@@ -253,7 +253,7 @@ class IngestQueue:
             queue.clear()
         self._fifo.clear()
         if self._service_event is not None:
-            self._service_event.cancel()
+            self.sim.cancel(self._service_event)
             self._service_event = None
         return n
 

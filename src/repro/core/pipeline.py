@@ -384,7 +384,7 @@ class ReactivePipeline:
         a dead controller cannot actuate postures from beyond the grave.
         """
         if self._flush_event is not None:
-            self._flush_event.cancel()
+            self.sim.cancel(self._flush_event)
             self._flush_event = None
         self._dirty.clear()
 

@@ -14,12 +14,14 @@ wire.  Links can be administratively downed to model failures.
 
 Hot-path notes: the class is slotted, ``transmit``/``_deliver`` read the
 ``_up`` flag directly (the ``up`` property stays for the admin surface),
-and the per-direction busy horizon lives in two plain floats instead of a
-dict keyed by direction.
+the per-direction busy horizon lives in two plain floats instead of a
+dict keyed by direction, and ``transmit`` pushes the delivery's heap entry
+itself (see :mod:`repro.netsim.simulator`) instead of calling ``schedule``.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING
 
 from repro.netsim.packet import Packet
@@ -66,7 +68,7 @@ class Link:
         port_b: int | None = None,
         max_queue_delay: float = 0.5,
     ) -> None:
-        if latency < 0:
+        if not latency >= 0:  # NaN too: transmit pushes ``now + latency`` unchecked
             raise ValueError(f"latency must be >= 0 (got {latency})")
         if bandwidth is not None and bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive (got {bandwidth})")
@@ -126,10 +128,11 @@ class Link:
         if not self._up:
             self.dropped += 1
             return
+        sim = self.sim
         from_a = sender is self.a
         delay = self.latency
         if self.bandwidth is not None:
-            now = self.sim.now
+            now = sim.now
             start = self._busy_until_ab if from_a else self._busy_until_ba
             if start < now:
                 start = now
@@ -143,10 +146,13 @@ class Link:
             else:
                 self._busy_until_ba = done
             delay = (done - now) + self.latency
+        # The entry ``Simulator.schedule`` would build, pushed from here: one
+        # Python call less per hop.  ``delay`` is >= 0 by construction.
         if from_a:
-            self.sim.schedule(delay, self._deliver, self.b, packet, self.port_b)
+            args = (self.b, packet, self.port_b)
         else:
-            self.sim.schedule(delay, self._deliver, self.a, packet, self.port_a)
+            args = (self.a, packet, self.port_a)
+        heappush(sim._heap, [sim.now + delay, next(sim._seq), self._deliver, args])
 
     def _deliver(self, receiver: "Node", packet: Packet, in_port: int) -> None:
         if not self._up:

@@ -76,18 +76,16 @@ class Node:
         should tolerate partial topologies.
         """
         ports = self.ports
-        if port is None:
-            if not ports:
-                return False  # an unplugged node: traffic goes nowhere
+        link = ports.get(port)  # the explicit port first: the forwarding case
+        if link is None:
+            if port is not None or not ports:
+                return False  # no such port, or an unplugged node
             if len(ports) > 1:
                 raise ValueError(
                     f"{self.name}: port must be given explicitly "
                     f"({len(ports)} ports attached)"
                 )
-            port = next(iter(ports))
-        link = ports.get(port)
-        if link is None:
-            return False
+            link = next(iter(ports.values()))
         trace = packet.trace
         if not trace:
             # First send only: a forwarded packet (or a copy of one) keeps

@@ -10,16 +10,22 @@ makes runs reproducible regardless of heap internals.
 
 Hot-path notes (see docs/architecture.md, "Performance architecture"):
 
-- :class:`Event` is a ``__slots__`` class and fired events are recycled
-  through a free list, so steady-state simulation allocates no event
-  objects at all.  The recycling contract: **an Event reference is dead
-  once the event has fired (or been popped as cancelled)** — holders must
-  drop their reference no later than the callback itself (every internal
-  user clears its stored event as the first action when it fires).
-  Calling ``cancel()`` through a stale reference would cancel whatever
-  unrelated event has since been allotted the recycled object.
+- A scheduled callback is one plain list, ``[time, seq, fn, args]``.  That
+  list is the heap entry (lists order like tuples, and ``seq`` is unique,
+  so ``fn`` is never compared) *and* the handle ``schedule`` returns.
+  Cancelling is ``entry[2] = None`` behind :meth:`Simulator.cancel`; the
+  loop skips such entries when they surface.  A handle whose event has
+  fired is just a list nothing else refers to, so cancelling through it
+  does nothing -- there is no pool and no entry is ever reused.
+- The senders inside ``netsim`` (:meth:`Link.transmit
+  <repro.netsim.link.Link.transmit>` and :class:`_Periodic`) build and
+  push their entry themselves -- same ``now + delay``, same
+  ``next(seq)`` -- which saves the call into :meth:`schedule` on every hop
+  and timer tick.  Everything else calls :meth:`schedule`.
 - :meth:`run` inlines the pop/skip/fire loop rather than calling
-  :meth:`step` per event; both share the same observable semantics.
+  :meth:`step` per event; both share the same observable semantics.  It
+  pops first and pushes the head back only when ``until`` or the budget
+  stops it.
 - :meth:`every` uses a preallocated :class:`_Periodic` dispatch object
   instead of a pair of closures, so each tick re-arms itself without
   rebuilding cells.
@@ -33,47 +39,12 @@ from typing import Any, Callable, Iterator
 
 from repro.obs import Journal, MetricsRegistry, Tracer
 
-#: Upper bound on the event free list.  The pool only needs to cover the
-#: peak number of in-flight events; anything beyond that is kept out of
-#: the heap anyway, so a modest cap bounds memory without hurting reuse.
-_POOL_MAX = 4096
 #: Sentinel horizon for ``run(until=None)``: every event time compares below.
 _INF = float("inf")
 
-
-class Event:
-    """A scheduled callback.
-
-    The heap stores ``(time, seq, event)`` tuples so ordering uses fast
-    tuple comparison; the event object itself is never compared.  Slotted
-    and pooled: see the module docstring for the recycling contract.
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        fn: Callable[..., None],
-        args: tuple = (),
-        cancelled: bool = False,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = cancelled
-
-    def cancel(self) -> None:
-        """Mark the event so it is skipped when its time arrives."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:
-        return (
-            f"Event(time={self.time!r}, seq={self.seq!r}, "
-            f"cancelled={self.cancelled!r})"
-        )
+#: A scheduled callback, ``[time, seq, fn, args]``: the heap entry and the
+#: handle for :meth:`Simulator.cancel`.  A plain list, named for annotations.
+Event = list
 
 
 class _Periodic:
@@ -81,9 +52,9 @@ class _Periodic:
 
     One instance per recurrence; the simulator schedules the instance
     itself as the event callback, so each tick is a plain ``__call__``
-    with no closure-cell traffic.  Only the live (next) event is kept:
+    with no closure-cell traffic.  Only the live (next) entry is kept:
     long-running periodic tasks (health checks, telemetry) must not
-    accumulate one dead Event per fired tick.
+    accumulate one dead entry per fired tick.
     """
 
     __slots__ = ("sim", "period", "fn", "args", "until", "stopped", "event")
@@ -109,8 +80,10 @@ class _Periodic:
             return
         self.fn(*self.args)
         sim = self.sim
-        if self.until is None or sim.now + self.period <= self.until:
-            self.event = sim.schedule(self.period, self)
+        when = sim.now + self.period
+        if self.until is None or when <= self.until:
+            self.event = event = [when, next(sim._seq), self, ()]
+            heappush(sim._heap, event)
         else:
             self.event = None
 
@@ -118,7 +91,7 @@ class _Periodic:
         self.stopped = True
         event = self.event
         if event is not None:
-            event.cancelled = True
+            event[2] = None
             self.event = None
 
 
@@ -130,7 +103,7 @@ class Simulator:
     >>> sim = Simulator()
     >>> fired = []
     >>> sim.schedule(1.5, fired.append, "hello")  # doctest: +ELLIPSIS
-    Event(...)
+    [1.5, 0, ...]
     >>> sim.run()
     >>> fired, sim.now
     (['hello'], 1.5)
@@ -138,9 +111,8 @@ class Simulator:
 
     def __init__(self, observe: bool = True) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[Event] = []
         self._seq = itertools.count()
-        self._free: list[Event] = []
         self._events_processed = 0
         self._executing = False
         #: Shared observability: every component of an experiment registers
@@ -177,26 +149,15 @@ class Simulator:
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
 
-        Negative delays are rejected: the simulator never travels backwards.
-        Returns the :class:`Event`, which the caller may later ``cancel()``
-        (only while it has not yet fired — see the recycling contract).
+        Negative delays are rejected (the simulator never travels
+        backwards) and so is NaN (one such key silently breaks heap order).
+        Returns the entry, which the caller may later pass to :meth:`cancel`.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        time = self.now + delay
-        seq = next(self._seq)
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, seq, fn, args)
-        heappush(self._heap, (time, seq, event))
-        return event
+        entry = [self.now + delay, next(self._seq), fn, args]
+        heappush(self._heap, entry)
+        return entry
 
     def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated time ``when``.
@@ -215,12 +176,10 @@ class Simulator:
         """Schedule ``fn(*args)`` for the current instant (after the caller)."""
         return self.schedule(0.0, fn, *args)
 
-    def _recycle(self, event: Event) -> None:
-        """Return a dead event to the free list (drop refs it pinned)."""
-        event.fn = None  # type: ignore[assignment]
-        event.args = ()
-        if len(self._free) < _POOL_MAX:
-            self._free.append(event)
+    def cancel(self, entry: Event) -> None:
+        """Keep ``entry`` from firing.  Inert on one that has fired or was
+        already cancelled."""
+        entry[2] = None
 
     # ------------------------------------------------------------------
     # Execution
@@ -229,18 +188,16 @@ class Simulator:
         """Run the single next event.  Returns False when the queue is empty."""
         heap = self._heap
         while heap:
-            __, __, event = heappop(heap)
-            if event.cancelled:
-                self._recycle(event)
+            time, __, fn, args = heappop(heap)
+            if fn is None:
                 continue
-            self.now = event.time
+            self.now = time
             self._executing = True
             try:
-                event.fn(*event.args)
+                fn(*args)
             finally:
                 self._executing = False
             self._events_processed += 1
-            self._recycle(event)
             return True
         return False
 
@@ -270,14 +227,15 @@ class Simulator:
         # called in a while loop, minus the per-event call overhead).
         # Cancelled entries are dropped wherever they surface at the head,
         # so they neither linger in the heap after an early return nor
-        # mask the true next time.  The ``_executing`` flag and the
-        # processed counter are maintained per *run*, not per event: no
-        # code observes them between events (only callbacks run inside the
-        # loop, and they see ``_executing=True`` either way), and the
-        # counter is settled in the ``finally`` before ``run`` returns --
-        # even when a callback raises.
+        # mask the true next time.  The head is popped before it is
+        # judged: only the one entry that ``until`` or the budget stops at
+        # goes back, under its own ``(time, seq)``.  The ``_executing``
+        # flag and the processed counter are maintained per *run*, not per
+        # event: no code observes them between events (only callbacks run
+        # inside the loop, and they see ``_executing=True`` either way),
+        # and the counter is settled in the ``finally`` before ``run``
+        # returns -- even when a callback raises.
         heap = self._heap
-        free = self._free
         pop = heappop
         limit = until if until is not None else _INF
         budget = max_events if max_events is not None else -1
@@ -285,27 +243,19 @@ class Simulator:
         self._executing = True
         try:
             while heap:
-                head = heap[0]
-                event = head[2]
-                if event.cancelled:
-                    pop(heap)
-                    event.fn = None  # type: ignore[assignment]
-                    event.args = ()
-                    if len(free) < _POOL_MAX:
-                        free.append(event)
+                entry = pop(heap)
+                time, __, fn, args = entry
+                if fn is None:
                     continue
-                if head[0] > limit:
+                if time > limit:
+                    heappush(heap, entry)
                     break
                 if executed == budget:
+                    heappush(heap, entry)
                     return
-                pop(heap)
-                self.now = event.time
-                event.fn(*event.args)
+                self.now = time
+                fn(*args)
                 executed += 1
-                event.fn = None  # type: ignore[assignment]
-                event.args = ()
-                if len(free) < _POOL_MAX:
-                    free.append(event)
         finally:
             self._executing = False
             self._events_processed += executed
@@ -314,7 +264,7 @@ class Simulator:
 
     def events_pending(self) -> int:
         """Number of scheduled (non-cancelled) events still in the queue."""
-        return sum(1 for __, __, event in self._heap if not event.cancelled)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
     @property
     def events_processed(self) -> int:
@@ -341,7 +291,7 @@ class Simulator:
 
     def timeline(self) -> Iterator[float]:
         """Yield the (sorted) times of currently pending events (debugging)."""
-        return iter(sorted(e.time for __, __, e in self._heap if not e.cancelled))
+        return iter(sorted(entry[0] for entry in self._heap if entry[2] is not None))
 
     def __repr__(self) -> str:
         return (

@@ -541,7 +541,7 @@ class HostStream:
             # without waiting out a full retransmit timeout.
             self._schedule_flush()
         elif not self.outstanding() and self._retx_event is not None:
-            self._retx_event.cancel()
+            self.sim.cancel(self._retx_event)
             self._retx_event = None
 
     # ------------------------------------------------------------------

@@ -468,7 +468,7 @@ class ControlChannel:
             self._prune_dedup(self._acked_ids, message.sender)
             timer = self._inflight.pop(message.msg_id, None)
             if timer is not None:
-                timer.cancel()
+                self.sim.cancel(timer)
 
         self.sim.schedule(delay, ack_arrives)
 
@@ -482,7 +482,7 @@ class ControlChannel:
         """Schedule the retransmission that fires unless the ack beats it."""
         old = self._inflight.pop(message.msg_id, None)
         if old is not None:
-            old.cancel()
+            self.sim.cancel(old)
 
         def on_timeout() -> None:
             self._inflight.pop(message.msg_id, None)

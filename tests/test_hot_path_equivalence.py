@@ -1,6 +1,6 @@
 """Hot-path refactor equivalence: seeded runs must not change behavior.
 
-The data-plane refactor (slotted events/packets, free-list pools, buffered
+The data-plane refactor (slotted packets, list heap entries, buffered
 journal segments, dispatch-table loops) is wall-clock-only by contract:
 a seeded run must schedule the same events, produce the same journal
 entries, and land on the same deterministic counters as it did before the

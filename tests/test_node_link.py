@@ -150,6 +150,8 @@ def test_link_validation(sim):
         Link(sim, a, b, latency=-1.0)
     with pytest.raises(ValueError):
         Link(sim, a, b, bandwidth=0.0)
+    with pytest.raises(ValueError):  # transmit does not re-check its delay
+        Link(sim, a, b, latency=float("nan"))
 
 
 def test_same_direction_transmissions_serialize(sim):
@@ -191,6 +193,35 @@ def test_queue_drains_over_time(sim):
     sim.run()
     assert len(b.inbox) == 2  # the wire was free again by 0.6 s
     assert link.queue_drops == 0
+
+
+def test_transmit_pushes_its_own_entry_with_schedules_ordering(sim):
+    """``transmit`` builds the heap entry itself.  It must take its place
+    among ``schedule``d events by the same rule: time, then order of the
+    call.  And a packet that is dropped (tail or down link) queues nothing."""
+    a, b, link = make_pair(sim, latency=0.0, bandwidth=1000.0)
+    link.max_queue_delay = 0.6
+    order = []
+    a.on_packet = b.on_packet = lambda pkt, port: order.append((sim.now, pkt.payload["n"]))
+
+    def packet(n, src="a", dst="b"):
+        return Packet(src=src, dst=dst, size=500, payload={"n": n})  # 0.5 s on the wire
+
+    sim.schedule(0.5, order.append, (0.5, "before"))
+    a.send(packet(1))
+    sim.schedule(0.5, order.append, (0.5, "after"))
+    b.send(packet("back", "b", "a"))  # the other direction: its own horizon
+    a.send(packet(2))  # queues 0.5 s behind 1
+    assert sim.events_pending() == 5
+    a.send(packet(3))  # would wait 1.0 s > 0.6 s: drop-tailed
+    assert (link.queue_drops, link.dropped, sim.events_pending()) == (1, 1, 5)
+    link.fail()
+    a.send(packet(4))
+    assert (link.dropped, sim.events_pending()) == (2, 5)
+    link.restore()
+    sim.run()
+    assert order == [(0.5, "before"), (0.5, 1), (0.5, "after"), (0.5, "back"), (1.0, 2)]
+    assert (link.delivered, sim.events_processed) == (3, 5)
 
 
 def test_unlimited_links_never_queue(sim):

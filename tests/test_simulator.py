@@ -39,6 +39,20 @@ def test_negative_delay_rejected(sim):
         sim.schedule(-0.1, lambda: None)
 
 
+def test_nan_delay_rejected(sim):
+    """``delay < 0`` is False for NaN, and one NaN key breaks heap order
+    silently; the check is ``not delay >= 0``."""
+    with pytest.raises(ValueError):
+        sim.schedule(float("nan"), lambda: None)
+    assert sim.events_pending() == 0
+
+
+def test_schedule_at_inherits_the_delay_check(sim):
+    with pytest.raises(ValueError):
+        sim.schedule_at(float("nan"), lambda: None)
+    assert sim.events_pending() == 0
+
+
 def test_schedule_at_absolute_time(sim):
     sim.schedule(1.0, lambda: None)
     sim.run()
@@ -51,9 +65,38 @@ def test_schedule_at_absolute_time(sim):
 def test_cancelled_event_does_not_fire(sim):
     fired = []
     event = sim.schedule(1.0, fired.append, "no")
-    event.cancel()
+    sim.cancel(event)
     sim.run()
     assert fired == []
+
+
+def test_stale_handle_is_inert(sim):
+    """Cancelling through the handle of an event that already fired must
+    not touch whatever was scheduled since (with a recycling pool the next
+    ``schedule`` was handed the very same object)."""
+    fired = []
+    stale = sim.schedule(1.0, fired.append, "a")
+    sim.run()
+    sim.schedule(1.0, fired.append, "b")
+    sim.cancel(stale)
+    assert sim.events_pending() == 1
+    sim.run()
+    assert fired == ["a", "b"]
+    assert sim.events_processed == 2 and sim.events_pending() == 0
+
+
+def test_cancel_twice_and_after_popped_as_cancelled(sim):
+    fired = []
+    gone = sim.schedule(1.0, fired.append, "gone")
+    sim.cancel(gone)
+    sim.cancel(gone)
+    assert sim.events_pending() == 0
+    sim.run(until=2.0)  # pops the cancelled entry
+    sim.schedule(1.0, fired.append, "kept")
+    sim.cancel(gone)  # the handle of an entry the loop already dropped
+    assert sim.events_pending() == 1
+    sim.run()
+    assert fired == ["kept"] and sim.events_processed == 1
 
 
 def test_run_until_stops_at_boundary(sim):
@@ -204,11 +247,11 @@ def test_run_drains_cancelled_heads_on_early_return(sim):
     """Cancelled garbage past the ``until`` boundary must not linger."""
     events = [sim.schedule(10.0, lambda: None) for __ in range(50)]
     for event in events:
-        event.cancel()
+        sim.cancel(event)
     keeper = sim.schedule(20.0, lambda: None)
     sim.run(until=5.0)
     assert sim.now == 5.0
     assert len(sim._heap) == 1  # only the live far-future event remains
-    keeper.cancel()
+    sim.cancel(keeper)
     sim.run()
     assert len(sim._heap) == 0
