@@ -11,6 +11,12 @@ moved and are stated here, not in the fixture:
   one more event;
 - the campaign takes the run's first trace id, so the trace ids carried by
   journaled SLO breaches are one higher.
+
+Each case also carries ``journal_masked_sha256``: the digest of its whole
+journal with the rule counts of every ``epoch-commit`` left out (see
+``tests/test_hot_path_equivalence.py``), recorded on the tree whose
+two-phase epochs still re-pushed the whole table.  A change to what an
+epoch carries must leave it byte for byte.
 """
 
 import copy
@@ -34,6 +40,7 @@ from repro.faults.scenario import (
     measure_resilience,
     measure_storm,
 )
+from tests import test_hot_path_equivalence as hot_path
 
 GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "canned_scenarios.json").read_text())
 LOSSY = {"drop_prob": 0.1, "jitter": 0.01}
@@ -66,6 +73,7 @@ SEED7 = sorted(key for key in CASES if key == "attacked" or key.endswith("seed7"
 def expected(key):
     want = copy.deepcopy(GOLDEN[key])
     want.pop("plan", None)  # the caller's argument, not a measurement
+    want.pop("journal_masked_sha256")  # held to the journal, not to the result
     if key == "attacked" or key.startswith("health/none"):
         want["events"] += 1
     for entry in want.get("breach_events", []) + want.get("recovery_events", []):
@@ -90,6 +98,7 @@ def test_the_fixture_covers_exactly_the_cases():
 def test_result_equals_the_pre_campaign_golden(key):
     dep, runner, result = run(key)
     assert result == expected(key)
+    assert hot_path.journal_digest(dep.sim, mask_epoch_sizes=True) == GOLDEN[key]["journal_masked_sha256"]
     if key.startswith("e12") and result["cam_reenforce_s"] is not None:
         # The scorecard and the scenario agree on the camera's window.
         assert score_campaign(dep, runner)["exposure_s"]["cam"] == result["cam_reenforce_s"]

@@ -17,7 +17,12 @@ Three seeded scenarios are pinned:
   replication, takeover).
 
 Each scenario is reduced to a sha256 digest over every retained journal
-entry plus a handful of deterministic counters.  e9-small additionally
+entry plus a handful of deterministic counters.  The two consistent-mode
+scenarios (e12, e13) carry a second digest, ``journal_masked_sha256``,
+that leaves out how many rules each ``epoch-commit`` installed and
+removed: what an epoch *carries* is the updater's business and may be
+re-recorded with it; when, why and in what order epochs commit may not
+move with it, and the masked digest is what says so.  e9-small additionally
 pins what the journal cannot see (``state``): telemetry alerts are
 deliberately unjournaled, so the alert -> channel -> controller -> view leg
 and the per-hop counters are digested from the objects themselves.
@@ -55,17 +60,23 @@ RECORDING = bool(os.environ.get("REPRO_RECORD_FIXTURES"))
 # interpreter, not on the seeded scenario, so the digest must ignore them.
 _ALLOCATION_ID_FIELDS = frozenset({"pkt", "msg"})
 
+# The size of a two-phase epoch: a function of how much of the table the
+# updater re-pushes per change, not of what the deployment decided.
+_EPOCH_SIZE_FIELDS = frozenset({"rules_installed", "rules_removed"})
 
-def journal_digest(sim) -> str:
-    """sha256 over every retained journal entry, in canonical JSON form."""
+
+def journal_digest(sim, mask_epoch_sizes: bool = False) -> str:
+    """sha256 over every retained journal entry, in canonical JSON form;
+    ``mask_epoch_sizes`` also drops an ``epoch-commit``'s rule counts."""
     h = hashlib.sha256()
     for entry in sim.journal:
         d = entry.as_dict()
         fields = d.get("fields")
-        if fields and not _ALLOCATION_ID_FIELDS.isdisjoint(fields):
-            d["fields"] = {
-                k: v for k, v in fields.items() if k not in _ALLOCATION_ID_FIELDS
-            }
+        ignored = _ALLOCATION_ID_FIELDS
+        if mask_epoch_sizes and d["kind"] == "epoch-commit":
+            ignored = ignored | _EPOCH_SIZE_FIELDS
+        if fields and not ignored.isdisjoint(fields):
+            d["fields"] = {k: v for k, v in fields.items() if k not in ignored}
         h.update(json.dumps(d, sort_keys=True, default=str).encode("utf-8"))
         h.update(b"\n")
     return h.hexdigest()
@@ -157,6 +168,7 @@ def run_e12_resilient() -> dict:
     row = measure_resilience(dep, runner)  # checks offload_violations() == []
     return {
         "journal_sha256": journal_digest(dep.sim),
+        "journal_masked_sha256": journal_digest(dep.sim, mask_epoch_sizes=True),
         "counters": {
             "events_processed": dep.sim.events_processed,
             "journal_recorded": dep.sim.journal.recorded,
@@ -177,6 +189,7 @@ def run_e13_standby() -> dict:
     row = measure_failover(dep, runner)  # checks offload_violations() == []
     return {
         "journal_sha256": journal_digest(dep.sim),
+        "journal_masked_sha256": journal_digest(dep.sim, mask_epoch_sizes=True),
         "counters": {
             "events_processed": dep.sim.events_processed,
             "journal_recorded": dep.sim.journal.recorded,
@@ -227,6 +240,9 @@ def test_seeded_run_matches_pre_refactor_fixture(name):
     assert result["journal_sha256"] == expected["journal_sha256"], (
         f"{name}: journal digest changed -- the flight recorder saw a "
         "different history than the pre-refactor tree"
+    )
+    assert result.get("journal_masked_sha256") == expected.get("journal_masked_sha256"), (
+        f"{name}: the journal moved in more than the size of its epochs"
     )
     assert result.get("state") == expected.get("state"), (
         f"{name}: unjournaled state drifted -- views, counters or alerts the "
