@@ -40,6 +40,7 @@ COLUMNS = (
     "mbox_restarts",
     "down_drops",
     "fail_open_passes",
+    "rules_installed",
     "events",
 )
 

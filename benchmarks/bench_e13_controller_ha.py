@@ -47,12 +47,14 @@ FAILOVER_COLUMNS = (
     "restarts",
     "ctrl_retries",
     "ctrl_giveups",
+    "rules_installed",
     "events",
 )
 
 STORM_COLUMNS = (
     "enforcing_processed_frac",
     "shed_transitions",
+    "rules_installed",
     "events",
 )
 

@@ -39,12 +39,12 @@ chain may be swapped under traffic at any instant) never has one.  They
 are withdrawn -- by direct removal in both update modes, since losing one
 only sends the packet to the tunnel rule beneath it -- on ``unpin``, on
 teardown and *before* a chain that is not blind to them is deployed.
-Consistent mode also pushes an epoch on every withdrawal, because an epoch
-whose install message is still on the wire at that instant was built
-before it and carries the rule.  That leaves one bounded residual: two
-administrator actions on one device less than a channel latency apart,
-the first granting and the second withdrawing, let the first epoch flip
-with the rule and the second remove it that same interval later.
+Consistent mode also pushes an epoch for the device on every withdrawal,
+because an epoch whose install message is still on the wire at that
+instant was built before it and carries the rule.  That leaves one bounded
+residual: two administrator actions on one device less than a channel
+latency apart, the first granting and the second withdrawing, let the first
+epoch flip with the rule and the second remove it that same interval later.
 Fail-closed therefore covers what the chain inspects: while a pinned
 device's µmbox is down its blind outbound flows keep flowing.
 """
@@ -63,7 +63,13 @@ from repro.sdn.tunnel import TunnelTable
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.switch import Switch
     from repro.netsim.simulator import Simulator
-    from repro.sdn.consistency import ConsistentUpdater
+    from repro.sdn.consistency import ConsistentUpdater, UpdateReport
+
+#: What a round's flow change gathers per switch name: the rules to
+#: install (direct mode) or the devices whose rule groups the switch's one
+#: epoch must replace (consistent mode).
+Installs = dict[str, tuple["Switch", list[FlowRule]]]
+EpochScopes = dict[str, tuple["Switch", list[str]]]
 
 BYPASS_DST_PRIORITY = 900
 BYPASS_SRC_PRIORITY = 890
@@ -112,9 +118,14 @@ class PostureOrchestrator:
         self.manager = manager
         self.attachments = dict(attachments)
         #: When set, flow-rule changes go through two-phase consistent
-        #: updates (whole-switch epochs) instead of direct installation --
-        #: no packet ever sees a mix of old and new tunnel rules.
+        #: updates (one epoch per touched switch, scoped to the devices
+        #: that changed) instead of direct installation -- no packet ever
+        #: sees a mix of a device's old and new rules.
         self.updater = updater
+        #: Device -> the last epoch that carried its rule group, until that
+        #: epoch reports committed.  These ride along with the next epoch
+        #: on their switch (``_push_epoch``).
+        self._in_flight: dict[str, "UpdateReport"] = {}
         self.tunnels = TunnelTable()
         self.current: dict[str, Posture] = {}
         self.records: list[OrchestrationRecord] = []
@@ -175,9 +186,8 @@ class PostureOrchestrator:
         violations = []
         switches = {id(att.switch): att.switch for att in self.attachments.values()}
         for switch in switches.values():
-            live = (None, switch.active_version)
             for rule in switch.flow_table:
-                if rule.priority != OFFLOAD_PRIORITY or rule.version not in live:
+                if rule.priority != OFFLOAD_PRIORITY or not switch.is_live(rule):
                     continue
                 device, peer = rule.match.src, rule.match.dst
                 att = self.attachments.get(device)
@@ -240,9 +250,10 @@ class PostureOrchestrator:
         """Batched actuation: apply a whole evaluation round's postures.
 
         Data-plane updates are coalesced per switch: in direct mode every
-        switch receives one rule batch (one table re-sort); in consistent
-        mode every touched switch receives exactly one two-phase epoch,
-        however many of its devices changed posture this round.
+        switch receives one rule batch; in consistent mode every touched
+        switch receives exactly one two-phase epoch, however many of its
+        devices changed posture this round, carrying those devices' rule
+        groups and no one else's.
 
         ``traces`` optionally maps devices to causal-trace ids; each traced
         device gets an ``actuate`` span (posture deploy latency) and its
@@ -251,8 +262,8 @@ class PostureOrchestrator:
         traces = traces or {}
         tracer = self.sim.tracer
         records: list[OrchestrationRecord] = []
-        installs: dict[str, tuple["Switch", list[FlowRule]]] = {}
-        epoch_switches: dict[str, "Switch"] = {}
+        installs: Installs = {}
+        epochs: EpochScopes = {}
         #: switch name -> trace ids whose posture change touched its table
         switch_traces: dict[str, list[int]] = {}
         try:
@@ -268,10 +279,10 @@ class PostureOrchestrator:
                 # Blind flows the new chain does not share leave the fabric
                 # before that chain is deployed, never after.
                 blind = self._blind_peers(device, posture)
-                withdrawn = self._withdraw_offload(device, blind, attachment, epoch_switches)
+                withdrawn = self._withdraw_offload(device, blind, attachment, epochs)
 
                 if posture.is_permissive:
-                    self._remove_tunnel(device, attachment, epoch_switches)
+                    self._remove_tunnel(device, attachment, epochs)
                     self.manager.teardown(device)
                     self.tunnels.unbind(device)
                     ready_at = now
@@ -282,7 +293,7 @@ class PostureOrchestrator:
                     mbox_name = self.manager.host.mboxes[device].name
                     granted = self._grant_offload(device, blind)
                     if granted or device not in self.tunnels:
-                        self._install(device, attachment, installs, epoch_switches)
+                        self._install(device, attachment, installs, epochs)
                         flow_change = True
                     self.tunnels.bind(device, mbox_name)
                     ready_at = deploy.ready_at
@@ -326,13 +337,13 @@ class PostureOrchestrator:
         finally:
             # Also when a deploy was refused mid-round: what the round has
             # already withdrawn or deployed must still reach the switches.
-            self._push(installs, epoch_switches, switch_traces)
+            self._push(installs, epochs, switch_traces)
         return records
 
     def _push(
         self,
-        installs: dict[str, tuple["Switch", list[FlowRule]]],
-        epoch_switches: dict[str, "Switch"],
+        installs: Installs,
+        epochs: EpochScopes,
         switch_traces: dict[str, list[int]],
     ) -> None:
         """One flow push per touched switch: a rule batch in direct mode,
@@ -357,17 +368,18 @@ class PostureOrchestrator:
                     switch=switch.name,
                     rules=len(rules),
                 )
-        for switch in epoch_switches.values():
-            self._push_epoch(switch, switch_traces.get(switch.name, ()))
+        for switch, devices in epochs.values():
+            self._push_epoch(switch, devices, switch_traces.get(switch.name, ()))
 
     # ------------------------------------------------------------------
     def repin(self, device: str) -> bool:
         """Re-pin a device's chain onto its freshly restarted µmbox.
 
         Called by the manager's recovery path: the replacement instance
-        has a new name, so the tunnel binding is refreshed and the edge
-        switch's rules re-pushed (one epoch in consistent mode).  Returns
-        False when the device has no active chain to re-pin.
+        has a new name, so the tunnel binding is refreshed and the
+        device's rule group re-pushed (in consistent mode as one epoch of
+        that group).  Returns False when the device has no active chain to
+        re-pin.
         """
         posture = self.current.get(device)
         mbox = self.manager.host.mboxes.get(device)
@@ -383,7 +395,7 @@ class PostureOrchestrator:
             switch=attachment.switch.name,
         )
         if self.updater is not None:
-            self._push_epoch(attachment.switch)
+            self._push_epoch(attachment.switch, [device])
         else:
             # Direct mode: rules are keyed by device/priority, not by mbox
             # instance, so a re-install refreshes them idempotently.
@@ -407,14 +419,14 @@ class PostureOrchestrator:
         device: str,
         keep: frozenset[str] | None,
         att: SwitchAttachment,
-        epoch_switches: dict[str, "Switch"],
+        epochs: EpochScopes,
     ) -> str:
         """Remove the device's 700 rules unless they already cover exactly
         ``keep``; returns what they covered (``""`` when nothing left).
 
         Removed directly in both update modes: losing one only sends the
         packet to the tunnel rule beneath it.  In consistent mode the
-        switch is also marked for an epoch, built after this point, to
+        device is also marked for an epoch, built after this point, to
         replace one still on the wire that was built before it.
         """
         have = self.offloaded.get(device, _NOTHING)
@@ -423,7 +435,7 @@ class PostureOrchestrator:
         del self.offloaded[device]
         self._remove_rules(device, (OFFLOAD_PRIORITY,))
         if self.updater is not None:
-            epoch_switches[att.switch.name] = att.switch
+            self._mark(device, att, epochs)
         return _peers_text(have)
 
     def _grant_offload(self, device: str, blind: frozenset[str] | None) -> bool:
@@ -441,12 +453,12 @@ class PostureOrchestrator:
         attachment = self.attachments.get(device)
         if posture is None or attachment is None:
             return
-        installs: dict[str, tuple["Switch", list[FlowRule]]] = {}
-        epoch_switches: dict[str, "Switch"] = {}
+        installs: Installs = {}
+        epochs: EpochScopes = {}
         blind = self._blind_peers(device, posture)
-        withdrawn = self._withdraw_offload(device, blind, attachment, epoch_switches)
+        withdrawn = self._withdraw_offload(device, blind, attachment, epochs)
         if self._grant_offload(device, blind):
-            self._install(device, attachment, installs, epoch_switches)
+            self._install(device, attachment, installs, epochs)
         elif not withdrawn:
             return
         self.sim.journal.record(
@@ -457,9 +469,11 @@ class PostureOrchestrator:
             **({"withdrawn": withdrawn} if withdrawn else {}),
             **({"offloaded": _peers_text(blind)} if device in self.offloaded else {}),
         )
-        self._push(installs, epoch_switches, {})
+        self._push(installs, epochs, {})
 
     def _device_rules(self, device: str, att: SwitchAttachment) -> list[FlowRule]:
+        """The device's rule group.  Every rule is stamped ``owner=device``:
+        the group is installed, flipped and removed as one."""
         return [
             # Returned-from-cluster packets go through the controller's
             # forwarder: only it knows whether the *destination's* µmbox has
@@ -469,11 +483,13 @@ class PostureOrchestrator:
                 match=FlowMatch(dst=device, in_port=att.cluster_port),
                 actions=(Action.controller(),),
                 priority=BYPASS_DST_PRIORITY,
+                owner=device,
             ),
             FlowRule(
                 match=FlowMatch(src=device, in_port=att.cluster_port),
                 actions=(Action.controller(),),
                 priority=BYPASS_SRC_PRIORITY,
+                owner=device,
             ),
             FlowRule(
                 match=FlowMatch(dst=device),
@@ -481,6 +497,7 @@ class PostureOrchestrator:
                     Action.tunnel(device, att.cluster_port, via=self.manager.host.name),
                 ),
                 priority=TUNNEL_PRIORITY,
+                owner=device,
             ),
             FlowRule(
                 match=FlowMatch(src=device),
@@ -488,6 +505,7 @@ class PostureOrchestrator:
                     Action.tunnel(device, att.cluster_port, via=self.manager.host.name),
                 ),
                 priority=TUNNEL_PRIORITY,
+                owner=device,
             ),
             *self._offload_rules(device, att),
         ]
@@ -501,80 +519,103 @@ class PostureOrchestrator:
                 match=FlowMatch(src=device, dst=peer, in_port=att.device_port),
                 actions=(Action.controller(),),
                 priority=OFFLOAD_PRIORITY,
+                owner=device,
             )
             for peer in ((None,) if blind is None else sorted(blind))
         ]
+
+    def _mark(self, device: str, att: SwitchAttachment, epochs: EpochScopes) -> None:
+        """Consistent mode: put the device's rule group in the scope of
+        the one epoch its switch gets this round."""
+        __, devices = epochs.setdefault(att.switch.name, (att.switch, []))
+        if device not in devices:
+            devices.append(device)
 
     def _install(
         self,
         device: str,
         att: SwitchAttachment,
-        installs: dict[str, tuple["Switch", list[FlowRule]]],
-        epoch_switches: dict[str, "Switch"],
+        installs: Installs,
+        epochs: EpochScopes,
     ) -> None:
         """Put what the device's table lacks -- everything for a device
         not yet tunnelled, else its newly granted 700 rules -- on the one
-        push its switch gets this round (an epoch rebuilds the switch's
-        whole desired set, so there the switch is only marked)."""
+        push its switch gets this round (an epoch rebuilds the whole group
+        of every device in its scope, so there the device is only marked)."""
         if self.updater is not None:
-            epoch_switches[att.switch.name] = att.switch
+            self._mark(device, att, epochs)
             return
         rules_of = self._offload_rules if device in self.tunnels else self._device_rules
         __, rules = installs.setdefault(att.switch.name, (att.switch, []))
         rules.extend(rules_of(device, att))
 
-    def _remove_tunnel(
-        self,
-        device: str,
-        att: SwitchAttachment,
-        epoch_switches: dict[str, "Switch"],
-    ) -> None:
+    def _remove_tunnel(self, device: str, att: SwitchAttachment, epochs: EpochScopes) -> None:
         if self.updater is not None:
-            epoch_switches[att.switch.name] = att.switch
+            self._mark(device, att, epochs)
             return
         self._remove_rules(device)
 
     def _remove_rules(
         self, device: str, priorities: tuple[int, ...] = RULE_PRIORITIES
     ) -> None:
-        """Drop the rules this orchestrator keyed on ``device`` (its src,
-        else its dst: another device's ``src=X, dst=device`` is X's)."""
+        """Drop rules of the device's group, visiting that group only."""
         self.attachments[device].switch.remove_where(
-            lambda r: (r.match.src or r.match.dst) == device and r.priority in priorities
+            lambda r: r.priority in priorities, owners=(device,)
         )
 
-    def _push_epoch(self, switch: "Switch", trace_ids: Iterable[int] = ()) -> None:
-        """Consistent mode: push the switch's complete desired rule set as
-        one two-phase epoch (fresh FlowRule objects -- the updater stamps
-        version tags on them).  Called after the whole round's tunnel
-        bindings settle, so removed devices are excluded naturally."""
+    def _push_epoch(
+        self, switch: "Switch", devices: Iterable[str], trace_ids: Iterable[int] = ()
+    ) -> None:
+        """Consistent mode: one two-phase epoch on ``switch`` that replaces
+        the rule groups of ``devices`` (fresh FlowRule objects -- the
+        updater stamps version tags on them) and leaves every other group
+        alone.  Called after the whole round's tunnel bindings settle: a
+        device that left the tunnel set is in scope with no rules, which
+        is how its group goes.
+
+        Every device of this switch whose last epoch has not reported
+        committed rides along, rebuilt from what it should run now.  An
+        epoch on the wire is therefore a subset of the next one -- however
+        their flips interleave, the newest version a device's group was
+        built for wins it -- and a group whose flow-mod the channel gave
+        up on is healed by the next push on the switch instead of staying
+        half-installed until that device happens to change again.
+        """
         assert self.updater is not None
+        scope = dict.fromkeys(devices)
+        for device in self._in_flight:
+            if self.attachments[device].switch is switch:
+                scope[device] = None
         desired: list[FlowRule] = []
-        for device, attachment in self.attachments.items():
-            if attachment.switch is not switch:
-                continue
+        for device in scope:
             if device in self.tunnels:
-                desired.extend(self._device_rules(device, attachment))
+                desired.extend(self._device_rules(device, self.attachments[device]))
         self._h_rules_batch.observe(len(desired))
         trace_ids = tuple(trace_ids)
-        on_committed = None
-        if trace_ids:
-            tracer = self.sim.tracer
-            switch_name = switch.name
+        tracer = self.sim.tracer
+        switch_name = switch.name
+        in_flight = self._in_flight
 
-            def on_committed(report) -> None:
-                for trace in trace_ids:
-                    tracer.span(
-                        trace,
-                        "epoch-commit",
-                        report.started_at,
-                        report.committed_at,
-                        switch=switch_name,
-                        version=report.version,
-                        rules=report.rules_installed,
-                    )
+        def on_committed(report: "UpdateReport") -> None:
+            for device in scope:
+                if in_flight.get(device) is report:
+                    del in_flight[device]
+            for trace in trace_ids:
+                tracer.span(
+                    trace,
+                    "epoch-commit",
+                    report.started_at,
+                    report.committed_at,
+                    switch=switch_name,
+                    version=report.version,
+                    rules=report.rules_installed,
+                )
 
-        self.updater.push_two_phase({switch: desired}, on_committed=on_committed)
+        report = self.updater.push_two_phase(
+            {switch: desired}, on_committed=on_committed, scope={switch: scope}
+        )
+        for device in scope:
+            in_flight[device] = report
 
 
 # ----------------------------------------------------------------------

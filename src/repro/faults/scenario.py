@@ -197,6 +197,13 @@ def _finish(armed: Armed, measure: Callable[..., dict[str, Any]]) -> dict[str, A
     return measure(dep, runner)
 
 
+def _rules_installed(dep: "SecuredDeployment") -> int:
+    """Flow rules every two-phase epoch of the run installed, summed: what
+    the run's flow changes cost the fabric.  Seeded and exact, so a return
+    to epochs the size of the table fails the regression gate by equality."""
+    return sum(report.rules_installed for report in dep.orchestrator.updater.reports)
+
+
 def _attacker_logins(dep: "SecuredDeployment") -> int:
     return sum(
         1 for __, src, __, ok in dep.devices["cam"].login_log if ok and src == "attacker"
@@ -318,6 +325,7 @@ def measure_resilience(dep: "SecuredDeployment", runner: CampaignRunner) -> dict
         "mbox_restarts": dep.manager.restarts,
         "down_drops": dep.cluster.down_drops,
         "fail_open_passes": dep.cluster.fail_open_passes,
+        "rules_installed": _rules_installed(dep),
         "events": dep.sim.events_processed,
     }
     if dep.health_plane is not None:
@@ -399,6 +407,7 @@ def measure_failover(dep: "SecuredDeployment", runner: CampaignRunner) -> dict[s
         "ctrl_giveups": dep.channel.giveups,
         "ctrl_duplicates": dep.channel.duplicates,
         "dedup_evictions": dep.channel.dedup_evictions,
+        "rules_installed": _rules_installed(dep),
         "events": dep.sim.events_processed,
     }
 
@@ -472,6 +481,7 @@ def measure_storm(dep: "SecuredDeployment", runner: CampaignRunner) -> dict[str,
         "processed_frac": fractions,
         "p99_latency_s": {CLASS_NAMES[cls]: p99(latencies[cls]) for cls in (0, 1, 2)},
         "shed_transitions": queue.shed_transitions,
+        "rules_installed": _rules_installed(dep),
         "events": dep.sim.events_processed,
     }
 

@@ -9,12 +9,12 @@ assumes.
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import TYPE_CHECKING, Callable, Optional
+from bisect import bisect_left, insort
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional
 
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
-from repro.sdn.flowrule import Action, FlowRule
+from repro.sdn.flowrule import Action, FlowRule, table_order
 from repro.sdn.tunnel import TUNNEL_PROTOCOL, tunnel_packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,13 +34,39 @@ _TABLE_MISS = (Action.controller(),)
 _LOOKUP_CACHE_MIN = 1024
 
 
+def _bucket_keys(rules: Iterable[FlowRule]) -> tuple[set[str], set[Optional[str]]]:
+    """The lookup buckets ``rules`` sit in: (src keys, dst keys).  A rule
+    is filed under its concrete src, else under its dst (``None``: it
+    names neither end and sits in the wildcard list)."""
+    srcs: set[str] = set()
+    dsts: set[Optional[str]] = set()
+    for rule in rules:
+        match = rule.match
+        if match.src is not None:
+            srcs.add(match.src)
+        else:
+            dsts.add(match.dst)
+    return srcs, dsts
+
+
 class Switch(Node):
-    """A flow-table switch with controller punting and version filtering."""
+    """A flow-table switch with controller punting and version filtering.
+
+    Rules come in groups, one per :attr:`FlowRule.owner`, and a group is
+    the unit a configuration epoch replaces: liveness is decided per owner
+    (:meth:`is_live`), a flip or a removal can be scoped to some owners,
+    and both then cost what those groups hold, not what the table holds.
+    """
 
     def __init__(self, name: str, sim: "Simulator") -> None:
         super().__init__(name, sim)
         self.flow_table: list[FlowRule] = []
+        #: The newest epoch any flip activated here -- for readers and
+        #: reports.  What a packet sees is per owner: ``_owner_version``.
         self.active_version: Optional[int] = None
+        self._owner_version: dict[Optional[str], int] = {}
+        #: owner -> its rules, every version of them.
+        self._by_owner: dict[Optional[str], list[FlowRule]] = {}
         self.packet_in_handler: Optional[Callable[["Switch", Packet, int], None]] = None
         self.punted = 0
         self.dropped = 0
@@ -60,8 +86,9 @@ class Switch(Node):
         self._by_src: dict[str, list[tuple[tuple[int, int, int], FlowRule]]] = {}
         self._wild: list[tuple[tuple[int, int, int], FlowRule]] = []
         # Megaflow cache (the OVS trick): the winning rule per concrete
-        # 5-tuple + in_port.  Any table or epoch change clears it -- the
-        # scan is the slow path, the cache hit is one dict probe.
+        # 5-tuple + in_port -- the scan is the slow path, the cache hit is
+        # one dict probe.  A table or epoch change forgets the keys its
+        # rules' buckets can have answered (``_forget``), not the rest.
         self._lookup_cache: dict[tuple, Optional[FlowRule]] = {}
         # Observability: callback gauges over the counters above -- they
         # cost nothing until a snapshot samples them.
@@ -75,22 +102,41 @@ class Switch(Node):
     # ------------------------------------------------------------------
     # Flow-table management (the controller calls these, via the channel)
     # ------------------------------------------------------------------
-    def _index_add(self, rule: FlowRule) -> None:
-        entry = (rule.sort_key(), rule)
-        if rule.match.src is not None:
-            self._by_src.setdefault(rule.match.src, []).append(entry)
-        elif rule.match.dst is not None:
-            self._by_dst.setdefault(rule.match.dst, []).append(entry)
-        else:
-            self._wild.append(entry)
+    def _index_drop(
+        self, doomed: list[FlowRule], srcs: set[str], dsts: set[Optional[str]]
+    ) -> None:
+        """Take ``doomed``, filed under ``srcs``/``dsts``, out of the
+        buckets and groups that hold them."""
+        gone = {id(rule) for rule in doomed}
+        if None in dsts:
+            self._wild = [entry for entry in self._wild if id(entry[1]) not in gone]
+        for index, keys in ((self._by_src, srcs), (self._by_dst, dsts - {None})):
+            for key in keys:
+                kept = [entry for entry in index[key] if id(entry[1]) not in gone]
+                if kept:
+                    index[key] = kept
+                else:
+                    del index[key]
+        for owner in {rule.owner for rule in doomed}:
+            kept = [rule for rule in self._by_owner[owner] if id(rule) not in gone]
+            if kept:
+                self._by_owner[owner] = kept
+            else:
+                del self._by_owner[owner]
 
-    def _reindex(self) -> None:
-        self._by_dst = {}
-        self._by_src = {}
-        self._wild = []
-        self._lookup_cache.clear()
-        for rule in self.flow_table:
-            self._index_add(rule)
+    def _forget(self, srcs: set[str], dsts: set[Optional[str]]) -> None:
+        """Drop the cached answers (misses included) that rules filed
+        under ``srcs``/``dsts`` can have decided or could now decide: a
+        lookup only ever reads the buckets of the packet's own src and
+        dst, so those are the keys whose src or dst names one of them.  A
+        rule that names neither end can answer for any packet: everything
+        goes."""
+        cache = self._lookup_cache
+        if None in dsts:
+            cache.clear()
+        else:
+            for key in [key for key in cache if key[0] in srcs or key[1] in dsts]:
+                del cache[key]
 
     def install(self, rule: FlowRule) -> None:
         """Install a rule, keeping the table sorted for lookup."""
@@ -107,36 +153,106 @@ class Switch(Node):
         """
         if not rules:
             return
+        table, by_owner = self.flow_table, self._by_owner
+        by_src, by_dst = self._by_src, self._by_dst
         for rule in rules:
-            insort(self.flow_table, rule, key=FlowRule.sort_key)
-            self._index_add(rule)
-        self._lookup_cache.clear()
+            insort(table, rule, key=table_order)
+            match = rule.match
+            # One bucket per rule, the one ``_bucket_keys`` names.
+            if match.src is not None:
+                bucket = by_src.setdefault(match.src, [])
+            elif match.dst is not None:
+                bucket = by_dst.setdefault(match.dst, [])
+            else:
+                bucket = self._wild
+            bucket.append((rule.sort_key(), rule))
+            by_owner.setdefault(rule.owner, []).append(rule)
+        if self._lookup_cache:
+            self._forget(*_bucket_keys(rules))
 
-    def remove_where(self, predicate: Callable[[FlowRule], bool]) -> int:
-        """Remove rules satisfying ``predicate``; returns how many."""
-        before = len(self.flow_table)
-        self.flow_table = [r for r in self.flow_table if not predicate(r)]
-        removed = before - len(self.flow_table)
-        if removed:
-            self._reindex()
-        return removed
+    def remove_where(
+        self,
+        predicate: Callable[[FlowRule], bool],
+        owners: Collection[Optional[str]] | None = None,
+    ) -> int:
+        """Remove rules satisfying ``predicate``; returns how many.
+
+        ``owners`` (distinct) narrows the search to those rule groups, and
+        the call then costs what they hold.  Either way only the removed
+        rules' index entries and cached answers go with them.
+        """
+        if owners is None:
+            kept: list[FlowRule] = []
+            doomed: list[FlowRule] = []
+            for rule in self.flow_table:
+                (doomed if predicate(rule) else kept).append(rule)
+            if doomed:
+                self.flow_table = kept
+        else:
+            doomed = [
+                rule
+                for owner in owners
+                for rule in self._by_owner.get(owner, ())
+                if predicate(rule)
+            ]
+            table = self.flow_table
+            for rule in doomed:
+                at = bisect_left(table, rule.sort_key(), key=table_order)
+                while table[at] is not rule:  # equal keys: colliding rule ids
+                    at += 1
+                del table[at]
+        if doomed:
+            srcs, dsts = _bucket_keys(doomed)
+            self._index_drop(doomed, srcs, dsts)
+            self._forget(srcs, dsts)
+        return len(doomed)
 
     def remove_version(self, version: int) -> int:
         """Remove all rules of a configuration epoch."""
         return self.remove_where(lambda r: r.version == version)
 
-    def set_active_version(self, version: Optional[int]) -> None:
-        """Flip the active configuration epoch (two-phase update commit)."""
-        self.active_version = version
-        self._lookup_cache.clear()
+    def set_active_version(
+        self, version: int, owners: Collection[Optional[str]] | None = None
+    ) -> None:
+        """Flip to a configuration epoch (two-phase update commit).
+
+        ``owners`` is the epoch's scope, the rule groups it replaces;
+        without one the epoch is the complete table, so every group the
+        switch holds or has ever flipped is in scope.  Versions are
+        monotone per owner: concurrent pushes may flip out of order, and
+        an owner already on a newer epoch stays there.
+        """
+        if owners is None:
+            owners = self._by_owner.keys() | self._owner_version.keys()
+            self._lookup_cache.clear()
+        else:
+            self._forget(
+                *_bucket_keys(
+                    rule for owner in owners for rule in self._by_owner.get(owner, ())
+                )
+            )
+        running = self._owner_version
+        for owner in owners:
+            if running.get(owner, version) <= version:
+                running[owner] = version
+        if self.active_version is None or version > self.active_version:
+            self.active_version = version
+
+    def is_live(self, rule: FlowRule) -> bool:
+        """The one liveness predicate: a rule is live when it is
+        version-independent or carries its owner's active version."""
+        return rule.version is None or rule.version == self._owner_version.get(rule.owner)
+
+    def is_superseded(self, rule: FlowRule) -> bool:
+        """Versioned and older than its owner's active epoch: what a flip
+        garbage-collects.  (Newer than it is an epoch still waiting.)"""
+        return rule.version is not None and rule.version < self._owner_version.get(
+            rule.owner, rule.version
+        )
 
     def lookup(self, packet: Packet, in_port: int) -> Optional[FlowRule]:
-        """Highest-priority live rule matching the packet, or None.
-
-        A rule is live when it is version-independent or tagged with the
-        active version.
-        """
-        active = self.active_version
+        """Highest-priority live (:meth:`is_live`) rule matching the
+        packet, or None."""
         src = packet.src
         dst = packet.dst
         protocol = packet.protocol
@@ -146,6 +262,7 @@ class Switch(Node):
         cached = self._lookup_cache.get(cache_key, _MISS)
         if cached is not _MISS:
             return cached
+        is_live = self.is_live
         best: Optional[FlowRule] = None
         best_key: Optional[tuple[int, int, int]] = None
         for bucket in (
@@ -158,7 +275,9 @@ class Switch(Node):
             for key, rule in bucket:
                 if best_key is not None and key >= best_key:
                     continue
-                if rule.version is not None and rule.version != active:
+                # Version-independent rules are live by definition; which
+                # epoch of an owner's runs is ``is_live``'s to say.
+                if rule.version is not None and not is_live(rule):
                     continue
                 # FlowMatch.matches, inlined over locals: this is the
                 # innermost loop of the data path.

@@ -11,13 +11,20 @@ baseline the experiments compare against.
 During a two-phase update no packet is ever processed by a mixture of old
 and new rules at a single switch: version filtering in
 :class:`repro.netsim.switch.Switch` makes the flip atomic per switch.
+
+Because that state changes often, an epoch has a *scope*: the rule groups
+(:attr:`repro.sdn.flowrule.FlowRule.owner`) it replaces.  Install, flip
+and garbage collection touch those groups only, so re-pinning one device
+on a thousand-device switch moves that device's handful of rules, with
+the same three channel legs and the same atomic flip.  An epoch with no
+scope has every group in scope: the complete table, as before.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Collection, Iterable
 
 from repro.sdn.flowrule import FlowRule
 
@@ -47,7 +54,7 @@ class UpdateReport:
 
 
 class ConsistentUpdater:
-    """Pushes whole rule-set epochs to a set of switches.
+    """Pushes rule-set epochs, whole-table or scoped, to a set of switches.
 
     The updater talks to switches through the control channel so that update
     latency is borne by the simulation, not assumed free.  Switch-side
@@ -106,13 +113,37 @@ class ConsistentUpdater:
         self,
         assignments: dict["Switch", Iterable[FlowRule]],
         on_committed: Callable[[UpdateReport], None] | None = None,
+        scope: dict["Switch", Collection[str | None]] | None = None,
     ) -> UpdateReport:
         """Install a new epoch on every switch, then flip atomically.
 
-        ``assignments`` maps each switch to the complete new rule set it
-        should run (version tags are stamped here).  Returns the report,
-        which is completed (``committed_at`` set) when the flip lands.
+        ``assignments`` maps each switch to the rules the epoch installs
+        there (version tags are stamped here).  ``scope`` maps a switch to
+        the owners whose rule groups the epoch replaces: the flip moves
+        exactly those groups to the new version and collects their older
+        rules, an owner in scope with no rule in the epoch is left with
+        none, and the rest of the table is not touched.  A switch without
+        a scope has every owner in scope -- its rules are the complete
+        table it should run.  Returns the report, which is completed
+        (``committed_at`` set) when the flip lands.
         """
+        batches = {switch: list(rules) for switch, rules in assignments.items()}
+        #: switch -> what follows the version in its flip's two calls:
+        #: nothing when every owner is in scope, so an unscoped epoch makes
+        #: the same one-argument calls it always made.
+        scopes: dict["Switch", tuple[frozenset[str | None], ...]] = {}
+        for switch, rules in batches.items():
+            if scope is None or switch not in scope:
+                scopes[switch] = ()
+                continue
+            owners = frozenset(scope[switch])
+            strays = {rule.owner for rule in rules} - owners
+            if strays:
+                raise ValueError(
+                    f"epoch for {switch.name} carries rules of {sorted(map(str, strays))}, "
+                    "outside its scope: they would never be activated"
+                )
+            scopes[switch] = (owners,)
         version = next(self._versions)
         report = UpdateReport(
             version=version,
@@ -154,18 +185,17 @@ class ConsistentUpdater:
 
             for switch in assignments:
 
-                def make_flip(sw: "Switch" = switch) -> None:
-                    # Concurrent pushes may flip out of order: versions are
-                    # monotone, so never step backwards, and garbage-collect
-                    # every epoch older than the active one (including
-                    # stale epochs that were superseded before activating).
-                    if sw.active_version is None or version > sw.active_version:
-                        sw.set_active_version(version)
-                    active = sw.active_version
-                    removed = sw.remove_where(
-                        lambda r: r.version is not None and r.version < active
-                    )
-                    report.rules_removed += removed
+                def make_flip(
+                    sw: "Switch" = switch,
+                    within: tuple[frozenset[str | None], ...] = scopes[switch],
+                ) -> None:
+                    # Concurrent pushes may flip out of order: the switch
+                    # keeps versions monotone per owner, never stepping one
+                    # backwards, and every rule older than its owner's
+                    # active epoch goes (including stale epochs that were
+                    # superseded before activating).
+                    sw.set_active_version(version, *within)
+                    report.rules_removed += sw.remove_where(sw.is_superseded, *within)
                     done()
 
                 self._send_and_apply(switch, make_flip)
@@ -175,15 +205,13 @@ class ConsistentUpdater:
             if acks["n"] == acks_needed:
                 phase_two()
 
-        for switch, rules in assignments.items():
-            stamped = []
+        for switch, rules in batches.items():
             for rule in rules:
                 rule.version = version
-                stamped.append(rule)
-            report.rules_installed += len(stamped)
+            report.rules_installed += len(rules)
 
             def make_install(
-                sw: "Switch" = switch, rs: list[FlowRule] = stamped
+                sw: "Switch" = switch, rs: list[FlowRule] = rules
             ) -> None:
                 sw.install_many(rs)
                 # Ack travels back over the channel.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from repro.netsim.packet import Packet
@@ -136,6 +137,12 @@ class FlowRule:
     ``version`` tags the configuration epoch that installed the rule; the
     two-phase consistent updater (:mod:`repro.sdn.consistency`) uses it to
     flip whole rule sets atomically.  ``None`` means version-independent.
+
+    ``owner`` names the rule group the rule is installed, flipped and
+    removed with -- the orchestrator stamps the secured device -- so an
+    epoch can replace one group and leave the rest of the table alone.
+    Whoever builds the rule says whose it is; the switch never infers it
+    from the match.  ``None`` is the group of everything unclaimed.
     """
 
     match: FlowMatch
@@ -145,6 +152,7 @@ class FlowRule:
     rule_id: int = field(default_factory=lambda: next(_RULE_IDS))
     hits: int = 0
     hit_bytes: int = 0
+    owner: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.actions = tuple(self.actions)
@@ -161,3 +169,8 @@ class FlowRule:
     def sort_key(self) -> tuple[int, int, int]:
         """Higher priority first, then more specific, then older."""
         return self._sort_key
+
+
+#: :meth:`FlowRule.sort_key` as a ``key=`` function with no Python frame:
+#: a sorted insert into a flow table calls it once per bisection step.
+table_order = attrgetter("_sort_key")

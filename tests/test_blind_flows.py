@@ -226,7 +226,7 @@ def offload_rules(dep, device, live_only=False):
         for rule in edge.flow_table
         if rule.priority == OFFLOAD_PRIORITY
         and rule.match.src == device
-        and (not live_only or rule.version in (None, edge.active_version))
+        and (not live_only or edge.is_live(rule))
     ]
 
 

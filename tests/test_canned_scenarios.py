@@ -16,7 +16,10 @@ Each case also carries ``journal_masked_sha256``: the digest of its whole
 journal with the rule counts of every ``epoch-commit`` left out (see
 ``tests/test_hot_path_equivalence.py``), recorded on the tree whose
 two-phase epochs still re-pushed the whole table.  A change to what an
-epoch carries must leave it byte for byte.
+epoch carries must leave it byte for byte.  ``rules_installed`` (E12/E13:
+flow rules summed over the run's epochs) is the one key recorded later,
+with the epochs scoped to the devices they change; it is what such a
+change is *supposed* to move.
 """
 
 import copy

@@ -10,12 +10,12 @@ Quadratic growth (4x for 2x the devices) is what these paths used to do.
 from repro.core.deployment import SecuredDeployment
 from repro.core.view import GlobalView
 from repro.devices.library import smart_plug
+from repro.netsim import switch as switch_module
 from repro.netsim.link import Link
 from repro.netsim.topology import Topology
 from repro.policy import serialization
 from repro.policy.context import Variable
 from repro.policy.posture import block_commands
-from repro.sdn.flowrule import FlowRule
 
 #: Doubling the fleet may double the work, with room for the binary
 #: search's log factor -- nowhere near the 4x of a per-event fleet scan.
@@ -46,8 +46,9 @@ def count_calls(monkeypatch, owner, name):
 def fleet_build_cost(monkeypatch, n):
     with monkeypatch.context() as patch:
         counters = {
-            # one per flow-table comparison (install_many's placement)
-            "FlowRule.sort_key": count_calls(patch, FlowRule, "sort_key"),
+            # one per flow-table comparison (install_many's placement); the
+            # switch resolves the key function by name at every install
+            "switch.table_order": count_calls(patch, switch_module, "table_order"),
             # one per variable a policy round reads from the view
             "GlobalView.get": count_calls(patch, GlobalView, "get"),
             # one per domain a ``StateSpace.domain_of`` scan steps over

@@ -124,12 +124,11 @@ def unjournaled_state(dep, attacker) -> dict:
     }
 
 
-def build_e9_small(
-    n_devices: int = 12, telemetry_period: float = 20.0, with_iotsec: bool = True
-):
+def build_e9_small(n_devices: int = 12, telemetry_period: float = 20.0, **planes):
     """The E9 home in miniature: reporting devices under E9's posture mix
-    and its two opening attacks.  Returns ``(deployment, attacker)``."""
-    dep = e9_home(n_devices, telemetry_period, with_iotsec=with_iotsec)
+    and its two opening attacks (``planes``: ``SecuredDeployment``
+    keywords).  Returns ``(deployment, attacker)``."""
+    dep = e9_home(n_devices, telemetry_period, **planes)
     launch_e9_attacks(dep)
     return dep, dep.attackers["attacker"]
 

@@ -290,6 +290,121 @@ def test_install_many_order_matches_extend_and_stable_sort(ops):
 
 
 # ----------------------------------------------------------------------
+# Megaflow cache vs an uncached scan, under scoped table changes
+# ----------------------------------------------------------------------
+_NAMES = ("a", "b", "c")
+_OWNERS = st.sampled_from([None, "a", "b"])
+_SCOPES = st.one_of(st.none(), st.sets(_OWNERS, min_size=1))
+_VERSIONED_RULES = st.tuples(
+    st.sampled_from([100, 500, 900]),         # priority
+    st.sampled_from([None, *_NAMES]),         # src \ both None: a rule that can
+    st.sampled_from([None, *_NAMES]),         # dst /  answer for any packet
+    st.sampled_from([None, 0]),               # in_port
+    st.sampled_from([None, 1, 2, 3]),         # version
+    _OWNERS,
+    st.booleans(),                            # twin: reuse the id of an equal rule
+)
+_PROBES = st.lists(
+    st.tuples(st.sampled_from(_NAMES), st.sampled_from(_NAMES), st.sampled_from([0, 1])),
+    max_size=8,
+)
+_CACHE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("install"), st.lists(_VERSIONED_RULES, max_size=5), st.none()),
+        st.tuples(st.just("remove"), st.sampled_from([100, 500, 900]), _SCOPES),
+        st.tuples(st.just("flip"), st.integers(min_value=1, max_value=3), _SCOPES),
+        st.tuples(st.just("probe"), _PROBES, st.none()),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CACHE_OPS)
+def test_every_cached_answer_equals_an_uncached_scan(ops):
+    """After any interleaving of ``install_many`` / ``remove_where`` /
+    scoped and whole-table flips -- wildcard rules and cached *misses*
+    included -- whatever the megaflow cache still holds is what a scan of
+    the table returns.  The reference keeps its own table (extend + stable
+    sort, filter) and its own per-owner versions, and matches with
+    ``FlowMatch.matches``: it shares no index and no predicate with the
+    switch.  Sort keys collide only between twins, rules of one priority
+    and match (which of two *different* rules with one key wins is not
+    defined: rule ids are unique outside tests)."""
+    sw = Switch("sw", Simulator())
+    table: list[FlowRule] = []
+    running: dict = {}
+    first_id: dict = {}
+
+    def live(rule):
+        return rule.version is None or rule.version == running.get(rule.owner)
+
+    def scan(src, dst, in_port):
+        packet = Packet(src=src, dst=dst)
+        for rule in table:
+            if live(rule) and rule.match.matches(packet, in_port):
+                return rule
+        return None
+
+    for op, arg, scope in ops:
+        if op == "install":
+            batch = []
+            for priority, src, dst, in_port, version, owner, twin in arg:
+                match = FlowMatch(src=src, dst=dst, in_port=in_port)
+                same = {}
+                if twin and (priority, match) in first_id:
+                    same["rule_id"] = first_id[priority, match]
+                rule = FlowRule(match, (Action.drop(),), priority, version, owner=owner, **same)
+                first_id.setdefault((priority, match), rule.rule_id)
+                batch.append(rule)
+            sw.install_many(batch)
+            table.extend(batch)
+            table.sort(key=FlowRule.sort_key)
+        elif op == "remove":
+            doomed = lambda r: r.priority == arg  # noqa: E731
+            if scope is None:
+                removed = sw.remove_where(doomed)
+                kept = [r for r in table if not doomed(r)]
+            else:
+                removed = sw.remove_where(doomed, scope)
+                kept = [r for r in table if not (doomed(r) and r.owner in scope)]
+            assert removed == len(table) - len(kept)
+            table = kept
+        elif op == "flip":
+            if scope is None:
+                sw.set_active_version(arg)
+                scope = {r.owner for r in table} | set(running)
+            else:
+                sw.set_active_version(arg, scope)
+            for owner in scope:
+                running[owner] = max(arg, running.get(owner, arg))
+        else:
+            for src, dst, in_port in arg:
+                sw.lookup(Packet(src=src, dst=dst), in_port)
+        assert [id(r) for r in sw.flow_table] == [id(r) for r in table]
+        assert all(sw.is_live(r) == live(r) for r in table)
+        for (src, dst, __, __, __, in_port), cached in sw._lookup_cache.items():
+            assert cached is scan(src, dst, in_port)
+    # and a cold lookup agrees with the scan too, hit or miss
+    for src in _NAMES:
+        for dst in _NAMES:
+            for in_port in (0, 1):
+                assert sw.lookup(Packet(src=src, dst=dst), in_port) is scan(src, dst, in_port)
+
+
+def test_scoped_removal_leaves_an_equal_keyed_rule_of_another_owner():
+    sw = Switch("sw", Simulator())
+    twins = [
+        FlowRule(FlowMatch(dst="a"), (Action.drop(),), 100, rule_id=7, owner=owner)
+        for owner in ("x", "y", "z")
+    ]
+    sw.install_many(twins)
+    assert sw.remove_where(lambda r: True, owners=("y",)) == 1
+    assert [id(r) for r in sw.flow_table] == [id(twins[0]), id(twins[2])]
+    assert sw.lookup(Packet(src="b", dst="a"), 0) is twins[0]
+
+
+# ----------------------------------------------------------------------
 # Megaflow cache: sized from the table, bounded under spoofed traffic
 # ----------------------------------------------------------------------
 class CountingDict(dict):
