@@ -2,8 +2,6 @@
 
 - :mod:`repro.core.view` -- the logically-centralized global view of
   device contexts, device states, and environment levels.
-- :mod:`repro.core.events` -- the event bus between data plane, sensors,
-  and controller.
 - :mod:`repro.core.orchestrator` -- compiles postures into µmboxes plus
   edge-switch tunnel/bypass flow rules.
 - :mod:`repro.core.controller` -- the IoTSec controller: consumes alerts

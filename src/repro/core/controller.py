@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.core.events import EventBus
 from repro.core.orchestrator import PostureOrchestrator
 from repro.core.overload import (
     CLASS_ENFORCING,
@@ -90,14 +89,12 @@ class IoTSecController:
         self.topology = topology
         self.escalations = escalations
         self.view = GlobalView(sim)
-        self.bus = EventBus(sim)
         self.pipeline = ReactivePipeline(
             sim=sim,
             view=self.view,
             policy=policy,
             orchestrator=orchestrator,
             escalations=escalations,
-            bus=self.bus,
         )
         self.devices: dict[str, "IoTDevice"] = {}
         self.packet_ins = 0
@@ -170,10 +167,6 @@ class IoTSecController:
     def _defaults(self) -> dict[str, str]:
         return self.pipeline.defaults
 
-    @property
-    def _alert_times(self) -> dict[tuple[str, str], list[float]]:
-        return self.pipeline.escalator._alert_times
-
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
@@ -203,7 +196,6 @@ class IoTSecController:
             # Environment closures captured this (now dead) controller;
             # the live sensor feed belongs to its successor.
             return
-        self.bus.publish("context", source="sensors", body={"variable": variable, "level": level})
         self.view.set(f"env:{variable}", level)
 
     def watch_disclosures(self, feed) -> None:
@@ -295,11 +287,6 @@ class IoTSecController:
         """Arrival: account for the alert, then queue or dispatch it."""
         device = str(body.get("device", ""))
         kind = str(body.get("kind", ""))
-        # No defensive copy: ``**detail`` below already copies into the
-        # published event's body, and nothing here mutates it.
-        detail = body.get("detail") or {}
-        self.bus.publish("alert", source=str(body.get("mbox", "")), device=device, kind_detail=kind, **detail)
-
         counter = self._alert_counters.get(kind)
         if counter is None:
             counter = self.sim.metrics.counter(
@@ -311,7 +298,7 @@ class IoTSecController:
         if self.ingest is not None:
             self.ingest.offer(self._alert_class(device, kind), (body, sent_at))
         elif kind == "telemetry":
-            self._ingest_telemetry(device, detail)
+            self._ingest_telemetry(device, body.get("detail") or {})
         else:
             self._dispatch_alert(body, sent_at)
 

@@ -40,7 +40,6 @@ from repro.policy.pruning import PrunedPolicy
 from repro.policy.serialization import posture_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.events import EventBus
     from repro.core.orchestrator import PostureOrchestrator
     from repro.core.view import GlobalView
     from repro.netsim.simulator import Event, Simulator
@@ -185,13 +184,11 @@ class ReactivePipeline:
         policy: "PolicyFSM",
         orchestrator: "PostureOrchestrator",
         escalations: tuple[EscalationRule, ...] = DEFAULT_ESCALATIONS,
-        bus: "EventBus | None" = None,
     ) -> None:
         self.sim = sim
         self.view = view
         self.policy = policy
         self.orchestrator = orchestrator
-        self.bus = bus
         self.escalator = EscalationEngine(escalations)
         self.pruned = PrunedPolicy(policy)
         self.stats = PipelineStats()
@@ -369,13 +366,6 @@ class ReactivePipeline:
             evaluated=len(assignments),
             applied=len(records),
         )
-        if self.bus is not None:
-            self.bus.publish(
-                "pipeline-round",
-                source="pipeline",
-                evaluated=len(assignments),
-                applied=len(records),
-            )
 
     def halt(self) -> None:
         """Stop the pipeline dead (the owning controller crashed).

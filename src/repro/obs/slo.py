@@ -244,10 +244,7 @@ class SloTracker:
     def _display_value(self) -> float | None:
         if self.slo.value is None:
             return None
-        try:
-            return round(float(self.slo.value()), 6)
-        except Exception:  # pragma: no cover - display only, never fatal
-            return None
+        return round(float(self.slo.value()), 6)
 
     def _breach(self, now: float, fast: float, slow: float) -> None:
         slo = self.slo

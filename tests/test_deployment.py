@@ -134,8 +134,8 @@ def test_alert_flows_over_control_channel_with_latency():
     dep.run(until=0.2)
     attacker.fire_and_forget(protocol.command("attacker", "plug", "on", dport=8080))
     dep.run(until=5.0)
-    events = dep.controller.bus.events(kind="alert", device="plug")
-    assert len(events) == 1
+    (ingest,) = dep.sim.journal.entries(kind="alert-ingest", device="plug")
+    assert ingest.at == ingest.fields["sent_at"] + 0.05
 
 
 def test_finalize_idempotent():

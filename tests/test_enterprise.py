@@ -93,8 +93,8 @@ def test_alerts_escalate_from_room_devices(enterprise):
     attacker = enterprise.attackers["attacker"]
     attacker.fire_and_forget(protocol.command("attacker", "plug2", "on", dport=8080))
     enterprise.run(until=3.0)
-    events = enterprise.controller.bus.events(kind="alert", device="plug2")
-    assert len(events) == 1
+    ingests = enterprise.sim.journal.entries(kind="alert-ingest", device="plug2")
+    assert len(ingests) == 1
 
 
 def test_many_rooms_scale():

@@ -71,7 +71,7 @@ class TestControlChannelOutage:
         dep.run(until=5.0)
         assert dep.devices["plug"].state == "off"
         assert dep.channel.undeliverable >= 1
-        assert dep.controller.bus.events(kind="alert") == []
+        assert sum(c.value for c in dep.sim.metrics.series("controller_alerts")) == 0
 
 
 class TestCapacityExhaustion:

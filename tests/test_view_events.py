@@ -1,6 +1,5 @@
-"""Tests for the global view and the event bus."""
+"""Tests for the global view."""
 
-from repro.core.events import EventBus
 from repro.core.view import GlobalView
 
 
@@ -55,45 +54,3 @@ class TestGlobalView:
         view.set("a", "1")
         view.set("b", "2")
         assert view.snapshot() == {"a": "1", "b": "2"}
-
-
-class TestEventBus:
-    def test_kind_subscription(self, sim):
-        bus = EventBus(sim)
-        got = []
-        bus.subscribe("alert", got.append)
-        bus.publish("alert", source="mbox", device="cam", detail=1)
-        bus.publish("context", source="sensors")
-        assert len(got) == 1
-        assert got[0].device == "cam"
-        assert got[0].body == {"detail": 1}
-
-    def test_wildcard_subscription(self, sim):
-        bus = EventBus(sim)
-        got = []
-        bus.subscribe("*", got.append)
-        bus.publish("alert", source="a")
-        bus.publish("context", source="b")
-        assert len(got) == 2
-
-    def test_events_query(self, sim):
-        bus = EventBus(sim)
-        bus.publish("alert", source="m", device="cam")
-        bus.publish("alert", source="m", device="plug")
-        bus.publish("context", source="s")
-        assert len(bus.events(kind="alert")) == 2
-        assert len(bus.events(device="cam")) == 1
-        assert len(bus.events()) == 3
-
-    def test_timestamps(self, sim):
-        bus = EventBus(sim)
-        sim.schedule(5.0, lambda: bus.publish("alert", source="m"))
-        sim.run()
-        assert bus.events()[0].at == 5.0
-
-    def test_history_bounded(self, sim):
-        bus = EventBus(sim, history_limit=10)
-        for i in range(25):
-            bus.publish("x", source=str(i))
-        assert len(bus.history) <= 11
-        assert bus.published == 25
