@@ -182,7 +182,7 @@ def summarize(dep: "SecuredDeployment") -> DeploymentReport:
         )
 
     if dep.orchestrator is not None:
-        report.postures_applied = len(dep.orchestrator.records)
+        report.postures_applied = dep.orchestrator.applies
     if dep.manager is not None:
         report.mbox_active = dep.manager.active_count()
         report.mbox_boots = dep.manager.boots

@@ -51,6 +51,7 @@ device's µmbox is down its blind outbound flows keep flowing.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -128,7 +129,10 @@ class PostureOrchestrator:
         self._in_flight: dict[str, "UpdateReport"] = {}
         self.tunnels = TunnelTable()
         self.current: dict[str, Posture] = {}
-        self.records: list[OrchestrationRecord] = []
+        #: Posture changes made, and per device the instants of those that
+        #: enforced (anything stricter than ``allow``/``monitor``), ascending.
+        self.applies = 0
+        self._enforced_at: dict[str, list[float]] = {}
         #: Devices whose posture an administrator pinned: the policy loop
         #: must not override these (it may still *observe* the device).
         self.pinned: set[str] = set()
@@ -143,7 +147,7 @@ class PostureOrchestrator:
         metrics = sim.metrics
         self.metric_labels = {"orchestrator": metrics.unique("orchestrator")}
         metrics.gauge(
-            "orchestrator_applies", fn=lambda: len(self.records), **self.metric_labels
+            "orchestrator_applies", fn=lambda: self.applies, **self.metric_labels
         )
         metrics.gauge(
             "orchestrator_tunnelled", fn=lambda: len(self.tunnels), **self.metric_labels
@@ -166,14 +170,9 @@ class PostureOrchestrator:
         """When ``device`` first received an enforcing posture (anything
         stricter than ``allow``/``monitor``) at or past ``after``; ``None``
         if it never did.  The containment instant every scorecard reads."""
-        for record in self.records:
-            if (
-                record.at >= after
-                and record.device == device
-                and record.posture not in ("allow", "monitor")
-            ):
-                return record.at
-        return None
+        instants = self._enforced_at.get(device, ())
+        i = bisect_left(instants, after)
+        return instants[i] if i < len(instants) else None
 
     def offload_violations(self) -> list[str]:
         """Run-level invariant, checked over a finished (or paused) run:
@@ -332,7 +331,9 @@ class PostureOrchestrator:
                     at=self.sim.now,
                     tunnelled=not posture.is_permissive,
                 )
-                self.records.append(record)
+                self.applies += 1
+                if posture.name not in ("allow", "monitor"):
+                    self._enforced_at.setdefault(device, []).append(record.at)
                 records.append(record)
         finally:
             # Also when a deploy was refused mid-round: what the round has

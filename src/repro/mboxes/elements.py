@@ -7,7 +7,6 @@ gates (the Fig. 5 occupancy condition), logging, and telemetry tapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from repro.mboxes.base import Element, MboxContext, Verdict
@@ -126,55 +125,26 @@ class SourceFilter(Element):
         return f"source_filter(allow={sorted(self.allowed_sources)})"
 
 
-@dataclass(slots=True)
-class LoggedPacket:
-    at: float
-    direction: str
-    src: str
-    dst: str
-    dport: int
-    cmd: str | None
-    size: int
-
-
 class PacketLogger(Element):
-    """Record traffic metadata (the raw material for anomaly profiles).
+    """Count the packets a µmbox sees, and optionally capture them.
 
-    With ``capture=True`` it also retains full packet copies (bounded by
+    ``logged`` counts every packet that reached this stage. With
+    ``capture=True`` it also retains full packet copies (bounded by
     ``capture_limit``) -- the forensic capture a victim site mines
     signatures from after an incident (:mod:`repro.learning.traceminer`).
-
-    ``log`` is a ring: past ``log_limit`` records the older half is
-    dropped, so a µmbox that runs for simulated weeks holds bounded
-    metadata; ``logged`` counts every packet ever recorded.
+    Nothing else is kept per packet.
     """
 
     name = "packet_logger"
-    log_limit = 10_000
 
     def __init__(self, capture: bool = False, capture_limit: int = 1000) -> None:
-        self.log: list[LoggedPacket] = []
         self.logged = 0
         self.capture = capture
         self.capture_limit = capture_limit
         self.captured: list[Packet] = []
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
-        log = self.log
-        log.append(
-            LoggedPacket(
-                ctx.sim.now,
-                str(packet.meta.get("direction", "")),
-                packet.src,
-                packet.dst,
-                packet.dport,
-                packet.payload.get("cmd"),
-                packet.size,
-            )
-        )
         self.logged += 1
-        if len(log) > self.log_limit:
-            del log[: len(log) // 2]
         if self.capture and len(self.captured) < self.capture_limit:
             self.captured.append(packet.copy())
             if len(self.captured) == self.capture_limit:

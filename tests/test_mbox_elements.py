@@ -255,23 +255,15 @@ class TestLoggerAndTap:
         logger = PacketLogger()
         logger.process(to_device({"cmd": "on"}), ctx)
         logger.process(from_device(), ctx)
-        assert len(logger.log) == 2
-        assert logger.log[0].cmd == "on"
-        assert logger.log[1].direction == "from_device"
         assert logger.logged == 2
+        assert logger.captured == []  # counting keeps nothing per packet
 
-    def test_packet_logger_log_is_a_ring_with_an_exact_count(self, ctx):
+    def test_packet_logger_counts_exactly(self, ctx):
         logger = PacketLogger()
-        logger.log_limit = 8
         for i in range(100):
             logger.process(to_device({"cmd": str(i)}), ctx)
-            assert len(logger.log) <= 8
-        assert logger.logged == 100
-        # the most recent records survive, in order, ending at the last one
-        assert [entry.cmd for entry in logger.log] == [
-            str(i) for i in range(100 - len(logger.log), 100)
-        ]
-        assert len(logger.log) >= 4
+            assert logger.logged == i + 1
+        assert logger.captured == []
 
     def test_telemetry_tap_reports_to_controller(self, ctx):
         tap = TelemetryTap()
@@ -296,7 +288,7 @@ class TestMboxPipeline:
         mbox = Mbox("m", "dev", [fw, logger])
         verdict, __ = mbox.process(to_device(src="attacker"), ctx)
         assert verdict is Verdict.DROP
-        assert logger.log == []  # never reached
+        assert logger.logged == 0  # never reached
         assert mbox.dropped == 1
 
     def test_chain_passes_through_all(self, ctx):
@@ -304,7 +296,7 @@ class TestMboxPipeline:
         mbox = Mbox("m", "dev", [LoginMonitor(), logger])
         verdict, __ = mbox.process(to_device(src="hub"), ctx)
         assert verdict is Verdict.PASS
-        assert len(logger.log) == 1
+        assert logger.logged == 1
 
     def test_reconfigure_swaps_elements(self, ctx):
         mbox = Mbox("m", "dev", [CommandFilter(deny=["open"])])
@@ -343,7 +335,7 @@ class TestPacketCapture:
         for i in range(10):
             logger.process(to_device({"cmd": str(i)}), ctx)
         assert len(logger.captured) == 3
-        assert len(logger.log) == 10  # metadata is unbounded by the limit
+        assert logger.logged == 10  # the count is unbounded by the limit
 
     def test_captured_from_filter(self, ctx):
         from repro.mboxes.elements import PacketLogger

@@ -12,8 +12,9 @@ packet with the security stack on and 27.17 with it off
 (``with_iotsec=False``); the budget brought the four-hop path to 52.42 and
 plain forwarding to 22.67, and with ``Link.transmit`` and the ``every()``
 re-arm pushing their own heap entries (one frame less per hop and per timer
-tick) they read 47.26 and 19.51, and with no event bus copying every
-alert the four-hop path reads 46.26 now (Python 3.11; the ledger
+tick) they read 47.26 and 19.51, with no event bus copying every alert
+the four-hop path read 46.26, and with no metadata record built by the
+packet logger it reads 45.76 now (Python 3.11; the ledger
 benchmark's ``home-steady`` mix, 80 devices, read 71.1 -> 49.1 -> 40.4 with
 its blind flows offloaded -> 36.2, and its ``bare-forward`` 23.9 -> 19.4 ->
 16.4).
@@ -23,10 +24,18 @@ newer one.
 
 The stack has two budgets.  The home *as built* pins every device, so the
 flows its chains are blind to (the cameras' and plugs' reports to the hub,
-half of the packets) take two hops: 37.26 calls and 1,680 events.  The same
+half of the packets) take two hops: 36.76 calls and 1,680 events.  The same
 home *unpinned* -- same chains, no offload rule, every packet through its
-µmbox -- is the full four-hop path at 46.26 / 2,040 (the events it was put
+µmbox -- is the full four-hop path at 45.76 / 2,040 (the events it was put
 on), so the tunnel, host and chain stay guarded.
+
+Both stack paths also pin what the run *keeps*: the growth in GC-tracked
+objects over the window (``gc.get_objects()`` after ``gc.collect()`` at each
+end).  While the packet logger kept a metadata ring it read 415 objects for
+the 360 packets (416 on four hops); without it, 235 (236), and what remains
+is the alert log (``MboxHost.alerts``, about one telemetry ``Alert`` per two
+packets).  A per-packet list, dict or record anywhere on the path adds at
+least 360 and fails deterministically.
 
 The layer-by-layer table and the list of entry points that must stay real
 call boundaries (the ledger benchmark wraps them) are in
@@ -35,6 +44,7 @@ call boundaries (the ledger benchmark wraps them) are in
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from tests.test_hot_path_equivalence import build_e9_small
@@ -46,25 +56,27 @@ WINDOW = 60.0
 PARENT_STACK = 74.42
 #: What each path achieves now, plus two calls of slack (the bare ceiling
 #: sits below the 27.17 of that commit).
-STACK_CEILING = 39.3
-FOUR_HOP_CEILING = 48.3
+STACK_CEILING = 38.8
+FOUR_HOP_CEILING = 47.8
 BARE_CEILING = 21.6
+#: GC-tracked objects the window may leave behind on either stack path:
+#: the 235 / 236 measured now, plus a little slack.
+RETAINED_CEILING = 240
 #: Simulated work in the window.  The four-hop and bare counts are those
 #: of that commit (the budget removed calls, never events); a blind flow
 #: saves two events a packet, 180 packets of the 360.
 STACK_EVENTS, FOUR_HOP_EVENTS, BARE_EVENTS, PACKETS = 1680, 2040, 1140, 360
 
 
-def measure(with_iotsec: bool, pinned: bool = True) -> tuple[float, int, int]:
-    """``(calls per packet, events, packets)`` over the counted window."""
+def measure(with_iotsec: bool, pinned: bool = True) -> tuple[float, int, int, int]:
+    """``(calls per packet, events, packets, retained objects)`` over the
+    counted window; the last is the growth in GC-tracked objects, each end
+    read after a full collection."""
     dep, attacker = build_e9_small(telemetry_period=2.0, with_iotsec=with_iotsec)
     if not pinned:
         for name in dep.devices:
             dep.orchestrator.unpin(name)
     end_hosts = [*dep.devices.values(), dep.hub, dep.internet, attacker]
-    dep.run(until=WARMUP)
-    packets = sum(node.rx_count for node in end_hosts)
-    events = dep.sim.events_processed
     calls = 0
 
     def count(frame, event, arg) -> None:
@@ -72,6 +84,11 @@ def measure(with_iotsec: bool, pinned: bool = True) -> tuple[float, int, int]:
         if event == "call":
             calls += 1
 
+    dep.run(until=WARMUP)
+    packets = sum(node.rx_count for node in end_hosts)
+    events = dep.sim.events_processed
+    gc.collect()
+    objects = len(gc.get_objects())
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
@@ -80,30 +97,39 @@ def measure(with_iotsec: bool, pinned: bool = True) -> tuple[float, int, int]:
         sys.setprofile(previous)
     packets = sum(node.rx_count for node in end_hosts) - packets
     events = dep.sim.events_processed - events
-    return calls / packets, events, packets
+    gc.collect()
+    return calls / packets, events, packets, len(gc.get_objects()) - objects
 
 
 def test_stack_path_stays_within_its_call_budget():
-    calls_per_packet, events, packets = measure(with_iotsec=True)
+    calls_per_packet, events, packets, retained = measure(with_iotsec=True)
     assert (events, packets) == (STACK_EVENTS, PACKETS)
     assert calls_per_packet <= STACK_CEILING, (
         f"{calls_per_packet:.2f} Python calls per delivered packet (ceiling "
         f"{STACK_CEILING}): something on the conforming-traffic path gained a call"
     )
+    assert retained <= RETAINED_CEILING, (
+        f"{retained} objects retained over {packets} packets (ceiling "
+        f"{RETAINED_CEILING}): the conforming-traffic path keeps something per packet"
+    )
 
 
 def test_four_hop_path_stays_within_its_call_budget():
-    calls_per_packet, events, packets = measure(with_iotsec=True, pinned=False)
+    calls_per_packet, events, packets, retained = measure(with_iotsec=True, pinned=False)
     assert (events, packets) == (FOUR_HOP_EVENTS, PACKETS)
     assert calls_per_packet <= 0.75 * PARENT_STACK
     assert calls_per_packet <= FOUR_HOP_CEILING, (
         f"{calls_per_packet:.2f} Python calls per delivered packet (ceiling "
         f"{FOUR_HOP_CEILING}): tunnel, host or chain gained a call"
     )
+    assert retained <= RETAINED_CEILING, (
+        f"{retained} objects retained over {packets} packets (ceiling "
+        f"{RETAINED_CEILING}): tunnel, host or chain keeps something per packet"
+    )
 
 
 def test_bare_forwarding_stays_within_its_call_budget():
-    calls_per_packet, events, packets = measure(with_iotsec=False)
+    calls_per_packet, events, packets, __ = measure(with_iotsec=False)
     assert (events, packets) == (BARE_EVENTS, PACKETS)
     assert calls_per_packet <= BARE_CEILING, (
         f"{calls_per_packet:.2f} Python calls per delivered packet (ceiling "

@@ -114,13 +114,13 @@ class TestSameInstantCoalescing:
         ctrl = dep.controller
         stats = ctrl.pipeline.stats
         rounds_before = stats.rounds
-        applies_before = len([r for r in dep.orchestrator.records if r.device == "win"])
+        applies_before = len(dep.sim.journal.entries(kind="posture", device="win"))
         # all four cameras turn suspicious at the same simulated instant
         for cam in cams:
             dep.sim.schedule(1.0, ctrl.set_context, cam, SUSPICIOUS)
         dep.run(until=2.0)
         assert dep.orchestrator.posture_of("win").name == "block-commands"
-        win_applies = len([r for r in dep.orchestrator.records if r.device == "win"])
+        win_applies = len(dep.sim.journal.entries(kind="posture", device="win"))
         assert win_applies - applies_before == 1
         assert stats.rounds - rounds_before == 1
         # three of the four same-instant marks were absorbed into the round
