@@ -1,9 +1,10 @@
 """The CLI's contract, one table over all 16 subcommands.
 
 Exit codes, ``--json`` that parses, usage errors that exit 2 with one line
-on stderr, and -- for the commands whose scenario code moved under them
-when the canned scenarios became campaigns -- stdout held byte for byte to
-``fixtures/cli_parent_stdout.json``, captured on the tree before the move.
+on stderr, and -- for the commands whose code moved under them (the canned
+scenarios becoming campaigns, the federation's signature log becoming the
+crowd repository) -- stdout held byte for byte to
+``fixtures/cli_parent_stdout.json``, captured on the tree before each move.
 """
 
 import json
@@ -93,7 +94,16 @@ def test_usage_errors_exit_2_with_one_line(capsys, tmp_path, line):
 
 
 @pytest.mark.parametrize(
-    "line", ["chaos", "chaos --drop 0.1 --jitter 0.01", "failover", "failover --storm", "health"]
+    "line",
+    [
+        "chaos",
+        "chaos --drop 0.1 --jitter 0.01",
+        "failover",
+        "failover --storm",
+        "health",
+        "federation",
+        "fleet",
+    ],
 )
 def test_stdout_is_byte_identical_to_the_parent(capsys, line):
     assert run(capsys, line) == (0, PARENT[line], "")
