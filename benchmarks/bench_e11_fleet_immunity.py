@@ -118,7 +118,7 @@ def run_fleet(share: bool) -> dict:
         "arm": "federated" if share else "isolated",
         "outcomes": outcomes,
         "lost": sum(1 for o in outcomes if o["compromised"]),
-        "published": repo.published,
+        "published": repo.version,
     }
 
 

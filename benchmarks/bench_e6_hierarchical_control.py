@@ -24,7 +24,6 @@ import random
 from _util import print_table, record
 
 from repro.core.hierarchical import (
-    FlatControl,
     HierarchicalControl,
     crossing_devices,
     latency_percentiles,
@@ -91,7 +90,11 @@ def run_control(n_rooms: int, cross_fraction: float, events: int, rate: float, s
         }
 
     rng_state = rng.getstate()
-    flat = drive(lambda sim: FlatControl(sim, service_time=0.0005, global_latency=0.020))
+    flat = drive(
+        lambda sim: HierarchicalControl(
+            sim, {}, set(), service_time=0.0005, global_latency=0.020
+        )
+    )
     rng.setstate(rng_state)  # identical event sequence for both arms
     hier = drive(
         lambda sim: HierarchicalControl(

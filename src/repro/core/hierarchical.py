@@ -150,42 +150,12 @@ def crossing_devices(policy: PolicyFSM, partition: dict[str, int]) -> set[str]:
     return crossing
 
 
-class FlatControl:
-    """Every event goes to the one (remote) global controller."""
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        service_time: float = 0.0005,
-        global_latency: float = 0.020,
-    ) -> None:
-        self.sim = sim
-        self.global_controller = ControllerQueue(
-            sim, "global", service_time, global_latency
-        )
-        self.handled: list[HandledEvent] = []
-        self._ids = 0
-
-    def emit(self, device: str) -> HandledEvent:
-        self._ids += 1
-        done = self.global_controller.submit(self.sim.now)
-        record = HandledEvent(
-            event_id=self._ids,
-            device=device,
-            emitted_at=self.sim.now,
-            handled_at=done,
-            handled_by="global",
-            escalated=False,
-        )
-        self.handled.append(record)
-        return record
-
-    def global_load(self) -> int:
-        return self.global_controller.processed
-
-
 class HierarchicalControl:
-    """Local controllers per partition; escalation for crossing devices."""
+    """Local controllers per partition; escalation for crossing devices.
+
+    With no partition (``HierarchicalControl(sim, {}, set())``) every event
+    goes straight to the global controller at emission: flat control.
+    """
 
     def __init__(
         self,

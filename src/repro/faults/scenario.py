@@ -715,7 +715,7 @@ def run_federation_blackout_scenario(
         if attackers[name].loot_from("cam"):
             gaps.append(f"{name}: blackout attack compromised the camera")
 
-    repo = fed.coordinator.repository
+    coordinator = fed.coordinator
     return {
         "sites": sites,
         "events": fed.sim.events_processed,
@@ -724,9 +724,9 @@ def run_federation_blackout_scenario(
         "patient_zero_compromised": bool(attackers["site0"].loot_from("cam")),
         "enforcement_gaps": len(gaps),
         "gap_details": gaps,
-        "signatures_propagated": repo.version,
-        "dlq_quarantined": repo.dlq.quarantined,
-        "converged": fed.coordinator.converged(),
+        "signatures_propagated": coordinator.repository.version,
+        "dlq_quarantined": coordinator.dlq.quarantined,
+        "converged": coordinator.converged(),
         "out_of_order": sum(s.out_of_order for s in fed.sites.values()),
         "pending_after": sum(len(s.pending_reports) for s in fed.sites.values()),
         "autonomy_enters": len(fed.sim.journal.entries(kind="site-autonomy-enter")),

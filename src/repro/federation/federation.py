@@ -126,12 +126,8 @@ class Federation:
     def propagation_lag(self, version: int) -> float | None:
         """Worst-case sim-time from publication of ``version`` to its
         application at the last site; ``None`` until fully propagated."""
-        update = None
-        for entry in self.coordinator.repository.log:
-            if entry.version == version:
-                update = entry
-                break
-        if update is None:
+        log = self.coordinator.repository.log
+        if not 1 <= version <= len(log):
             return None
         applied = []
         for site in self.sites.values():
@@ -139,7 +135,7 @@ class Federation:
             if at is None:
                 return None
             applied.append(at)
-        return max(applied) - update.published_at
+        return max(applied) - log[version - 1].reported_at
 
     def run(self, until: float | None = None) -> None:
         self.sim.run(until=until)

@@ -4,9 +4,16 @@ A site wraps a :class:`~repro.core.deployment.SecuredDeployment` (which
 may itself run PR-5 hot-standby HA and PR-7 durable streams -- the site
 does not care) and adds the federation contract:
 
-- a **local signature cache** (a private :class:`CrowdRepository` wired
-  into the site's IDS µmboxes via ``attach_repository``), fed only by
-  versioned coordinator updates and the site's own discoveries;
+- a **local signature cache**: a :class:`CrowdRepository`, the same class
+  as the coordinator's log, wired into the site's IDS µmboxes via
+  ``attach_repository`` and fed only by the coordinator's versions and
+  the site's own discoveries;
+- a **replay cursor**: the site applies only the coordinator's *next*
+  version.  A duplicate (at or below the cursor) is dropped, and a version
+  past the next one means a best-effort push was lost -- it counts as a
+  ``gap`` and the periodic pull replays the contiguous suffix instead.
+  Updates from any WAN sender but the coordinator are ``refused`` and
+  journaled (``signature-refused``);
 - a **sync loop** that pulls ``updates_since(version)`` from the
   coordinator over the WAN channel every ``sync_period`` seconds and
   flushes locally mined signatures that queued up while offline;
@@ -26,7 +33,6 @@ from repro.learning.signatures import AttackSignature
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import SecuredDeployment
-    from repro.federation.repository import SignatureUpdate
     from repro.netsim.simulator import Simulator
     from repro.sdn.channel import ControlChannel, ControlMessage
 
@@ -70,6 +76,8 @@ class FederatedSite:
         self.applied_at: dict[int, float] = {}
         self.applied = 0
         self.duplicates = 0
+        self.gaps = 0
+        self.refused = 0
         self.out_of_order = 0
         self.autonomy_spells = 0
         self.offline_s = 0.0
@@ -88,11 +96,12 @@ class FederatedSite:
     def apply_updates(self, updates: Iterable[Mapping[str, Any]]) -> int:
         """Apply a batch of versioned updates; returns how many were new.
 
-        The coordinator always sends a contiguous ascending slice of the
-        global log, so versions at or below the cursor are duplicates
-        (at-least-once WAN delivery) and a version that *regresses*
-        within the batch counts as ``out_of_order`` -- zero under the
-        in-order replay contract, so tests pin it.
+        Only ``cursor + 1`` is applied.  Versions at or below the cursor
+        are duplicates (at-least-once WAN delivery); a version beyond the
+        next one is a ``gap`` left for the pull, so the cursor never skips
+        an entry.  A version that *regresses* within the batch counts as
+        ``out_of_order`` -- zero under the in-order replay contract, so
+        tests pin it.
         """
         fresh = 0
         last_seen = None
@@ -104,11 +113,11 @@ class FederatedSite:
             if version <= self.version:
                 self.duplicates += 1
                 continue
-            wire = update.get("signature") or {}
-            self.cache.publish(
-                AttackSignature.from_dict(wire),
-                reporter=str(update.get("origin", self.coordinator)),
-            )
+            if version > self.version + 1:
+                self.gaps += 1
+                continue
+            signature = AttackSignature.from_dict(update["signature"])
+            self.cache.publish(signature, reporter=signature.reporter)
             self.version = version
             self.applied_at[version] = self.sim.now
             self.applied += 1
@@ -116,6 +125,15 @@ class FederatedSite:
         return fresh
 
     def _on_message(self, message: "ControlMessage") -> None:
+        if message.sender != self.coordinator:
+            # The site replicates one log: a peer (or anyone else on the
+            # WAN) offering updates would bypass the coordinator's ingress
+            # checks and could wedge the cursor with a forged version.
+            self.refused += 1
+            self.sim.journal.record(
+                "signature-refused", site=self.name, sender=message.sender, msg_kind=message.kind
+            )
+            return
         if message.kind == "sync-updates":
             from_version = int(message.body.get("since", 0))
             fresh = self.apply_updates(message.body.get("updates", ()))
@@ -234,6 +252,8 @@ class FederatedSite:
             "enforcing": self.enforcing,
             "applied": self.applied,
             "duplicates": self.duplicates,
+            "gaps": self.gaps,
+            "refused": self.refused,
             "out_of_order": self.out_of_order,
             "autonomy_spells": self.autonomy_spells,
             "offline_s": round(self.offline_s, 6),

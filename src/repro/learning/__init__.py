@@ -5,7 +5,8 @@ Two halves, mirroring the paper:
 Signatures (section 4.1)
     - :mod:`repro.learning.signatures` -- the common signature format.
     - :mod:`repro.learning.repository` -- the anonymous crowdsourced
-      publish/subscribe repository, keyed by device SKU.
+      publish/subscribe repository, keyed by device SKU, with a versioned
+      log that federated sites replicate.
     - :mod:`repro.learning.anonymize` -- privacy scrubbing of reports.
     - :mod:`repro.learning.reputation` -- reputation/voting against
       poisoned or misconfigured signatures.

@@ -1,14 +1,14 @@
 """Quarantined telemetry as poisoning evidence (ROADMAP open item 3).
 
-PR 7 gave the telemetry plane a :class:`~repro.obs.stream.DeadLetterQueue`:
-malformed or reputation-flagged alert records are quarantined instead of
-vanishing.  Until now that evidence stopped there -- the federation
-repository counted its own quarantines, but a host spamming the *local*
-controller with poisonous telemetry kept its full crowdsourcing
-reputation.  This module closes the loop for E3: every quarantined record
-becomes beta-reputation evidence against the host that shipped it, so a
-poisoning host's *published signatures* sink below the accept threshold
-and its already-distributed ones are revoked.
+Each ingress boundary owns a :class:`~repro.obs.stream.DeadLetterQueue`:
+the telemetry stream quarantines malformed or reputation-flagged alert
+records, and the federation coordinator quarantines invalid signature
+reports.  A quarantine alone leaves the shipper's crowdsourcing
+reputation intact, so a host spamming its controller with poisonous
+telemetry could keep publishing.  This module closes the loop for E3:
+every quarantined record becomes beta-reputation evidence against the
+host that shipped it, so a poisoning host's *published signatures* sink
+below the accept threshold and its already-distributed ones are revoked.
 
 The bridge polls rather than hooks: the DLQ stays a passive quarantine
 (its consumers should not be able to crash the stream path), and the

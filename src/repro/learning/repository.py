@@ -14,6 +14,11 @@ Design points, each answering one of the paper's three challenges:
 - *Data quality*: distribution is gated by the :class:`ReputationSystem`;
   signatures whose confidence falls below threshold (e.g. after down-votes)
   are withheld and, if already distributed, revoked.
+
+Every accepted (non-duplicate) signature also gets the next contiguous
+**version**: ``log[i]`` is version ``i + 1``.  That log is what the
+federation replicates -- the coordinator keeps one of these repositories,
+and each site replays ``updates_since(its cursor)`` into its own.
 """
 
 from __future__ import annotations
@@ -61,7 +66,8 @@ class CrowdRepository:
         self._contributors: set[str] = set()
         self._seen_keys: dict[tuple, int] = {}
         self._revoked: set[int] = set()
-        self.published = 0
+        #: Accepted signatures in publication order; entry i is version i+1.
+        self.log: list[AttackSignature] = []
         self.duplicates = 0
         self.withheld = 0
 
@@ -88,9 +94,19 @@ class CrowdRepository:
         self.signatures[scrubbed.sig_id] = scrubbed
         self._by_sku[scrubbed.sku].append(scrubbed.sig_id)
         self._contributors.add(scrubbed.reporter)
-        self.published += 1
+        self.log.append(scrubbed)
         self._distribute(scrubbed)
         return scrubbed.sig_id
+
+    @property
+    def version(self) -> int:
+        """The latest assigned version (0 = empty log)."""
+        return len(self.log)
+
+    def updates_since(self, version: int) -> list[AttackSignature]:
+        """Every accepted signature with a version above ``version``, in
+        version order (the log is append-only and contiguous)."""
+        return self.log[max(0, version):]
 
     def _distribute(self, signature: AttackSignature) -> None:
         if not self.reputation.accepted(signature.sig_id, signature.reporter):
@@ -189,7 +205,7 @@ class CrowdRepository:
 
     def stats(self) -> dict[str, int]:
         return {
-            "published": self.published,
+            "published": self.version,
             "duplicates": self.duplicates,
             "withheld": self.withheld,
             "revoked": len(self._revoked),

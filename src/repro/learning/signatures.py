@@ -144,6 +144,41 @@ class AttackSignature:
         )
 
 
+#: The mitigation names :func:`repro.core.orchestrator.
+#: build_recommended_posture` can materialize.  A signature recommending
+#: anything else is either garbage or an attempt to make every site
+#: actuate an attacker-chosen posture -- both are quarantined.
+KNOWN_POSTURES = frozenset(
+    {
+        "password_proxy",
+        "stateful_firewall",
+        "command_whitelist",
+        "dns_guard",
+        "quarantine",
+        "monitor",
+    }
+)
+
+
+def validate_signature(wire: Any) -> str | None:
+    """Why an interchange-format ``wire`` must not be published, or ``None``
+    when it is clean.  Reasons start with ``malformed:`` or ``poisoned:``."""
+    if not isinstance(wire, Mapping):
+        return "malformed: not a mapping"
+    sku = wire.get("sku")
+    if not isinstance(sku, str) or not sku:
+        return "malformed: missing sku"
+    try:
+        signature = AttackSignature.from_dict(wire)
+    except (KeyError, TypeError, ValueError) as exc:
+        return f"malformed: {exc}"
+    if not 0.0 <= signature.confidence <= 1.0:
+        return f"poisoned: confidence {signature.confidence} outside [0, 1]"
+    if signature.recommended_posture not in KNOWN_POSTURES:
+        return f"poisoned: unknown recommended posture {signature.recommended_posture!r}"
+    return None
+
+
 # Canned signatures for the Table 1 flaw classes, used to bootstrap
 # experiments and as the "known attack" corpus.
 def default_credential_signature(sku: str) -> AttackSignature:

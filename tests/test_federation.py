@@ -1,25 +1,26 @@
 """Tests for the federated control plane (:mod:`repro.federation`).
 
-Covers the versioned signature repository (contiguous versions, dedup,
-poisoning quarantine through the DLQ), the site sync state machine
-(first-sync requirement, autonomy journaling, in-order catch-up after a
-WAN heal), the coordinator push/pull propagation paths, the federation
-health probe, the parallel site runner, and the seeded coordinator
-blackout scenario's zero-enforcement-gap guarantee.
+Covers the coordinator's ingress (contiguous versions, dedup, poisoning
+quarantine through the DLQ), the site sync state machine (first-sync
+requirement, autonomy journaling, in-order catch-up after a WAN heal, a
+cursor that never skips a version, updates only from the coordinator),
+the coordinator push/pull propagation paths, the federation health probe,
+the parallel site runner, and the seeded coordinator blackout scenario's
+zero-enforcement-gap guarantee.
 """
 
 import pytest
 
+import repro.federation
 from repro.devices.library import smart_camera, smart_plug
 from repro.faults.scenario import run_federation_blackout_scenario
 from repro.federation import Federation, SiteSpec, run_federation, shard_fleet
-from repro.federation.repository import SignatureRepository
 from repro.learning.signatures import (
     backdoor_signature,
     default_credential_signature,
 )
-from repro.netsim.simulator import Simulator
 from repro.obs.health import HEALTH_CRITICAL, HEALTH_DEGRADED
+from repro.sdn.channel import FaultModel
 
 SKU = "dlink:DCS-930L:1.0"
 
@@ -39,26 +40,41 @@ def make_federation(sites=2, sync_period=5.0, devices=("cam", "plug")):
 
 
 # ---------------------------------------------------------------------------
-# SignatureRepository
+# The coordinator's ingress
 # ---------------------------------------------------------------------------
 
 
-class TestSignatureRepository:
+def ingress():
+    """A siteless coordinator, and ``report(wire, origin)``: one
+    ``sig-report`` over the WAN, returning the log's version after it."""
+    fed = Federation()
+    coordinator = fed.coordinator
+
+    def report(wire, origin="site:a"):
+        fed.wan.send(origin, coordinator.NAME, "sig-report", {"signature": wire})
+        fed.run(until=fed.sim.now + 1.0)
+        return coordinator.repository.version
+
+    return coordinator, report
+
+
+class TestCoordinatorIngress:
     def test_versions_are_contiguous_from_one(self):
-        repo = SignatureRepository(Simulator())
-        u1 = repo.publish(default_credential_signature(SKU).to_dict(), origin="a")
-        u2 = repo.publish(backdoor_signature(SKU, 4000).to_dict(), origin="b")
-        assert (u1.version, u2.version) == (1, 2)
-        assert repo.version == 2
-        assert [u.version for u in repo.log] == [1, 2]
+        coordinator, report = ingress()
+        v1 = report(default_credential_signature(SKU).to_dict(), origin="a")
+        v2 = report(backdoor_signature(SKU, 4000).to_dict(), origin="b")
+        assert (v1, v2) == (1, 2)
+        assert [s.flaw_class for s in coordinator.repository.log] == [
+            "exposed-credentials",
+            "backdoor",
+        ]
 
     def test_rediscovery_dedups_without_consuming_a_version(self):
-        repo = SignatureRepository(Simulator())
+        coordinator, report = ingress()
         wire = default_credential_signature(SKU).to_dict()
-        assert repo.publish(wire, origin="east") is not None
-        assert repo.publish(wire, origin="west") is None
-        assert repo.version == 1
-        assert repo.duplicates == 1
+        assert report(wire, origin="east") == 1
+        assert report(wire, origin="west") == 1
+        assert coordinator.repository.duplicates == 1
 
     @pytest.mark.parametrize(
         "wire, reason_prefix",
@@ -69,50 +85,48 @@ class TestSignatureRepository:
         ],
     )
     def test_malformed_wires_are_quarantined(self, wire, reason_prefix):
-        repo = SignatureRepository(Simulator())
-        assert repo.publish(wire, origin="evil") is None
-        assert repo.version == 0
-        assert repo.dlq.quarantined == 1
-        assert any(r.startswith(reason_prefix) for r in repo.dlq.by_reason)
+        coordinator, report = ingress()
+        assert report(wire, origin="evil") == 0
+        assert coordinator.dlq.quarantined == 1
+        assert any(r.startswith(reason_prefix) for r in coordinator.dlq.by_reason)
 
     def test_poisoned_posture_never_enters_the_log(self):
-        repo = SignatureRepository(Simulator())
+        coordinator, report = ingress()
         wire = default_credential_signature(SKU).to_dict()
         wire["recommended_posture"] = "open_all_ports"
-        assert repo.publish(wire, origin="evil") is None
-        assert repo.version == 0
-        assert repo.rejected == 1
-        assert any("poisoned" in r for r in repo.dlq.by_reason)
+        assert report(wire, origin="evil") == 0
+        assert coordinator.dlq.quarantined == 1
+        assert any("poisoned" in r for r in coordinator.dlq.by_reason)
 
     def test_out_of_range_confidence_is_poisoned(self):
-        repo = SignatureRepository(Simulator())
+        coordinator, report = ingress()
         wire = default_credential_signature(SKU).to_dict()
         wire["confidence"] = 5.0
-        assert repo.publish(wire, origin="evil") is None
-        assert repo.version == 0
+        assert report(wire, origin="evil") == 0
+        assert coordinator.dlq.quarantined == 1
 
     def test_updates_since_replays_the_exact_suffix(self):
-        repo = SignatureRepository(Simulator())
-        repo.publish(default_credential_signature(SKU).to_dict(), origin="a")
-        repo.publish(backdoor_signature(SKU, 4000).to_dict(), origin="a")
-        repo.publish(backdoor_signature(SKU, 4001).to_dict(), origin="a")
-        assert [u.version for u in repo.updates_since(0)] == [1, 2, 3]
-        assert [u.version for u in repo.updates_since(2)] == [3]
+        coordinator, report = ingress()
+        report(default_credential_signature(SKU).to_dict())
+        report(backdoor_signature(SKU, 4000).to_dict())
+        report(backdoor_signature(SKU, 4001).to_dict())
+        repo = coordinator.repository
+        assert repo.updates_since(0) == repo.log and len(repo.log) == 3
+        assert [s.match.dport for s in repo.updates_since(2)] == [4001]
         assert repo.updates_since(3) == []
         assert repo.updates_since(99) == []
 
     def test_poisoned_update_cannot_wedge_a_replay_cursor(self):
         """A rejected wire consumes no version, so the suffix a site pulls
         after the poison attempt is exactly the clean log."""
-        repo = SignatureRepository(Simulator())
-        repo.publish(default_credential_signature(SKU).to_dict(), origin="a")
+        coordinator, report = ingress()
+        report(default_credential_signature(SKU).to_dict())
         bad = default_credential_signature(SKU).to_dict()
         bad["recommended_posture"] = "root_shell"
         bad["flaw_class"] = "bait"
-        repo.publish(bad, origin="evil")
-        update = repo.publish(backdoor_signature(SKU, 4000).to_dict(), origin="b")
-        assert update.version == 2
-        assert [u.version for u in repo.updates_since(1)] == [2]
+        report(bad, origin="evil")
+        assert report(backdoor_signature(SKU, 4000).to_dict(), origin="b") == 2
+        assert [s.match.dport for s in coordinator.repository.updates_since(1)] == [4000]
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +247,58 @@ class TestFederationSync:
         assert syncs, "the catch-up sync must be journaled"
         assert syncs[-1].fields["to_version"] == 3
 
+    def test_a_lost_push_never_advances_the_cursor_past_it(self):
+        """With 30% WAN loss, a push can miss a site while the next one
+        arrives.  The site applies only its next version, so the periodic
+        pull refills the hole instead of the cursor jumping over it."""
+        fed = make_federation(sites=3)
+        fed.wan.inject_faults(FaultModel(seed=4, drop_prob=0.3))
+        fed.start()
+        site0 = fed.sites["site0"]
+        sku = site0.dep.devices["cam"].sku
+        wires = [
+            default_credential_signature(sku).to_dict(),
+            backdoor_signature(sku, 4000).to_dict(),
+            backdoor_signature(sku, 4001).to_dict(),
+        ]
+        for at, wire in zip((10.0, 10.5, 11.0), wires):
+            fed.sim.schedule(at, site0.mined, wire)
+        fed.run(until=120.0)
+        version = fed.coordinator.repository.version
+        assert version == 3
+        assert fed.coordinator.converged()
+        for site in fed.sites.values():
+            assert sorted(site.applied_at) == list(range(1, version + 1)), site.name
+            assert len(site.cache.signatures) == version, site.name
+        assert sum(s.gaps for s in fed.sites.values()) > 0
+
+    def test_updates_from_a_peer_site_are_refused(self):
+        """A peer forging a far-future, poisoned push must neither enter the
+        cache nor move the cursor -- the real v1 still applies."""
+        fed = make_federation(sites=3)
+        fed.start()
+        site1, site2 = fed.sites["site1"], fed.sites["site2"]
+        sku = site2.dep.devices["cam"].sku
+        forged = default_credential_signature(sku).to_dict()
+        forged["recommended_posture"] = "open_all_ports"
+        fed.sim.schedule(
+            5.0,
+            lambda: fed.wan.send(
+                site1.endpoint, site2.endpoint, "sig-push", {"version": 99, "signature": forged}
+            ),
+        )
+        fed.sim.schedule(
+            10.0, fed.sites["site0"].mined, default_credential_signature(sku).to_dict()
+        )
+        fed.run(until=20.0)
+        assert site2.version == 1
+        assert [s.recommended_posture for s in site2.cache.log] == ["password_proxy"]
+        assert fed.coordinator.converged()
+        assert site2.refused == 1 and site2.snapshot()["refused"] == 1
+        (refusal,) = fed.sim.journal.entries(kind="signature-refused")
+        assert refusal.fields["site"] == "site2"
+        assert refusal.fields["sender"] == site1.endpoint
+
     def test_duplicate_site_name_rejected(self):
         fed = make_federation(sites=1)
         with pytest.raises(ValueError, match="duplicate"):
@@ -349,6 +415,22 @@ class TestBlackoutScenario:
 
     def test_propagation_lag_is_two_wan_hops(self, scenario):
         assert scenario["propagation_lag_v1"] == pytest.approx(0.040, abs=1e-6)
+
+    def test_every_cache_replays_the_log_in_version_order(self, monkeypatch):
+        built = []
+
+        class Recorded(Federation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(repro.federation, "Federation", Recorded)
+        run_federation_blackout_scenario(sites=4)
+        (fed,) = built
+        keys = [s.key() for s in fed.coordinator.repository.log]
+        assert len(keys) == 2
+        for site in fed.sites.values():
+            assert [s.key() for s in site.cache.log] == keys, site.name
 
     def test_scenario_is_deterministic(self, scenario):
         again = run_federation_blackout_scenario(sites=4)

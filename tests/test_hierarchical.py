@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.hierarchical import (
     ControllerQueue,
-    FlatControl,
     HierarchicalControl,
     crossing_devices,
     latency_percentiles,
@@ -130,7 +129,7 @@ class TestFlatVsHierarchical:
         policy = clustered_policy()
         partition = partition_by_independence(policy)
         crossing = crossing_devices(policy, partition)
-        flat = FlatControl(sim, service_time=0.0005, global_latency=0.02)
+        flat = HierarchicalControl(sim, {}, set(), service_time=0.0005, global_latency=0.02)
         hier = HierarchicalControl(
             sim, partition, crossing,
             service_time=0.0005, local_latency=0.001, global_latency=0.02,
@@ -144,7 +143,7 @@ class TestFlatVsHierarchical:
         policy = clustered_policy()
         partition = partition_by_independence(policy)
         crossing = crossing_devices(policy, partition)
-        flat = FlatControl(sim)
+        flat = HierarchicalControl(sim, {}, set())
         hier = HierarchicalControl(sim, partition, crossing)
         for __ in range(100):
             for device in policy.devices:
