@@ -451,11 +451,13 @@ class SecuredDeployment:
         return controller
 
     def _forward_alert(self, alert: Alert) -> None:
+        # The detail is shared, not copied: an alert's detail is immutable
+        # once raised, and the channel's own body copy is the boundary.
         body = {
             "device": alert.device,
             "kind": alert.kind,
             "mbox": alert.mbox,
-            "detail": dict(alert.detail),
+            "detail": alert.detail,
             "trace": alert.trace_id,
         }
         if self.host_stream is not None:

@@ -166,7 +166,9 @@ class TelemetryTap(Element):
     """Mirror device telemetry into the controller's global view.
 
     The controller learns device state and sensor readings from the traffic
-    the µmbox already sees -- no device cooperation needed.
+    the µmbox already sees -- no device cooperation needed.  The readings
+    ride as the packet carries them: a payload is never mutated in place,
+    and nothing downstream edits an alert's detail.
     """
 
     name = "telemetry_tap"
@@ -183,7 +185,7 @@ class TelemetryTap(Element):
             ctx.alert(
                 "telemetry",
                 state=packet.payload.get("state"),
-                readings=dict(packet.payload.get("readings", {})),
+                readings=packet.payload.get("readings", {}),
             )
         return Verdict.PASS, packet
 

@@ -17,11 +17,20 @@ Hot-path notes (see docs/architecture.md, "Performance architecture"):
   loop skips such entries when they surface.  A handle whose event has
   fired is just a list nothing else refers to, so cancelling through it
   does nothing -- there is no pool and no entry is ever reused.
-- The senders inside ``netsim`` (:meth:`Link.transmit
-  <repro.netsim.link.Link.transmit>` and :class:`_Periodic`) build and
-  push their entry themselves -- same ``now + delay``, same
-  ``next(seq)`` -- which saves the call into :meth:`schedule` on every hop
-  and timer tick.  Everything else calls :meth:`schedule`.
+- The data-plane-volume senders build and push their entry themselves --
+  same ``now + delay``, same ``next(seq)`` -- which saves the call into
+  :meth:`schedule` on every hop, timer tick and alert.  Each checks its
+  delay where it is configured.  A change to the entry's layout must
+  change every site that builds one, and these are all of them:
+
+  - :meth:`Simulator.schedule` here;
+  - :class:`_Periodic` here (each re-arm);
+  - :meth:`Link.transmit <repro.netsim.link.Link.transmit>`;
+  - the fault-free unreliable branch of :meth:`ControlChannel.send
+    <repro.sdn.channel.ControlChannel.send>`, the one site outside
+    ``netsim``.
+
+  Everything else calls :meth:`schedule`.
 - :meth:`run` inlines the pop/skip/fire loop rather than calling
   :meth:`step` per event; both share the same observable semantics.  It
   pops first and pushes the head back only when ``until`` or the budget

@@ -45,6 +45,11 @@ Replay protocol (go-back-N over the unreliable fast path):
   continues) -- a multi-hour outage costs retry-timer ticks, not a
   journal full of drop records.
 
+Ownership: an alert body is immutable once offered.  The host keeps it
+in its record, the record's wire dict is built once and resent as is,
+and the consumer hands the same body to the controller; the channel's
+shallow copy of each batch envelope is the one copy on the way.
+
 Everything here is simulated-time, seeded-deterministic, and observable:
 buffer depth / replay lag / peak depth / DLQ depth are callback gauges in
 the metrics registry (and therefore in the Prometheus exposition), and
@@ -81,6 +86,8 @@ LANE_URGENT = "urgent"
 LANE_BULK = "bulk"
 LANES = (LANE_URGENT, LANE_BULK)
 
+_INF = float("inf")
+
 
 def lane_for(kind: str) -> str:
     """Which lane an alert kind rides: telemetry is bulk, the rest urgent."""
@@ -107,9 +114,6 @@ class StreamConfig:
     #: Minimum spacing of heartbeat depth journal records (the health
     #: sweep pulses much faster than anyone needs depth evidence).
     heartbeat_min_interval: float = 60.0
-    #: A delivered batch whose oldest record is at least this stale is a
-    #: *replay* (post-partition catch-up) and gets a journal summary.
-    replay_age: float = 5.0
 
     def __post_init__(self) -> None:
         if self.segment_size <= 0:
@@ -118,9 +122,12 @@ class StreamConfig:
             raise ValueError(f"max_segments must be positive (got {self.max_segments})")
         if self.batch_max <= 0:
             raise ValueError(f"batch_max must be positive (got {self.batch_max})")
-        if self.flush_delay < 0:
-            raise ValueError(f"flush_delay must be >= 0 (got {self.flush_delay})")
-        if self.retransmit_timeout <= 0:
+        # ``not x >= 0`` rather than ``x < 0``: NaN fails every comparison.
+        for name in ("flush_delay", "heartbeat_min_interval"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0 (got {value})")
+        if not self.retransmit_timeout > 0:
             raise ValueError(
                 f"retransmit_timeout must be positive (got {self.retransmit_timeout})"
             )
@@ -132,11 +139,19 @@ class StreamConfig:
 
 @dataclass(slots=True)
 class StreamRecord:
-    """One buffered alert: its offset, birth time, and wire body."""
+    """One buffered alert: its offset, birth time, and wire body.
+
+    ``wire`` is the record as it ships, built once: every send and resend
+    of the record carries the same dict.
+    """
 
     offset: int
     at: float
     body: dict[str, Any]
+    wire: dict[str, Any] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.wire = {"offset": self.offset, "at": self.at, "body": self.body}
 
     @property
     def device(self) -> str:
@@ -146,14 +161,13 @@ class StreamRecord:
     def kind(self) -> str:
         return str(self.body.get("kind", ""))
 
-    def as_wire(self) -> dict[str, Any]:
-        return {"offset": self.offset, "at": self.at, "body": self.body}
-
 
 # ----------------------------------------------------------------------
 # Schema validation (the DLQ's admission test)
 # ----------------------------------------------------------------------
 _MAX_KIND_LEN = 64
+_NO_DETAIL: dict[str, Any] = {}
+_STR = frozenset({str})
 
 
 def validate_record(wire: Any) -> str | None:
@@ -165,16 +179,20 @@ def validate_record(wire: Any) -> str | None:
     trace.  Anything else is quarantine-worthy -- a buggy or hostile host
     must not be able to wedge the controller's ingest path.
     """
-    if not isinstance(wire, Mapping):
+    # Each ``Mapping`` check tries ``type(x) is dict`` first: what hosts
+    # send is plain dicts, and the ABC check is a call.
+    if not (type(wire) is dict or isinstance(wire, Mapping)):
         return "not-a-record"
     offset = wire.get("offset")
     if not isinstance(offset, int) or isinstance(offset, bool) or offset < 1:
         return "bad-offset"
     at = wire.get("at")
-    if not isinstance(at, (int, float)) or isinstance(at, bool) or at < 0:
+    if not isinstance(at, (int, float)) or isinstance(at, bool) or not 0 <= at < _INF:
+        # Non-finite too: one NaN stamp would stop the escalation window's
+        # pruning for the rest of the run.
         return "bad-timestamp"
     body = wire.get("body")
-    if not isinstance(body, Mapping):
+    if not (type(body) is dict or isinstance(body, Mapping)):
         return "no-body"
     device = body.get("device")
     if not isinstance(device, str) or not device:
@@ -182,9 +200,9 @@ def validate_record(wire: Any) -> str | None:
     kind = body.get("kind")
     if not isinstance(kind, str) or not kind or len(kind) > _MAX_KIND_LEN:
         return "bad-kind"
-    detail = body.get("detail", {})
-    if not isinstance(detail, Mapping) or any(
-        not isinstance(key, str) for key in detail
+    detail = body.get("detail", _NO_DETAIL)
+    if not (type(detail) is dict or isinstance(detail, Mapping)) or not (
+        _STR.issuperset(map(type, detail)) or all(isinstance(key, str) for key in detail)
     ):
         return "bad-detail"
     if not isinstance(body.get("mbox", ""), str):
@@ -336,16 +354,20 @@ class _Lane:
 
     # -- reading -------------------------------------------------------
     def window_after(self, start: int, limit: int) -> list[StreamRecord]:
-        """Up to ``limit`` consecutive retained records with offset > start."""
+        """Up to ``limit`` consecutive retained records with offset > start.
+
+        A segment's offsets are contiguous (records append in offset order
+        and leave only with their whole segment), so the first record past
+        ``start`` is found by index, not by scan.
+        """
         out: list[StreamRecord] = []
         for segment in self._segments:
             if not segment or segment[-1].offset <= start:
                 continue
-            for record in segment:
-                if record.offset > start:
-                    out.append(record)
-                    if len(out) >= limit:
-                        return out
+            first = max(start + 1 - segment[0].offset, 0)
+            out += segment[first : first + limit - len(out)]
+            if len(out) >= limit:
+                break
         return out
 
     def oldest_unacked(self) -> StreamRecord | None:
@@ -498,7 +520,7 @@ class HostStream:
                     # left by bulk eviction reads as gone (skipped) rather
                     # than a gap that would livelock the resend loop.
                     "base": lane.base,
-                    "records": [record.as_wire() for record in batch],
+                    "records": [record.wire for record in batch],
                 },
             )
         if sent_any or self.outstanding():
@@ -734,6 +756,8 @@ class StreamConsumer:
         trust_threshold: float = 0.25,
         replay_age: float = 5.0,
     ) -> None:
+        if not replay_age >= 0:  # NaN would silently turn the summaries off
+            raise ValueError(f"replay_age must be >= 0 (got {replay_age})")
         self.sim = sim
         self.channel = channel
         self.name = name
@@ -800,7 +824,9 @@ class StreamConsumer:
             )
             return
         self.batches += 1
-        state = self._states.setdefault((host, lane), _ConsumerState())
+        state = self._states.get((host, lane))
+        if state is None:
+            state = self._states[(host, lane)] = _ConsumerState()
         raw_base = body.get("base")
         base = (
             raw_base
@@ -827,7 +853,9 @@ class StreamConsumer:
         oldest_at: float | None = None
         consumed_before = state.consumed
         for wire in records:
-            offset = wire.get("offset") if isinstance(wire, Mapping) else None
+            # An exact dict first: the ``Mapping`` check is an ABC call.
+            mapping = type(wire) is dict or isinstance(wire, Mapping)
+            offset = wire.get("offset") if mapping else None
             if not isinstance(offset, int) or isinstance(offset, bool) or offset < 1:
                 # No usable offset: quarantine, but the cursor cannot
                 # advance past a record it cannot place.
@@ -870,7 +898,7 @@ class StreamConsumer:
             state.delivered += 1
             self.delivered += 1
             self._c_delivered.inc()
-            self.deliver(dict(wire["body"]), sent_at)
+            self.deliver(wire["body"], sent_at)  # shared, never edited
         state.last_batch_at = self.sim.now
         if (
             oldest_at is not None

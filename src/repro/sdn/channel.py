@@ -37,12 +37,14 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.simulator import Event, Simulator
 
 _MSG_IDS = itertools.count(1)
+_INF = float("inf")
 
 
 @dataclass(slots=True)
@@ -61,17 +63,19 @@ class PartitionWindow:
     """A simulated-time interval during which messages are lost.
 
     ``endpoints`` restricts the partition to traffic *to* those endpoints;
-    ``None`` partitions the whole channel (controller unreachable).
+    ``None`` partitions the whole channel (controller unreachable).  An
+    ``end`` of ``inf`` never heals.
     """
 
     start: float
     end: float
     endpoints: frozenset[str] | None = None
 
-    def covers(self, now: float, to: str) -> bool:
-        if not (self.start <= now < self.end):
-            return False
-        return self.endpoints is None or to in self.endpoints
+    def __post_init__(self) -> None:
+        if not self.start <= self.end:  # NaN on either side too
+            raise ValueError(
+                f"partition must start before it ends ({self.start}, {self.end})"
+            )
 
 
 class FaultModel:
@@ -93,8 +97,8 @@ class FaultModel:
     ) -> None:
         if not 0.0 <= drop_prob < 1.0:
             raise ValueError(f"drop_prob must be in [0, 1) (got {drop_prob})")
-        if jitter < 0:
-            raise ValueError(f"jitter must be >= 0 (got {jitter})")
+        if not 0.0 <= jitter < _INF:
+            raise ValueError(f"jitter must be finite and >= 0 (got {jitter})")
         self.seed = seed
         self.rng = random.Random(seed)
         self.drop_prob = drop_prob
@@ -104,19 +108,23 @@ class FaultModel:
     def add_partition(
         self, start: float, end: float, endpoints: tuple[str, ...] | None = None
     ) -> PartitionWindow:
-        if end < start:
-            raise ValueError(f"partition ends before it starts ({start} > {end})")
         window = PartitionWindow(
             start, end, frozenset(endpoints) if endpoints else None
         )
         self.partitions.append(window)
         return window
 
+    def partitioned(self, now: float, to: str) -> bool:
+        """Whether a partition window covers traffic to ``to`` at ``now``."""
+        for w in self.partitions:
+            if w.start <= now < w.end and (w.endpoints is None or to in w.endpoints):
+                return True
+        return False
+
     def drop_reason(self, now: float, to: str) -> str | None:
         """Why this transmission is lost, or ``None`` when it survives."""
-        for window in self.partitions:
-            if window.covers(now, to):
-                return "partition"
+        if self.partitions and self.partitioned(now, to):
+            return "partition"
         if self.drop_prob and self.rng.random() < self.drop_prob:
             return "drop"
         return None
@@ -164,8 +172,8 @@ class ControlChannel:
         dedup_ttl: float = 60.0,
         dedup_max: int = 4096,
     ) -> None:
-        if latency < 0:
-            raise ValueError("latency must be >= 0")
+        if not latency >= 0:  # NaN too: ``send`` pushes ``now + latency`` unchecked
+            raise ValueError(f"latency must be >= 0 (got {latency})")
         if dedup_ttl <= 0:
             raise ValueError(f"dedup_ttl must be positive (got {dedup_ttl})")
         if dedup_max <= 0:
@@ -256,8 +264,8 @@ class ControlChannel:
 
     def set_latency_to(self, name: str, latency: float) -> None:
         """Override the one-way latency for messages *to* ``name``."""
-        if latency < 0:
-            raise ValueError("latency must be >= 0")
+        if not latency >= 0:
+            raise ValueError(f"latency must be >= 0 (got {latency})")
         self._latency_override[name] = latency
 
     def latency_to(self, name: str) -> float:
@@ -290,10 +298,7 @@ class ControlChannel:
         deliberately not reflected here.
         """
         model = self.fault_model
-        if model is None:
-            return True
-        now = self.sim.now
-        return not any(window.covers(now, to) for window in model.partitions)
+        return model is None or not model.partitioned(self.sim.now, to)
 
     # ------------------------------------------------------------------
     # Sending
@@ -313,15 +318,27 @@ class ControlChannel:
         the handler observes it exactly once -- or a journaled give-up.
         """
         sim = self.sim
+        # The body's one copy on its way to the receiver (the isolation
+        # boundary): shallow, so the values it holds are shared, and the
+        # layers on either side treat them as immutable.
         message = ControlMessage(kind, sender, dict(body or {}), sim.now, next(_MSG_IDS))
         self.sent += 1
         if not reliable and self.fault_model is None:
             # Fire-and-forget on a healthy wire (alerts and telemetry ride
             # here, at data-plane volume): nothing can drop, delay or retry
-            # the message, so what :meth:`_transmit` would schedule is
-            # scheduled directly.
-            sim.schedule(
-                self._latency_override.get(to, self.latency), self._deliver, to, message
+            # the message, so the delivery :meth:`_transmit` would schedule
+            # is pushed here, as ``Link.transmit`` pushes a hop.  Latencies
+            # are checked (>= 0, not NaN) where they are set.  The entry's
+            # layout is the simulator's: its module docstring lists every
+            # site that builds one.
+            heappush(
+                sim._heap,
+                [
+                    sim.now + self._latency_override.get(to, self.latency),
+                    next(sim._seq),
+                    self._deliver,
+                    (to, message),
+                ],
             )
             return message
         self._transmit(message, to, partial(self._deliver, to, message), reliable, attempt=0)

@@ -1,5 +1,7 @@
 """Tests for the control channel."""
 
+import math
+
 import pytest
 
 from repro.netsim.simulator import Simulator
@@ -203,3 +205,40 @@ def test_benign_fault_model_changes_nothing(sim):
     assert got[0][3]["device"] == "cam"  # body copied when sent
     assert got[2][3]["device"] == "mutated-after-two-sends"
     assert counters == (4, 3, 1, 0, 0)
+
+
+def test_nan_config_rejected(sim):
+    """The fast path pushes ``now + latency`` unchecked, so a NaN latency
+    must fail where it is set, not at the first send."""
+    with pytest.raises(ValueError):
+        ControlChannel(sim, latency=math.nan)
+    with pytest.raises(ValueError):
+        ControlChannel(sim).set_latency_to("x", math.nan)
+    with pytest.raises(ValueError):
+        FaultModel(jitter=math.nan)
+    with pytest.raises(ValueError):
+        FaultModel().add_partition(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        FaultModel().add_partition(0.0, math.nan)
+
+
+def test_infinite_jitter_rejected_but_an_endless_partition_is_not(sim):
+    with pytest.raises(ValueError):
+        FaultModel(jitter=math.inf)
+    chan = ControlChannel(sim)
+    chan.partition(1.0, math.inf)
+    sim.run(until=1e12)
+    assert not chan.reachable("ctrl")
+
+
+def test_partition_window_is_half_open_and_scoped_to_its_endpoints():
+    model = FaultModel()
+    model.add_partition(1.0, 2.0, ("sw",))
+    model.add_partition(5.0, 6.0)
+    assert [model.partitioned(t, "sw") for t in (0.5, 1.0, 1.5, 2.0)] == [
+        False, True, True, False
+    ]
+    assert not model.partitioned(1.5, "ctrl")
+    assert model.partitioned(5.0, "ctrl") and not model.partitioned(6.0, "ctrl")
+    assert model.drop_reason(1.5, "sw") == "partition"
+    assert model.drop_reason(1.5, "ctrl") is None

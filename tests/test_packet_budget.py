@@ -13,25 +13,30 @@ packet with the security stack on and 27.17 with it off
 plain forwarding to 22.67, and with ``Link.transmit`` and the ``every()``
 re-arm pushing their own heap entries (one frame less per hop and per timer
 tick) they read 47.26 and 19.51, with no event bus copying every alert
-the four-hop path read 46.26, and with no metadata record built by the
-packet logger it reads 45.76 now (Python 3.11; the ledger
+the four-hop path read 46.26, with no metadata record built by the
+packet logger 45.76, and with the channel pushing an alert's delivery
+itself it reads 45.26 now (Python 3.11; the ledger
 benchmark's ``home-steady`` mix, 80 devices, read 71.1 -> 49.1 -> 40.4 with
-its blind flows offloaded -> 36.2, and its ``bare-forward`` 23.9 -> 19.4 ->
-16.4).
+its blind flows offloaded -> 36.2 -> 34.2, and its ``bare-forward`` 23.9 ->
+19.4 -> 16.4).
 Comprehensions are calls before Python 3.12, so the ceilings are upper
 bounds taken on the older interpreters; the count can only read lower on a
 newer one.
 
-The stack has two budgets.  The home *as built* pins every device, so the
+The stack has three budgets.  The home *as built* pins every device, so the
 flows its chains are blind to (the cameras' and plugs' reports to the hub,
-half of the packets) take two hops: 36.76 calls and 1,680 events.  The same
+half of the packets) take two hops: 36.26 calls and 1,680 events.  The same
 home *unpinned* -- same chains, no offload rule, every packet through its
-µmbox -- is the full four-hop path at 45.76 / 2,040 (the events it was put
-on), so the tunnel, host and chain stay guarded.
+µmbox -- is the full four-hop path at 45.26 / 2,040 (the events it was put
+on), so the tunnel, host and chain stay guarded.  The home as built with
+``durable_telemetry=True`` sends every alert through the host's stream
+buffer, the consumer's in-order batches and their acks: 41.67 / 1,590 (it
+read 45.42 while each record was re-built, re-copied and checked through
+the ABCs on its way).
 
-Both stack paths also pin what the run *keeps*: the growth in GC-tracked
+The stack paths also pin what the run *keeps*: the growth in GC-tracked
 objects over the window, each end read once tracking has settled (see
-:func:`tracked_objects`).  It is 360 objects for the 360 packets on either
+:func:`tracked_objects`).  It is 360 objects for the 360 packets on each
 path, all of it the alert log (``MboxHost.alerts``: one telemetry ``Alert``
 and its detail dict per two packets).  A per-packet list, dict or record
 anywhere on the path adds at least 360 and fails deterministically.
@@ -55,16 +60,19 @@ WINDOW = 60.0
 PARENT_STACK = 74.42
 #: What each path achieves now, plus two calls of slack (the bare ceiling
 #: sits below the 27.17 of that commit).
-STACK_CEILING = 38.8
-FOUR_HOP_CEILING = 47.8
+STACK_CEILING = 38.3
+FOUR_HOP_CEILING = 47.3
+DURABLE_CEILING = 43.7
 BARE_CEILING = 21.6
-#: GC-tracked objects the window may leave behind on either stack path:
-#: the 360 measured now, plus a little slack.
+#: GC-tracked objects the window may leave behind on any stack path: the
+#: 360 measured now, plus a little slack.
 RETAINED_CEILING = 365
 #: Simulated work in the window.  The four-hop and bare counts are those
 #: of that commit (the budget removed calls, never events); a blind flow
-#: saves two events a packet, 180 packets of the 360.
+#: saves two events a packet, 180 packets of the 360; the durable stream
+#: batches its sends.
 STACK_EVENTS, FOUR_HOP_EVENTS, BARE_EVENTS, PACKETS = 1680, 2040, 1140, 360
+DURABLE_EVENTS = 1590
 
 
 def tracked_objects() -> int:
@@ -83,10 +91,10 @@ def tracked_objects() -> int:
     return count
 
 
-def measure(with_iotsec: bool, pinned: bool = True) -> tuple[float, int, int, int]:
+def measure(with_iotsec: bool, pinned: bool = True, **planes) -> tuple[float, int, int, int]:
     """``(calls per packet, events, packets, retained objects)`` over the
     counted window; the last is the growth in GC-tracked objects."""
-    dep, attacker = build_e9_small(telemetry_period=2.0, with_iotsec=with_iotsec)
+    dep, attacker = build_e9_small(telemetry_period=2.0, with_iotsec=with_iotsec, **planes)
     if not pinned:
         for name in dep.devices:
             dep.orchestrator.unpin(name)
@@ -137,6 +145,21 @@ def test_four_hop_path_stays_within_its_call_budget():
     assert retained <= RETAINED_CEILING, (
         f"{retained} objects retained over {packets} packets (ceiling "
         f"{RETAINED_CEILING}): tunnel, host or chain keeps something per packet"
+    )
+
+
+def test_durable_stream_path_stays_within_its_call_budget():
+    calls_per_packet, events, packets, retained = measure(
+        with_iotsec=True, durable_telemetry=True
+    )
+    assert (events, packets) == (DURABLE_EVENTS, PACKETS)
+    assert calls_per_packet <= DURABLE_CEILING, (
+        f"{calls_per_packet:.2f} Python calls per delivered packet (ceiling "
+        f"{DURABLE_CEILING}): the durable stream or its consumer gained a call"
+    )
+    assert retained <= RETAINED_CEILING, (
+        f"{retained} objects retained over {packets} packets (ceiling "
+        f"{RETAINED_CEILING}): the durable stream keeps something per packet"
     )
 
 

@@ -6,8 +6,11 @@ the property that matters: after any seeded drop/partition pattern, every
 buffered record is delivered exactly once, in order, per lane.
 """
 
+import math
+from collections.abc import Mapping
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.simulator import Simulator
@@ -22,7 +25,7 @@ from repro.obs.stream import (
     lane_for,
     validate_record,
 )
-from repro.sdn.channel import ControlChannel, FaultModel
+from repro.sdn.channel import ControlChannel, ControlMessage, FaultModel
 
 
 def wire(offset=1, at=0.0, device="cam", kind="port-scan", **over):
@@ -30,6 +33,135 @@ def wire(offset=1, at=0.0, device="cam", kind="port-scan", **over):
     body.update(over.pop("body", {}))
     record = {"offset": offset, "at": at, "body": body}
     record.update(over)
+    return record
+
+
+def _reference_validate_record(wire):
+    """``validate_record`` as it was before its exact-type shortcuts (and
+    before it refused non-finite timestamps): the reference verdict."""
+    if not isinstance(wire, Mapping):
+        return "not-a-record"
+    offset = wire.get("offset")
+    if not isinstance(offset, int) or isinstance(offset, bool) or offset < 1:
+        return "bad-offset"
+    at = wire.get("at")
+    if not isinstance(at, (int, float)) or isinstance(at, bool) or at < 0:
+        return "bad-timestamp"
+    body = wire.get("body")
+    if not isinstance(body, Mapping):
+        return "no-body"
+    device = body.get("device")
+    if not isinstance(device, str) or not device:
+        return "bad-device"
+    kind = body.get("kind")
+    if not isinstance(kind, str) or not kind or len(kind) > 64:
+        return "bad-kind"
+    detail = body.get("detail", {})
+    if not isinstance(detail, Mapping) or any(not isinstance(key, str) for key in detail):
+        return "bad-detail"
+    if not isinstance(body.get("mbox", ""), str):
+        return "bad-mbox"
+    trace = body.get("trace")
+    if trace is not None and (not isinstance(trace, int) or isinstance(trace, bool)):
+        return "bad-trace"
+    return None
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Frozen(Mapping):
+    """A read-only ``Mapping`` that is not a ``dict``."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+_JUNK = st.one_of(st.none(), st.text(max_size=2), st.lists(st.integers(), max_size=2))
+_TEXT = st.text(max_size=3)
+_VALUES = st.one_of(
+    _TEXT, st.integers(), st.floats(), st.none(), st.dictionaries(_TEXT, _TEXT, max_size=2)
+)
+_DETAIL = st.dictionaries(_TEXT, _VALUES, max_size=3)
+_ODD_INTS = st.one_of(st.booleans(), st.integers(0, 9).map(_Int))
+_NON_STR_KEYS = st.dictionaries(
+    st.one_of(st.integers(0, 3), st.booleans(), _TEXT.map(_Str)), _VALUES, min_size=1, max_size=2
+)
+#: What a field turns into when a draw makes it odd.
+_ODD = {
+    "offset": st.one_of(st.integers(-2, 0), _ODD_INTS, st.floats(), _JUNK),
+    "at": st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.floats(max_value=-1e-9),
+        _ODD_INTS,
+        _JUNK,
+    ),
+    "device": st.one_of(st.just(""), _TEXT.map(_Str), _ODD_INTS, st.integers(), _JUNK),
+    "kind": st.one_of(
+        st.sampled_from(["", "k" * 65]),
+        st.integers(0, 65).map(lambda n: _Str("k" * n)),
+        _ODD_INTS,
+        _JUNK,
+    ),
+    "detail": st.one_of(
+        _DETAIL.map(_Frozen),
+        _DETAIL.map(_Dict),
+        st.dictionaries(_TEXT.map(_Str), _VALUES, min_size=1, max_size=2),
+        st.tuples(_DETAIL, _NON_STR_KEYS).map(lambda pair: {**pair[0], **pair[1]}),
+        _ODD_INTS,
+        _JUNK,
+    ),
+    "mbox": st.one_of(_TEXT.map(_Str), _ODD_INTS, st.integers(), st.none()),
+    "trace": st.one_of(_ODD_INTS, st.floats(), _TEXT),
+}
+_BODY_FIELDS = ("device", "kind", "detail", "mbox", "trace")
+_CONTAINERS = st.sampled_from([_Frozen, _Dict, lambda m: {**m, 0: "non-str key"}, list])
+
+
+@st.composite
+def _records(draw):
+    """Wire records: a JSON-plain, well-formed one with up to three odd
+    spots -- a field turned into a ``bool``, an ``int``/``str`` subclass,
+    a non-dict ``Mapping``, non-``str`` keys, junk or nothing, or the
+    record or its body wrapped in another container."""
+    body = {
+        "device": draw(st.text(min_size=1, max_size=3)),
+        "kind": draw(st.integers(1, 64).map(lambda n: "k" * n)),
+    }
+    for key, valid in (("detail", _DETAIL), ("mbox", _TEXT), ("trace", st.none() | st.integers())):
+        if draw(st.booleans()):
+            body[key] = draw(valid)
+    record = {"offset": draw(st.integers(1, 2**70)), "body": body}
+    record["at"] = draw(st.floats(0, 1e9) | st.integers(0, 2**70))
+    for __ in range(draw(st.integers(0, 3))):
+        spot = draw(st.sampled_from([*_ODD, "missing", "body", "record"]))
+        if spot == "missing":
+            key = draw(st.sampled_from(["offset", "at", "body", *_BODY_FIELDS]))
+            (body if key in _BODY_FIELDS else record).pop(key, None)
+        elif spot == "body":
+            record["body"] = draw(_CONTAINERS)(body)
+        elif spot == "record":
+            return draw(_CONTAINERS)(record)
+        else:
+            (body if spot in _BODY_FIELDS else record)[spot] = draw(_ODD[spot])
     return record
 
 
@@ -56,10 +188,40 @@ class TestValidateRecord:
             (wire(body={"detail": {1: "x"}}), "bad-detail"),
             (wire(body={"mbox": 9}), "bad-mbox"),
             (wire(body={"trace": "t7"}), "bad-trace"),
+            (wire(at=math.nan), "bad-timestamp"),
+            (wire(at=math.inf), "bad-timestamp"),
+            (wire(at=-math.inf), "bad-timestamp"),
         ],
     )
     def test_malformed_records_named(self, record, reason):
         assert validate_record(record) == reason
+
+    @settings(max_examples=500, deadline=None)
+    @given(_records())
+    @example(wire(offset=True))
+    @example(wire(at=math.inf))
+    @example(wire(body={"kind": "k" * 65}))
+    @example(wire(body={"detail": {"ok": 1, 2: "x"}}))
+    @example(wire(body={"detail": {_Str("ok"): 1}}))
+    @example(wire(body={"detail": _Frozen({"ok": 1})}))
+    @example({**wire(), "body": _Frozen(wire()["body"])})
+    @example(_Frozen(wire()))
+    @example(wire(body={"mbox": 9}))
+    @example(wire(body={"trace": True}))
+    def test_verdict_is_the_reference_verdict(self, record):
+        """The ``type(x) is dict`` and key-type shortcuts change no
+        verdict: every input gets the reference's answer, except that a
+        non-finite ``at`` the reference let through is now
+        ``bad-timestamp``."""
+        expected = _reference_validate_record(record)
+        at = record.get("at") if isinstance(record, Mapping) else None
+        if (
+            expected not in ("not-a-record", "bad-offset")
+            and isinstance(at, float)
+            and not math.isfinite(at)
+        ):
+            expected = "bad-timestamp"
+        assert validate_record(record) == expected
 
     def test_lane_for(self):
         assert lane_for("telemetry") == LANE_BULK
@@ -146,6 +308,26 @@ class TestLane:
             assert lane.depth() == lane.stats()["depth"] == depth
             assert lane.peak_depth == peak
 
+    @given(
+        st.booleans(),
+        st.lists(st.one_of(st.none(), st.integers(min_value=0, max_value=40)), max_size=60),
+        st.integers(min_value=0, max_value=45),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_window_after_is_the_scan(self, evict_unacked, steps, start, limit):
+        """``window_after`` indexes into a segment by offset; the reference
+        is a scan of every retained record, across appends, frees,
+        evictions and full-drain recycles."""
+        lane = _Lane("lane", segment_size=3, max_segments=2, evict_unacked=evict_unacked)
+        for ack in steps:
+            if ack is None:
+                lane.append({}, 0.0)
+            else:
+                lane.ack(ack)
+            retained = [record for segment in lane._segments for record in segment]
+            scan = [record for record in retained if record.offset > start][:limit]
+            assert lane.window_after(start, limit) == scan
+
 
 class TestConfig:
     @pytest.mark.parametrize(
@@ -156,11 +338,28 @@ class TestConfig:
             {"batch_max": 0},
             {"flush_delay": -1.0},
             {"retransmit_timeout": 0.0},
+            {"flush_delay": math.nan},
+            {"retransmit_timeout": math.nan},
+            {"heartbeat_min_interval": math.nan},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             StreamConfig(**kwargs)
+
+    @pytest.mark.parametrize("replay_age", [math.nan, -1.0])
+    def test_consumer_rejects_bad_replay_age(self, sim, replay_age):
+        """A NaN age would compare false forever and silently turn off
+        the ``stream-replay`` summaries."""
+        with pytest.raises(ValueError):
+            StreamConsumer(
+                sim,
+                ControlChannel(sim),
+                "ctrl",
+                deliver=lambda body, at: None,
+                dlq=DeadLetterQueue(sim),
+                replay_age=replay_age,
+            )
 
     def test_lane_capacity(self):
         assert StreamConfig(segment_size=8, max_segments=4).lane_capacity == 32
@@ -362,6 +561,31 @@ class TestEndToEnd:
         assert rig.dlq.stats()["by_reason"] == {"bad-device": 1}
         assert [b["detail"]["i"] for b in rig.bodies()] == [2]
         assert rig.consumer.offset_of("h2", "bulk") == 2
+
+    def test_nan_timestamp_is_quarantined_and_the_window_stays_bounded(self):
+        """A NaN-stamped record would sit at the head of its escalation
+        window and stop the pruning for the rest of the run; it is
+        refused at the door instead, and the window keeps its bound."""
+        from repro.core.deployment import SecuredDeployment
+        from repro.devices.library import smart_camera
+
+        dep = SecuredDeployment.build(durable_telemetry=True)
+        dep.add_device(smart_camera, "cam")
+        dep.finalize()
+        consumer, escalator = dep.controller.stream, dep.controller.pipeline.escalator
+        stamps = [math.nan] + [0.5 * i for i in range(1000)]
+        records = [
+            wire(offset=i + 1, at=at, kind="login-attempt") for i, at in enumerate(stamps)
+        ]
+        for start in range(0, len(records), 64):
+            batch = records[start : start + 64]
+            body = {"host": "h", "lane": LANE_URGENT, "base": start, "records": batch}
+            consumer.on_batch(ControlMessage("stream", "h", body, sent_at=dep.sim.now))
+        dep.run(until=1.0)
+        assert consumer.dlq.stats()["by_reason"] == {"bad-timestamp": 1}
+        assert consumer.offset_of("h", LANE_URGENT) == 1001
+        # login-attempt's widest window is 30 s: 61 stamps at 0.5 s apart.
+        assert escalator.pending_counts()[("cam", "login-attempt")] <= 61
 
     def test_record_without_offset_quarantined_without_advancing(self, sim):
         rig = Rig(sim)
