@@ -17,93 +17,25 @@ from __future__ import annotations
 
 from _util import print_table, record
 
-from repro.core.deployment import SecuredDeployment
-from repro.devices.library import (
-    FIREALARM_BACKDOOR_PORT,
-    fire_alarm,
-    window_actuator,
-)
-from repro.faults.campaign import CampaignRunner
-from repro.faults.campaign_library import FIG3_BREAK_IN
-from repro.learning.repository import CrowdRepository
-from repro.learning.signatures import backdoor_signature
-from repro.policy.builder import PolicyBuilder
+from repro.faults.scenario import arm_fig3, measure_fig3
 from repro.policy.context import SUSPICIOUS
-from repro.policy.ifttt import Recipe
-from repro.policy.posture import MboxSpec, Posture, block_commands
-
-
-def fig3_policy():
-    return (
-        PolicyBuilder()
-        .device("fire_alarm")
-        .device("window")
-        .env("smoke", ("clear", "detected"))
-        .when("ctx:fire_alarm", SUSPICIOUS)
-        .give("window", block_commands("open", name="block-open-fw"), priority=200)
-        .when("ctx:window", SUSPICIOUS)
-        .give(
-            "window",
-            Posture.make(
-                "robot-check-fw",
-                MboxSpec.make("source_filter", allowed_sources=["hub", "controller"]),
-            ),
-            priority=250,
-        )
-        .build()
-    )
 
 
 def run(protect: bool) -> dict:
-    dep = SecuredDeployment.build()
-    dep.policy = fig3_policy()
-    fa = dep.add_device(fire_alarm, "fire_alarm")
-    win = dep.add_device(window_actuator, "window")
-    dep.add_attacker()
-    dep.finalize()
-    dep.hub.add_recipe(Recipe("ventilate", "dev:fire_alarm", "alarm", "window", "open"))
-    dep.hub.watch_devices(
-        lambda name: dep.devices[name].state if name in dep.devices else None
-    )
-    if protect:
-        repo = CrowdRepository(dep.sim)
-        repo.publish(
-            backdoor_signature(fa.sku, FIREALARM_BACKDOOR_PORT), reporter="other-site"
-        )
-        dep.attach_repository(repo)
-        dep.enforce_baseline()
-    runner = CampaignRunner(FIG3_BREAK_IN, dep).start()
-    dep.run(until=FIG3_BREAK_IN.horizon)
-
-    reactions = (
-        [
-            {
-                "device": r.device,
-                "posture": r.posture,
-                "trigger": r.trigger_key,
-                "latency_ms": r.latency * 1e3,
-                "at": r.applied_at,
-            }
-            for r in dep.controller.reactions
-            if not r.posture.startswith("allow")
-        ]
-        if dep.controller
-        else []
-    )
-    return {
-        "breached": any(r.state_after == "open" for r in win.command_log),
-        "window_state": win.state,
-        "alarm_state": fa.state,
-        "fa_context": dep.controller.context_of("fire_alarm") if dep.controller else "-",
-        "win_context": dep.controller.context_of("window") if dep.controller else "-",
-        "window_posture": (
-            dep.orchestrator.posture_of("window").name
-            if dep.orchestrator and dep.orchestrator.posture_of("window")
-            else "-"
-        ),
-        "reactions": reactions,
-        "stages": {name: r.succeeded for name, r in runner.exploit_results.items()},
-    }
+    dep, runner = arm_fig3(protect)
+    dep.run(until=runner.campaign.horizon)
+    reactions = [
+        {
+            "device": r.device,
+            "posture": r.posture,
+            "trigger": r.trigger_key,
+            "latency_ms": r.latency * 1e3,
+            "at": r.applied_at,
+        }
+        for r in dep.controller.reactions
+        if not r.posture.startswith("allow")
+    ]
+    return {**measure_fig3(dep, runner), "reactions": reactions}
 
 
 def test_fig3_policy_fsm(scenario_benchmark):

@@ -19,51 +19,26 @@ from __future__ import annotations
 
 from _util import print_table, record
 
-from repro.attacks.exploits import EXPLOITS
-from repro.core.deployment import SecuredDeployment
-from repro.core.orchestrator import build_recommended_posture
 from repro.devices import protocol
-from repro.devices.library import smart_camera
-
-NEW_PASSWORD = "S3cure!gateway"
+from repro.faults.scenario import FIG4_NEW_PASSWORD, arm_fig4, measure_fig4
 
 
 def run(protect: bool) -> dict:
-    dep = SecuredDeployment.build()
-    cam = dep.add_device(smart_camera, "cam")
-    attacker = dep.add_attacker()
+    dep, runner = arm_fig4(protect)
+    # The administrator, on the LAN, logs in with the new password.
     admin = dep.add_attacker("admin_laptop", latency=0.001)
-    dep.finalize()
-    if protect:
-        dep.secure(
-            "cam",
-            build_recommended_posture(
-                "password_proxy", "cam", new_password=NEW_PASSWORD
-            ),
-        )
-
-    hijack = EXPLOITS["default_credential_hijack"].launch(
-        attacker, "cam", dep.sim, resource="image"
-    )
-    brute = EXPLOITS["brute_force_login"].launch(attacker, "cam", dep.sim)
     admin_replies: list = []
     dep.sim.schedule(
         1.0,
         lambda: admin.request(
-            protocol.login("admin_laptop", "cam", "admin", NEW_PASSWORD),
+            protocol.login("admin_laptop", "cam", "admin", FIG4_NEW_PASSWORD),
             admin_replies.append,
         ),
     )
-    dep.run(until=60.0)
+    dep.run(until=runner.campaign.horizon)
     return {
-        "default_cred_hijack": hijack.succeeded,
-        "brute_force": brute.succeeded,
-        "images_exfiltrated": len(attacker.loot_from("cam")),
+        **measure_fig4(dep, runner),
         "admin_login_ok": bool(admin_replies) and protocol.is_ok(admin_replies[0]),
-        "device_saw_attacker_login": any(
-            src == "attacker" for __, src, __u, __ok in cam.login_log
-        ),
-        "alerts": len(dep.alerts("cam")),
     }
 
 

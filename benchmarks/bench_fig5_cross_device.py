@@ -14,50 +14,13 @@ from __future__ import annotations
 
 from _util import print_table, record
 
-from repro.attacks.exploits import EXPLOITS
-from repro.core.deployment import SecuredDeployment
-from repro.devices.library import WEMO_BACKDOOR_PORT, fire_alarm, smart_camera, smart_plug
-from repro.policy.posture import MboxSpec, Posture
-
-OCCUPANCY_GATE = Posture.make(
-    "occupancy-gate",
-    MboxSpec.make(
-        "context_gate", commands=["on"], require={"env:occupancy": "present"}
-    ),
-)
+from repro.faults.scenario import arm_fig5, measure_fig5
 
 
-def run(protect: bool, occupied: bool, horizon: float = 600.0) -> dict:
-    dep = SecuredDeployment.build()
-    dep.add_device(smart_camera, "cam")
-    wemo = dep.add_device(
-        smart_plug, "wemo", load={"hazard": 1.0, "heat_watts": 2000.0}
-    )
-    alarm = dep.add_device(fire_alarm, "alarm", with_backdoor=False)
-    attacker = dep.add_attacker()
-    dep.finalize()
-    dep.env.discrete("occupancy").set("present" if occupied else "absent")
-    if protect:
-        dep.secure("wemo", OCCUPANCY_GATE)
-    holder: dict = {}
-    dep.sim.schedule(
-        1.0,
-        lambda: holder.update(
-            result=EXPLOITS["backdoor_command"].launch(
-                attacker, "wemo", dep.sim, backdoor_port=WEMO_BACKDOOR_PORT, command="on"
-            )
-        ),
-    )
-    dep.run(until=horizon)
-    return {
-        "oven_on": wemo.state == "on",
-        "attack_ok": holder["result"].succeeded,
-        "smoke": dep.env.level("smoke"),
-        "alarm": alarm.state,
-        "blocked_alerts": sum(
-            1 for a in dep.alerts("wemo") if a.kind == "context-gate-blocked"
-        ),
-    }
+def run(protect: bool, occupied: bool) -> dict:
+    dep, runner = arm_fig5(protect, occupied)
+    dep.run(until=runner.campaign.horizon)
+    return measure_fig5(dep, runner)
 
 
 def test_fig5_cross_device_policy(scenario_benchmark):

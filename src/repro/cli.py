@@ -40,171 +40,20 @@ import random
 import sys
 
 
-def _demo_fig4(protect: bool) -> None:
-    from repro import SecuredDeployment, build_recommended_posture
-    from repro.attacks.exploits import EXPLOITS
-    from repro.core.metrics import summarize
-    from repro.devices.library import smart_camera
-
-    dep = SecuredDeployment.build()
-    dep.add_device(smart_camera, "cam")
-    attacker = dep.add_attacker()
-    dep.finalize()
-    if protect:
-        dep.secure(
-            "cam",
-            build_recommended_posture("password_proxy", "cam", new_password="S3cure!"),
-        )
-    result = EXPLOITS["default_credential_hijack"].launch(
-        attacker, "cam", dep.sim, resource="image"
-    )
-    dep.run(until=30.0)
-    arm = "IoTSec" if protect else "current world"
-    print(f"[fig4 / {arm}] hijack={result.succeeded} loot={len(attacker.loot_from('cam'))}")
-    if protect:
-        print(summarize(dep).render())
-
-
-def _demo_fig5(protect: bool) -> None:
-    from repro import SecuredDeployment
-    from repro.attacks.exploits import EXPLOITS
-    from repro.core.metrics import summarize
-    from repro.devices.library import WEMO_BACKDOOR_PORT, smart_camera, smart_plug
-    from repro.policy.posture import MboxSpec, Posture
-
-    dep = SecuredDeployment.build()
-    dep.add_device(smart_camera, "cam")
-    dep.add_device(smart_plug, "wemo", load={"hazard": 1.0})
-    attacker = dep.add_attacker()
-    dep.finalize()
-    if protect:
-        dep.secure(
-            "wemo",
-            Posture.make(
-                "occupancy-gate",
-                MboxSpec.make(
-                    "context_gate", commands=["on"], require={"env:occupancy": "present"}
-                ),
-            ),
-        )
-    holder: dict = {}
-    dep.sim.schedule(
-        1.0,
-        lambda: holder.update(
-            r=EXPLOITS["backdoor_command"].launch(
-                attacker, "wemo", dep.sim, backdoor_port=WEMO_BACKDOOR_PORT, command="on"
-            )
-        ),
-    )
-    dep.run(until=300.0)
-    arm = "IoTSec" if protect else "current world"
-    print(
-        f"[fig5 / {arm}] oven={dep.devices['wemo'].state}"
-        f" smoke={dep.env.level('smoke')}"
-    )
-    if protect:
-        print(summarize(dep).render())
-
-
-def _was_opened(window) -> bool:
-    """Breached = the actuator's own command log shows it opening (an
-    open-then-close still counts)."""
-    return any(r.state_after == "open" for r in window.command_log)
-
-
-def _demo_fig3(protect: bool) -> None:
-    from repro import SecuredDeployment
-    from repro.core.metrics import summarize
-    from repro.devices.library import (
-        FIREALARM_BACKDOOR_PORT,
-        fire_alarm,
-        window_actuator,
-    )
-    from repro.faults.campaign import CampaignRunner
-    from repro.faults.campaign_library import FIG3_BREAK_IN
-    from repro.learning.repository import CrowdRepository
-    from repro.learning.signatures import backdoor_signature
-    from repro.policy.builder import PolicyBuilder
-    from repro.policy.context import SUSPICIOUS
-    from repro.policy.ifttt import Recipe
-    from repro.policy.posture import block_commands
-
-    dep = SecuredDeployment.build()
-    dep.policy = (
-        PolicyBuilder()
-        .device("fire_alarm")
-        .device("window")
-        .when("ctx:fire_alarm", SUSPICIOUS)
-        .give("window", block_commands("open", name="block-open"), priority=200)
-        .build()
-    )
-    alarm = dep.add_device(fire_alarm, "fire_alarm")
-    window = dep.add_device(window_actuator, "window")
-    dep.add_attacker()
-    dep.finalize()
-    dep.hub.add_recipe(Recipe("ventilate", "dev:fire_alarm", "alarm", "window", "open"))
-    dep.hub.watch_devices(lambda n: dep.devices[n].state if n in dep.devices else None)
-    if protect:
-        repo = CrowdRepository(dep.sim)
-        repo.publish(backdoor_signature(alarm.sku, FIREALARM_BACKDOOR_PORT), reporter="crowd")
-        dep.attach_repository(repo)
-        dep.enforce_baseline()
-    CampaignRunner(FIG3_BREAK_IN, dep).start()
-    dep.run(until=FIG3_BREAK_IN.horizon)
-    arm = "IoTSec" if protect else "current world"
-    print(f"[fig3 / {arm}] breached={_was_opened(window)} window={window.state}")
-    if protect:
-        print(summarize(dep).render())
-
-
-def _demo_thermal(protect: bool) -> None:
-    from repro import SecuredDeployment
-    from repro.devices.library import smart_plug, window_actuator
-    from repro.environment.physics import ThermalProcess
-    from repro.faults.campaign import CampaignRunner
-    from repro.faults.campaign_library import THERMAL_BREAK_IN
-    from repro.learning.repository import CrowdRepository
-    from repro.learning.signatures import backdoor_signature
-    from repro.policy.ifttt import Recipe
-
-    dep = SecuredDeployment.build()
-    ac = dep.add_device(smart_plug, "ac_plug", load={"cool_watts": 700.0})
-    window = dep.add_device(window_actuator, "window")
-    dep.add_attacker()
-    dep.finalize()
-    for i, process in enumerate(dep.env.processes):
-        if isinstance(process, ThermalProcess):
-            dep.env.processes[i] = ThermalProcess(outside=35.0)
-    ac.apply_command("on", src="hub", via="local")
-    dep.hub.add_recipe(Recipe("cool-down", "env:temperature", "high", "window", "open"))
-    if protect:
-        repo = CrowdRepository(dep.sim)
-        repo.publish(
-            backdoor_signature(ac.sku, ac.firmware.backdoor_port), reporter="crowd"
-        )
-        dep.attach_repository(repo)
-        dep.enforce_baseline()
-    CampaignRunner(THERMAL_BREAK_IN, dep).start()
-    dep.run(until=THERMAL_BREAK_IN.horizon)
-    arm = "IoTSec" if protect else "current world"
-    print(
-        f"[thermal / {arm}] ac={ac.state} temp={dep.env.level('temperature')}"
-        f" window={window.state} breached={_was_opened(window)}"
-    )
-
-
-DEMOS = {
-    "fig3": _demo_fig3,
-    "fig4": _demo_fig4,
-    "fig5": _demo_fig5,
-    "thermal": _demo_thermal,
-}
-
-
 def cmd_demo(args: argparse.Namespace) -> int:
-    demo = DEMOS[args.scenario]
-    demo(protect=False)
-    demo(protect=True)
+    """A paper figure's home (``arm_<scenario>`` in
+    :mod:`repro.faults.scenario`), current world and then IoTSec."""
+    from repro.core.metrics import summarize
+    from repro.faults import scenario
+
+    arm = getattr(scenario, f"arm_{args.scenario}")
+    measure = getattr(scenario, f"measure_{args.scenario}")
+    for protect in (False, True):
+        armed = arm(protect)
+        dep = _run(armed)
+        outcome = " ".join(f"{k}={v}" for k, v in measure(*armed).items())
+        print(f"[{args.scenario} / {'IoTSec' if protect else 'current world'}] {outcome}")
+        print(summarize(dep).render())
     return 0
 
 
@@ -253,68 +102,17 @@ def cmd_model_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    """The federation story: one victim site buys fleet immunity."""
-    from repro.attacks.exploits import EXPLOITS
-    from repro.core.deployment import SecuredDeployment
-    from repro.devices.library import smart_camera
-    from repro.learning.repository import CrowdRepository
-    from repro.learning.traceminer import LabelledTrace, mine_and_publish
-    from repro.mboxes.elements import PacketLogger
-    from repro.netsim.simulator import Simulator
-    from repro.policy.posture import MboxSpec, Posture
+    """The federation story: one victim site buys fleet immunity (bench E11)."""
+    from repro.faults.scenario import run_fleet_immunity
 
-    sim = Simulator()
-    repo = CrowdRepository(sim, free_rider_delay=5.0, base_delay=1.0)
-    posture = Posture.make(
-        "forensic-monitor",
-        MboxSpec.make("packet_logger", capture=True),
-        MboxSpec.make("signature_ids", sku="dlink:DCS-930L:1.0"),
-    )
-    sites, attackers = [], []
-    for i in range(args.sites):
-        site = SecuredDeployment.build(sim=sim)
-        site.add_device(smart_camera, "cam")
-        attackers.append(site.add_attacker())
-        site.finalize()
-        site.attach_repository(repo)
-        site.secure("cam", posture)
-        sites.append(site)
-
-    results = [None] * args.sites
-
-    def attack(i: int) -> None:
-        results[i] = EXPLOITS["default_credential_hijack"].launch(
-            attackers[i], "cam", sim, resource="image"
-        )
-
-    def respond() -> None:
-        mbox = sites[0].cluster.mboxes["cam"]
-        logger = next(e for e in mbox.elements if isinstance(e, PacketLogger))
-        attack_pkts = [p for p in logger.captured if p.src == "attacker"]
-        if attack_pkts:
-            mine_and_publish(
-                repo,
-                LabelledTrace.make(attack=attack_pkts),
-                sku="dlink:DCS-930L:1.0",
-                reporter="site-0-operator",
-                flaw_class="exposed-credentials",
-            )
-            print(f"t={sim.now:.0f}s  site 0 mined + published a signature")
-
-    for i in range(args.sites):
-        sim.schedule(1.0 + i * 30.0, attack, i)
-    sim.schedule(11.0, respond)
-    sim.run(until=args.sites * 30.0 + 30.0)
-
-    for i, site in enumerate(sites):
-        compromised = bool(attackers[i].loot_from("cam"))
-        print(
-            f"site {i}: attacked t={1 + i * 30:>4}s -> "
-            f"{'COMPROMISED' if compromised else 'safe (signature blocked it)'}"
-        )
-    lost = sum(1 for i in range(args.sites) if attackers[i].loot_from("cam"))
-    print(f"\nfleet losses: {lost}/{args.sites} "
-          f"(without sharing it would have been {args.sites}/{args.sites})")
+    shared, isolated = (run_fleet_immunity(args.sites, share) for share in (True, False))
+    if shared["published_at"] is not None:
+        print(f"t={shared['published_at']:.0f}s  site 0 mined + published a signature")
+    for site in shared["outcomes"]:
+        verdict = "COMPROMISED" if site["compromised"] else "safe (signature blocked it)"
+        print(f"site {site['site']}: attacked t={site['attacked_at']:>4.0f}s -> {verdict}")
+    print(f"\nfleet losses: {shared['lost']}/{args.sites} "
+          f"(without sharing it would have been {isolated['lost']}/{args.sites})")
     return 0
 
 
@@ -911,7 +709,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="run a paper scenario, both arms")
-    demo.add_argument("scenario", choices=sorted(DEMOS))
+    demo.add_argument("scenario", choices=("fig3", "fig4", "fig5", "thermal"))
     demo.set_defaults(fn=cmd_demo)
 
     table1 = sub.add_parser("table1", help="list the Table 1 registry")

@@ -10,7 +10,7 @@ output backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,20 +68,7 @@ class DeploymentReport:
         """Plain-serializable form: every value survives ``json.dumps``."""
         return {
             "at": self.at,
-            "devices": [
-                {
-                    "name": d.name,
-                    "kind": d.kind,
-                    "sku": d.sku,
-                    "state": d.state,
-                    "context": d.context,
-                    "posture": d.posture,
-                    "flaws": list(d.flaws),
-                    "alerts": d.alerts,
-                    "compromised_ground_truth": d.compromised_ground_truth,
-                }
-                for d in self.devices
-            ],
+            "devices": [{**asdict(d), "flaws": list(d.flaws)} for d in self.devices],
             "alerts_by_kind": dict(self.alerts_by_kind),
             "postures_applied": self.postures_applied,
             "mbox": {
@@ -193,8 +180,10 @@ def summarize(dep: "SecuredDeployment") -> DeploymentReport:
     if dep.controller is not None and dep.controller.reactions:
         # Exact quantiles from the reaction list (the registry histogram
         # only has bucket resolution; benches rely on precise latencies).
+        # Nearest-rank, as in ``hierarchical.latency_percentiles``: the
+        # lower middle value on an even count.
         latencies = sorted(r.latency for r in dep.controller.reactions)
-        report.reaction_p50_ms = latencies[len(latencies) // 2] * 1e3
+        report.reaction_p50_ms = latencies[(len(latencies) - 1) // 2] * 1e3
         report.reaction_max_ms = latencies[-1] * 1e3
     if dep.sim.metrics.enabled:
         report.metrics = dep.sim.metrics.snapshot()

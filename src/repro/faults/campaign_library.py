@@ -55,8 +55,10 @@ __all__ = [
     "ENFORCING_CLASSES",
     "CAMPAIGNS",
     "FIG3_BREAK_IN",
+    "FIG4_CAM_TAKEOVER",
     "THERMAL_BREAK_IN",
     "OVEN_ARSON",
+    "fleet_hijack",
     "CAM_BRUTE_FORCE",
     "FAILOVER_WAVES",
     "resilience_waves",
@@ -585,10 +587,12 @@ def build_library() -> dict[str, Campaign]:
 CAMPAIGNS: dict[str, Campaign] = build_library()
 
 
-#: The paper's own break-ins (Fig. 3, section 2.1, Fig. 5).  They name
-#: the devices of the figures' bespoke homes, not the standard home, so
-#: they sit beside the corpus rather than in it: the demos, tests and
-#: bench build the home and drive them with a plain ``CampaignRunner``.
+#: The paper's own attacks (Figs. 3-5, section 2.1, E11's sweep).  They
+#: name the devices of the figures' bespoke homes, not the standard home,
+#: so they sit beside the corpus rather than in it: each home is built
+#: once, by ``arm_fig3``/``arm_fig4``/``arm_fig5``/``arm_thermal`` and
+#: ``run_fleet_immunity`` in :mod:`repro.faults.scenario`, and driven by a
+#: plain ``CampaignRunner``.
 FIG3_BREAK_IN = Campaign(
     "fig3-break-in",
     "lateral-movement",
@@ -616,17 +620,44 @@ THERMAL_BREAK_IN = Campaign(
           target="ac_plug"),
     ),
 )
+FIG4_CAM_TAKEOVER = Campaign(
+    "fig4-cam-takeover",
+    "single-flaw",
+    description="Log into the camera with its hardcoded vendor password and "
+    "fetch an image, while a dictionary attack runs beside it (Fig. 4).",
+    horizon=60.0,
+    stages=(
+        S("hijack", 0.0, "exploit",
+          {"exploit": "default_credential_hijack", "resource": "image"}, target="cam"),
+        S("brute_force", 0.0, "exploit", {"exploit": "brute_force_login"}, target="cam"),
+    ),
+)
 OVEN_ARSON = Campaign(
     "oven-arson",
     "single-flaw",
-    description="Remotely power the oven while nobody is home (Fig. 5).",
+    description="Remotely power the Wemo's oven while nobody is home (Fig. 5).",
     horizon=600.0,
     stages=(
-        S("oven_plug_backdoor_on", 10.0, "exploit",
+        S("oven_plug_backdoor_on", 1.0, "exploit",
           {"exploit": "backdoor_command", "backdoor_port": WEMO_BACKDOOR, "command": "on"},
-          target="oven_plug"),
+          target="wemo"),
     ),
 )
+
+
+def fleet_hijack(at: float, horizon: float) -> Campaign:
+    """E11's sweep as one site sees it: the camera's vendor password, and
+    an image fetched with it, at ``at``."""
+    return Campaign(
+        "fleet-hijack",
+        "single-flaw",
+        description="One site's turn in a sweep across identical cameras (E11).",
+        horizon=horizon,
+        stages=(
+            S("hijack", at, "exploit",
+              {"exploit": "default_credential_hijack", "resource": "image"}, target="cam"),
+        ),
+    )
 
 
 #: The attacks of the canned scenarios (:mod:`repro.faults.scenario`),

@@ -22,8 +22,16 @@ steps the caller can pull apart:
 the same seed reproduces the same packets, drops, crashes and
 recoveries, which is what lets the benches gate their numbers in CI.
 
+The paper's own homes are here once each: **Fig. 3**'s FSM, **Fig. 4**'s
+password proxy, **Fig. 5**'s occupancy gate and section 2.1's
+**thermal** break-in (``arm_fig3``/``fig4``/``fig5``/``thermal`` with
+their ``measure_*``; ``protect`` picks the IoTSec arm), and E11's
+**fleet** (:func:`run_fleet_immunity`, many sites on one simulator).
+Their benches, ``tests/test_integration_paper.py`` and ``repro demo`` /
+``repro fleet`` all run these.
+
 The E9 home with its two opening attacks, and the multi-site federation
-blackout, live here too; they are not campaigns.
+blackout, live here too; they still launch their exploits by hand.
 """
 
 from __future__ import annotations
@@ -32,13 +40,25 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.overload import CLASS_NAMES, IngestConfig
-from repro.devices.library import smart_bulb, smart_camera, smart_plug, thermostat
+from repro.devices.library import (
+    fire_alarm,
+    smart_bulb,
+    smart_camera,
+    smart_plug,
+    thermostat,
+    window_actuator,
+)
 from repro.faults.campaign import Campaign, CampaignRunner
 from repro.faults.campaign_library import (
     CAM_BRUTE_FORCE,
     FAILOVER_WAVES,
+    FIG3_BREAK_IN,
+    FIG4_CAM_TAKEOVER,
     HEALTH_PERIOD,
+    OVEN_ARSON,
+    THERMAL_BREAK_IN,
     checked,
+    fleet_hijack,
     no_attack,
     resilience_waves,
 )
@@ -46,6 +66,7 @@ from repro.faults.plan import FaultEvent, FaultPlan, inject_alerts, long_partiti
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import SecuredDeployment
+    from repro.policy.fsm import PolicyFSM
 
 #: What ``arm_*`` returns and ``measure_*`` takes.
 Armed = tuple["SecuredDeployment", CampaignRunner]
@@ -80,6 +101,12 @@ FEDERATION_BLACKOUT_START = 30.0
 FEDERATION_BLACKOUT_END = 90.0
 FEDERATION_HORIZON = 120.0
 FEDERATION_SYNC_PERIOD = 5.0
+
+#: Fig. 4: the administrator's password, the only one the proxy admits.
+FIG4_NEW_PASSWORD = "S3cure!gateway"
+
+#: E11: the attacker reaches the next site of the fleet this much later.
+FLEET_SWEEP_GAP = 30.0
 
 
 def standard_home(**planes: Any) -> "SecuredDeployment":
@@ -605,6 +632,279 @@ def measure_health(dep: "SecuredDeployment", runner: CampaignRunner) -> dict[str
 
 def run_health_scenario(plan: str = "none", seed: int = 7) -> dict[str, Any]:
     return {"plan": plan, **_finish(arm_health(plan, seed), measure_health)}
+
+
+# ----------------------------------------------------------------------
+# The paper's own homes: Figs. 3-5 and section 2.1's thermal break-in
+# ----------------------------------------------------------------------
+def _home(
+    *devices: tuple[Callable[..., Any], str, dict[str, Any]], **planes: Any
+) -> "SecuredDeployment":
+    """A finalized bespoke home: ``(factory, name, options)`` per device,
+    and the one attacker.  ``planes`` are :class:`SecuredDeployment`
+    keywords."""
+    from repro.core.deployment import SecuredDeployment
+
+    dep = SecuredDeployment.build(**planes)
+    for factory, name, options in devices:
+        dep.add_device(factory, name, **options)
+    dep.add_attacker()
+    dep.finalize()
+    return dep
+
+
+def _crowd_knows_backdoor(dep: "SecuredDeployment", device: str) -> None:
+    """Another site already reported ``device``'s backdoor: its signature
+    is in the home's repository and every device is on its baseline."""
+    from repro.learning.repository import CrowdRepository
+    from repro.learning.signatures import backdoor_signature
+
+    node = dep.devices[device]
+    repo = CrowdRepository(dep.sim)
+    repo.publish(backdoor_signature(node.sku, node.firmware.backdoor_port), reporter="other-site")
+    dep.attach_repository(repo)
+    dep.enforce_baseline()
+
+
+def _was_opened(window: Any) -> bool:
+    """Breached: the actuator's own command log shows it opening (an
+    open-then-close still counts)."""
+    return any(r.state_after == "open" for r in window.command_log)
+
+
+def fig3_policy() -> "PolicyFSM":
+    """Fig. 3's FSM: a suspicious FireAlarm gives the window "Block 'open'
+    + FW"; a suspicious window gets "Robot Check + FW", a source filter
+    admitting only the hub and the controller."""
+    from repro.policy.builder import PolicyBuilder
+    from repro.policy.context import SUSPICIOUS
+    from repro.policy.posture import MboxSpec, Posture, block_commands
+
+    robot_check = Posture.make(
+        "robot-check-fw",
+        MboxSpec.make("source_filter", allowed_sources=["hub", "controller"]),
+    )
+    return (
+        PolicyBuilder()
+        .device("fire_alarm")
+        .device("window")
+        .env("smoke", ("clear", "detected"))
+        .when("ctx:fire_alarm", SUSPICIOUS)
+        .give("window", block_commands("open", name="block-open-fw"), priority=200)
+        .when("ctx:window", SUSPICIOUS)
+        .give("window", robot_check, priority=250)
+        .build()
+    )
+
+
+def arm_fig3(protect: bool) -> Armed:
+    """Fig. 3: a FireAlarm and a window actuator, and a hub recipe that
+    ventilates when the alarm sounds.  :data:`FIG3_BREAK_IN` takes both
+    attack transitions of the figure's FSM.  ``protect`` arms the FSM with
+    the crowd's signature for the alarm's backdoor."""
+    from repro.policy.ifttt import Recipe
+
+    dep = _home(
+        (fire_alarm, "fire_alarm", {}), (window_actuator, "window", {}), policy=fig3_policy()
+    )
+    dep.hub.add_recipe(Recipe("ventilate", "dev:fire_alarm", "alarm", "window", "open"))
+    dep.hub.watch_devices(lambda name: dep.devices[name].state if name in dep.devices else None)
+    if protect:
+        _crowd_knows_backdoor(dep, "fire_alarm")
+    return dep, CampaignRunner(FIG3_BREAK_IN, dep).start()
+
+
+def measure_fig3(dep: "SecuredDeployment", runner: CampaignRunner) -> dict[str, Any]:
+    window = checked(dep).devices["window"]
+    posture = dep.orchestrator.posture_of("window")
+    return {
+        "breached": _was_opened(window),
+        "window_state": window.state,
+        "alarm_state": dep.devices["fire_alarm"].state,
+        "fa_context": dep.controller.context_of("fire_alarm"),
+        "win_context": dep.controller.context_of("window"),
+        "window_posture": posture.name if posture is not None else "-",
+        "stages": {name: r.succeeded for name, r in runner.exploit_results.items()},
+    }
+
+
+def arm_fig4(protect: bool) -> Armed:
+    """Fig. 4: a camera with a hardcoded ``admin/admin`` its owner cannot
+    change, under :data:`FIG4_CAM_TAKEOVER`.  ``protect`` puts a password
+    proxy in front of it that accepts only :data:`FIG4_NEW_PASSWORD`."""
+    from repro.core.orchestrator import build_recommended_posture
+
+    dep = _home((smart_camera, "cam", {}))
+    if protect:
+        proxy = build_recommended_posture("password_proxy", "cam", new_password=FIG4_NEW_PASSWORD)
+        dep.secure("cam", proxy)
+    return dep, CampaignRunner(FIG4_CAM_TAKEOVER, dep).start()
+
+
+def measure_fig4(dep: "SecuredDeployment", runner: CampaignRunner) -> dict[str, Any]:
+    cam = checked(dep).devices["cam"]
+    attacker = runner.attacker.name
+    return {
+        "default_cred_hijack": runner.exploit_results["hijack"].succeeded,
+        "brute_force": runner.exploit_results["brute_force"].succeeded,
+        "images_exfiltrated": len(runner.attacker.loot_from("cam")),
+        "device_saw_attacker_login": any(src == attacker for __, src, __, __ in cam.login_log),
+        "alerts": len(dep.alerts("cam")),
+    }
+
+
+def arm_fig5(protect: bool, occupied: bool = False) -> Armed:
+    """Fig. 5: a camera that sees whether anyone is home, a Wemo plug
+    powering an oven, and a fire alarm the oven's smoke can trip.
+    :data:`OVEN_ARSON` switches the oven on through the Wemo's backdoor.
+    ``protect`` lets "on" reach the Wemo only while the room is occupied."""
+    from repro.policy.posture import MboxSpec, Posture
+
+    dep = _home(
+        (smart_camera, "cam", {}),
+        (smart_plug, "wemo", {"load": {"hazard": 1.0, "heat_watts": 2000.0}}),
+        (fire_alarm, "alarm", {"with_backdoor": False}),
+    )
+    dep.env.discrete("occupancy").set("present" if occupied else "absent")
+    if protect:
+        gate = MboxSpec.make("context_gate", commands=["on"], require={"env:occupancy": "present"})
+        dep.secure("wemo", Posture.make("occupancy-gate", gate))
+    return dep, CampaignRunner(OVEN_ARSON, dep).start()
+
+
+def measure_fig5(dep: "SecuredDeployment", runner: CampaignRunner) -> dict[str, Any]:
+    oven = checked(dep).devices["wemo"].state
+    return {
+        "oven": oven,
+        "oven_on": oven == "on",
+        "attack_ok": runner.exploit_results["oven_plug_backdoor_on"].succeeded,
+        "smoke": dep.env.level("smoke"),
+        "alarm": dep.devices["alarm"].state,
+        "blocked_alerts": sum(1 for a in dep.alerts("wemo") if a.kind == "context-gate-blocked"),
+    }
+
+
+def arm_thermal(protect: bool) -> Armed:
+    """Section 2.1: in a heat wave, an AC plug keeps the room cool and a
+    hub recipe opens the window when it gets hot.  :data:`THERMAL_BREAK_IN`
+    turns the AC off through its backdoor and never touches the window.
+    ``protect`` adds the crowd's signature for that backdoor."""
+    from repro.environment.physics import ThermalProcess
+    from repro.policy.ifttt import Recipe
+
+    dep = _home(
+        (smart_plug, "ac_plug", {"load": {"cool_watts": 700.0}}),
+        (window_actuator, "window", {}),
+    )
+    processes = dep.env.processes
+    for i, process in enumerate(processes):
+        if isinstance(process, ThermalProcess):
+            processes[i] = ThermalProcess(outside=35.0)
+    dep.env.continuous("temperature").set(21.0)
+    dep.devices["ac_plug"].apply_command("on", src="hub", via="local")
+    dep.hub.add_recipe(Recipe("cool-down", "env:temperature", "high", "window", "open"))
+    if protect:
+        _crowd_knows_backdoor(dep, "ac_plug")
+    return dep, CampaignRunner(THERMAL_BREAK_IN, dep).start()
+
+
+def measure_thermal(dep: "SecuredDeployment", runner: CampaignRunner) -> dict[str, Any]:
+    window = checked(dep).devices["window"]
+    return {
+        "ac": dep.devices["ac_plug"].state,
+        "temp": dep.env.level("temperature"),
+        "window": window.state,
+        "breached": _was_opened(window),
+        "backdoor_ok": runner.exploit_results["plug_backdoor_off"].succeeded,
+    }
+
+
+# ----------------------------------------------------------------------
+# Fleet immunity: one victim site's signature protects the rest (E11)
+# ----------------------------------------------------------------------
+def run_fleet_immunity(sites: int, share: bool) -> dict[str, Any]:
+    """``sites`` one-camera homes on one simulator, each behind a forensic
+    monitor posture; site ``i``'s camera is hijacked at ``1 + i *``
+    :data:`FLEET_SWEEP_GAP` s (bench E11 tells the story).  Ten seconds
+    after its attack, site 0's operator mines a signature from the µmbox's
+    capture and publishes it.  With ``share`` every site subscribes to
+    that repository; without, each site is on its own.
+
+    Returns the per-site outcomes, the sites lost, the repository's
+    version and when site 0 published (``None`` if it did not)."""
+    from repro.learning.repository import CrowdRepository
+    from repro.learning.traceminer import LabelledTrace, mine_and_publish
+    from repro.mboxes.elements import PacketLogger
+    from repro.netsim.simulator import Simulator
+    from repro.policy.posture import MboxSpec, Posture
+
+    sku = "dlink:DCS-930L:1.0"
+    posture = Posture.make(
+        "forensic-monitor",
+        MboxSpec.make("telemetry_tap"),
+        MboxSpec.make("packet_logger", capture=True),
+        MboxSpec.make("login_monitor"),
+        MboxSpec.make("signature_ids", sku=sku, drop_on_match=True),
+    )
+    horizon = sites * FLEET_SWEEP_GAP + 60.0
+    sim = Simulator()
+    repo = CrowdRepository(sim, free_rider_delay=5.0, base_delay=1.0)
+    homes: list[SecuredDeployment] = []
+    for __ in range(sites):
+        site = _home((smart_camera, "cam", {}), sim=sim)
+        if share:
+            site.attach_repository(repo)
+        site.secure("cam", posture)
+        homes.append(site)
+    runners = [
+        CampaignRunner(fleet_hijack(1.0 + i * FLEET_SWEEP_GAP, horizon), site).start()
+        for i, site in enumerate(homes)
+    ]
+    published_at: list[float] = []
+
+    def site0_responds() -> None:
+        """Site 0's operator mines the capture and publishes."""
+        mbox = homes[0].cluster.mboxes["cam"]
+        logger = next(e for e in mbox.elements if isinstance(e, PacketLogger))
+        attack = [
+            p for p in logger.captured
+            if p.src == "attacker" and p.payload.get("action") == "login"
+        ]
+        if not attack:
+            return
+        benign = [p for p in logger.captured if p.src != "attacker"]
+        mine_and_publish(
+            repo,
+            LabelledTrace.make(attack=attack, benign=benign),
+            sku=sku,
+            reporter="site-0-operator",
+            flaw_class="exposed-credentials",
+            recommended_posture="password_proxy",
+        )
+        published_at.append(sim.now)
+
+    if share:
+        sim.schedule(11.0, site0_responds)
+    sim.run(until=horizon)
+
+    outcomes = [
+        {
+            "site": i,
+            "attacked_at": runner.campaign.stages[0].at,
+            "compromised": bool(runner.attacker.loot_from("cam")),
+            "signature_hits": sum(
+                1 for a in site.alerts("cam") if a.kind == "signature-match"
+            ),
+        }
+        for i, (site, runner) in enumerate(zip(homes, runners))
+    ]
+    return {
+        "arm": "federated" if share else "isolated",
+        "outcomes": outcomes,
+        "lost": sum(1 for o in outcomes if o["compromised"]),
+        "published": repo.version,
+        "published_at": published_at[0] if published_at else None,
+    }
 
 
 def run_federation_blackout_scenario(

@@ -1,211 +1,90 @@
 """End-to-end reproductions of the paper's Figures 3, 4 and 5 as tests.
 
-Each test runs the "current world" arm and the "with IoTSec" arm and
-asserts the qualitative outcome the paper's figures claim.  The benchmark
-harness re-runs these scenarios with measurement; these tests pin the
-*correctness* of the reproduction.
+Each test runs the "current world" arm and the "with IoTSec" arm of the
+figure's home -- ``arm_fig3``/``arm_fig4``/``arm_fig5`` in
+:mod:`repro.faults.scenario`, the homes the benches and ``repro demo``
+run too -- and asserts the qualitative outcome the paper's figures claim.
+The benchmark harness re-runs these scenarios with measurement; these
+tests pin the *correctness* of the reproduction.
 """
 
-import pytest
-
-from repro.attacks.exploits import EXPLOITS
-from repro.core.deployment import SecuredDeployment
-from repro.core.orchestrator import build_recommended_posture
 from repro.devices import protocol
-from repro.devices.library import (
-    FIREALARM_BACKDOOR_PORT,
-    WEMO_BACKDOOR_PORT,
-    fire_alarm,
-    smart_camera,
-    smart_plug,
-    window_actuator,
-)
-from repro.faults.campaign import CampaignRunner
-from repro.faults.campaign_library import FIG3_BREAK_IN
-from repro.learning.repository import CrowdRepository
-from repro.learning.signatures import backdoor_signature
-from repro.policy.builder import PolicyBuilder
+from repro.faults.scenario import FIG4_NEW_PASSWORD, arm_fig3, arm_fig4, arm_fig5
 from repro.policy.context import SUSPICIOUS
-from repro.policy.ifttt import Recipe
-from repro.policy.posture import MboxSpec, Posture, block_commands
+
+
+def finish(armed):
+    """Run an armed figure to its campaign's horizon."""
+    dep, runner = armed
+    dep.run(until=runner.campaign.horizon)
+    return dep, runner
 
 
 class TestFig4PasswordProxy:
     """Fig. 4: the camera ships admin/admin; the user cannot change it."""
 
-    def build(self, protect):
-        dep = SecuredDeployment.build()
-        dep.add_device(smart_camera, "cam")
-        attacker = dep.add_attacker()
-        dep.finalize()
-        if protect:
-            dep.secure(
-                "cam",
-                build_recommended_posture(
-                    "password_proxy", "cam", new_password="S3cure!gateway"
-                ),
-            )
-        return dep, attacker
-
     def test_current_world_attacker_reads_images(self):
-        dep, attacker = self.build(protect=False)
-        result = EXPLOITS["default_credential_hijack"].launch(
-            attacker, "cam", dep.sim, resource="image"
-        )
-        dep.run(until=30.0)
-        assert result.succeeded
-        assert attacker.loot_from("cam")
+        dep, runner = finish(arm_fig4(protect=False))
+        assert runner.exploit_results["hijack"].succeeded
+        assert runner.attacker.loot_from("cam")
         assert dep.devices["cam"].login_log[-1][3] is True
 
     def test_iotsec_blocks_default_credentials(self):
-        dep, attacker = self.build(protect=True)
-        result = EXPLOITS["default_credential_hijack"].launch(
-            attacker, "cam", dep.sim, resource="image"
-        )
-        dep.run(until=30.0)
-        assert not result.succeeded
-        assert attacker.loot_from("cam") == []
+        dep, runner = finish(arm_fig4(protect=True))
+        assert not runner.exploit_results["hijack"].succeeded
+        assert runner.attacker.loot_from("cam") == []
         # the attack never even reached the device
         assert dep.devices["cam"].login_log == []
         assert any(a.kind == "login-rejected" for a in dep.alerts("cam"))
 
     def test_administrator_retains_access_via_new_password(self):
-        dep, __ = self.build(protect=True)
-        admin = dep.add_attacker("admin_laptop", latency=0.001)
+        armed = arm_fig4(protect=True)
+        admin = armed[0].add_attacker("admin_laptop", latency=0.001)
         replies = []
         admin.request(
-            protocol.login("admin_laptop", "cam", "admin", "S3cure!gateway"),
+            protocol.login("admin_laptop", "cam", "admin", FIG4_NEW_PASSWORD),
             replies.append,
         )
-        dep.run(until=10.0)
+        finish(armed)
         assert len(replies) == 1 and protocol.is_ok(replies[0])
 
     def test_proxy_survives_brute_force(self):
-        dep, attacker = self.build(protect=True)
-        result = EXPLOITS["brute_force_login"].launch(attacker, "cam", dep.sim)
-        dep.run(until=60.0)
-        assert not result.succeeded
+        __, runner = finish(arm_fig4(protect=True))
+        assert not runner.exploit_results["brute_force"].succeeded
 
 
 class TestFig5CrossDevicePolicy:
     """Fig. 5: 'ON' to the Wemo only while the camera sees a person."""
 
-    def build(self, protect, occupied):
-        dep = SecuredDeployment.build()
-        dep.add_device(smart_camera, "cam")
-        dep.add_device(smart_plug, "wemo", load={"hazard": 1.0})
-        attacker = dep.add_attacker()
-        dep.finalize()
-        dep.env.discrete("occupancy").set("present" if occupied else "absent")
-        if protect:
-            dep.secure(
-                "wemo",
-                Posture.make(
-                    "occupancy-gate",
-                    MboxSpec.make(
-                        "context_gate",
-                        commands=["on"],
-                        require={"env:occupancy": "present"},
-                    ),
-                ),
-            )
-        return dep, attacker
-
-    def launch(self, dep, attacker, at=1.0):
-        holder = {}
-        dep.sim.schedule(
-            at,
-            lambda: holder.update(
-                result=EXPLOITS["backdoor_command"].launch(
-                    attacker,
-                    "wemo",
-                    dep.sim,
-                    backdoor_port=WEMO_BACKDOOR_PORT,
-                    command="on",
-                )
-            ),
-        )
-        return holder
-
     def test_current_world_remote_attacker_turns_oven_on(self):
-        dep, attacker = self.build(protect=False, occupied=False)
-        holder = self.launch(dep, attacker)
-        dep.run(until=30.0)
-        assert holder["result"].succeeded
+        dep, runner = finish(arm_fig5(protect=False, occupied=False))
+        assert runner.exploit_results["oven_plug_backdoor_on"].succeeded
         assert dep.devices["wemo"].state == "on"
 
     def test_iotsec_blocks_when_nobody_home(self):
-        dep, attacker = self.build(protect=True, occupied=False)
-        holder = self.launch(dep, attacker)
-        dep.run(until=30.0)
-        assert not holder["result"].succeeded
+        dep, runner = finish(arm_fig5(protect=True, occupied=False))
+        assert not runner.exploit_results["oven_plug_backdoor_on"].succeeded
         assert dep.devices["wemo"].state == "off"
         assert any(a.kind == "context-gate-blocked" for a in dep.alerts("wemo"))
 
     def test_iotsec_allows_when_person_present(self):
-        dep, attacker = self.build(protect=True, occupied=True)
-        holder = self.launch(dep, attacker)
-        dep.run(until=30.0)
+        dep, runner = finish(arm_fig5(protect=True, occupied=True))
         # the *policy* allows ON while occupied (the paper's exact rule);
         # the attack then only "succeeds" in doing something permitted.
-        assert holder["result"].succeeded
+        assert runner.exploit_results["oven_plug_backdoor_on"].succeeded
         assert dep.devices["wemo"].state == "on"
-
-
-def fig3_policy():
-    return (
-        PolicyBuilder()
-        .device("fire_alarm")
-        .device("window")
-        .env("smoke", ("clear", "detected"))
-        .env("occupancy", ("absent", "present"))
-        .when("ctx:fire_alarm", SUSPICIOUS)
-        .give("window", block_commands("open", name="block-open"), priority=200)
-        .when("ctx:window", SUSPICIOUS)
-        .give(
-            "window",
-            Posture.make(
-                "robot-check",
-                MboxSpec.make("source_filter", allowed_sources=["hub", "controller"]),
-            ),
-            priority=250,
-        )
-        .build()
-    )
 
 
 class TestFig3PolicyFsm:
     """Fig. 3: the two attack transitions and their posture responses."""
-
-    def build(self, protect):
-        dep = SecuredDeployment.build()
-        dep.policy = fig3_policy()
-        fa = dep.add_device(fire_alarm, "fire_alarm")
-        win = dep.add_device(window_actuator, "window")
-        dep.add_attacker()
-        dep.finalize()
-        dep.hub.add_recipe(Recipe("ventilate", "dev:fire_alarm", "alarm", "window", "open"))
-        dep.hub.watch_devices(
-            lambda name: dep.devices[name].state if name in dep.devices else None
-        )
-        if protect:
-            repo = CrowdRepository(dep.sim)
-            repo.publish(
-                backdoor_signature(fa.sku, FIREALARM_BACKDOOR_PORT),
-                reporter="another-site",
-            )
-            dep.attach_repository(repo)
-            dep.enforce_baseline()
-        runner = CampaignRunner(FIG3_BREAK_IN, dep).start()
-        return dep, runner, fa, win
 
     @staticmethod
     def stage_results(runner):
         return {name: r.succeeded for name, r in runner.exploit_results.items()}
 
     def test_current_world_both_transitions_breach(self):
-        dep, runner, fa, win = self.build(protect=False)
-        dep.run(until=120.0)
+        dep, runner = finish(arm_fig3(protect=False))
+        fa, win = dep.devices["fire_alarm"], dep.devices["window"]
         assert any(r.state_after == "open" for r in win.command_log)
         assert fa.state == "alarm"
         assert self.stage_results(runner) == {
@@ -214,8 +93,8 @@ class TestFig3PolicyFsm:
         }
 
     def test_iotsec_blocks_both_transitions(self):
-        dep, runner, fa, win = self.build(protect=True)
-        dep.run(until=120.0)
+        dep, runner = finish(arm_fig3(protect=True))
+        fa, win = dep.devices["fire_alarm"], dep.devices["window"]
         # the brute force still finds the password; its "open" is what dies
         assert self.stage_results(runner) == {
             "firealarm_backdoor": False,
@@ -227,4 +106,4 @@ class TestFig3PolicyFsm:
         # context escalated and the cross-device posture engaged
         assert dep.controller.context_of("fire_alarm") == SUSPICIOUS
         posture = dep.orchestrator.posture_of("window")
-        assert posture is not None and posture.name in ("block-open", "robot-check")
+        assert posture is not None and posture.name in ("block-open-fw", "robot-check-fw")

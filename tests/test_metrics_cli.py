@@ -56,6 +56,19 @@ class TestMetrics:
         assert "cam" in report.devices_not_normal()
         assert report.reaction_p50_ms is not None
 
+    def test_reaction_p50_is_nearest_rank(self):
+        """Two reactions, 1 ms and 3 ms: the median is the lower one, the
+        nearest-rank rule ``hierarchical.latency_percentiles`` uses."""
+        from repro.core.pipeline import ReactionRecord
+
+        dep = self.make_dep()
+        dep.controller.reactions[:] = [
+            ReactionRecord("cam", "ctx:cam", 0.0, latency, "monitor") for latency in (0.003, 0.001)
+        ]
+        report = summarize(dep)
+        assert report.reaction_p50_ms == pytest.approx(1.0)
+        assert report.reaction_max_ms == pytest.approx(3.0)
+
     def test_render_and_as_dict(self):
         dep = self.make_dep()
         dep.controller.set_context("plug", SUSPICIOUS)
