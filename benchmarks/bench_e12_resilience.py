@@ -9,7 +9,7 @@ the camera, and the plug's command-filter µmbox is crashed while backdoor
   fail-open µmboxes: the partition eats the alerts that would have
   escalated the camera, and the dead µmbox silently exposes the plug for
   the rest of the run;
-- **resilient** -- at-least-once delivery (retry/backoff + dedup),
+- **resilient** -- at-least-once delivery (offset lanes: resend + watermark),
   fail-closed enforcement µmboxes, and the health sweep that reboots the
   crashed instance and re-pins its chain.
 
@@ -36,7 +36,7 @@ COLUMNS = (
     "mean_time_to_reenforce_s",
     "ctrl_drops",
     "ctrl_retries",
-    "ctrl_giveups",
+    "ctrl_unacked",
     "mbox_restarts",
     "down_drops",
     "fail_open_passes",
@@ -77,10 +77,11 @@ def test_e12_resilience(scenario_benchmark):
     assert base["fail_open_passes"] > 0
     assert base["plug_compromised"]
 
-    # Resilient: retries carry the alerts across the partition (none are
-    # abandoned), the health loop reboots the µmbox, and fail-closed means
+    # Resilient: the lanes hold the alerts through the partition instead
+    # of sending into it (nothing dropped, nothing left unacked at the
+    # horizon), the health loop reboots the µmbox, and fail-closed means
     # not one command reached the plug -- ever.
-    assert res["ctrl_retries"] > 0 and res["ctrl_giveups"] == 0
+    assert res["ctrl_drops"] == 0 and res["ctrl_unacked"] == 0
     assert res["mbox_restarts"] == 1
     assert res["fail_open_passes"] == 0
     assert res["plug_command_successes"] == 0

@@ -46,7 +46,7 @@ FAILOVER_COLUMNS = (
     "failovers",
     "restarts",
     "ctrl_retries",
-    "ctrl_giveups",
+    "ctrl_unacked",
     "rules_installed",
     "events",
 )
@@ -124,9 +124,10 @@ def test_e13_controller_ha(scenario_benchmark):
     assert standby["blind_window_s"] < FAILOVER_BLIND_RATIO * crash["blind_window_s"]
     assert standby["failovers"] == 1 and standby["restarts"] == 0
     assert crash["failovers"] == 0 and crash["restarts"] == 1
-    # The standby adopts the primary's endpoint, so the alert retries that
-    # accumulated against the dead controller are delivered, not abandoned.
-    assert standby["ctrl_giveups"] == 0
+    # The standby adopts the primary's endpoint (and the cold restart
+    # re-registers it), so the alerts the cluster's lane held against the
+    # dead controller are delivered: nothing is left unacked at the horizon.
+    assert standby["ctrl_unacked"] == 0 and crash["ctrl_unacked"] == 0
     # The camera is firewalled shortly after takeover; during the cold
     # restart's outage the attacker logs in at will.
     assert standby["cam_login_successes"] < crash["attack_attempts"] / 4

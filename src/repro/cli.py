@@ -18,7 +18,7 @@ Commands:
   incident: journal + traces + metrics joined into one timeline
   (``--chaos`` swaps in the fault-injection scenario).
 - ``chaos`` -- partition the control channel and crash a µmbox under
-  attack; compare the no-resilience baseline against retry + fail-closed
+  attack; compare the no-resilience baseline against lanes + fail-closed
   + health-check recovery.  ``--plan`` selects the fault plan: the
   built-ins ``standard`` and ``controller``, or a JSON file; malformed
   plans exit 2 with a one-line error.
@@ -347,7 +347,7 @@ def _failover_comparison(args: argparse.Namespace) -> int:
         "failovers",
         "restarts",
         "ctrl_retries",
-        "ctrl_giveups",
+        "ctrl_unacked",
         "events",
     )
     crash, standby = results
@@ -390,10 +390,11 @@ def cmd_failover(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the standard resilience scenario under injected faults, both arms.
 
-    The baseline arm has no retry, no health checks and fail-open µmboxes;
-    the resilient arm retries control messages across the partition,
-    fails closed, and reboots + re-pins the crashed µmbox.  The printed
-    exposure window is the headline number of bench E12.
+    The baseline arm has no reliable delivery, no health checks and
+    fail-open µmboxes; the resilient arm holds control messages on lanes
+    through the partition, fails closed, and reboots + re-pins the crashed
+    µmbox.  The printed exposure window is the headline number of bench
+    E12.
 
     ``--plan`` picks the fault schedule: ``standard`` (partition + µmbox
     crash), ``controller`` (delegates to the E13 controller-crash
@@ -444,7 +445,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         "exposure_s",
         "mean_time_to_reenforce_s",
         "ctrl_retries",
-        "ctrl_giveups",
+        "ctrl_unacked",
         "mbox_restarts",
         "fail_open_passes",
     )

@@ -442,9 +442,9 @@ class IoTSecController:
     def crash(self) -> None:
         """Kill this controller instance: it stops processing everything.
 
-        The endpoint is unregistered (in-flight reliable sends keep
-        retrying and will deliver to whichever controller registers the
-        name next -- restart or failover), adopted switches lose their
+        The endpoint is unregistered (reliable sends wait on their lane
+        and deliver, in order, to whichever controller registers the name
+        next -- restart or failover), adopted switches lose their
         packet-in handler (reactive forwarding goes dark), the pipeline
         is halted so no queued zero-delay round actuates posthumously,
         and any queued ingest work is discarded.

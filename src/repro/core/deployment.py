@@ -118,11 +118,12 @@ class SecuredDeployment:
         health_period: float = 5.0,
     ) -> None:
         self.sim = sim or Simulator()
-        #: Resilience knobs: ``reliable_control`` gives the alert and
-        #: flow-mod paths at-least-once delivery (retry + dedup) so a lossy
-        #: or partitioned control channel delays enforcement instead of
-        #: silently losing it; ``health_check_period`` starts the µmbox
-        #: health sweep that reboots crashed instances and re-pins chains.
+        #: Resilience knobs: ``reliable_control`` puts security alerts and
+        #: flow-mods on the channel's offset lanes (exactly once, in order,
+        #: no give-up) so a lossy or partitioned control channel delays
+        #: enforcement instead of silently losing it;
+        #: ``health_check_period`` starts the µmbox health sweep that
+        #: reboots crashed instances and re-pins chains.
         self.reliable_control = reliable_control
         self.health_check_period = health_check_period
         #: Survivability knobs (all strictly opt-in so the default event
@@ -132,11 +133,11 @@ class SecuredDeployment:
         #: replicates checkpoints + journal deltas to a hot standby that
         #: takes over on heartbeat timeout.
         self.ingest_config = ingest
-        #: Durable telemetry plane (opt-in): the cluster host gets a
-        #: store-and-forward buffer in front of the lossy channel and the
-        #: controller a stream consumer + dead-letter queue, so alerts
-        #: and telemetry survive partitions (replayed in order) instead
-        #: of vanishing with the wire.
+        #: Durable telemetry plane (opt-in): every alert *and* telemetry
+        #: record rides the cluster's two stream lanes to the controller's
+        #: consumer + dead-letter queue, so telemetry too survives
+        #: partitions (replayed in order) instead of vanishing with the
+        #: wire.
         self.durable_telemetry = durable_telemetry
         self.host_stream: "HostStream | None" = None
         self.checkpointing = checkpointing
@@ -461,10 +462,10 @@ class SecuredDeployment:
             "trace": alert.trace_id,
         }
         if self.host_stream is not None:
-            # Durable plane: the alert enters the host's store-and-forward
-            # buffer and ships (and re-ships) as an offset-ordered batch
-            # until the controller acknowledges it -- partitions delay it,
-            # they no longer delete it.
+            # Durable plane: the alert enters the host's stream lane and
+            # ships (and re-ships) as an offset-ordered batch until the
+            # controller acknowledges it -- partitions delay it, they no
+            # longer delete it.
             self.host_stream.offer(alert.kind, body)
             return
         self.channel.send(
@@ -473,8 +474,9 @@ class SecuredDeployment:
             "alert",
             body,
             # Security alerts are the trigger for every escalation: a lost
-            # alert is a lost re-enforcement, so they ride at-least-once
-            # when the deployment opts into reliable control.
+            # alert is a lost re-enforcement, so they ride the cluster's
+            # lane to the controller when the deployment opts into
+            # reliable control.
             reliable=self.reliable_control and alert.kind != "telemetry",
         )
 

@@ -25,8 +25,8 @@ controller a service that can die and come back:
 - :class:`StandbyController` -- hot standby: consumes replicated
   checkpoints + deltas, detects primary death by heartbeat timeout
   (seeded jitter, so fleets don't stampede), and takes over: registers
-  under the primary's endpoint name (pending at-least-once alert
-  retransmissions deliver to the new incumbent automatically), restores
+  under the primary's endpoint name (the alerts the cluster's lane holds
+  for it deliver to the new incumbent automatically), restores
   state, re-adopts the switches, reconciles installed flow rules against
   the restored policy (diff through ``apply_many`` -> minimal re-push,
   no full re-enforce) and journals the whole ``failover`` causal chain
@@ -230,8 +230,8 @@ class Checkpointer:
 
     Replication is optional (pass ``standby=None`` for local-only
     checkpointing, the cold-restart configuration).  Checkpoints and
-    journal deltas ride ``reliable=True``; heartbeats are deliberately
-    fire-and-forget.
+    journal deltas ride ``reliable=True`` (the lane to the standby);
+    heartbeats are deliberately fire-and-forget.
     """
 
     def __init__(
@@ -503,8 +503,8 @@ class StandbyController:
     :class:`Checkpointer`.  Any primary traffic refreshes the liveness
     clock; when it goes silent for longer than the (seeded-jittered)
     timeout, :meth:`takeover` promotes a fresh controller under the
-    primary's endpoint name -- at-least-once alert retransmissions that
-    were addressed to the dead primary deliver to the new incumbent.
+    primary's endpoint name -- the alerts the cluster's lane held for the
+    dead primary deliver, in order, to the new incumbent.
     """
 
     def __init__(

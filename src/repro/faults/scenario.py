@@ -346,8 +346,8 @@ def measure_resilience(dep: "SecuredDeployment", runner: CampaignRunner) -> dict
         "plug_compromised": "attacker" in plug.compromised_by,
         "ctrl_drops": channel.dropped,
         "ctrl_retries": channel.retries,
-        "ctrl_giveups": channel.giveups,
         "ctrl_duplicates": channel.duplicates,
+        "ctrl_unacked": channel.unacked(),
         "mbox_crashes": dep.manager.crashes,
         "mbox_restarts": dep.manager.restarts,
         "down_drops": dep.cluster.down_drops,
@@ -377,8 +377,8 @@ def arm_failover(standby: bool, seed: int = 7) -> Armed:
     :data:`RESTART_AFTER` seconds later, so its *blind window* -- attack
     seconds before the first post-crash enforcing posture -- is
     essentially the outage; the **standby** arm's hot standby takes over
-    under the primary's endpoint name, and pending alert retransmissions
-    deliver to it.
+    under the primary's endpoint name, and the alerts the cluster's lane
+    still holds deliver to it (in the crash arm, to the restarted one).
     """
     dep = standard_home(
         consistent_updates=True,
@@ -431,9 +431,8 @@ def measure_failover(dep: "SecuredDeployment", runner: CampaignRunner) -> dict[s
             else (restart_entries[0].fields["reconciled"] if restart_entries else 0)
         ),
         "ctrl_retries": dep.channel.retries,
-        "ctrl_giveups": dep.channel.giveups,
         "ctrl_duplicates": dep.channel.duplicates,
-        "dedup_evictions": dep.channel.dedup_evictions,
+        "ctrl_unacked": dep.channel.unacked(),
         "rules_installed": _rules_installed(dep),
         "events": dep.sim.events_processed,
     }
@@ -927,9 +926,9 @@ def run_federation_blackout_scenario(
       exploit -- each must be blocked by the cached signature
       (``enforcement_gaps`` counts any that is not);
     - ``t=50``  site1 mines a backdoor signature offline: enforced
-      locally at once, the report queues for the heal;
-    - ``t=90``  heal: sync ticks flush the pending report, the
-      coordinator versions it, every site replays in order and journals
+      locally at once, the report waits on site1's lane for the heal;
+    - ``t=90``  heal: the lane re-sends the report, the coordinator
+      versions it, every site replays in order and journals
       ``site-autonomy-exit``;
     - ``t=100`` a compromised site ships a poisoned report (a posture no
       recipe can build); the coordinator quarantines it to the
@@ -1028,7 +1027,7 @@ def run_federation_blackout_scenario(
         "dlq_quarantined": coordinator.dlq.quarantined,
         "converged": coordinator.converged(),
         "out_of_order": sum(s.out_of_order for s in fed.sites.values()),
-        "pending_after": sum(len(s.pending_reports) for s in fed.sites.values()),
+        "pending_after": fed.wan.unacked(),
         "autonomy_enters": len(fed.sim.journal.entries(kind="site-autonomy-enter")),
         "autonomy_exits": len(fed.sim.journal.entries(kind="site-autonomy-exit")),
         "offline_s": round(sum(s.offline_s for s in fed.sites.values()), 3),

@@ -15,8 +15,10 @@ does not care) and adds the federation contract:
   Updates from any WAN sender but the coordinator are ``refused`` and
   journaled (``signature-refused``);
 - a **sync loop** that pulls ``updates_since(version)`` from the
-  coordinator over the WAN channel every ``sync_period`` seconds and
-  flushes locally mined signatures that queued up while offline;
+  coordinator over the WAN channel every ``sync_period`` seconds;
+- **signature reports** on the site's reliable lane to the coordinator:
+  a locally mined signature is reported at once, and the lane re-sends it
+  until the coordinator acknowledges it, however long the WAN is dark;
 - the **autonomy state machine**: first sync required, then the site
   keeps enforcing on cached policy for as long as the coordinator is
   unreachable.  Transitions are journaled (``site-autonomy-enter`` /
@@ -70,8 +72,6 @@ class FederatedSite:
         self.first_synced_at: float | None = None
         self.autonomous = False
         self._autonomy_entered_at = 0.0
-        #: Locally mined signatures awaiting a reachable coordinator.
-        self.pending_reports: list[dict[str, Any]] = []
         #: Version -> simulated apply time (propagation-lag measurement).
         self.applied_at: dict[int, float] = {}
         self.applied = 0
@@ -159,25 +159,15 @@ class FederatedSite:
     # ------------------------------------------------------------------
     def mined(self, wire: Mapping[str, Any]) -> None:
         """The site learned a signature locally: enforce it here *now*,
-        report it to the coordinator when (and only when) reachable.
+        and report it to the coordinator on the site's reliable lane.
 
         Local enforcement never waits on the WAN -- during a coordinator
-        blackout the discovery protects this site immediately and the
-        report queues for the heal."""
+        blackout the discovery protects this site immediately, and the
+        lane holds the report until the coordinator acknowledges it."""
         self.cache.publish(AttackSignature.from_dict(wire), reporter=self.name)
-        if self.wan.reachable(self.coordinator) and self.first_synced:
-            self.wan.send(self.endpoint, self.coordinator, "sig-report", {"signature": dict(wire)})
-        else:
-            self.pending_reports.append(dict(wire))
-
-    def flush_pending(self) -> int:
-        """Ship reports queued during an offline spell; returns the count."""
-        flushed = 0
-        while self.pending_reports:
-            wire = self.pending_reports.pop(0)
-            self.wan.send(self.endpoint, self.coordinator, "sig-report", {"signature": wire})
-            flushed += 1
-        return flushed
+        self.wan.send(
+            self.endpoint, self.coordinator, "sig-report", {"signature": dict(wire)}, reliable=True
+        )
 
     # ------------------------------------------------------------------
     # The sync loop & autonomy
@@ -197,8 +187,6 @@ class FederatedSite:
             if self.first_synced and not self.autonomous:
                 self._enter_autonomy()
             return
-        if self.pending_reports:
-            self.flush_pending()
         self.wan.send(
             self.endpoint,
             self.coordinator,
@@ -257,7 +245,6 @@ class FederatedSite:
             "out_of_order": self.out_of_order,
             "autonomy_spells": self.autonomy_spells,
             "offline_s": round(self.offline_s, 6),
-            "pending_reports": len(self.pending_reports),
             "cached_signatures": len(self.cache.signatures),
             "devices": len(self.dep.devices),
         }

@@ -412,20 +412,6 @@ def standard_slos(dep: SecuredDeployment, plane: HealthPlane) -> None:
             check=lambda: channel.reachable(controller_ep),
         )
     )
-    slos.add(
-        SLO(
-            name="control-delivery",
-            subsystem="control-channel",
-            objective="98% of reliable control sends delivered (not given up)",
-            target=0.98,
-            fast_window=15.0,
-            slow_window=60.0,
-            fast_burn=3.0,
-            slow_burn=1.0,
-            severity=SEVERITY_CRITICAL,
-            signal=lambda: (channel.delivered, channel.giveups),
-        )
-    )
     # The reachability tracker already sampled the predicate this tick;
     # the probe reads its outcome instead of re-running the check.
     health.probe(

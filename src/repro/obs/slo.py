@@ -3,8 +3,8 @@
 The observability layers built so far (metrics registry, causal traces,
 audit journal, durable streams) produce *raw* signal; nothing interprets
 it online.  This module declares security service-level objectives — "95%
-of enforcement reactions land within 2 s", "99% of control sends are not
-given up on" — and evaluates them continuously against the live registry
+of enforcement reactions land within 2 s", "the controller is reachable
+99% of the time" — and evaluates them continuously against the live registry
 and component state, using the standard SRE multiwindow, multi-burn-rate
 recipe:
 

@@ -1,49 +1,41 @@
 """The durable telemetry plane: store-and-forward, replay, dead letters.
 
-PRs 4-5 made the fault models honest -- and with them an honest problem:
-alerts and telemetry ride the *unreliable* fast path of the control
-channel, so a partition or shed window simply deletes the evidence, and
-exactly the incidents we most need to reconstruct are the ones with holes
-in the record.  This module closes that gap with three cooperating parts:
+Alerts and telemetry from a µmbox host would otherwise ride the
+*unreliable* fast path of the control channel, so a partition or shed
+window would simply delete the evidence -- and exactly the incidents we
+most need to reconstruct would be the ones with holes in the record.
+This module closes that gap with three cooperating parts:
 
-- :class:`HostStream` (µmbox-host side): a durable, bounded
-  store-and-forward buffer in front of the lossy channel.  Records are
-  appended to per-lane segment rings (``urgent`` for security alerts,
-  ``bulk`` for telemetry, so enforcement evidence never queues behind a
-  telemetry backlog), assigned monotonically increasing *offsets*, and
-  shipped downstream in order as batches.  Eviction is watermark-aware:
-  fully-acknowledged segments are freed first, the bulk lane may drop its
-  oldest *unacknowledged* records when over capacity (counted and
-  journaled, never silent), and the urgent lane **never** evicts an
-  unacknowledged record -- overflow is allowed, gauged, and bounded in
-  practice by the ack watermark advancing.
-- :class:`StreamConsumer` (controller side): tracks one *consumed* offset
-  per ``(host, lane)``, delivers records strictly in order (duplicates
-  skipped, gaps wait for the retransmission to fill them), and returns a
-  cumulative ack.  After a :class:`~repro.sdn.channel.PartitionWindow`
-  heals, the host replays from the last acked offset: telemetry arrives
-  late but in order with zero loss at bounded memory.  While the ingest
-  queue sheds, bulk records are *deferred to the buffer* -- the consumer
-  stops consuming (no ack) instead of dropping, and the host replays them
-  once shedding ends.
-- :class:`DeadLetterQueue`: records that fail schema validation or arrive
-  from a reputation-flagged host are quarantined (bounded, journaled,
-  inspectable via ``repro dlq``) rather than silently discarded -- the E3
-  poisoning-resistance posture applied to the telemetry plane: a
-  malformed alert is *evidence*, not noise.
+- :class:`HostStream` (µmbox-host side): two offset lanes
+  (:class:`~repro.sdn.channel.OffsetLane`, the channel's one at-least-once
+  protocol) to the controller -- ``urgent`` for security alerts, ``bulk``
+  for telemetry, so enforcement evidence never queues behind a telemetry
+  backlog.  The lanes number records by offset, ship them in order as
+  ``stream`` batches, free fully-acked segments first, and re-send the
+  unacked suffix while the controller is reachable.  The stream's own
+  rule is bulk eviction: over capacity, the bulk lane drops its oldest
+  *unacknowledged* records (counted and journaled, never silent) and
+  advertises the hole as its replay ``base``; the urgent lane **never**
+  evicts an unacknowledged record -- overflow is allowed and gauged.
+- :class:`StreamConsumer` (controller side): the lanes' receiver half.
+  It keeps one consumed offset per ``(host, lane)``, delivers records
+  strictly in order (duplicates skipped, gaps wait for the resend to fill
+  them), and returns a cumulative ack.  After a
+  :class:`~repro.sdn.channel.PartitionWindow` heals, the host replays from
+  the last acked offset: telemetry arrives late but in order with zero
+  loss at bounded memory.  While the ingest queue sheds, bulk records are
+  *deferred to the buffer* -- the consumer stops consuming (no ack)
+  instead of dropping, and the host replays them once shedding ends.
+- :class:`DeadLetterQueue`: records that fail schema validation, arrive
+  from a reputation-flagged host, or name a host other than the wire's
+  sender are quarantined (bounded, journaled, inspectable via ``repro
+  dlq``) rather than silently discarded -- the E3 poisoning-resistance
+  posture applied to the telemetry plane: a malformed alert is
+  *evidence*, not noise.
 
-Replay protocol (go-back-N over the unreliable fast path):
-
-- The host sends batches of consecutive unacked records and remembers the
-  highest offset in flight (``sent_high``).  Acks are cumulative and ride
-  the same lossy wire; a lost ack just means a retransmission, which the
-  consumer's offset dedup makes harmless.
-- On retransmit timeout with no ack progress, ``sent_high`` falls back to
-  the ack watermark and the window resends from there.
-- Partition awareness: while :meth:`ControlChannel.reachable` says the
-  controller is unreachable, flushes are skipped entirely (buffering
-  continues) -- a multi-hour outage costs retry-timer ticks, not a
-  journal full of drop records.
+Identity: a batch counts only for the host that sent it, and an ack
+only when it comes from the lane's receiver, so no other endpoint can
+skip a lane's offsets or free its unconsumed records.
 
 Ownership: an alert body is immutable once offered.  The host keeps it
 in its record, the record's wire dict is built once and resent as is,
@@ -62,7 +54,10 @@ import json
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
+
+from repro.sdn.channel import LaneRecord, OffsetLane, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.simulator import Event, Simulator
@@ -102,8 +97,8 @@ class StreamConfig:
     the urgent lane treats it as a soft bound (unacked records are never
     evicted), the bulk lane as a hard one (oldest unacked records drop,
     counted and journaled).  ``flush_delay`` coalesces same-instant alert
-    bursts into one batch; ``retransmit_timeout`` paces the go-back-N
-    resend loop and therefore the post-heal replay latency.
+    bursts into one batch; ``retransmit_timeout`` is the lanes' fixed
+    resend period and therefore the post-heal replay latency.
     """
 
     segment_size: int = 64
@@ -138,16 +133,13 @@ class StreamConfig:
 
 
 @dataclass(slots=True)
-class StreamRecord:
+class StreamRecord(LaneRecord):
     """One buffered alert: its offset, birth time, and wire body.
 
     ``wire`` is the record as it ships, built once: every send and resend
     of the record carries the same dict.
     """
 
-    offset: int
-    at: float
-    body: dict[str, Any]
     wire: dict[str, Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -216,190 +208,21 @@ def validate_record(wire: Any) -> str | None:
 # ----------------------------------------------------------------------
 # Host side
 # ----------------------------------------------------------------------
-class _Lane:
-    """One lane's segment ring: offsets, ack watermark, bounded eviction.
+class _Lane(OffsetLane):
+    """A stream lane: an offset lane whose records carry their wire dict."""
 
-    Segments hold :class:`StreamRecord` objects in offset order.  ``ack``
-    advances the cumulative watermark and frees fully-acked front
-    segments (watermark-aware eviction); ``append`` enforces the capacity
-    bound -- for the bulk lane by dropping the oldest *unacked* front
-    segment (returned to the caller for journaling), for the urgent lane
-    never (overflow is counted instead: losing enforcement evidence is
-    worse than exceeding a soft memory bound).
-    """
-
-    __slots__ = (
-        "name",
-        "segment_size",
-        "max_segments",
-        "evict_unacked",
-        "_segments",
-        "_retained",
-        "next_offset",
-        "acked",
-        "sent_high",
-        "appended",
-        "lost",
-        "overflow",
-        "peak_depth",
-        "evicted_high",
-    )
-
-    def __init__(
-        self, name: str, segment_size: int, max_segments: int, evict_unacked: bool
-    ) -> None:
-        self.name = name
-        self.segment_size = segment_size
-        self.max_segments = max_segments
-        self.evict_unacked = evict_unacked
-        self._segments: deque[list[StreamRecord]] = deque([[]])
-        #: Records across all segments, kept in step wherever a segment is
-        #: appended to, freed or evicted (``append`` reads it per record).
-        self._retained = 0
-        self.next_offset = 1
-        #: Cumulative ack watermark: every offset <= acked was consumed.
-        self.acked = 0
-        #: Go-back-N high-water mark of offsets already in flight.
-        self.sent_high = 0
-        self.appended = 0
-        #: Unacked records evicted under pressure (bulk lane only).
-        self.lost = 0
-        #: Appends past nominal capacity that were retained anyway
-        #: (urgent lane only -- unacked evidence is never dropped).
-        self.overflow = 0
-        self.peak_depth = 0
-        #: Highest offset ever evicted under pressure (bulk lane): the
-        #: replay base advertised downstream is ``max(acked, this)`` --
-        #: "everything at or below is consumed or gone, don't wait for it".
-        self.evicted_high = 0
-
-    # -- geometry ------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        return self.segment_size * self.max_segments
-
-    @property
-    def base(self) -> int:
-        """The replay base: no offset at or below it can ever be resent."""
-        return max(self.acked, self.evicted_high)
-
-    def depth(self) -> int:
-        """Retained records (acked ones linger until their segment frees)."""
-        return self._retained
-
-    def replay_lag(self) -> int:
-        """Records appended but not yet acknowledged downstream."""
-        return (self.next_offset - 1) - self.acked
-
-    # -- writing -------------------------------------------------------
-    def append(self, body: dict[str, Any], at: float) -> tuple[StreamRecord, int]:
-        """Buffer one record; returns ``(record, evicted_unacked_count)``."""
-        record = StreamRecord(offset=self.next_offset, at=at, body=body)
-        self.next_offset += 1
-        self.appended += 1
-        head = self._segments[-1]
-        if len(head) >= self.segment_size:
-            head = [record]
-            self._segments.append(head)
-        else:
-            head.append(record)
-        self._retained += 1
-        evicted = self._enforce_bound()
-        if self._retained > self.peak_depth:
-            self.peak_depth = self._retained
-        return record, evicted
-
-    def _enforce_bound(self) -> int:
-        """Free/evict front segments until the ring fits; count casualties."""
-        evicted_unacked = 0
-        while len(self._segments) > self.max_segments:
-            front = self._segments[0]
-            if front and front[-1].offset <= self.acked:
-                self._segments.popleft()  # fully consumed: plain free
-                self._retained -= len(front)
-                continue
-            if not self.evict_unacked:
-                # Urgent lane: retained past capacity rather than losing
-                # unacknowledged enforcement evidence.
-                self.overflow += 1
-                break
-            self._segments.popleft()
-            self._retained -= len(front)
-            unacked = sum(1 for r in front if r.offset > self.acked)
-            evicted_unacked += unacked
-            self.lost += unacked
-            if front and front[-1].offset > self.evicted_high:
-                self.evicted_high = front[-1].offset
-        return evicted_unacked
-
-    # -- acknowledgement -----------------------------------------------
-    def ack(self, offset: int) -> None:
-        """Advance the cumulative watermark and free covered segments."""
-        if offset <= self.acked:
-            return  # duplicate / stale ack: idempotent
-        self.acked = min(offset, self.next_offset - 1)
-        if self.sent_high < self.acked:
-            self.sent_high = self.acked
-        while len(self._segments) > 1:
-            front = self._segments[0]
-            if front and front[-1].offset > self.acked:
-                break
-            self._segments.popleft()
-            self._retained -= len(front)
-        head = self._segments[0]
-        if len(self._segments) == 1 and head and head[-1].offset <= self.acked:
-            # Everything acked: recycle the sole segment.
-            self._retained -= len(head)
-            head.clear()
-
-    # -- reading -------------------------------------------------------
-    def window_after(self, start: int, limit: int) -> list[StreamRecord]:
-        """Up to ``limit`` consecutive retained records with offset > start.
-
-        A segment's offsets are contiguous (records append in offset order
-        and leave only with their whole segment), so the first record past
-        ``start`` is found by index, not by scan.
-        """
-        out: list[StreamRecord] = []
-        for segment in self._segments:
-            if not segment or segment[-1].offset <= start:
-                continue
-            first = max(start + 1 - segment[0].offset, 0)
-            out += segment[first : first + limit - len(out)]
-            if len(out) >= limit:
-                break
-        return out
-
-    def oldest_unacked(self) -> StreamRecord | None:
-        for segment in self._segments:
-            for record in segment:
-                if record.offset > self.acked:
-                    return record
-        return None
-
-    def stats(self) -> dict[str, Any]:
-        return {
-            "lane": self.name,
-            "appended": self.appended,
-            "acked": self.acked,
-            "base": self.base,
-            "depth": self.depth(),
-            "replay_lag": self.replay_lag(),
-            "peak_depth": self.peak_depth,
-            "lost": self.lost,
-            "overflow": self.overflow,
-            "capacity": self.capacity,
-        }
+    __slots__ = ()
+    record = StreamRecord
 
 
 class HostStream:
     """A µmbox host's durable store-and-forward front to the channel.
 
     ``offer`` buffers one alert body in the lane its kind prescribes and
-    schedules a coalesced flush; the flush ships one in-order batch per
-    lane over the channel's *unreliable* fast path (durability comes from
-    the buffer + ack + replay, not from per-message retries) and a
-    retransmit timer drives go-back-N until the ack watermark catches up.
+    schedules one coalesced flush for both lanes (urgent first); each lane
+    ships its window as a ``stream`` batch over the channel's *unreliable*
+    path -- durability comes from the lane's ring, cumulative ack and
+    resend loop, not from per-message retries.
     """
 
     def __init__(
@@ -416,19 +239,20 @@ class HostStream:
         self.controller = controller
         self.config = config or StreamConfig()
         cfg = self.config
+        # A fixed resend period: the lane backs off by 1x.
+        policy = RetryPolicy(timeout=cfg.retransmit_timeout, backoff=1.0)
         self.lanes: dict[str, _Lane] = {
-            LANE_URGENT: _Lane(
-                LANE_URGENT, cfg.segment_size, cfg.max_segments, evict_unacked=False
-            ),
-            LANE_BULK: _Lane(
-                LANE_BULK, cfg.segment_size, cfg.max_segments, evict_unacked=True
-            ),
+            name: _Lane(
+                name, cfg.segment_size, cfg.max_segments, evict_unacked=name == LANE_BULK,
+                channel=channel, sender=host, receiver=controller, transmit=self._ship,
+                policy=policy, window=cfg.batch_max,
+            )  # fmt: skip
+            for name in LANES
         }
         self.batches_sent = 0
         self.acks_received = 0
         self.skipped_unreachable = 0
         self._flush_event: "Event | None" = None
-        self._retx_event: "Event | None" = None
         self._last_heartbeat_at = -float("inf")
         # Acks ride the channel back to the host's own endpoint.
         channel.register(host, self._on_control)
@@ -440,18 +264,13 @@ class HostStream:
             labels = dict(self.metric_labels, lane=lane.name)
             metrics.gauge("stream_buffer_depth", fn=lane.depth, **labels)
             metrics.gauge("stream_replay_lag", fn=lane.replay_lag, **labels)
-            metrics.gauge(
-                "stream_peak_depth", fn=lambda lane=lane: lane.peak_depth, **labels
-            )
-            metrics.gauge(
-                "stream_ack_lag_seconds",
-                fn=lambda lane=lane: self._ack_lag_seconds(lane),
-                **labels,
-            )
+            metrics.gauge("stream_peak_depth", fn=lambda lane=lane: lane.peak_depth, **labels)
+            lag = partial(self._ack_lag_seconds, lane)
+            metrics.gauge("stream_ack_lag_seconds", fn=lag, **labels)
         self._c_evicted = metrics.counter("stream_evicted", **self.metric_labels)
         self._c_batches = metrics.counter("stream_batches", **self.metric_labels)
 
-    def _ack_lag_seconds(self, lane: "_Lane") -> float:
+    def _ack_lag_seconds(self, lane: _Lane) -> float:
         """Age of the lane's oldest unacked record (0 when fully acked)."""
         record = lane.oldest_unacked()
         return 0.0 if record is None else self.sim.now - record.at
@@ -472,7 +291,8 @@ class HostStream:
                 acked=lane.acked,
                 lost_total=lane.lost,
             )
-        self._schedule_flush()
+        if self._flush_event is None:
+            self._flush_event = self.sim.schedule(self.config.flush_delay, self._flush)
         return record
 
     def outstanding(self) -> int:
@@ -482,74 +302,44 @@ class HostStream:
     # ------------------------------------------------------------------
     # Shipping
     # ------------------------------------------------------------------
-    def _schedule_flush(self) -> None:
-        if self._flush_event is None:
-            self._flush_event = self.sim.schedule(self.config.flush_delay, self._flush)
-
     def _flush(self) -> None:
         self._flush_event = None
-        if not self.channel.reachable(self.controller):
-            # Partition: keep buffering, skip the futile transmission.
-            # The retransmit timer keeps probing until the window heals.
+        reachable = self.channel.reachable(self.controller)
+        if not reachable:
+            # Partition: keep buffering, skip the futile transmission; the
+            # lanes' timers keep probing until the window heals.
             self.skipped_unreachable += 1
-            self._arm_retransmit()
-            return
-        cfg = self.config
-        sent_any = False
         for lane_name in LANES:  # urgent first: enforcement evidence leads
             lane = self.lanes[lane_name]
-            start = max(lane.acked, lane.sent_high)
-            batch = lane.window_after(start, cfg.batch_max)
-            if not batch:
-                continue
-            lane.sent_high = batch[-1].offset
-            self.batches_sent += 1
-            self._c_batches.inc()
-            sent_any = True
-            self.channel.send(
-                self.host,
-                self.controller,
-                "stream",
-                {
-                    "host": self.host,
-                    "lane": lane.name,
-                    # The lane's replay base (max of ack watermark and
-                    # highest evicted offset): a fresh consumer adopts it,
-                    # so a lost *first* batch reads as a gap (refilled by
-                    # go-back-N) rather than a skipped prefix, and a hole
-                    # left by bulk eviction reads as gone (skipped) rather
-                    # than a gap that would livelock the resend loop.
-                    "base": lane.base,
-                    "records": [record.wire for record in batch],
-                },
-            )
-        if sent_any or self.outstanding():
-            self._arm_retransmit()
+            lane.flush() if reachable else lane.arm()
 
-    def _arm_retransmit(self) -> None:
-        if self._retx_event is None:
-            self._retx_event = self.sim.schedule(
-                self.config.retransmit_timeout, self._on_retransmit_timeout
-            )
-
-    def _on_retransmit_timeout(self) -> None:
-        self._retx_event = None
-        if not self.outstanding():
-            return
-        # Go-back-N: nothing acked within the timeout, so the in-flight
-        # window is presumed lost (or deferred) -- resend from the ack
-        # watermark.  Duplicate delivery is harmless: the consumer skips
-        # offsets at or below its consumed watermark.
-        for lane in self.lanes.values():
-            if lane.sent_high > lane.acked:
-                lane.sent_high = lane.acked
-        self._flush()
+    def _ship(self, lane: OffsetLane, batch: list[StreamRecord], resend: bool) -> None:
+        self.batches_sent += 1
+        self._c_batches.inc()
+        self.channel.send(
+            self.host,
+            self.controller,
+            "stream",
+            {
+                "host": self.host,
+                "lane": lane.name,
+                # The lane's replay base (max of ack watermark and highest
+                # evicted offset): a fresh consumer adopts it, so a lost
+                # *first* batch reads as a gap (refilled by the resend)
+                # rather than a skipped prefix, and a hole left by bulk
+                # eviction reads as gone (skipped) rather than a gap that
+                # would livelock the resend loop.
+                "base": lane.base,
+                "records": [record.wire for record in batch],
+            },
+        )
 
     # ------------------------------------------------------------------
     # Acks
     # ------------------------------------------------------------------
     def _on_control(self, message: "ControlMessage") -> None:
-        if message.kind != "stream-ack":
+        if message.kind != "stream-ack" or message.sender != self.controller:
+            # Only the lane's receiver can free what it has not consumed.
             return
         body = message.body
         lane = self.lanes.get(str(body.get("lane", "")))
@@ -557,14 +347,11 @@ class HostStream:
         if lane is None or not isinstance(offset, int):
             return
         self.acks_received += 1
-        lane.ack(offset)
-        if lane.replay_lag() > 0:
+        lane.acked_to(offset)
+        if lane.replay_lag() > 0 and self._flush_event is None:
             # More retained records beyond the acked window: keep draining
             # without waiting out a full retransmit timeout.
-            self._schedule_flush()
-        elif not self.outstanding() and self._retx_event is not None:
-            self.sim.cancel(self._retx_event)
-            self._retx_event = None
+            self._flush_event = self.sim.schedule(self.config.flush_delay, self._flush)
 
     # ------------------------------------------------------------------
     # Observation
@@ -722,15 +509,6 @@ def _plain(value: Any) -> Any:
 # ----------------------------------------------------------------------
 # Controller side
 # ----------------------------------------------------------------------
-@dataclass
-class _ConsumerState:
-    """Per-(host, lane) consumption cursor."""
-
-    consumed: int | None = None  # None until first contact (adopt base)
-    delivered: int = 0
-    last_batch_at: float = field(default=0.0)
-
-
 class StreamConsumer:
     """The controller's end of the durable stream: in-order consumption.
 
@@ -739,9 +517,13 @@ class StreamConsumer:
     the same escalation/telemetry path as live ones -- stamped with their
     *birth* time, which is what makes post-outage timelines honest.
 
+    It is the receiver half of each host's two lanes: one consumed
+    offset per ``(host, lane)`` -- the lane's watermark -- adopted from the
+    host's replay base on first contact.  A batch is trusted only from the
+    host it names (``message.sender``); anything else is quarantined.
     Exactly-once holds per consumer incarnation (offsets are in-memory
     controller state); across a controller crash + failover the stream
-    degrades to at-least-once, exactly like the reliable channel path.
+    degrades to at-least-once.
     """
 
     def __init__(
@@ -769,7 +551,9 @@ class StreamConsumer:
         self.host_trust = host_trust
         self.trust_threshold = trust_threshold
         self.replay_age = replay_age
-        self._states: dict[tuple[str, str], _ConsumerState] = {}
+        #: The receiver watermark per ``(host, lane)``; absent until
+        #: first contact.
+        self._marks: dict[tuple[str, str], int] = {}
         self.flagged: set[str] = set()
         self.delivered = 0
         self.duplicates = 0
@@ -801,8 +585,7 @@ class StreamConsumer:
         return False
 
     def offset_of(self, host: str, lane: str) -> int:
-        state = self._states.get((host, lane))
-        return state.consumed or 0 if state else 0
+        return self._marks.get((host, lane), 0)
 
     # ------------------------------------------------------------------
     def on_batch(self, message: "ControlMessage") -> None:
@@ -823,10 +606,18 @@ class StreamConsumer:
                 host if isinstance(host, str) else "?",
             )
             return
+        if host != message.sender:
+            # The body names a host the wire did not carry it from: a
+            # forged base or record would skip or shadow the real lane.
+            self.dlq.quarantine(
+                {"body": {}, "offset": None, "batch": _plain(body)},
+                "host-mismatch",
+                message.sender,
+            )
+            return
         self.batches += 1
-        state = self._states.get((host, lane))
-        if state is None:
-            state = self._states[(host, lane)] = _ConsumerState()
+        key = (host, lane)
+        consumed = self._marks.get(key)
         raw_base = body.get("base")
         base = (
             raw_base
@@ -835,23 +626,23 @@ class StreamConsumer:
             and raw_base >= 0
             else None
         )
-        if base is not None and state.consumed is not None and base > state.consumed:
+        if base is not None and consumed is not None and base > consumed:
             # The host declared offsets <= base unavailable (evicted under
             # pressure, already journaled host-side): waiting for them
             # would livelock the resend loop, so skip the hole and count.
-            self.skipped_unavailable += base - state.consumed
-            state.consumed = base
-        if base is not None and state.consumed is None:
+            self.skipped_unavailable += base - consumed
+            consumed = base
+        if base is not None and consumed is None:
             # First contact (fresh controller after failover, or a brand-
             # new host): adopt the host's replay base.  Everything at or
             # below it was consumed by the previous incarnation or
             # evicted; anything above it that this batch skips is a *gap*
             # the host must resend -- without the base, a dropped first
             # batch would silently skip the stream's prefix.
-            state.consumed = base
+            consumed = base
         flagged = self._host_flagged(host)
         oldest_at: float | None = None
-        consumed_before = state.consumed
+        consumed_before = consumed
         for wire in records:
             # An exact dict first: the ``Mapping`` check is an ABC call.
             mapping = type(wire) is dict or isinstance(wire, Mapping)
@@ -861,15 +652,15 @@ class StreamConsumer:
                 # advance past a record it cannot place.
                 self.dlq.quarantine(wire, "bad-offset", host)
                 continue
-            if state.consumed is None:
+            if consumed is None:
                 # Hand-crafted batch without a replay base: fall back to
                 # adopting the first offset seen.
-                state.consumed = offset - 1
-            if offset <= state.consumed:
+                consumed = offset - 1
+            if offset <= consumed:
                 self.duplicates += 1
                 self._c_duplicates.inc()
                 continue
-            if offset > state.consumed + 1:
+            if offset > consumed + 1:
                 # A hole: stop here and let go-back-N refill it.  Acking
                 # the old watermark below is what triggers the resend.
                 self.gaps += 1
@@ -887,7 +678,7 @@ class StreamConsumer:
                 self._c_deferred.inc()
                 break
             reason = "reputation" if flagged else validate_record(wire)
-            state.consumed = offset  # poison records must not wedge the lane
+            consumed = offset  # poison records must not wedge the lane
             if reason is not None:
                 self.dlq.quarantine(wire, reason, host)
                 continue
@@ -895,15 +686,15 @@ class StreamConsumer:
             sent_at = float(at) if isinstance(at, (int, float)) else message.sent_at
             if oldest_at is None:
                 oldest_at = sent_at
-            state.delivered += 1
             self.delivered += 1
             self._c_delivered.inc()
             self.deliver(wire["body"], sent_at)  # shared, never edited
-        state.last_batch_at = self.sim.now
+        if consumed is not None:
+            self._marks[key] = consumed
         if (
             oldest_at is not None
             and self.sim.now - oldest_at >= self.replay_age
-            and state.consumed is not None
+            and consumed is not None
         ):
             # Post-outage catch-up: summarize the replayed batch so the
             # journal shows late-but-in-order delivery, not a silent gap.
@@ -913,7 +704,7 @@ class StreamConsumer:
                 host=host,
                 lane=lane,
                 base=(consumed_before if consumed_before is not None else 0) + 1,
-                consumed=state.consumed,
+                consumed=consumed,
                 oldest_at=oldest_at,
                 lag=self.sim.now - oldest_at,
             )
@@ -923,7 +714,7 @@ class StreamConsumer:
             self.name,
             host,
             "stream-ack",
-            {"lane": lane, "offset": state.consumed or 0},
+            {"lane": lane, "offset": consumed or 0},
         )
 
     # ------------------------------------------------------------------
@@ -938,7 +729,6 @@ class StreamConsumer:
             "replayed_batches": self.replayed_batches,
             "flagged_hosts": sorted(self.flagged),
             "offsets": {
-                f"{host}/{lane}": state.consumed or 0
-                for (host, lane), state in sorted(self._states.items())
+                f"{host}/{lane}": consumed for (host, lane), consumed in sorted(self._marks.items())
             },
         }

@@ -18,23 +18,28 @@ to) its vulnerable default.  Two additions model and mitigate that:
   drops, seeded extra delay, and partition windows in simulated time --
   injected with :meth:`ControlChannel.inject_faults`, so every chaos run is
   reproducible;
-- **at-least-once delivery** (``send(..., reliable=True)``): per-message
-  ack + timeout, exponential backoff with a retry cap, and sequence-number
-  dedup on the receiver so the application layer sees each message exactly
-  once however many times the wire needed.  Every drop, retry, duplicate
-  and give-up is journaled and counted.
+- the **offset lane** (:class:`OffsetLane`), the one at-least-once
+  protocol.  A lane is keyed by the wire's ``(sender, receiver)``.  The
+  sender keeps a ring of records numbered by offset and a cumulative-ack
+  watermark, and re-sends the unacked suffix -- one window per tick, at
+  backoff capped at :data:`BACKOFF_CAP` -- while the receiver is
+  reachable.  There is no give-up.  The receiver keeps one watermark: it
+  delivers in offset order, and a duplicate is re-acked, not delivered.
 
-``call`` extends the same machinery to RPC-style delivery (the consistent
-updater's install/flip messages), keeping two-phase epochs correct under
-retransmission: the dedup layer guarantees each flow-mod applies at most
-once, and the retry layer guarantees it eventually applies unless the
-channel gives up -- which is journaled, never silent.
+``send(..., reliable=True)`` and ``call(..., reliable=True)`` append to
+the lane of ``(sender, to)``: alerts under ``reliable_control``, the
+consistent updater's install/flip messages, HA checkpoints and deltas and
+federation signature reports ride it, and each reaches its handler exactly
+once, in send order.  The durable telemetry stream
+(:mod:`repro.obs.stream`) is two more lanes per host that ship their
+records as ``stream`` batches over the unreliable path.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappush
@@ -45,6 +50,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _MSG_IDS = itertools.count(1)
 _INF = float("inf")
+
+#: Ceiling of a lane's resend backoff, in seconds: once a partition heals,
+#: the unacked suffix goes out within this long.
+BACKOFF_CAP = 2.0
+#: Records per segment, segments per ring and records per resend of a
+#: channel lane.  The ring bound is soft: an unacked record is never
+#: dropped, so a lane past it counts ``overflow`` instead.
+WINDOW = 64
 
 
 @dataclass(slots=True)
@@ -137,23 +150,276 @@ class FaultModel:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """At-least-once parameters for ``reliable`` sends.
+    """How soon a lane re-sends its unacked suffix.
 
-    The first retransmission fires ``timeout`` after the original send;
-    each subsequent one backs off by ``backoff``x, up to ``max_retries``
-    retransmissions before the channel gives up (journaled, counted --
-    never silent).  ``timeout`` should comfortably exceed one RTT to the
-    slowest endpoint or healthy messages will retransmit spuriously
-    (dedup keeps that harmless, but it wastes simulated bandwidth).
+    The first resend fires ``timeout`` after the lane last heard an ack
+    (or last sent from idle); each further one backs off by ``backoff``x,
+    up to :data:`BACKOFF_CAP` (or ``timeout``, if that is longer).  A lane
+    never waits less than two round trips to its receiver, so a healthy
+    message is not resent however slow the link.
     """
 
     timeout: float = 0.05
     backoff: float = 2.0
-    max_retries: int = 8
 
     def delay(self, attempt: int) -> float:
-        """Timeout after retransmission number ``attempt`` (0-based)."""
-        return self.timeout * (self.backoff**attempt)
+        """Wait after resend number ``attempt`` (0: before the first)."""
+        cap = max(self.timeout, BACKOFF_CAP)
+        return min(self.timeout * self.backoff ** min(attempt, 64), cap)
+
+
+@dataclass(slots=True)
+class LaneRecord:
+    """One record of an offset lane: its offset, birth time and payload."""
+
+    offset: int
+    at: float
+    body: Any
+
+
+class OffsetLane:
+    """One offset lane's sender half: a segment ring and its resend loop.
+
+    Segments hold records in offset order.  ``ack`` advances the
+    cumulative watermark and frees fully-acked front segments; ``append``
+    enforces the capacity bound.  Past it, a lane built with
+    ``evict_unacked`` drops its oldest unacked front segment (returned to
+    the caller for journaling; :attr:`base` then tells the receiver not to
+    wait for it), and any other lane keeps the record and counts
+    ``overflow``.
+
+    A lane bound to a channel (``channel``, ``receiver``, ``transmit``)
+    also drives delivery.  :meth:`flush` hands the next window past what
+    is in flight to ``transmit(lane, records, resend)``.  While records
+    are unacked one timer runs: when it finds the lane quiet for the
+    policy's delay, it goes back to the watermark and re-sends one window
+    -- if :meth:`ControlChannel.reachable` says the receiver can hear it --
+    and backs off.  Ack progress resets the backoff; a fully acked lane
+    cancels its timer and schedules nothing.
+    """
+
+    __slots__ = (
+        "name", "segment_size", "max_segments", "evict_unacked", "_segments", "_retained",
+        "next_offset", "acked", "sent_high", "appended", "lost", "overflow", "peak_depth",
+        "evicted_high", "channel", "sender", "receiver", "transmit", "policy", "window",
+        "attempt", "quiet_since", "timer",
+    )  # fmt: skip
+
+    #: The record type ``append`` builds.
+    record: type = LaneRecord
+
+    def __init__(
+        self,
+        name: str,
+        segment_size: int = WINDOW,
+        max_segments: int = WINDOW,
+        evict_unacked: bool = False,
+        *,
+        channel: "ControlChannel | None" = None,
+        sender: str = "",
+        receiver: str = "",
+        transmit: Callable[["OffsetLane", list[Any], bool], None] | None = None,
+        policy: RetryPolicy | None = None,
+        window: int = WINDOW,
+    ) -> None:
+        self.name = name
+        self.segment_size = segment_size
+        self.max_segments = max_segments
+        self.evict_unacked = evict_unacked
+        self._segments: deque[list[Any]] = deque([[]])
+        #: Records across all segments, kept in step wherever a segment is
+        #: appended to, freed or evicted (``append`` reads it per record).
+        self._retained = 0
+        #: ``acked``: the cumulative ack watermark (every offset <= it was
+        #: consumed); ``sent_high``: the highest offset already in flight;
+        #: ``lost``: unacked records evicted under pressure, the highest of
+        #: them ``evicted_high``; ``overflow``: appends retained past
+        #: nominal capacity.
+        self.next_offset, self.acked, self.sent_high, self.appended = 1, 0, 0, 0
+        self.lost = self.overflow = self.peak_depth = self.evicted_high = 0
+        self.channel, self.sender, self.receiver = channel, sender, receiver
+        self.transmit, self.window = transmit, window
+        self.policy = policy or RetryPolicy()
+        self.attempt, self.quiet_since = 0, 0.0
+        self.timer: "Event | None" = None
+
+    # -- geometry ------------------------------------------------------
+    @property
+    def capacity(self) -> int:
+        return self.segment_size * self.max_segments
+
+    @property
+    def base(self) -> int:
+        """The replay base: no offset at or below it can ever be resent."""
+        return max(self.acked, self.evicted_high)
+
+    def depth(self) -> int:
+        """Retained records (acked ones linger until their segment frees)."""
+        return self._retained
+
+    def replay_lag(self) -> int:
+        """Records appended but not yet acknowledged downstream."""
+        return (self.next_offset - 1) - self.acked
+
+    # -- writing -------------------------------------------------------
+    def append(self, body: Any, at: float) -> tuple[Any, int]:
+        """Buffer one record; returns ``(record, evicted_unacked_count)``."""
+        record = self.record(self.next_offset, at, body)
+        self.next_offset += 1
+        self.appended += 1
+        head = self._segments[-1]
+        if len(head) >= self.segment_size:
+            head = [record]
+            self._segments.append(head)
+        else:
+            head.append(record)
+        self._retained += 1
+        evicted = self._enforce_bound() if len(self._segments) > self.max_segments else 0
+        if self._retained > self.peak_depth:
+            self.peak_depth = self._retained
+        return record, evicted
+
+    def _enforce_bound(self) -> int:
+        """Free/evict front segments until the ring fits; count casualties."""
+        evicted_unacked = 0
+        while len(self._segments) > self.max_segments:
+            front = self._segments[0]
+            if front[-1].offset > self.acked:
+                if not self.evict_unacked:
+                    self.overflow += 1
+                    break
+                unacked = sum(1 for r in front if r.offset > self.acked)
+                evicted_unacked += unacked
+                self.lost += unacked
+                self.evicted_high = max(self.evicted_high, front[-1].offset)
+            self._segments.popleft()
+            self._retained -= len(front)
+        return evicted_unacked
+
+    # -- acknowledgement -----------------------------------------------
+    def ack(self, offset: int) -> int:
+        """Advance the cumulative watermark and free covered segments.
+
+        Returns how many records the ack newly covers (0 for a stale or
+        duplicate ack, which changes nothing).
+        """
+        if offset <= self.acked:
+            return 0
+        before = self.acked
+        self.acked = min(offset, self.next_offset - 1)
+        if self.sent_high < self.acked:
+            self.sent_high = self.acked
+        while len(self._segments) > 1:
+            front = self._segments[0]
+            if front and front[-1].offset > self.acked:
+                break
+            self._segments.popleft()
+            self._retained -= len(front)
+        head = self._segments[0]
+        if len(self._segments) == 1 and head and head[-1].offset <= self.acked:
+            # Everything acked: recycle the sole segment.
+            self._retained -= len(head)
+            head.clear()
+        return self.acked - before
+
+    # -- reading -------------------------------------------------------
+    def window_after(self, start: int, limit: int) -> list[Any]:
+        """Up to ``limit`` consecutive retained records with offset > start.
+
+        A segment's offsets are contiguous (records append in offset order
+        and leave only with their whole segment), so the first record past
+        ``start`` is found by index, not by scan.
+        """
+        out: list[Any] = []
+        for segment in self._segments:
+            if not segment or segment[-1].offset <= start:
+                continue
+            first = max(start + 1 - segment[0].offset, 0)
+            out += segment[first : first + limit - len(out)]
+            if len(out) >= limit:
+                break
+        return out
+
+    def oldest_unacked(self) -> Any:
+        for segment in self._segments:
+            for record in segment:
+                if record.offset > self.acked:
+                    return record
+        return None
+
+    def stats(self) -> dict[str, Any]:
+        return {
+            "lane": self.name,
+            "appended": self.appended,
+            "acked": self.acked,
+            "base": self.base,
+            "depth": self.depth(),
+            "replay_lag": self.replay_lag(),
+            "peak_depth": self.peak_depth,
+            "lost": self.lost,
+            "overflow": self.overflow,
+            "capacity": self.capacity,
+        }
+
+    # -- the resend loop -------------------------------------------------
+    def flush(self, resend: bool = False) -> None:
+        """Transmit the next window past what is in flight, then arm.
+
+        With ``resend`` the window starts at the watermark: go-back-N.
+        """
+        start = self.acked if resend else self.sent_high
+        batch = self.window_after(start, self.window)
+        if batch:
+            self.sent_high = batch[-1].offset
+            self.transmit(self, batch, resend)
+        self.arm()
+
+    def arm(self) -> None:
+        """Start the resend timer, unless it runs or nothing is unacked."""
+        if self.timer is None and self.acked < self.next_offset - 1:
+            channel = self.channel
+            self.quiet_since = channel.sim.now
+            self.timer = channel.sim.schedule(self._wait(), self._tick)
+
+    def acked_to(self, offset: int) -> int:
+        """An ack from the receiver arrived: advance, and settle the timer."""
+        covered = self.ack(offset)
+        if covered:
+            self.attempt = 0
+            if self.acked >= self.next_offset - 1:
+                if self.timer is not None:
+                    self.channel.sim.cancel(self.timer)
+                    self.timer = None
+            else:
+                self.quiet_since = self.channel.sim.now
+        return covered
+
+    def _wait(self) -> float:
+        # Never under two round trips: no healthy record is resent.
+        return max(self.policy.delay(self.attempt), 4 * self.channel.latency_to(self.receiver))
+
+    def _tick(self, due: bool = False) -> None:
+        self.timer = None
+        if self.acked >= self.next_offset - 1:
+            return
+        channel = self.channel
+        sim = channel.sim
+        wait = 0.0 if due else self.quiet_since + self._wait() - sim.now
+        if wait <= 0:
+            # Quiet for a full timeout: presume the window lost.
+            self.attempt += 1
+            if channel.reachable(self.receiver):
+                self.flush(resend=True)
+                return
+            self.quiet_since = sim.now
+            wait = self._wait()
+        self.timer = sim.schedule(wait, self._tick)
+
+    def resend_now(self) -> None:
+        """Go back to the watermark now, without waiting out the timer."""
+        if self.timer is not None:
+            self.channel.sim.cancel(self.timer)
+            self._tick(due=True)
 
 
 class ControlChannel:
@@ -169,95 +435,49 @@ class ControlChannel:
         sim: "Simulator",
         latency: float = 0.002,
         retry_policy: RetryPolicy | None = None,
-        dedup_ttl: float = 60.0,
-        dedup_max: int = 4096,
     ) -> None:
         if not latency >= 0:  # NaN too: ``send`` pushes ``now + latency`` unchecked
             raise ValueError(f"latency must be >= 0 (got {latency})")
-        if dedup_ttl <= 0:
-            raise ValueError(f"dedup_ttl must be positive (got {dedup_ttl})")
-        if dedup_max <= 0:
-            raise ValueError(f"dedup_max must be positive (got {dedup_max})")
         self.sim = sim
         self.latency = latency
         self.retry_policy = retry_policy or RetryPolicy()
-        #: Dedup-table retention.  The TTL must comfortably exceed the
-        #: worst-case retransmission span (default retry policy: ~25.6s of
-        #: backoff) or a late retransmission of an evicted id would be
-        #: delivered twice; the size cap bounds memory under bursts.
-        self.dedup_ttl = dedup_ttl
-        self.dedup_max = dedup_max
         self.fault_model: FaultModel | None = None
         self._handlers: dict[str, Callable[[ControlMessage], None]] = {}
         self._latency_override: dict[str, float] = {}
+        #: Sender halves of the reliable lanes, by ``(sender, receiver)``.
+        self._lanes: dict[tuple[str, str], OffsetLane] = {}
+        #: Receiver halves: one delivered-up-to offset per lane.
+        self._marks: dict[tuple[str, str], int] = {}
         self.sent = 0
         self.delivered = 0
         self.undeliverable = 0
         self.dropped = 0
         self.retries = 0
+        #: Always 0 -- a lane never gives up.  Kept for
+        #: ``benchmarks/ledger/``, which reads it.
         self.giveups = 0
         self.duplicates = 0
         self.acked = 0
-        self.dedup_evictions = 0
-        #: receiver-side dedup: endpoint -> {msg_id: expiry}.  The TTL is
-        #: constant, so insertion order *is* expiry order and eviction
-        #: pops from the front of the (insertion-ordered) dict.
-        self._seen: dict[str, dict[int, float]] = {}
-        #: sender-side reliability state: msg_id -> pending retry timer
-        self._inflight: dict[int, "Event"] = {}
-        self._acked_ids: dict[int, float] = {}
         metrics = sim.metrics
         self.metric_labels = {"channel": metrics.unique("control")}
-        metrics.gauge("channel_sent", fn=lambda: self.sent, **self.metric_labels)
-        metrics.gauge(
-            "channel_delivered", fn=lambda: self.delivered, **self.metric_labels
-        )
-        metrics.gauge(
-            "channel_undeliverable",
-            fn=lambda: self.undeliverable,
-            **self.metric_labels,
-        )
-        self._c_dropped = metrics.counter("channel_dropped", **self.metric_labels)
-        self._c_retries = metrics.counter("channel_retries", **self.metric_labels)
-        self._c_giveups = metrics.counter("channel_giveups", **self.metric_labels)
-        self._c_duplicates = metrics.counter(
-            "channel_duplicates", **self.metric_labels
-        )
-        self._c_dedup_evictions = metrics.counter(
-            "channel_dedup_evictions", **self.metric_labels
-        )
-
-    def _prune_dedup(self, table: dict[int, float], endpoint: str) -> None:
-        """Evict expired/oversize dedup entries from the table's front.
-
-        Entries are inserted with ``now + dedup_ttl`` and the TTL is
-        constant, so the insertion-ordered dict is also expiry-ordered:
-        eviction only ever needs to look at the oldest entry.  Evictions
-        are journaled (batched per call) -- losing dedup state early is a
-        correctness hazard worth an audit trail.
-        """
-        now = self.sim.now
-        evicted = 0
-        while table:
-            msg_id = next(iter(table))
-            if table[msg_id] <= now or len(table) > self.dedup_max:
-                del table[msg_id]
-                evicted += 1
-            else:
-                break
-        if evicted:
-            self.dedup_evictions += evicted
-            self._c_dedup_evictions.inc(evicted)
-            self.sim.journal.record(
-                "ctrl-dedup-evict",
-                endpoint=endpoint,
-                evicted=evicted,
-                retained=len(table),
-            )
+        labels = self.metric_labels
+        metrics.gauge("channel_sent", fn=lambda: self.sent, **labels)
+        metrics.gauge("channel_delivered", fn=lambda: self.delivered, **labels)
+        metrics.gauge("channel_undeliverable", fn=lambda: self.undeliverable, **labels)
+        self._c_dropped = metrics.counter("channel_dropped", **labels)
+        self._c_retries = metrics.counter("channel_retries", **labels)
+        self._c_duplicates = metrics.counter("channel_duplicates", **labels)
 
     def register(self, name: str, handler: Callable[[ControlMessage], None]) -> None:
-        """Register (or replace) the message handler for endpoint ``name``."""
+        """Register (or replace) the message handler for endpoint ``name``.
+
+        Lanes holding unacked records for ``name`` (sent while it was down:
+        a restarted or failed-over controller) re-send them at once.
+        """
         self._handlers[name] = handler
+        for lane in self._lanes.values():
+            if lane.receiver == name:
+                lane.resend_now()
 
     def unregister(self, name: str) -> None:
         self._handlers.pop(name, None)
@@ -270,6 +490,10 @@ class ControlChannel:
 
     def latency_to(self, name: str) -> float:
         return self._latency_override.get(name, self.latency)
+
+    def unacked(self) -> int:
+        """Reliable records not yet acknowledged, over every lane."""
+        return sum(lane.replay_lag() for lane in self._lanes.values())
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -291,11 +515,10 @@ class ControlChannel:
         """Whether ``to`` is outside every current partition window.
 
         Partitions are declarative (keyed on simulated time), so a sender
-        can consult this *before* transmitting -- the durable telemetry
-        stream uses it to keep buffering through a multi-hour outage
-        instead of burning events and journal space on doomed sends.
-        Random per-transmission drops are not knowable in advance and are
-        deliberately not reflected here.
+        can consult this *before* transmitting -- every lane does, so a
+        multi-hour outage costs timer ticks instead of events and journal
+        space on doomed sends.  Random per-transmission drops are not
+        knowable in advance and are deliberately not reflected here.
         """
         model = self.fault_model
         return model is None or not model.partitioned(self.sim.now, to)
@@ -313,9 +536,9 @@ class ControlChannel:
     ) -> ControlMessage:
         """Send a control message; delivery is scheduled on the simulator.
 
-        With ``reliable=True`` the message is retransmitted on ack timeout
-        (exponential backoff, capped) and deduplicated at the receiver, so
-        the handler observes it exactly once -- or a journaled give-up.
+        With ``reliable=True`` the message rides the lane of ``(sender,
+        to)``: its handler observes it exactly once, in send order, however
+        long the receiver is partitioned or unregistered.
         """
         sim = self.sim
         # The body's one copy on its way to the receiver (the isolation
@@ -323,7 +546,9 @@ class ControlChannel:
         # layers on either side treat them as immutable.
         message = ControlMessage(kind, sender, dict(body or {}), sim.now, next(_MSG_IDS))
         self.sent += 1
-        if not reliable and self.fault_model is None:
+        if reliable:
+            self._append(sender, to, message, None)
+        elif self.fault_model is None:
             # Fire-and-forget on a healthy wire (alerts and telemetry ride
             # here, at data-plane volume): nothing can drop, delay or retry
             # the message, so the delivery :meth:`_transmit` would schedule
@@ -340,8 +565,8 @@ class ControlChannel:
                     (to, message),
                 ],
             )
-            return message
-        self._transmit(message, to, partial(self._deliver, to, message), reliable, attempt=0)
+        else:
+            self._transmit(message, to, partial(self._deliver, to, message))
         return message
 
     def _deliver(self, to: str, message: ControlMessage) -> bool:
@@ -366,19 +591,22 @@ class ControlChannel:
 
         Used by the consistent updater for switch installs/flips: the
         payload is a closure rather than a registered handler, but the
-        message still rides the wire -- fault model, retry, backoff and
-        dedup all apply, and dedup guarantees ``fn`` executes at most once
-        however many retransmissions the fault pattern forces.
+        message still rides the wire -- fault model and, with ``reliable``,
+        the lane of ``(sender, to)``, so ``fn`` executes exactly once, in
+        call order, however many resends the fault pattern forces.
         """
         message = ControlMessage(kind, sender, {}, self.sim.now, next(_MSG_IDS))
         self.sent += 1
+        if reliable:
+            self._append(sender, to, message, fn)
+            return message
 
         def deliver_fn() -> bool:
             self.delivered += 1
             fn()
             return True
 
-        self._transmit(message, to, deliver_fn, reliable, attempt=0)
+        self._transmit(message, to, deliver_fn)
         return message
 
     # ------------------------------------------------------------------
@@ -388,152 +616,126 @@ class ControlChannel:
         device = message.body.get("device", "")
         return device if isinstance(device, str) else ""
 
-    def _transmit(
-        self,
-        message: ControlMessage,
-        to: str,
-        deliver: Callable[[], bool],
-        reliable: bool,
-        attempt: int,
-    ) -> None:
-        """One transmission attempt (original send or retransmission)."""
-        now = self.sim.now
-        reason = (
-            self.fault_model.drop_reason(now, to) if self.fault_model else None
+    def _lost(self, message: ControlMessage, to: str, msg_kind: str, attempt: int) -> bool:
+        """Roll the fault model for one transmission to ``to``; journal a loss."""
+        model = self.fault_model
+        reason = model.drop_reason(self.sim.now, to) if model is not None else None
+        if reason is None:
+            return False
+        self.dropped += 1
+        self._c_dropped.inc()
+        self.sim.journal.record(
+            "ctrl-drop",
+            device=self._journal_device(message),
+            trace=message.body.get("trace"),
+            msg=message.msg_id,
+            msg_kind=msg_kind,
+            to=to,
+            reason=reason,
+            attempt=attempt,
         )
-        if reliable:
-            self._arm_retry(message, to, deliver, attempt)
-        if reason is not None:
-            self.dropped += 1
-            self._c_dropped.inc()
-            self.sim.journal.record(
-                "ctrl-drop",
-                device=self._journal_device(message),
-                trace=message.body.get("trace"),
-                msg=message.msg_id,
-                msg_kind=message.kind,
-                to=to,
-                reason=reason,
-                attempt=attempt,
-            )
-            return  # lost on the wire; the retry timer (if any) is armed
+        return True
 
+    def _delay(self, to: str) -> float:
+        model = self.fault_model
         delay = self.latency_to(to)
-        if self.fault_model is not None:
-            delay += self.fault_model.extra_delay()
+        return delay + model.extra_delay() if model is not None else delay
 
-        if not reliable:
-            # No dedup, no ack: deliver directly, without building the
-            # reliable arrival closure.
-            self.sim.schedule(delay, deliver)
-            return
-
-        def arrive() -> None:
-            seen = self._seen.setdefault(to, {})
-            if message.msg_id in seen:
-                # Retransmission of an already-delivered message: the
-                # application layer must not see it twice.
-                self.duplicates += 1
-                self._c_duplicates.inc()
-                self.sim.journal.record(
-                    "ctrl-dup",
-                    device=self._journal_device(message),
-                    msg=message.msg_id,
-                    msg_kind=message.kind,
-                    to=to,
-                )
-                self._send_ack(message, to)
-                return
-            if deliver():
-                seen[message.msg_id] = self.sim.now + self.dedup_ttl
-                self._prune_dedup(seen, to)
-                self._send_ack(message, to)
-            # No handler: no ack -- the sender keeps retrying, which is
-            # exactly right for a crashed-and-restarting controller.
-
-        self.sim.schedule(delay, arrive)
-
-    def _send_ack(self, message: ControlMessage, to: str) -> None:
-        """The ack rides the return leg and is just as loseable."""
-        now = self.sim.now
-        reason = (
-            self.fault_model.drop_reason(now, message.sender)
-            if self.fault_model
-            else None
-        )
-        if reason is not None:
-            self.dropped += 1
-            self._c_dropped.inc()
-            self.sim.journal.record(
-                "ctrl-drop",
-                device=self._journal_device(message),
-                msg=message.msg_id,
-                msg_kind="ack",
-                to=message.sender,
-                reason=reason,
-            )
-            return
-        delay = self.latency_to(message.sender)
-        if self.fault_model is not None:
-            delay += self.fault_model.extra_delay()
-
-        def ack_arrives() -> None:
-            if message.msg_id in self._acked_ids:
-                return  # duplicate ack
-            self.acked += 1
-            self._acked_ids[message.msg_id] = self.sim.now + self.dedup_ttl
-            self._prune_dedup(self._acked_ids, message.sender)
-            timer = self._inflight.pop(message.msg_id, None)
-            if timer is not None:
-                self.sim.cancel(timer)
-
-        self.sim.schedule(delay, ack_arrives)
-
-    def _arm_retry(
-        self,
-        message: ControlMessage,
-        to: str,
-        deliver: Callable[[], bool],
-        attempt: int,
+    def _transmit(
+        self, message: ControlMessage, to: str, deliver: Callable[[], bool]
     ) -> None:
-        """Schedule the retransmission that fires unless the ack beats it."""
-        old = self._inflight.pop(message.msg_id, None)
-        if old is not None:
-            self.sim.cancel(old)
+        """One fire-and-forget transmission through the fault model."""
+        if not self._lost(message, to, message.kind, 0):
+            self.sim.schedule(self._delay(to), deliver)
 
-        def on_timeout() -> None:
-            self._inflight.pop(message.msg_id, None)
-            if message.msg_id in self._acked_ids:
-                return
-            if attempt >= self.retry_policy.max_retries:
-                self.giveups += 1
-                self._c_giveups.inc()
-                self.sim.journal.record(
-                    "ctrl-giveup",
-                    device=self._journal_device(message),
-                    trace=message.body.get("trace"),
-                    msg=message.msg_id,
-                    msg_kind=message.kind,
-                    to=to,
-                    retries=attempt,
-                )
-                return
+    def _append(
+        self, sender: str, to: str, message: ControlMessage, fn: Callable[[], None] | None
+    ) -> None:
+        """Add one reliable message to its lane and send what can go now."""
+        key = (sender, to)
+        lane = self._lanes.get(key)
+        if lane is None:
+            lane = self._lanes[key] = OffsetLane(
+                f"{sender}->{to}",
+                channel=self,
+                sender=sender,
+                receiver=to,
+                transmit=self._transmit_window,
+                policy=self.retry_policy,
+            )
+        lane.append((message, fn), self.sim.now)
+        if self.reachable(to):
+            lane.flush()
+        else:
+            lane.arm()
+
+    def _transmit_window(
+        self, lane: OffsetLane, records: list[LaneRecord], resend: bool
+    ) -> None:
+        """One lane transmission: a window of consecutive records."""
+        to = lane.receiver
+        first = records[0].body[0]
+        if resend:
             self.retries += 1
             self._c_retries.inc()
             self.sim.journal.record(
                 "ctrl-retry",
-                device=self._journal_device(message),
-                trace=message.body.get("trace"),
-                msg=message.msg_id,
-                msg_kind=message.kind,
+                device=self._journal_device(first),
+                trace=first.body.get("trace"),
+                msg=first.msg_id,
+                msg_kind=first.kind,
                 to=to,
-                attempt=attempt + 1,
+                attempt=lane.attempt,
+                records=len(records),
             )
-            self._transmit(message, to, deliver, reliable=True, attempt=attempt + 1)
+        if not self._lost(first, to, first.kind, lane.attempt):
+            self.sim.schedule(self._delay(to), self._arrive, lane, records)
 
-        self._inflight[message.msg_id] = self.sim.schedule(
-            self.retry_policy.delay(attempt), on_timeout
-        )
+    def _arrive(self, lane: OffsetLane, records: list[LaneRecord]) -> None:
+        """The receiver half: deliver in offset order, then ack."""
+        key = (lane.sender, lane.receiver)
+        mark = self._marks.get(key, 0)
+        confirmed = False
+        for record in records:
+            offset = record.offset
+            if offset <= mark:
+                # A resend of a record already delivered: re-ack it.
+                self.duplicates += 1
+                self._c_duplicates.inc()
+                confirmed = True
+                continue
+            if offset > mark + 1:
+                break  # a hole: the go-back-N resend refills it
+            message, fn = record.body
+            handler = self._handlers.get(lane.receiver) if fn is None else fn
+            if handler is None:
+                # Nobody registered (a crashed controller): no progress,
+                # the lane keeps re-sending until a successor registers.
+                self.undeliverable += 1
+                break
+            mark = self._marks[key] = offset
+            confirmed = True
+            self.delivered += 1
+            if fn is None:
+                handler(message)
+            else:
+                fn()
+        if confirmed:
+            self._ack(lane, records[0].body[0], mark)
+
+    def _ack(self, lane: OffsetLane, message: ControlMessage, mark: int) -> None:
+        """The cumulative ack rides the return leg and is just as loseable.
+
+        It reaches the lane directly, not through a handler: a sender needs
+        no registered endpoint to hear its acks.
+        """
+        if not self._lost(message, lane.sender, "ack", lane.attempt):
+            self.sim.schedule(self._delay(lane.sender), self._ack_arrives, lane, mark)
+
+    def _ack_arrives(self, lane: OffsetLane, mark: int) -> None:
+        self.acked += lane.acked_to(mark)
+        if lane.sent_high < lane.next_offset - 1 and self.reachable(lane.receiver):
+            lane.flush()  # a backlog longer than one window keeps draining
 
     # ------------------------------------------------------------------
     def broadcast(

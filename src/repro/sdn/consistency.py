@@ -72,10 +72,9 @@ class ConsistentUpdater:
         self.sim = sim
         self.channel = channel
         self.controller_name = controller_name
-        #: When True, install/flip messages use the channel's at-least-once
-        #: machinery (retry + dedup): a dropped flow-mod is retransmitted
-        #: until it lands (epoch commits late) or the channel gives up
-        #: (epoch stays open -- journaled, never silently half-applied).
+        #: When True, install/flip messages ride the channel's lane to each
+        #: switch: a dropped flow-mod is re-sent until it lands, in order,
+        #: and applies once -- the epoch commits late, never half-applied.
         self.reliable = reliable
         self._versions = itertools.count(1)
         self.reports: list[UpdateReport] = []
@@ -94,8 +93,8 @@ class ConsistentUpdater:
 
         The message rides the control channel's RPC path, so the channel's
         fault model (drops, jitter, partitions) applies, and -- with
-        ``reliable`` -- so do retransmission and receiver-side dedup:
-        ``apply`` executes at most once however often the wire loses it.
+        ``reliable`` -- so does the lane to the switch: ``apply`` executes
+        exactly once, in push order, however often the wire loses it.
         Returns the earliest simulated time at which the switch can have
         applied the change (one-way latency, no faults).
         """

@@ -1,8 +1,11 @@
 """Tests for the control channel."""
 
 import math
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.simulator import Simulator
 from repro.sdn.channel import ControlChannel, FaultModel
@@ -86,65 +89,74 @@ def test_negative_latency_rejected(sim):
 
 
 # ---------------------------------------------------------------------------
-# Bounded receiver-side dedup
+# Receiver-side dedup: one watermark per lane
 # ---------------------------------------------------------------------------
-def test_dedup_rejects_bad_bounds(sim):
-    with pytest.raises(ValueError):
-        ControlChannel(sim, dedup_ttl=0)
-    with pytest.raises(ValueError):
-        ControlChannel(sim, dedup_max=0)
-
-
 def test_dedup_table_stays_bounded_over_10k_messages(sim):
-    """10k seeded reliable messages: delivery stays exactly-once while the
-    dedup table is evicted down to its size bound and expired-TTL entries
-    are pruned -- the table cannot grow with lifetime traffic."""
+    """10k seeded reliable messages: delivery stays exactly-once and in
+    order, and what the receiver keeps to get there is one watermark per
+    lane -- it cannot grow with lifetime traffic, and nothing has to be
+    evicted from it."""
     from repro.sdn.channel import FaultModel, RetryPolicy
 
-    chan = ControlChannel(
-        sim,
-        latency=0.002,
-        retry_policy=RetryPolicy(timeout=0.02, max_retries=8),
-        dedup_ttl=20.0,
-        dedup_max=512,
-    )
+    chan = ControlChannel(sim, latency=0.002, retry_policy=RetryPolicy(timeout=0.02))
     chan.inject_faults(FaultModel(seed=11, drop_prob=0.1))
     got = []
     chan.register("ctrl", lambda m: got.append(m.body["n"]))
     for n in range(10_000):
         sim.schedule(n * 0.01, chan.send, "sw", "ctrl", "alert", {"n": n}, True)
     sim.run()
-    # Exactly-once to the application, despite drops + retries.
-    assert sorted(got) == list(range(10_000))
-    assert chan.giveups == 0 and chan.retries > 0
-    # The receiver's table is bounded by size, and TTL pruned the rest.
-    assert len(chan._seen["ctrl"]) <= 512
-    assert chan.dedup_evictions >= 10_000 - 512
-    # Evictions leave an audit trail (batched, not one entry per id; the
-    # journal's own retention bounds how far back the trail reaches).
-    evict_entries = sim.journal.entries(kind="ctrl-dedup-evict")
-    assert evict_entries
-    assert all(e.fields["evicted"] > 0 for e in evict_entries)
-    assert all(e.fields["retained"] <= 512 for e in evict_entries)
+    assert got == list(range(10_000))
+    assert chan.retries > 0 and chan.duplicates > 0
+    assert chan._marks == {("sw", "ctrl"): 10_000}
+    assert chan.unacked() == 0 and sim.events_pending() == 0
 
 
-def test_dedup_ttl_expires_old_entries(sim):
-    from repro.sdn.channel import RetryPolicy
-
-    chan = ControlChannel(
-        sim, latency=0.001, retry_policy=RetryPolicy(), dedup_ttl=1.0
-    )
-    chan.register("ctrl", lambda m: None)
-    chan.send("a", "ctrl", "x", reliable=True)
-    sim.run(until=0.5)
-    assert len(chan._seen["ctrl"]) == 1
-    # A later arrival prunes everything past its TTL.
-    sim.schedule(2.0, chan.send, "a", "ctrl", "y", None, True)
+def test_acks_lost_for_40ms_do_not_duplicate_a_5000_send_burst(sim):
+    """The burst that overflowed the old per-id dedup table (every message
+    delivered twice) is delivered exactly once, in order."""
+    chan = ControlChannel(sim, latency=0.002)
+    chan.partition(0.0, 0.04, endpoints=("sw",))  # acks travel to "sw"
+    got = []
+    chan.register("ctrl", lambda m: got.append(m.body["n"]))
+    for n in range(5_000):
+        chan.send("sw", "ctrl", "alert", {"n": n}, reliable=True)
     sim.run()
-    assert len(chan._seen["ctrl"]) == 1  # only the fresh id remains
-    # Two evictions: the receiver's seen-id and the sender's acked-id,
-    # both expired by the time the second exchange prunes the tables.
-    assert chan.dedup_evictions == 2
+    assert got == list(range(5_000))
+    assert chan.duplicates > 0 and chan.acked == 5_000
+    assert chan.unacked() == 0 and sim.events_pending() == 0
+
+
+@pytest.mark.parametrize("outage", [30.0, 300.0])
+def test_reliable_alert_into_a_long_partition_arrives_once_after_heal(sim, outage):
+    """No give-up: the lane waits the partition out at capped backoff, then
+    delivers once -- within one backoff cap of the heal."""
+    from repro.sdn.channel import BACKOFF_CAP
+
+    chan = ControlChannel(sim, latency=0.002)
+    chan.partition(1.0, 1.0 + outage, endpoints=("ctrl",))
+    got = []
+    chan.register("ctrl", lambda m: got.append(sim.now))
+    sim.schedule(2.0, chan.send, "cluster", "ctrl", "alert", {"device": "cam"}, True)
+    sim.run()
+    assert len(got) == 1
+    assert 1.0 + outage <= got[0] <= 1.0 + outage + BACKOFF_CAP + 0.01
+    assert chan.giveups == 0 and chan.dropped == 0  # nothing sent into the dark
+    assert chan.unacked() == 0
+
+
+def test_a_lane_waits_for_its_receiver_to_register(sim):
+    """Records for an unregistered endpoint stay on the lane and go out
+    the moment a handler registers (a restarted controller)."""
+    chan = ControlChannel(sim, latency=0.002)
+    for n in range(3):
+        chan.send("cluster", "ctrl", "alert", {"n": n}, reliable=True)
+    sim.run(until=30.0)
+    assert chan.unacked() == 3 and chan.undeliverable > 0
+    got = []
+    chan.register("ctrl", lambda m: got.append((sim.now, m.body["n"])))
+    sim.run()
+    assert got == [(30.002, 0), (30.002, 1), (30.002, 2)]
+    assert chan.unacked() == 0 and sim.events_pending() == 0
 
 
 # ----------------------------------------------------------------------
@@ -242,3 +254,73 @@ def test_partition_window_is_half_open_and_scoped_to_its_endpoints():
     assert model.partitioned(5.0, "ctrl") and not model.partitioned(6.0, "ctrl")
     assert model.drop_reason(1.5, "sw") == "partition"
     assert model.drop_reason(1.5, "ctrl") is None
+
+
+# ----------------------------------------------------------------------
+# The lane property: whatever the wire and the endpoints do
+# ----------------------------------------------------------------------
+_ENDS = ("x", "y")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    drop_prob=st.sampled_from([0.0, 0.1, 0.3, 0.5]),
+    jitter=st.sampled_from([0.0, 0.004, 0.03]),
+    partitions=st.lists(
+        st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 5.0), st.sampled_from([None, *_ENDS, "a"])),
+        max_size=3,
+    ),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["send", "call", "down", "up"]),
+            st.sampled_from(["a", "b"]),
+            st.sampled_from(_ENDS),
+            st.floats(0.0, 0.05),
+        ),
+        max_size=40,
+    ),
+)
+def test_lanes_deliver_each_message_once_in_send_order(seed, drop_prob, jitter, partitions, ops):
+    """Random reliable sends and calls over drops, jitter, partitions and a
+    receiver that unregisters and comes back: every lane's messages reach
+    the receiver exactly once, in send order, and once the run is quiet no
+    lane holds a record and no timer is pending."""
+    sim = Simulator()
+    chan = ControlChannel(sim, latency=0.002)
+    model = FaultModel(seed=seed, drop_prob=drop_prob, jitter=jitter)
+    for start, length, end in partitions:
+        model.add_partition(start, start + length, (end,) if end else None)
+    chan.inject_faults(model)
+    got: dict[tuple[str, str], list[int]] = {}
+    sent: dict[tuple[str, str], int] = {}
+
+    def handler(to):
+        return lambda m: got.setdefault((m.sender, to), []).append(m.body["n"])
+
+    def note(lane, n):
+        got.setdefault(lane, []).append(n)
+
+    for end in _ENDS:
+        chan.register(end, handler(end))
+    at = 0.0
+    for op, sender, to, gap in ops:
+        at += gap
+        if op == "down":
+            sim.schedule_at(at, chan.unregister, to)
+        elif op == "up":
+            sim.schedule_at(at, chan.register, to, handler(to))
+        else:
+            n = sent[(sender, to)] = sent.get((sender, to), 0)
+            sent[(sender, to)] += 1
+            if op == "send":
+                sim.schedule_at(at, chan.send, sender, to, "k", {"n": n}, True)
+            else:
+                fn = partial(note, (sender, to), n)
+                sim.schedule_at(at, chan.call, sender, to, fn, "rpc", True)
+    for end in _ENDS:  # everyone is back in the end
+        sim.schedule_at(at + 0.1, chan.register, end, handler(end))
+    sim.run()
+    assert got == {lane: list(range(count)) for lane, count in sent.items()}
+    assert chan.unacked() == 0 and sim.events_pending() == 0
+    assert all(lane.depth() == 0 and lane.timer is None for lane in chan._lanes.values())

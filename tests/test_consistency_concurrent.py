@@ -171,10 +171,11 @@ def test_scoped_epochs_flip_whole_groups_under_loss_and_jitter(seed):
     assert switch.active_version == len(updater.reports)
 
 
-def test_the_seeds_above_do_land_flips_out_of_order():
-    """The property above would hold trivially if jitter never reordered
-    two flips; over those seeds it does, on several."""
-    reordered = 0
+def test_the_lane_lands_flips_in_send_order():
+    """Over the seeds above, jitter three times the latency and 20% loss
+    never reorder two flips at the switch: installs and flips ride one
+    lane, which delivers in offset order, so epoch N's install -- and
+    with it its flip -- lands before epoch N+1's."""
     for seed in range(6):
         sim = Simulator()
         updater, switch = lossy_setup(sim, seed)
@@ -186,8 +187,8 @@ def test_the_seeds_above_do_land_flips_out_of_order():
         )
         schedule_overlapping_epochs(sim, updater, switch, seed)
         sim.run()
-        reordered += flipped != sorted(flipped)
-    assert reordered >= 2
+        assert flipped == sorted(flipped) and len(flipped) == 12, seed
+        assert updater.channel.retries > 0
 
 
 def test_an_owner_in_scope_without_rules_loses_its_group_on_the_flip(sim):
@@ -225,25 +226,26 @@ def test_a_rule_outside_the_scope_is_refused_before_anything_is_sent(sim):
     assert updater.reports == [] and sim.events_pending() == 0
 
 
-def test_a_given_up_epoch_is_superseded_by_the_next_one_in_its_scope():
-    """The channel abandons the first epoch's install; its owner stays on
-    the old group, whole.  The next epoch with that owner in scope
-    replaces it, and when the abandoned epoch's rules did land (a lost
-    flip instead) they are collected as superseded, never activated."""
+def test_an_epoch_sent_into_a_partition_commits_after_the_heal():
+    """The switch is dark for a second: the epoch's install (or its flip)
+    waits on the lane, the owner keeps the old group, whole, meanwhile,
+    and the epoch commits once the partition heals -- no give-up.  The
+    next epoch in its scope then replaces it."""
     for lose in ("install", "flip"):
         sim = Simulator()
-        channel = ControlChannel(
-            sim, latency=0.01, retry_policy=RetryPolicy(timeout=0.05, backoff=1.0, max_retries=2)
-        )
+        channel = ControlChannel(sim, latency=0.01, retry_policy=RetryPolicy(timeout=0.05))
         updater, switch = ConsistentUpdater(sim, channel, reliable=True), Switch("sw", sim)
         base = push_scoped(updater, switch, ["a", "b"])
         sim.run()
         start = sim.now if lose == "install" else sim.now + 0.015
         channel.partition(start, start + 1.0, endpoints=("sw",))
-        lost = push_scoped(updater, switch, ["a"])
-        sim.run(until=start + 2.0)
-        assert channel.giveups == 1 and lost.committed_at is None
+        held = push_scoped(updater, switch, ["a"])
+        sim.run(until=start + 0.9)
+        assert held.committed_at is None and channel.unacked() == 1
         assert live_versions(switch, "a") == [base.version] * GROUP
+        sim.run(until=start + 4.0)
+        assert held.committed_at is not None and channel.unacked() == 0
+        assert live_versions(switch, "a") == [held.version] * GROUP
         healed = push_scoped(updater, switch, ["a", "b"])
         sim.run()
         assert healed.committed_at is not None

@@ -15,7 +15,7 @@ from repro.core.orchestrator import OFFLOAD_PRIORITY, build_recommended_posture
 from repro.devices import protocol
 from repro.devices.library import smart_camera, smart_plug
 from repro.policy.posture import ALLOW_ALL, block_commands
-from repro.sdn.channel import FaultModel, RetryPolicy
+from repro.sdn.channel import FaultModel
 
 
 @pytest.fixture
@@ -211,29 +211,28 @@ def test_repin_while_the_rounds_epoch_is_in_flight_carries_the_round(dep):
     assert_converged(dep)
 
 
-def test_a_given_up_flow_mod_is_healed_by_the_next_epoch_on_the_switch():
+def test_a_flow_mod_sent_into_a_partition_lands_after_the_heal():
     dep = SecuredDeployment.build(consistent_updates=True, reliable_control=True)
     dep.add_device(smart_camera, "cam")
     dep.add_device(smart_plug, "plug")
     dep.finalize()
-    dep.channel.retry_policy = RetryPolicy(timeout=0.05, backoff=1.0, max_retries=2)
     orchestrator = dep.orchestrator
     orchestrator.apply_many([("cam", block_commands("stop")), ("plug", block_commands("on"))])
     dep.run(until=1.0)
     before = live_group(dep, "cam")
     dep.channel.partition(1.0, 2.0, endpoints=(dep.EDGE,))
     assert orchestrator.repin("cam")
-    dep.run(until=3.0)
-    lost = orchestrator.updater.reports[-1]
-    assert dep.channel.giveups == 1 and lost.committed_at is None
+    dep.run(until=1.9)
+    held = orchestrator.updater.reports[-1]
+    assert held.committed_at is None and dep.channel.unacked() == 1
     assert live_group(dep, "cam") == before  # the old group, whole, still runs
     assert list(orchestrator._in_flight) == ["cam"]
-    # the next epoch on that switch is the plug's -- and carries the camera
-    assert orchestrator.repin("plug")
+    # No give-up: the lane re-sends the install once the switch is back.
     dep.run(until=4.0)
-    healed = orchestrator.updater.reports[-1]
-    assert healed.committed_at is not None and healed.rules_installed == 8
-    assert {r.version for r in dep.edge.flow_table} == {healed.version}
+    assert held.committed_at is not None and dep.channel.unacked() == 0
+    assert {r.version for r in dep.edge.rules_for("cam")} == {held.version}
+    assert orchestrator.repin("plug")
+    dep.run(until=5.0)
     assert_converged(dep)
 
 

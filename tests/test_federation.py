@@ -185,10 +185,10 @@ class TestFederationSync:
             ),
         )
         fed.run(until=25.0)
-        assert len(fed.sites["site0"].pending_reports) == 1
+        assert fed.wan.unacked() == 1  # held on site0's lane, not sent into the dark
         assert fed.coordinator.repository.version == 0
         fed.run(until=45.0)
-        assert fed.sites["site0"].pending_reports == []
+        assert fed.wan.unacked() == 0
         assert fed.coordinator.repository.version == 1
         assert fed.coordinator.converged()
 
@@ -271,6 +271,29 @@ class TestFederationSync:
             assert sorted(site.applied_at) == list(range(1, version + 1)), site.name
             assert len(site.cache.signatures) == version, site.name
         assert sum(s.gaps for s in fed.sites.values()) > 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_no_mined_signature_is_lost_to_wan_loss(self, seed):
+        """30% WAN loss on twelve seeds: every report rides site0's reliable
+        lane, so the coordinator versions all three signatures and every
+        site converges to version 3 -- ``converged()`` never reads True
+        over a report that never left its site."""
+        fed = make_federation(sites=3)
+        fed.wan.inject_faults(FaultModel(seed=seed, drop_prob=0.3))
+        fed.start()
+        site0 = fed.sites["site0"]
+        sku = site0.dep.devices["cam"].sku
+        wires = [
+            default_credential_signature(sku).to_dict(),
+            backdoor_signature(sku, 4000).to_dict(),
+            backdoor_signature(sku, 4001).to_dict(),
+        ]
+        for at, wire in zip((10.0, 10.5, 11.0), wires):
+            fed.sim.schedule(at, site0.mined, wire)
+        fed.run(until=120.0)
+        assert fed.coordinator.repository.version == 3
+        assert [site.version for site in fed.sites.values()] == [3, 3, 3]
+        assert fed.coordinator.converged() and fed.wan.unacked() == 0
 
     def test_updates_from_a_peer_site_are_refused(self):
         """A peer forging a far-future, poisoned push must neither enter the

@@ -141,7 +141,6 @@ class TestDeploymentPlane:
         assert {
             "time-to-enforcement",
             "control-reachability",
-            "control-delivery",
             "failover-blind-window",
         } <= names
         assert "telemetry-freshness" not in names  # no durable stream

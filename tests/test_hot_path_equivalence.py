@@ -176,7 +176,7 @@ def run_e12_resilient() -> dict:
             "exposure_s": row["exposure_s"],
             "ctrl_drops": row["ctrl_drops"],
             "ctrl_retries": row["ctrl_retries"],
-            "ctrl_giveups": row["ctrl_giveups"],
+            "ctrl_unacked": row["ctrl_unacked"],
             "mbox_restarts": row["mbox_restarts"],
         },
     }
@@ -196,7 +196,7 @@ def run_e13_standby() -> dict:
             "blind_window_s": row["blind_window_s"],
             "failovers": row["failovers"],
             "replayed": row["replayed"],
-            "ctrl_giveups": row["ctrl_giveups"],
+            "ctrl_unacked": row["ctrl_unacked"],
         },
     }
 

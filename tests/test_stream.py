@@ -646,6 +646,38 @@ class TestEndToEnd:
         assert lane.lost == 0 and lane.overflow > 0
         assert [b["detail"]["i"] for b in rig.bodies()] == list(range(20))
 
+    def test_an_ack_counts_only_from_the_lanes_receiver(self, sim):
+        """A ``stream-ack`` from any endpoint but the controller frees
+        nothing: the held alerts still reach the controller after the heal."""
+        rig = Rig(sim)
+        rig.channel.partition(0.0, 10.0, endpoints=("ctrl",))
+        for i in range(5):
+            rig.stream.offer("port-scan", body(i))
+        sim.run(until=1.0)
+        rig.channel.send("edge", "host", "stream-ack", {"lane": LANE_URGENT, "offset": 5})
+        sim.run(until=2.0)
+        assert rig.stream.outstanding() == 5
+        assert rig.stream.stats()["lanes"][LANE_URGENT]["lost"] == 0
+        sim.run(until=30.0)
+        assert [b["detail"]["i"] for b in rig.bodies()] == [0, 1, 2, 3, 4]
+        assert rig.stream.outstanding() == 0
+
+    def test_a_batch_counts_only_for_the_host_that_sent_it(self, sim):
+        """A batch naming another host -- here with a base a million
+        offsets ahead -- is quarantined as ``host-mismatch``; it skips no
+        offset, and the host's real alerts are delivered."""
+        rig = Rig(sim)
+        forged = {"host": "host", "lane": LANE_URGENT, "base": 10**6, "records": []}
+        rig.channel.send("edge", "ctrl", "stream", forged)
+        sim.run(until=0.5)
+        for i in range(3):
+            rig.stream.offer("port-scan", body(i))
+        sim.run(until=5.0)
+        assert [b["detail"]["i"] for b in rig.bodies()] == [0, 1, 2]
+        assert rig.dlq.stats()["by_reason"] == {"host-mismatch": 1}
+        assert rig.consumer.duplicates == rig.consumer.skipped_unavailable == 0
+        assert rig.consumer.offset_of("host", LANE_URGENT) == 3
+
     def test_heartbeat_journals_backlog_rate_limited(self, sim):
         rig = Rig(sim)
         rig.channel.partition(0.0, 300.0)
