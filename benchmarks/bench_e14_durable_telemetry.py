@@ -36,7 +36,7 @@ from typing import Any
 from _util import print_table, record
 
 from repro.attacks.exploits import BruteForceLogin
-from repro.core.deployment import SecuredDeployment
+from repro.core.deployment import DeviceSpec, SiteSpec
 from repro.devices.library import smart_camera, smart_plug, thermostat
 from repro.faults.plan import long_partition_plan
 from repro.netsim.simulator import Simulator
@@ -68,15 +68,15 @@ COLUMNS = (
 def run_scenario(durable: bool, dlq_sample_path: str | None = None) -> dict[str, Any]:
     """One arm of the durability experiment; fully sim-deterministic."""
     sim = Simulator()
-    dep = SecuredDeployment.build(sim=sim, durable_telemetry=durable)
-    for i, factory in enumerate(FACTORIES):
-        device = dep.add_device(
-            factory, f"dev{i}", report_to="hub", telemetry_period=TELEMETRY_PERIOD
-        )
-        device.start_telemetry()
-    attacker = dep.add_attacker()
-    dep.finalize()
-    dep.enforce_baseline()  # monitor postures: telemetry flows through µmboxes
+    options = {"report_to": "hub", "telemetry_period": TELEMETRY_PERIOD}
+    dep = SiteSpec(
+        durable_telemetry=durable,
+        devices=tuple(DeviceSpec(f, f"dev{i}", options) for i, f in enumerate(FACTORIES)),
+        start_telemetry=True,
+        attackers=("attacker",),
+        postures="baseline",  # monitor postures: telemetry flows through µmboxes
+    ).deploy(sim)
+    attacker = dep.attackers["attacker"]
 
     long_partition_plan(start=PARTITION_START, hours=PARTITION_HOURS).apply(dep)
     # A dictionary with no hit: the full wave fires (12 attempts in 1.2 s),

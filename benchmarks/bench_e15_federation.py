@@ -40,8 +40,8 @@ import pytest
 
 from _util import print_table, record
 
-from repro.faults.scenario import run_federation_blackout_scenario
-from repro.federation import SiteSpec, run_federation, run_site_worker, shard_fleet
+from repro.faults.scenario import e9_spec, run_federation_blackout_scenario
+from repro.federation import run_federation, run_site_worker, shard_fleet
 
 SITES = 4
 WORKERS = 4
@@ -73,9 +73,9 @@ def run_pair(total: int, sites: int = SITES, workers: int = WORKERS,
     import gc
 
     gc.collect()
-    fed = run_federation(shard_fleet(total, sites, horizon=horizon), workers=workers)
+    fed = run_federation(shard_fleet(total, sites), horizon=horizon, workers=workers)
     gc.collect()
-    single = run_site_worker(SiteSpec(name="single", devices=total, horizon=horizon))
+    single = run_site_worker("single", e9_spec(total), horizon)
     single_eps = single["events"] / max(single["wall_s"], 1e-9)
     return {
         "devices": total,
@@ -180,9 +180,7 @@ def test_e15_blackout_partition_tolerance():
 )
 def test_e15_full_fleet_federated_only():
     sites = 16
-    fed = run_federation(
-        shard_fleet(FULL_DEVICES, sites, horizon=HORIZON), workers=WORKERS
-    )
+    fed = run_federation(shard_fleet(FULL_DEVICES, sites), horizon=HORIZON, workers=WORKERS)
     print_table(
         f"E15-full: {FULL_DEVICES:,} devices across {sites} federated sites",
         ["Sites", "Mode", "Wall (s)", "Events", "Aggregate ev/s", "Compromised"],

@@ -174,10 +174,10 @@ def cmd_federation(args: argparse.Namespace) -> int:
 
 def cmd_policy(args: argparse.Namespace) -> int:
     """Export a sample home's default policy as reviewable JSON."""
-    from repro.faults.scenario import standard_home
+    from repro.faults.scenario import STANDARD_HOME
     from repro.policy.serialization import dumps
 
-    print(dumps(standard_home().policy))
+    print(dumps(STANDARD_HOME.deploy().policy))
     return 0
 
 

@@ -102,7 +102,6 @@ class IoTSecController:
         self.crashed = False
         #: Switches this controller serves packet-ins for (detached on crash).
         self._adopted: list["Switch"] = []
-        self.ingest_config = ingest
         #: Optional bounded priority ingest queue (None = direct dispatch).
         self.ingest: IngestQueue | None = (
             IngestQueue(
@@ -124,7 +123,6 @@ class IoTSecController:
         #: Durable telemetry plane (opt-in): the consumer end of every
         #: host's store-and-forward stream, plus the dead-letter queue for
         #: records refused at the door (schema failures, flagged hosts).
-        self.durable_telemetry = durable_telemetry
         self.dlq: DeadLetterQueue | None = None
         self.stream: StreamConsumer | None = None
         if durable_telemetry:

@@ -35,8 +35,20 @@ packets, outages, ``chain-repin``) while still containing by horizon.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Iterable
+from dataclasses import replace
+from typing import Any, Iterable
 
+from repro.core.deployment import DeviceSpec, SecuredDeployment, SiteSpec
+from repro.devices.library import (
+    cctv_camera,
+    door_lock,
+    fire_alarm,
+    set_top_box,
+    smart_camera,
+    smart_meter,
+    smart_plug,
+    window_actuator,
+)
 from repro.faults.campaign import (
     Campaign,
     CampaignRunner,
@@ -47,9 +59,6 @@ from repro.faults.campaign import (
     score_campaign,
 )
 from repro.faults.chaos import ChaosGenerator
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.deployment import SecuredDeployment
 
 __all__ = [
     "ENFORCING_CLASSES",
@@ -63,6 +72,7 @@ __all__ = [
     "FAILOVER_WAVES",
     "resilience_waves",
     "no_attack",
+    "CAMPAIGN_HOME",
     "build_home",
     "build_library",
     "campaigns_by_class",
@@ -90,28 +100,36 @@ HEALTH_PERIOD = 0.5
 # ----------------------------------------------------------------------
 # The standard home
 # ----------------------------------------------------------------------
-def build_home(health: bool = True) -> "SecuredDeployment":
-    """One protected home every campaign runs against.
+#: The campaign home's planes (the resilient arm of the standard scenario's
+#: plus the SLO/health plane) and fleet: eight Table 1 devices, one attacker.
+CAMPAIGN_HOME = SiteSpec(
+    consistent_updates=True,
+    reliable_control=True,
+    health_check_period=HEALTH_PERIOD,
+    health=True,
+    health_period=HEALTH_PERIOD,
+    devices=(
+        DeviceSpec(smart_camera, "cam"),
+        DeviceSpec(smart_plug, "plug", {"load": {"hazard": 1.0}}),
+        DeviceSpec(window_actuator, "window"),
+        DeviceSpec(door_lock, "lock"),
+        DeviceSpec(fire_alarm, "alarm"),
+        DeviceSpec(set_top_box, "stb"),
+        DeviceSpec(smart_meter, "meter"),
+        DeviceSpec(cctv_camera, "cctv"),
+    ),
+    attackers=("attacker",),
+)
 
-    Defense configuration mirrors the resilient arm of the standard
-    scenario: consistent updates, at-least-once control delivery, the
-    µmbox health loop, and (by default) the SLO/health plane.  The
-    signature feed covers the backdoor/open-port/DNS flaw classes; login
-    storms are caught by the monitor posture's login monitor via the
-    controller's escalation window.
+
+def build_home(health: bool = True) -> "SecuredDeployment":
+    """One protected home every campaign runs against: :data:`CAMPAIGN_HOME`
+    (``health`` keeps its SLO/health plane), an unmanaged reflection victim
+    and the hub's recipes.  The signature feed covers the backdoor/open-port/
+    DNS flaw classes; login storms are caught by the monitor posture's login
+    monitor via the controller's escalation window.
     """
-    from repro.core.deployment import SecuredDeployment
     from repro.core.orchestrator import build_recommended_posture
-    from repro.devices.library import (
-        cctv_camera,
-        door_lock,
-        fire_alarm,
-        set_top_box,
-        smart_camera,
-        smart_meter,
-        smart_plug,
-        window_actuator,
-    )
     from repro.learning.repository import CrowdRepository
     from repro.learning.signatures import (
         backdoor_signature,
@@ -120,22 +138,7 @@ def build_home(health: bool = True) -> "SecuredDeployment":
     from repro.netsim.node import Host
     from repro.policy.ifttt import Recipe
 
-    dep = SecuredDeployment.build(
-        consistent_updates=True,
-        reliable_control=True,
-        health_check_period=HEALTH_PERIOD,
-        health=health,
-        health_period=HEALTH_PERIOD,
-    )
-    dep.add_device(smart_camera, "cam")
-    dep.add_device(smart_plug, "plug", load={"hazard": 1.0})
-    dep.add_device(window_actuator, "window")
-    dep.add_device(door_lock, "lock")
-    dep.add_device(fire_alarm, "alarm")
-    dep.add_device(set_top_box, "stb")
-    dep.add_device(smart_meter, "meter")
-    dep.add_device(cctv_camera, "cctv")
-    dep.add_attacker()
+    dep = SecuredDeployment(replace(CAMPAIGN_HOME, health=health))
 
     # The reflection victim: an unmanaged host on the same edge.
     victim = Host("victim", dep.sim)

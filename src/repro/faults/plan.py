@@ -235,7 +235,7 @@ class FaultPlan:
                     event.at, dep.manager.crash, event.target, "fault-plan"
                 )
             elif event.kind == "controller-crash":
-                assert dep.with_iotsec, "controller-crash needs an IoTSec deployment"
+                assert dep.spec.with_iotsec, "controller-crash needs an IoTSec deployment"
                 sim.schedule_at(event.at, dep.crash_controller)
             elif event.kind == "alert-storm":
                 if event.target != "*" and event.target not in dep.devices:

@@ -18,14 +18,13 @@ processes for E9-class load beyond one core (bench E15).
 
 from repro.federation.coordinator import GlobalCoordinator
 from repro.federation.federation import Federation
-from repro.federation.runner import SiteSpec, run_federation, run_site_worker, shard_fleet
+from repro.federation.runner import run_federation, run_site_worker, shard_fleet
 from repro.federation.site import FederatedSite
 
 __all__ = [
     "Federation",
     "FederatedSite",
     "GlobalCoordinator",
-    "SiteSpec",
     "run_federation",
     "run_site_worker",
     "shard_fleet",

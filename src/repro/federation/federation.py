@@ -10,8 +10,9 @@ and the E15 bench can assert on exactly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
+from repro.core.deployment import SiteSpec
 from repro.federation.coordinator import GlobalCoordinator
 from repro.federation.site import FederatedSite
 from repro.netsim.simulator import Simulator
@@ -42,26 +43,13 @@ class Federation:
         self.health_plane: "HealthPlane | None" = None
 
     # ------------------------------------------------------------------
-    def add_site(
-        self,
-        name: str,
-        populate: Callable[[Any], None] | None = None,
-        **deployment_kwargs: Any,
-    ) -> FederatedSite:
-        """Create one site on the shared sim; ``populate(dep)`` adds its
-        devices/attackers before the deployment is finalized."""
-        from repro.core.deployment import SecuredDeployment
-
+    def add_site(self, name: str, spec: SiteSpec = SiteSpec()) -> FederatedSite:
+        """Deploy ``spec`` as site ``name`` on the shared sim."""
         if name in self.sites:
             raise ValueError(f"duplicate site name {name!r}")
-        dep = SecuredDeployment.build(sim=self.sim, **deployment_kwargs)
-        if populate is not None:
-            populate(dep)
-        dep.finalize()
         site = FederatedSite(
-            self.sim,
             name,
-            dep,
+            spec.deploy(self.sim),
             self.wan,
             coordinator=self.coordinator.NAME,
             sync_period=self.sync_period,

@@ -35,7 +35,6 @@ from repro.learning.signatures import AttackSignature
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import SecuredDeployment
-    from repro.netsim.simulator import Simulator
     from repro.sdn.channel import ControlChannel, ControlMessage
 
 
@@ -44,7 +43,6 @@ class FederatedSite:
 
     def __init__(
         self,
-        sim: "Simulator",
         name: str,
         deployment: "SecuredDeployment",
         wan: "ControlChannel",
@@ -53,7 +51,7 @@ class FederatedSite:
     ) -> None:
         if sync_period <= 0:
             raise ValueError(f"sync_period must be positive (got {sync_period})")
-        self.sim = sim
+        self.sim = sim = deployment.sim
         self.name = name
         self.dep = deployment
         self.wan = wan

@@ -480,7 +480,7 @@ def standard_slos(dep: SecuredDeployment, plane: HealthPlane) -> None:
     )
     if dep.checkpointer is not None:
         store = dep.checkpointer.store
-        period = dep.checkpoint_period
+        period = dep.checkpointer.period
         attached_at = sim.now
 
         def checkpoint_age() -> float:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.deployment import SecuredDeployment, default_home_environment
+from repro.core.deployment import CHANNEL_LATENCY, SecuredDeployment, default_home_environment
 from repro.devices import protocol
 from repro.devices.library import smart_camera, smart_plug
 from repro.policy.context import SUSPICIOUS
@@ -124,7 +124,7 @@ def test_attach_repository_feeds_ids(sim):
 
 
 def test_alert_flows_over_control_channel_with_latency():
-    dep = SecuredDeployment.build(channel_latency=0.05)
+    dep = SecuredDeployment.build()
     dep.add_device(smart_plug, "plug")
     attacker = dep.add_attacker()
     dep.finalize()
@@ -135,7 +135,7 @@ def test_alert_flows_over_control_channel_with_latency():
     attacker.fire_and_forget(protocol.command("attacker", "plug", "on", dport=8080))
     dep.run(until=5.0)
     (ingest,) = dep.sim.journal.entries(kind="alert-ingest", device="plug")
-    assert ingest.at == ingest.fields["sent_at"] + 0.05
+    assert ingest.at == ingest.fields["sent_at"] + CHANNEL_LATENCY
 
 
 def test_finalize_idempotent():

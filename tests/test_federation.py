@@ -9,12 +9,16 @@ the parallel site runner, and the seeded coordinator blackout scenario's
 zero-enforcement-gap guarantee.
 """
 
+from dataclasses import replace
+from functools import partial
+
 import pytest
 
 import repro.federation
+from repro.core.deployment import DeviceSpec, SiteSpec
 from repro.devices.library import smart_camera, smart_plug
-from repro.faults.scenario import run_federation_blackout_scenario
-from repro.federation import Federation, SiteSpec, run_federation, shard_fleet
+from repro.faults.scenario import e9_spec, run_federation_blackout_scenario
+from repro.federation import Federation, run_federation, shard_fleet
 from repro.learning.signatures import (
     backdoor_signature,
     default_credential_signature,
@@ -27,15 +31,16 @@ SKU = "dlink:DCS-930L:1.0"
 
 def make_federation(sites=2, sync_period=5.0, devices=("cam", "plug")):
     fed = Federation(sync_period=sync_period)
-
-    def populate(dep):
-        if "cam" in devices:
-            dep.add_device(smart_camera, "cam", report_to="hub")
-        if "plug" in devices:
-            dep.add_device(smart_plug, "plug", report_to="hub")
-
+    factories = {"cam": smart_camera, "plug": smart_plug}
+    spec = SiteSpec(
+        devices=tuple(
+            DeviceSpec(factories[name], name, {"report_to": "hub"})
+            for name in ("cam", "plug")
+            if name in devices
+        )
+    )
     for i in range(sites):
-        fed.add_site(f"site{i}", populate=populate)
+        fed.add_site(f"site{i}", spec)
     return fed
 
 
@@ -368,17 +373,17 @@ class TestFederationHealth:
 
 class TestRunner:
     def test_shard_fleet_splits_near_equal(self):
-        specs = shard_fleet(10, 4, horizon=30.0)
-        assert [s.devices for s in specs] == [3, 3, 2, 2]
-        assert [s.name for s in specs] == ["site0", "site1", "site2", "site3"]
-        assert sum(s.devices for s in specs) == 10
+        specs = shard_fleet(10, 4)
+        assert [len(s.devices) for s in specs.values()] == [3, 3, 2, 2]
+        assert list(specs) == ["site0", "site1", "site2", "site3"]
+        assert specs["site3"] == e9_spec(2)
 
     def test_shard_fleet_rejects_zero_sites(self):
         with pytest.raises(ValueError):
             shard_fleet(10, 0)
 
     def test_serial_federation_aggregates_per_site_results(self):
-        out = run_federation(shard_fleet(12, 3, horizon=30.0), workers=1)
+        out = run_federation(shard_fleet(12, 3), horizon=30.0, workers=1)
         assert out["mode"] == "serial"
         assert out["sites"] == 3
         assert out["devices"] == 12
@@ -388,18 +393,42 @@ class TestRunner:
         assert out["compromised"] == 0
 
     def test_parallel_workers_match_serial_results(self):
-        specs = shard_fleet(8, 2, horizon=30.0)
-        serial = run_federation(specs, workers=1)
-        parallel = run_federation(specs, workers=2)
+        specs = shard_fleet(8, 2)
+        serial = run_federation(specs, horizon=30.0, workers=1)
+        parallel = run_federation(specs, horizon=30.0, workers=2)
         assert parallel["mode"] != "serial"
         assert parallel["events"] == serial["events"]
         assert parallel["attacks_blocked"] == serial["attacks_blocked"]
         assert parallel["compromised"] == serial["compromised"]
 
+    def test_planes_on_digests_match_at_any_worker_count(self):
+        """Any plane set rides the spec into the workers, and a site runs
+        the same journal in-process and forked."""
+
+        def planes_on(n):
+            return replace(
+                e9_spec(n),
+                consistent_updates=True,
+                reliable_control=True,
+                durable_telemetry=True,
+                checkpointing=True,
+                health=True,
+            )
+
+        def digests(sites, workers):
+            out = run_federation(sites, horizon=60.0, workers=workers)
+            return {r["site"]: r["journal_sha256"] for r in out["per_site"]}
+
+        sites = shard_fleet(10, 3, planes_on)
+        serial = digests(sites, workers=1)
+        assert digests(sites, workers=2) == serial
+        assert len(set(serial.values())) == 2  # 4, 3 and 3 devices
+        assert serial != digests(shard_fleet(10, 3), workers=1)
+
     def test_seeded_signatures_ride_into_workers(self):
         wire = default_credential_signature(SKU).to_dict()
-        specs = shard_fleet(4, 2, horizon=10.0, signatures=[wire])
-        out = run_federation(specs, workers=1)
+        specs = shard_fleet(4, 2, partial(e9_spec, signatures=[wire]))
+        out = run_federation(specs, horizon=10.0, workers=1)
         assert all(r["cached_signatures"] == 1 for r in out["per_site"])
 
 

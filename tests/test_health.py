@@ -8,13 +8,15 @@ interleaving of SLO breaches, DLQ quarantines and stream replays on one
 device timeline.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.deployment import SecuredDeployment
 from repro.core.metrics import summarize
 from repro.faults.scenario import (
     arm_health,
-    e9_home,
+    e9_spec,
     launch_e9_attacks,
     measure_health,
     run_health_scenario,
@@ -194,7 +196,7 @@ class TestDeploymentPlane:
         traced or journaled.  Retention stays inside the journal's ring."""
         runs = {}
         for observe in (True, False):
-            dep = e9_home(20, sim=Simulator(observe=observe), health=True)
+            dep = replace(e9_spec(20), health=True).deploy(Simulator(observe=observe))
             launch_e9_attacks(dep)
             dep.run(until=600.0)
             assert not any(d.is_compromised() for d in dep.devices.values())

@@ -38,6 +38,7 @@ import hashlib
 import json
 import os
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -45,7 +46,7 @@ import pytest
 from repro.faults.scenario import (
     arm_failover,
     arm_resilience,
-    e9_home,
+    e9_spec,
     launch_e9_attacks,
     measure_failover,
     measure_resilience,
@@ -126,9 +127,9 @@ def unjournaled_state(dep, attacker) -> dict:
 
 def build_e9_small(n_devices: int = 12, telemetry_period: float = 20.0, **planes):
     """The E9 home in miniature: reporting devices under E9's posture mix
-    and its two opening attacks (``planes``: ``SecuredDeployment``
-    keywords).  Returns ``(deployment, attacker)``."""
-    dep = e9_home(n_devices, telemetry_period, **planes)
+    and its two opening attacks (``planes``: ``SiteSpec`` fields).
+    Returns ``(deployment, attacker)``."""
+    dep = replace(e9_spec(n_devices, telemetry_period), **planes).deploy()
     launch_e9_attacks(dep)
     return dep, dep.attackers["attacker"]
 

@@ -92,7 +92,7 @@ class TestGuardTranslation:
 
 class TestAutomationHub:
     def test_env_triggered_recipe_fires_over_network(self, sim):
-        dep = SecuredDeployment(sim=sim, with_iotsec=False)
+        dep = SecuredDeployment.build(sim=sim, with_iotsec=False)
         bulb = dep.add_device(smart_bulb, "bulb")
         dep.hub.add_recipe(Recipe("smoke-light", "env:smoke", "detected", "bulb", "red"))
         dep.finalize()
@@ -102,7 +102,7 @@ class TestAutomationHub:
         assert len(dep.hub.firings_of("smoke-light")) == 1
 
     def test_device_state_recipe_fires_on_transition(self, sim):
-        dep = SecuredDeployment(sim=sim, with_iotsec=False)
+        dep = SecuredDeployment.build(sim=sim, with_iotsec=False)
         win = dep.add_device(window_actuator, "win")
         plug = dep.add_device(smart_plug, "plug")
         dep.hub.add_recipe(Recipe("r", "dev:plug", "on", "win", "open"))
@@ -113,7 +113,7 @@ class TestAutomationHub:
         assert win.state == "open"
 
     def test_paired_sessions_let_commands_through_auth(self, sim):
-        dep = SecuredDeployment(sim=sim, with_iotsec=False)
+        dep = SecuredDeployment.build(sim=sim, with_iotsec=False)
         win = dep.add_device(window_actuator, "win")
         dep.hub.add_recipe(Recipe("vent", "env:smoke", "detected", "win", "open"))
         dep.finalize()
@@ -124,7 +124,7 @@ class TestAutomationHub:
         assert win.command_log[-1].via == "session"
 
     def test_unpaired_device_commands_rejected(self, sim):
-        dep = SecuredDeployment(sim=sim, with_iotsec=False)
+        dep = SecuredDeployment.build(sim=sim, with_iotsec=False)
         win = dep.add_device(window_actuator, "win", pair_with_hub=False)
         dep.hub.add_recipe(Recipe("vent", "env:smoke", "detected", "win", "open"))
         dep.finalize()
@@ -145,7 +145,7 @@ def test_hub_records_firings(sim):
 def test_device_recipe_does_not_fire_on_startup_state(sim):
     """Edge-triggered: a device already in the trigger state when the watch
     begins must not fire the recipe (IFTTT fires on transitions)."""
-    dep = SecuredDeployment(sim=sim, with_iotsec=False)
+    dep = SecuredDeployment.build(sim=sim, with_iotsec=False)
     win = dep.add_device(window_actuator, "win")
     plug = dep.add_device(smart_plug, "plug")
     plug.apply_command("on", src="owner", via="local")  # already on
