@@ -798,10 +798,15 @@ def score_campaign(
 
     attacked = runner.first_attacks()
     # Indirect victims (pivot/reflection targets) that are managed
-    # devices count as attacked from the stage that aimed at them.
+    # devices count as attacked from the stage that aimed at them -- once
+    # the launchpad relayed it (the exploit's ``pivoted`` reply): a pivot
+    # the launchpad's own chain dropped never reached the victim.
     for stage in campaign.stages:
         result = runner.results.get(stage.name)
         if result is None or result.status != "ok" or result.fired_at is None:
+            continue
+        exploit = runner.exploit_results.get(stage.name)
+        if exploit is None or not exploit.succeeded:
             continue
         victim = stage.params.get("victim")
         if isinstance(victim, str) and victim in dep.devices:

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from repro.core.deployment import DeviceSpec, SiteSpec
+from repro.devices.library import door_lock, smart_plug
 from repro.faults.campaign import (
     CAMPAIGN_CLASSES,
     STAGE_KINDS,
@@ -13,6 +15,7 @@ from repro.faults.campaign import (
     CampaignStage,
     ContainmentTracker,
     journal_digest,
+    score_campaign,
 )
 from repro.faults.campaign_library import (
     CAMPAIGNS,
@@ -247,6 +250,43 @@ class TestScorecard:
         score = score_campaign(dep, runner)
         assert score["containment_misses"] == ["stb"]
         assert score["exposure_s"]["stb"] == pytest.approx(5.0)
+
+    @pytest.mark.parametrize(
+        "name, launchpad", [("plug-pivot-lock", "plug"), ("alarm-pivot-window", "alarm")]
+    )
+    def test_a_pivot_the_launchpad_dropped_attacks_no_victim(self, name, launchpad):
+        """The launchpad's own firewall drops the pivot: the victim never
+        receives a packet, so it is not attacked and recall is not owed."""
+        campaign = CAMPAIGNS[name]
+        dep, runner = arm_campaign(campaign, health=False)
+        dep.run(until=campaign.horizon)
+        score = measure_campaign(dep, runner)
+        assert not runner.exploit_results["pivot"].succeeded
+        assert any(
+            e.fields["verdict"] == "drop" and e.fields["element"] == "stateful_firewall"
+            for e in dep.sim.journal.entries(kind="verdict", device=launchpad)
+        )
+        assert score["attacked"] == [launchpad]
+        assert score["detection_recall"] == 1.0
+
+    def test_a_relayed_pivot_attacks_its_victim(self):
+        dep = SiteSpec(
+            with_iotsec=False,
+            devices=(DeviceSpec(smart_plug, "plug"), DeviceSpec(door_lock, "lock")),
+            attackers=("attacker",),
+        ).deploy()
+        pivot = S("pivot", 1.0, "exploit",
+                  {"exploit": "lateral_movement", "backdoor_port": 49153,
+                   "victim": "lock", "victim_port": 4444,
+                   "inner_payload": {"cmd": "unlock"}},
+                  target="plug")
+        campaign = Campaign("t", "lateral-movement", horizon=5.0, stages=(pivot,))
+        runner = CampaignRunner(campaign, dep).start()
+        dep.run(until=campaign.horizon)
+        score = score_campaign(dep, runner)
+        assert runner.exploit_results["pivot"].succeeded
+        assert dep.devices["lock"].rx_count == 1  # the relayed command
+        assert score["attacked"] == ["lock", "plug"]
 
     def test_automation_abuse_chain_fires_recipe(self):
         campaign = CAMPAIGNS["plug-unlock-chain"]
