@@ -143,7 +143,7 @@ class TestPolicySectionReuse:
         ``checkpoint`` alone (no journal tail)."""
         site = make_dep()
         site.crash_controller()
-        controller = restore_controller(site, checkpoint, (), name=site.CONTROLLER)
+        controller = restore_controller(site, checkpoint)
         site._bind(controller)
         controller.set_context("cam", "suspicious")
         return site.orchestrator.posture_of("cam").name
