@@ -30,6 +30,16 @@ from _util import percent, print_table, record
 from repro.faults.campaign import CAMPAIGN_CLASSES
 from repro.faults.campaign_library import CAMPAIGNS, ENFORCING_CLASSES, run_class
 
+#: Per-class detection recall floors.  Lateral movement is whole: every
+#: foothold is alerted, and a pivot the launchpad's chain drops attacks no
+#: victim.  Automation abuse holds today's 4 of 5: ``plug-unlock-chain``
+#: switches the plug through its unsignatured 8080 port, and the hub's
+#: ``welcome-unlock`` recipe does the rest with no alert against the
+#: plug.  That is the trigger-action gap (a recipe whose trigger is
+#: reachable without authentication needs a context gate on its action),
+#: and its policy fix is still open.
+RECALL_FLOORS = {"lateral-movement": 1.0, "automation-abuse": 0.8}
+
 
 def run_scorecard() -> dict:
     """Run every shipped campaign; per-class rollups plus a corpus summary.
@@ -111,6 +121,9 @@ def test_e16_campaign_scorecard(scenario_benchmark):
     assert summary["enforcing_misses"] == []
     for name in ENFORCING_CLASSES:
         assert classes[name]["graceful_ok"], name
+
+    for name, floor in RECALL_FLOORS.items():
+        assert classes[name]["recall"] >= floor, (name, classes[name]["recall"])
 
     # Fabric degradation is real (packets actually stolen, µmboxes actually
     # down and re-pinned) yet still contained by horizon -- and the one
