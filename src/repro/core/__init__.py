@@ -11,11 +11,12 @@
   own frequently-interacting partitions, the global controller owns
   cross-partition rules (section 5.1's scaling proposal).
 - :mod:`repro.core.deployment` -- the harness that assembles a complete
-  secured deployment (topology, devices, environment, cluster, controller).
+  secured deployment (topology, devices, environment, cluster, controller)
+  from a :class:`SiteSpec`.
 """
 
 from repro.core.controller import IoTSecController
-from repro.core.deployment import SecuredDeployment
+from repro.core.deployment import DeviceSpec, SecuredDeployment, SiteSpec
 from repro.core.view import GlobalView
 
-__all__ = ["GlobalView", "IoTSecController", "SecuredDeployment"]
+__all__ = ["DeviceSpec", "GlobalView", "IoTSecController", "SecuredDeployment", "SiteSpec"]
