@@ -73,7 +73,7 @@ DEFAULT_ESCALATIONS: tuple[EscalationRule, ...] = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class ReactionRecord:
     """Cause -> effect timing for the responsiveness benches."""
 

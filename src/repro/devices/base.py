@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
 DNS_AMPLIFICATION = 8  # response bytes per query byte for the open resolver
 
 
-@dataclass
+@dataclass(slots=True)
 class CommandRecord:
     """Ground-truth log entry for one control command."""
 

@@ -167,7 +167,7 @@ MBOX_KINDS: tuple[str, ...] = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class DeploymentRecord:
     """One lifecycle operation, with its latency, for bench E7."""
 
@@ -182,7 +182,7 @@ class DeploymentRecord:
         return self.ready_at - self.requested_at
 
 
-@dataclass
+@dataclass(slots=True)
 class OutageRecord:
     """One µmbox crash -> detection -> restart cycle.
 
