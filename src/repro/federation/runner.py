@@ -33,6 +33,8 @@ def shard_fleet(
     each the spec ``site(devices)`` describes (an E9 home by default)."""
     if sites <= 0:
         raise ValueError(f"sites must be positive (got {sites})")
+    if total_devices < 1:
+        raise ValueError(f"need at least 1 device (got {total_devices})")
     base, extra = divmod(total_devices, sites)
     return {f"site{i}": site(base + (1 if i < extra else 0)) for i in range(sites)}
 
