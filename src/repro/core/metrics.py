@@ -38,9 +38,10 @@ class DeploymentReport:
     devices: list[DeviceSummary] = field(default_factory=list)
     alerts_by_kind: dict[str, int] = field(default_factory=dict)
     postures_applied: int = 0
-    mbox_active: int = 0
-    mbox_boots: int = 0
-    mbox_reconfigs: int = 0
+    #: µmbox lifecycle counts: ``active``, ``boots`` and ``reconfigs``.
+    mbox: dict[str, int] = field(
+        default_factory=lambda: {"active": 0, "boots": 0, "reconfigs": 0}
+    )
     packets_tunnelled: int = 0
     packets_dropped_unbound: int = 0
     reaction_p50_ms: float | None = None
@@ -66,26 +67,10 @@ class DeploymentReport:
 
     def as_dict(self) -> dict[str, Any]:
         """Plain-serializable form: every value survives ``json.dumps``."""
-        return {
-            "at": self.at,
-            "devices": [{**asdict(d), "flaws": list(d.flaws)} for d in self.devices],
-            "alerts_by_kind": dict(self.alerts_by_kind),
-            "postures_applied": self.postures_applied,
-            "mbox": {
-                "active": self.mbox_active,
-                "boots": self.mbox_boots,
-                "reconfigs": self.mbox_reconfigs,
-            },
-            "packets_tunnelled": self.packets_tunnelled,
-            "packets_dropped_unbound": self.packets_dropped_unbound,
-            "reaction_p50_ms": self.reaction_p50_ms,
-            "reaction_max_ms": self.reaction_max_ms,
-            "events_processed": self.events_processed,
-            "metrics": self.metrics,
-            "journal": self.journal,
-            "incidents": self.incidents,
-            "health": self.health,
-        }
+        data = asdict(self)
+        for device in data["devices"]:
+            device["flaws"] = list(device["flaws"])
+        return data
 
     def render(self) -> str:
         """A human-readable multi-line summary."""
@@ -108,8 +93,8 @@ class DeploymentReport:
             )
             lines.append(f"  alerts: {kinds}")
         lines.append(
-            f"  µmboxes: {self.mbox_active} active"
-            f" ({self.mbox_boots} boots, {self.mbox_reconfigs} reconfigs)"
+            f"  µmboxes: {self.mbox['active']} active"
+            f" ({self.mbox['boots']} boots, {self.mbox['reconfigs']} reconfigs)"
             f" | tunnelled pkts: {self.packets_tunnelled}"
         )
         if self.reaction_p50_ms is not None:
@@ -171,9 +156,11 @@ def summarize(dep: "SecuredDeployment") -> DeploymentReport:
     if dep.orchestrator is not None:
         report.postures_applied = dep.orchestrator.applies
     if dep.manager is not None:
-        report.mbox_active = dep.manager.active_count()
-        report.mbox_boots = dep.manager.boots
-        report.mbox_reconfigs = dep.manager.reconfigs
+        report.mbox = {
+            "active": dep.manager.active_count(),
+            "boots": dep.manager.boots,
+            "reconfigs": dep.manager.reconfigs,
+        }
     if dep.cluster is not None:
         report.packets_tunnelled = dep.cluster.tunnelled_in
         report.packets_dropped_unbound = dep.cluster.unbound_drops

@@ -28,7 +28,7 @@ class TestMetrics:
         assert len(report.devices) == 2
         assert report.compromised_devices() == []
         assert report.alerts_by_kind == {}
-        assert report.mbox_active == 0
+        assert report.mbox["active"] == 0
 
     def test_summarize_after_attack_and_enforcement(self):
         dep = self.make_dep()
@@ -45,7 +45,7 @@ class TestMetrics:
         assert cam.posture == "password_proxy"
         assert cam.alerts == 1
         assert "exposed-credentials" in cam.flaws
-        assert report.mbox_active == 1
+        assert report.mbox["active"] == 1
         assert report.packets_tunnelled >= 1
 
     def test_summarize_context_and_reactions(self):
@@ -76,7 +76,7 @@ class TestMetrics:
         text = report.render()
         assert "cam" in text and "plug" in text and "suspicious" in text
         data = report.as_dict()
-        assert data["mbox"]["active"] == report.mbox_active
+        assert data["mbox"]["active"] == report.mbox["active"]
         assert len(data["devices"]) == 2
 
     def test_as_dict_json_round_trips(self):

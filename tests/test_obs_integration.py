@@ -168,7 +168,7 @@ class TestRegistryBackedSummary:
         report = summarize(dep)
         assert report.alerts_by_kind.get("login-rejected", 0) >= 3
         assert report.packets_tunnelled == dep.cluster.tunnelled_in
-        assert report.mbox_active == dep.manager.active_count()
+        assert report.mbox["active"] == dep.manager.active_count()
         assert report.metrics["enabled"] is True
         assert "pipeline_rounds" in report.metrics["gauges"]
 
@@ -185,7 +185,7 @@ class TestRegistryBackedSummary:
         # identical operator view, sourced from the component counters
         assert report.alerts_by_kind.get("login-rejected", 0) >= 3
         assert report.packets_tunnelled == dep.cluster.tunnelled_in
-        assert report.mbox_active == dep.manager.active_count()
+        assert report.mbox["active"] == dep.manager.active_count()
         assert report.metrics == {}
 
     def test_disabled_observability_identical_behaviour(self):
