@@ -1,27 +1,31 @@
-"""E14: durable telemetry -- zero loss across a multi-hour partition.
+"""E14: durable telemetry -- zero lost changes across a multi-hour partition.
 
 One secured home (three telemetry-reporting devices under monitor
 postures), one control-plane blackout from ``long_partition_plan``: the
 channel between the µmbox cluster and the controller is severed for 2.5
 simulated hours starting at t=60 s, and a camera brute-force wave fires
 *mid-outage*, so the enforcement evidence itself is born while the wire
-is down.  Two arms over the identical schedule:
+is down.  The home keeps changing through the outage: someone walks in
+or out between every two reports, the camera sees it and the hub's
+recipes switch the plug and the thermostat with them, so every report is
+a view delta (a tap forwards changes only).  Two arms over the identical
+schedule:
 
-- **lossy** arm -- the seed behavior: alerts ride the channel's
-  unreliable fast path and every record emitted during the partition
+- **lossy** arm -- the seed behavior: alerts and view deltas ride the
+  channel's unreliable fast path and every one sent during the partition
   vanishes with the wire.  The controller never learns of the attack;
   the camera keeps its permissive monitor posture forever.
 - **durable** arm -- ``durable_telemetry=True``: the cluster's
   store-and-forward buffer absorbs the outage (urgent lane for
-  enforcement evidence, bulk lane for telemetry), the stream replays
+  enforcement evidence, bulk lane for view deltas), the stream replays
   from the controller's acked offset once the window heals, and the
   late-but-in-order alerts escalate the camera to an enforcing posture.
   After the heal a reputation-flagged peer and a malformed batch are
   injected so the dead-letter queue carries its three quarantines (the
   CI artifact ``dlq_sample.jsonl`` is exported from this arm).
 
-Headline metrics, all sim-deterministic: ``telemetry_loss`` (records
-emitted at the cluster minus records the controller processed -- zero in
+Headline metrics, all sim-deterministic: ``telemetry_loss`` (view deltas
+the cluster's taps sent minus deltas the controller applied -- zero in
 the durable arm, hundreds in the lossy arm), the bulk lane's
 ``peak_depth`` (bounded memory: the buffer must ride out the outage
 without evicting), and whether the attacked camera ends the run under an
@@ -40,6 +44,7 @@ from repro.core.deployment import DeviceSpec, SiteSpec
 from repro.devices.library import smart_camera, smart_plug, thermostat
 from repro.faults.plan import long_partition_plan
 from repro.netsim.simulator import Simulator
+from repro.policy.ifttt import Recipe
 
 PARTITION_START = 60.0
 PARTITION_HOURS = 2.5
@@ -49,6 +54,12 @@ HORIZON = HEAL_AT + 500.0                              # heal + catch-up
 DRAIN = 30.0                                           # in-flight settle
 TELEMETRY_PERIOD = 15.0
 FACTORIES = (smart_camera, smart_plug, thermostat)
+#: What the hub does when someone comes or goes: the plug (``dev1``) and
+#: the thermostat (``dev2``) follow the occupancy the camera sees.
+RECIPES = (
+    ("present", "on", "heat"),
+    ("absent", "off", "off"),
+)
 
 COLUMNS = (
     "emitted",
@@ -77,6 +88,16 @@ def run_scenario(durable: bool, dlq_sample_path: str | None = None) -> dict[str,
         postures="baseline",  # monitor postures: telemetry flows through µmboxes
     ).deploy(sim)
     attacker = dep.attackers["attacker"]
+    for level, plug, heater in RECIPES:
+        dep.hub.add_recipe(Recipe(f"plug-{level}", "env:occupancy", level, "dev1", plug))
+        dep.hub.add_recipe(Recipe(f"heat-{level}", "env:occupancy", level, "dev2", heater))
+    occupancy = dep.env.discrete("occupancy")
+
+    def walk() -> None:
+        occupancy.set("absent" if occupancy.level == "present" else "present")
+
+    # Half a period out of phase with the reports: each one sees a change.
+    sim.schedule_at(TELEMETRY_PERIOD / 2, sim.every, TELEMETRY_PERIOD, walk)
 
     long_partition_plan(start=PARTITION_START, hours=PARTITION_HOURS).apply(dep)
     # A dictionary with no hit: the full wave fires (12 attempts in 1.2 s),
@@ -142,10 +163,10 @@ def run_scenario(durable: bool, dlq_sample_path: str | None = None) -> dict[str,
         device.stop_telemetry()
     dep.run(until=HORIZON + DRAIN)
 
-    emitted = len(dep.cluster.alerts)
-    # Every alert arrival the controller actually processed, by the same
+    # View deltas the taps sent and the controller applied, by the same
     # registry series in both arms, whatever the transport underneath.
-    received = int(sum(c.value for c in sim.metrics.series("controller_alerts")))
+    emitted = int(sum(c.value for c in sim.metrics.series("mbox_view_deltas")))
+    received = int(sum(c.value for c in sim.metrics.series("controller_view_deltas")))
     posture = dep.orchestrator.posture_of("dev0")
     result: dict[str, Any] = {
         "arm": "durable" if durable else "lossy",
@@ -224,13 +245,13 @@ def test_e14_durable_telemetry(scenario_benchmark):
     # -- this is what lets CI gate on these numbers across machines.
     assert run_arms() == results
 
-    # Both arms emit the same alert stream up to the heal; they diverge
+    # Both arms send the same view deltas up to the heal; they diverge
     # only afterwards, when the durable arm's enforcement re-postures the
     # attacked camera (its chain stops tapping telemetry).
     assert lossy["emitted"] > 1500 and durable["emitted"] > 1500
-    # Only the durable arm delivers everything it emitted: zero loss
-    # across the multi-hour partition (the issue's acceptance bound),
-    # against hundreds of records vanished with the lossy wire.
+    # Only the durable arm applies every change it sent: zero lost
+    # changes across the multi-hour partition, against hundreds vanished
+    # with the lossy wire.
     assert durable["telemetry_loss"] == 0
     assert lossy["telemetry_loss"] > 100
     # Bounded memory: the buffer rode out the outage inside its ring --

@@ -40,7 +40,7 @@ from repro.core.pipeline import (
     ReactivePipeline,
 )
 from repro.core.view import GlobalView
-from repro.obs.stream import DeadLetterQueue, StreamConsumer
+from repro.obs.stream import VIEW_DELTA, DeadLetterQueue, StreamConsumer
 from repro.policy.context import NORMAL, SEVERITY, UNPATCHED
 from repro.policy.fsm import PolicyFSM
 from repro.sdn.channel import ControlChannel, ControlMessage
@@ -119,6 +119,7 @@ class IoTSecController:
         # resolve through one dict lookup.
         self._control_dispatch: dict[str, Any] = {
             "context": self._on_context_message,
+            VIEW_DELTA: self._on_delta_message,
         }
         #: Durable telemetry plane (opt-in): the consumer end of every
         #: host's store-and-forward stream, plus the dead-letter queue for
@@ -131,7 +132,7 @@ class IoTSecController:
                 sim,
                 channel,
                 name,
-                deliver=self._on_alert,
+                deliver=self._on_stream_record,
                 dlq=self.dlq,
                 defer=self._defer_bulk,
                 host_trust=host_trust,
@@ -148,6 +149,8 @@ class IoTSecController:
             "controller_packet_ins", fn=lambda: self.packet_ins, **self.metric_labels
         )
         self._alert_counters: dict[str, Any] = {}
+        #: ``controller_view_deltas``, registered at the first delta.
+        self._delta_counter: Any = None
 
     # ------------------------------------------------------------------
     # Pipeline-derived state (kept as attributes of the controller so the
@@ -257,6 +260,26 @@ class IoTSecController:
         if handler is not None:
             handler(message)
 
+    def _on_delta_message(self, message: ControlMessage) -> None:
+        self._apply_delta(message.body)
+
+    def _on_stream_record(self, body: dict[str, Any], sent_at: float) -> None:
+        """One record the durable stream consumed: a delta or an alert."""
+        if body.get("kind") == VIEW_DELTA:
+            self._apply_delta(body)
+        else:
+            self._on_alert(body, sent_at)
+
+    def _apply_delta(self, body: dict[str, Any]) -> None:
+        """A view delta: set the device's view keys, no alert behind it."""
+        counter = self._delta_counter
+        if counter is None:
+            counter = self._delta_counter = self.sim.metrics.counter(
+                "controller_view_deltas", **self.metric_labels
+            )
+        counter.inc()
+        self._ingest_telemetry(str(body.get("device", "")), body)
+
     def _on_context_message(self, message: ControlMessage) -> None:
         variable = str(message.body.get("variable", ""))
         level = str(message.body.get("level", ""))
@@ -350,6 +373,8 @@ class IoTSecController:
             tracer.pop()
 
     def _ingest_telemetry(self, device: str, detail: dict[str, Any]) -> None:
+        """Set ``dev:`` and ``env:`` view keys from ``detail``'s ``state``
+        and ``readings`` (a view delta, or an alert of kind telemetry)."""
         state = detail.get("state")
         if state is not None:
             self.view.set(f"dev:{device}", str(state))

@@ -43,6 +43,7 @@ from repro.mboxes.base import Alert, MboxHost, Verdict
 from repro.mboxes.manager import MboxManager
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import Topology
+from repro.obs.stream import VIEW_DELTA
 from repro.policy.builder import PolicyBuilder
 from repro.policy.context import COMPROMISED, SUSPICIOUS
 from repro.policy.fsm import PolicyFSM
@@ -382,8 +383,10 @@ class SecuredDeployment:
         controller.watch_environment(self.env)
         for device in self.devices.values():
             controller.register_device(device)
-        # µmbox alerts travel the control channel to the controller.
+        # µmbox alerts and view deltas travel the control channel to the
+        # controller.
         self.cluster.alert_sink = self._forward_alert
+        self.cluster.delta_sink = self._forward_delta
         # The cluster's context view is the controller's global view.
         self.cluster.view = lambda key: (
             self.controller.view.get(key) if self.controller else None
@@ -452,10 +455,14 @@ class SecuredDeployment:
         The cluster's alert sink and view closures resolve
         ``self.controller`` dynamically, so rebinding the attribute is
         enough for the data path; backpressure and the checkpoint loop
-        are re-wired to the new instance.  Only first boot replicates to
-        the standby -- after a restart or takeover that seat is empty.
+        are re-wired to the new instance.  The cluster's taps forget what
+        they reported, so every device's next report reaches the new
+        view.  Only first boot replicates to the standby -- after a
+        restart or takeover that seat is empty.
         """
         self.controller = controller
+        if self.cluster is not None:
+            self.cluster.resync()
         if controller.ingest is not None and self.cluster is not None:
             controller.ingest.on_shed = self.cluster.set_backpressure
         if self.checkpoint_store is not None:
@@ -524,8 +531,19 @@ class SecuredDeployment:
             # alert is a lost re-enforcement, so they ride the cluster's
             # lane to the controller when the deployment opts into
             # reliable control.
-            reliable=self.spec.reliable_control and alert.kind != "telemetry",
+            reliable=self.spec.reliable_control,
         )
+
+    def _forward_delta(self, device: str, state: Any, readings: Any) -> None:
+        # The readings are shared, not copied (see _forward_alert).  A delta
+        # takes the telemetry transport: the stream's bulk lane when
+        # durable, else one unreliable send -- a lost one is re-sent by the
+        # tap's heartbeat.
+        body = {"device": device, "kind": VIEW_DELTA, "state": state, "readings": readings}
+        if self.host_stream is not None:
+            self.host_stream.offer(VIEW_DELTA, body)
+        else:
+            self.channel.send(self.CLUSTER, self.CONTROLLER, VIEW_DELTA, body)
 
     # ------------------------------------------------------------------
     # Enforcement helpers

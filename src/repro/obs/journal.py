@@ -26,8 +26,8 @@ Design constraints (shared with the rest of :mod:`repro.obs`):
   eviction bookkeeping runs only on segment boundaries, so the per-call
   cost is amortized exactly as in a buffer-then-ship telemetry pipeline.
   Per-packet PASS verdicts are *not* journaled (only drops, alerts, and
-  control-plane actions are security-relevant); routine ``telemetry``
-  alerts are excluded like they are from tracing.
+  control-plane actions are security-relevant), and neither are view
+  deltas: device telemetry is view state, not an alert.
 - **Disableable.**  ``Journal(enabled=False)`` (what
   ``Simulator(observe=False)`` creates) makes ``record`` a no-op, so the
   overhead bench measures the journal's cost along with the rest of the
@@ -42,10 +42,6 @@ from collections import deque
 from typing import Any, Callable, Iterator
 
 __all__ = ["Journal", "JournalEntry"]
-
-#: Alert kinds never journaled: routine streams whose volume would evict
-#: the security-relevant evidence (mirrors ``UNTRACED_ALERT_KINDS``).
-UNJOURNALED_ALERT_KINDS = frozenset({"telemetry"})
 
 
 class JournalEntry:

@@ -9,10 +9,10 @@ This module closes that gap with three cooperating parts:
 - :class:`HostStream` (µmbox-host side): two offset lanes
   (:class:`~repro.sdn.channel.OffsetLane`, the channel's one at-least-once
   protocol) to the controller -- ``urgent`` for security alerts, ``bulk``
-  for telemetry, so enforcement evidence never queues behind a telemetry
-  backlog.  The lanes number records by offset, ship them in order as
-  ``stream`` batches, free fully-acked segments first, and re-send the
-  unacked suffix while the controller is reachable.  The stream's own
+  for telemetry (view deltas), so enforcement evidence never queues
+  behind a telemetry backlog.  The lanes number records by offset, ship
+  them in order as ``stream`` batches, free fully-acked segments first,
+  and re-send the unacked suffix while the controller is reachable.  The stream's own
   rule is bulk eviction: over capacity, the bulk lane drops its oldest
   *unacknowledged* records (counted and journaled, never silent) and
   advertises the hole as its replay ``base``; the urgent lane **never**
@@ -71,6 +71,7 @@ __all__ = [
     "StreamConfig",
     "StreamConsumer",
     "StreamRecord",
+    "VIEW_DELTA",
     "lane_for",
     "validate_record",
 ]
@@ -81,12 +82,16 @@ LANE_URGENT = "urgent"
 LANE_BULK = "bulk"
 LANES = (LANE_URGENT, LANE_BULK)
 
+#: The kind of a view delta: a device's ``state`` and ``readings`` as its
+#: µmbox's telemetry tap forwards them, on the wire and in a stream record.
+VIEW_DELTA = "view-delta"
+
 _INF = float("inf")
 
 
 def lane_for(kind: str) -> str:
-    """Which lane an alert kind rides: telemetry is bulk, the rest urgent."""
-    return LANE_BULK if kind == "telemetry" else LANE_URGENT
+    """Which lane a record kind rides: telemetry is bulk, the rest urgent."""
+    return LANE_BULK if kind == VIEW_DELTA or kind == "telemetry" else LANE_URGENT
 
 
 @dataclass(frozen=True)
@@ -512,9 +517,9 @@ def _plain(value: Any) -> Any:
 class StreamConsumer:
     """The controller's end of the durable stream: in-order consumption.
 
-    ``deliver(body, sent_at)`` is the existing alert ingress
-    (:meth:`IoTSecController._on_alert`), so replayed records flow through
-    the same escalation/telemetry path as live ones -- stamped with their
+    ``deliver(body, sent_at)`` is the controller's record ingress
+    (:meth:`IoTSecController._on_stream_record`), so replayed alerts and
+    view deltas take the same path as live ones -- stamped with their
     *birth* time, which is what makes post-outage timelines honest.
 
     It is the receiver half of each host's two lanes: one consumed

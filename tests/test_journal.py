@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.netsim.simulator import Simulator
-from repro.obs.journal import UNJOURNALED_ALERT_KINDS, Journal
+from repro.obs.journal import Journal
 
 
 def _clocked(start: float = 0.0):
@@ -53,9 +53,6 @@ class TestRecording:
         assert journal.record("alert", device="cam") is None
         assert journal.recorded == 0 and len(journal) == 0
         assert list(journal) == []
-
-    def test_telemetry_is_excluded_by_convention(self):
-        assert "telemetry" in UNJOURNALED_ALERT_KINDS
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -20,20 +20,22 @@ from repro.netsim.packet import Packet
 
 class _RecordingContext(MboxContext):
     """Regains ``__dict__`` (MboxContext is slotted) so the fixture can
-    attach the captured alerts list."""
+    attach the captured alerts and view deltas."""
 
 
 @pytest.fixture
 def ctx(sim):
-    alerts = []
+    alerts, deltas = [], []
     context = _RecordingContext(
         sim=sim,
         mbox_name="mbox-test",
         device="dev",
         view=lambda key: {"env:occupancy": "present"}.get(key),
         emit_alert=alerts.append,
+        emit_delta=lambda *delta: deltas.append(delta),
     )
     context.alerts = alerts  # type: ignore[attr-defined]
+    context.deltas = deltas  # type: ignore[attr-defined]
     return context
 
 
@@ -272,13 +274,13 @@ class TestLoggerAndTap:
         )
         verdict, __ = tap.process(report, ctx)
         assert verdict is Verdict.PASS
-        assert ctx.alerts[0].kind == "telemetry"
-        assert ctx.alerts[0].detail["state"] == "on"
+        assert ctx.deltas == [("dev", "on", {"person": "present"})]
+        assert ctx.alerts == []  # a view delta, not an alert
 
     def test_tap_ignores_non_telemetry(self, ctx):
         tap = TelemetryTap()
         tap.process(from_device({"action": "other"}), ctx)
-        assert ctx.alerts == []
+        assert ctx.alerts == [] and ctx.deltas == []
 
 
 class TestMboxPipeline:

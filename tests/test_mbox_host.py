@@ -146,64 +146,6 @@ def test_inner_packet_not_mutated_across_inspection(sim, rig):
     assert returned.pkt_id != inner.pkt_id
 
 
-class TestBackpressureWindow:
-    """Shed-mode sampling journals what it elided, per device, per window."""
-
-    def _telemetry(self, host, device, n):
-        from repro.mboxes.base import Alert
-
-        for i in range(n):
-            host._on_alert(
-                Alert(at=host.sim.now, mbox="m1", device=device, kind="telemetry")
-            )
-
-    def test_window_release_journals_elided_counts(self, sim, rig):
-        host, __ = rig
-        host.backpressure_sample = 4
-        host.set_backpressure(True)
-        self._telemetry(host, "cam", 8)   # 1-in-4 forwarded: 6 elided
-        self._telemetry(host, "plug", 4)  # continues the same 1-in-4 stream
-        host.set_backpressure(False)
-        elided = sim.journal.entries(kind="telemetry-elided")
-        assert [(e.device, e.fields["count"]) for e in elided] == [
-            ("cam", 6),
-            ("plug", 3),
-        ]
-        assert all(e.fields["since"] == 0.0 for e in elided)
-        assert host.telemetry_suppressed == 9
-
-    def test_each_window_journals_separately(self, sim, rig):
-        host, __ = rig
-        host.backpressure_sample = 2
-        for __unused in range(2):
-            host.set_backpressure(True)
-            self._telemetry(host, "cam", 4)
-            host.set_backpressure(False)
-        elided = sim.journal.entries(kind="telemetry-elided")
-        assert len(elided) == 2
-        assert all(e.device == "cam" for e in elided)
-
-    def test_clean_window_journals_nothing(self, sim, rig):
-        host, __ = rig
-        host.set_backpressure(True)
-        host.set_backpressure(False)
-        assert sim.journal.entries(kind="telemetry-elided") == []
-
-    def test_sampling_skipped_when_stream_attached(self, sim, rig):
-        """With a durable stream, nothing is sampled away locally: the
-        consumer defers bulk records into the buffer instead."""
-        host, __ = rig
-        forwarded = []
-        host.alert_sink = forwarded.append
-        host.attach_stream(object())  # any attached stream disables sampling
-        host.set_backpressure(True)
-        self._telemetry(host, "cam", 8)
-        host.set_backpressure(False)
-        assert len(forwarded) == 8
-        assert host.telemetry_suppressed == 0
-        assert sim.journal.entries(kind="telemetry-elided") == []
-
-
 class TestSenderPacketIsNeverShared:
     """Inspection works on copies: whatever a rewriting element or the
     return path writes, the sender's ``Packet`` object does not see it."""
