@@ -23,9 +23,9 @@ that leaves out how many rules each ``epoch-commit`` installed and
 removed: what an epoch *carries* is the updater's business and may be
 re-recorded with it; when, why and in what order epochs commit may not
 move with it, and the masked digest is what says so.  e9-small additionally
-pins what the journal cannot see (``state``): telemetry alerts are
-deliberately unjournaled, so the alert -> channel -> controller -> view leg
-and the per-hop counters are digested from the objects themselves.
+pins what the journal cannot see (``state``): view deltas are not
+journaled, so the tap -> channel -> controller -> view leg and the
+per-hop counters are digested from the objects themselves.
 Re-record (only after an *intentional* behavior change) with::
 
     REPRO_RECORD_FIXTURES=1 PYTHONPATH=src python -m pytest \

@@ -4,7 +4,7 @@ Counts Python-level ``call`` events (``sys.setprofile``) per end-host
 packet delivered on a fixed seeded site -- e9-small at 2 s telemetry, warmed
 up, over a fixed simulated window -- so a trampoline added to the fast path
 (device -> edge -> tunnel -> MboxHost -> chain -> tunnel back -> edge -> hub,
-plus the telemetry alert -> channel -> controller -> view leg) fails a
+plus the view delta -> channel -> controller -> view leg) fails a
 deterministic test instead of a noisy benchmark.  No timing is involved.
 
 Before the path was put on this budget the same window read 74.42 calls a
@@ -14,8 +14,9 @@ plain forwarding to 22.67, and with ``Link.transmit`` and the ``every()``
 re-arm pushing their own heap entries (one frame less per hop and per timer
 tick) they read 47.26 and 19.51, with no event bus copying every alert
 the four-hop path read 46.26, with no metadata record built by the
-packet logger 45.76, and with the channel pushing an alert's delivery
-itself it reads 45.26 now (Python 3.11; the ledger
+packet logger 45.76, with the channel pushing an alert's delivery
+itself 45.26, and with telemetry sent as change-only view deltas instead
+of one alert a report it reads 38.96 now (Python 3.11; the ledger
 benchmark's ``home-steady`` mix, 80 devices, read 71.1 -> 49.1 -> 40.4 with
 its blind flows offloaded -> 36.2 -> 34.2, and its ``bare-forward`` 23.9 ->
 19.4 -> 16.4).
@@ -25,21 +26,23 @@ newer one.
 
 The stack has three budgets.  The home *as built* pins every device, so the
 flows its chains are blind to (the cameras' and plugs' reports to the hub,
-half of the packets) take two hops: 36.26 calls and 1,680 events.  The same
-home *unpinned* -- same chains, no offload rule, every packet through its
-µmbox -- is the full four-hop path at 45.26 / 2,040 (the events it was put
-on), so the tunnel, host and chain stay guarded.  The home as built with
-``durable_telemetry=True`` sends every alert through the host's stream
-buffer, the consumer's in-order batches and their acks: 41.67 / 1,590 (it
-read 45.42 while each record was re-built, re-copied and checked through
-the ABCs on its way).
+half of the packets) take two hops: 29.96 calls and 1,512 events (36.26 and
+1,680 while every report crossed the channel as an alert).  The same home
+*unpinned* -- same chains, no offload rule, every packet through its µmbox
+-- is the full four-hop path at 38.96 / 1,872 (45.26 / 2,040 before), so
+the tunnel, host and chain stay guarded.  The home as built with
+``durable_telemetry=True`` sends every alert and view delta through the
+host's stream buffer, the consumer's in-order batches and their acks:
+30.26 / 1,506 (41.67 / 1,590 with a record a report; 45.42 while each
+record was re-built, re-copied and checked through the ABCs on its way).
 
 The stack paths also pin what the run *keeps*: the growth in GC-tracked
 objects over the window, each end read once tracking has settled (see
-:func:`tracked_objects`).  It is 360 objects for the 360 packets on each
-path, all of it the alert log (``MboxHost.alerts``: one telemetry ``Alert``
-and its detail dict per two packets).  A per-packet list, dict or record
-anywhere on the path adds at least 360 and fails deterministically.
+:func:`tracked_objects`).  It is 0 objects for the 360 packets on each
+path (it was 360, the alert log's telemetry ``Alert`` and detail dict per
+two packets, until reports became view deltas).  A per-packet list, dict
+or record anywhere on the path adds at least 360 and fails
+deterministically.
 
 An attacker's state is pinned the same way on an attack-shaped window: a
 steady stream of requests that a default-deny firewall drops, read at two
@@ -72,19 +75,19 @@ WINDOW = 60.0
 PARENT_STACK = 74.42
 #: What each path achieves now, plus two calls of slack (the bare ceiling
 #: sits below the 27.17 of that commit).
-STACK_CEILING = 38.3
-FOUR_HOP_CEILING = 47.3
-DURABLE_CEILING = 43.7
+STACK_CEILING = 32.0
+FOUR_HOP_CEILING = 41.0
+DURABLE_CEILING = 32.3
 BARE_CEILING = 21.6
 #: GC-tracked objects the window may leave behind on any stack path: the
-#: 360 measured now, plus a little slack.
-RETAINED_CEILING = 365
+#: 0 measured now, plus a little slack.
+RETAINED_CEILING = 5
 #: Simulated work in the window.  The four-hop and bare counts are those
 #: of that commit (the budget removed calls, never events); a blind flow
 #: saves two events a packet, 180 packets of the 360; the durable stream
-#: batches its sends.
-STACK_EVENTS, FOUR_HOP_EVENTS, BARE_EVENTS, PACKETS = 1680, 2040, 1140, 360
-DURABLE_EVENTS = 1590
+#: batches its sends; a report that changes nothing sends no view delta.
+STACK_EVENTS, FOUR_HOP_EVENTS, BARE_EVENTS, PACKETS = 1512, 1872, 1140, 360
+DURABLE_EVENTS = 1506
 #: The attack-shaped window: one request every 1/16 s (an exact binary
 #: fraction, so both horizons end on a request), each dropped.
 ATTACK_PERIOD = 1 / 16
