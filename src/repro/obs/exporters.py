@@ -28,10 +28,12 @@ HELP_TEXT: dict[str, str] = {
     "sim_events_processed": "Total simulator events executed",
     "sim_events_pending": "Scheduled events not yet fired",
     "mbox_alerts": "Security alerts raised by mbox elements, by kind",
+    "mbox_view_deltas": "Device state/readings changes forwarded by telemetry taps",
     "mbox_tunnelled_in": "Tunnelled packets entering the security cluster",
     "mbox_returned": "Inspected packets returned to the ingress switch",
     "mbox_unbound_drops": "Packets dropped for lack of a bound mbox",
     "controller_alerts": "Alerts ingested by the controller, by kind",
+    "controller_view_deltas": "View deltas applied to the controller's global view",
     "controller_packet_ins": "Reactive packet-in events at the controller",
     "pipeline_rounds": "Evaluation rounds flushed by the reactive pipeline",
     "pipeline_reaction_latency": "Trigger-to-apply latency in simulated seconds",
