@@ -23,7 +23,7 @@ Commands:
   built-ins ``standard`` and ``controller``, or a JSON file.
 - ``failover`` -- crash the controller mid-attack and compare cold
   restart against hot-standby failover (``--storm`` compares the ingest
-  queue's shedding arms under a 10x alert flood instead).
+  queue's two arms under a 10x alert flood instead).
 - ``dlq`` -- run the durable-telemetry home (store-and-forward buffers +
   offset-tracked replay) with a rogue peer injecting malformed and
   reputation-flagged stream records, then inspect the controller's
@@ -393,19 +393,20 @@ def cmd_failover(args: argparse.Namespace) -> int:
     Default: crash the controller mid-attack and compare the cold-restart
     blind window against hot-standby failover.  ``--storm``: flood the
     ingest queue 10x over its service rate and compare plain drop-tail
-    against prioritized shedding.
+    against the two-class priority queue.
     """
     if not args.storm:
         return _failover_comparison(args)
 
+    from repro.core.overload import CLASS_NAMES
     from repro.faults.scenario import arm_storm, measure_storm
 
     results = _arms(arm_storm, measure_storm, (False, True), seed=args.seed)
     fifo, shed = results
 
     def text() -> None:
-        _table(results, ("enforcing_processed_frac", "shed_transitions", "events"))
-        for cls in ("enforcing", "telemetry"):
+        _table(results, ("enforcing_processed_frac", "events"))
+        for cls in CLASS_NAMES:
             _row(f"p99_latency_s[{cls}]", [r["p99_latency_s"][cls] for r in results])
         print(
             f"\nenforcing alerts kept under the storm: "

@@ -26,13 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.core.orchestrator import PostureOrchestrator
-from repro.core.overload import (
-    CLASS_ENFORCING,
-    CLASS_MONITOR,
-    CLASS_TELEMETRY,
-    IngestConfig,
-    IngestQueue,
-)
+from repro.core.overload import CLASS_ENFORCING, CLASS_MONITOR, IngestConfig, IngestQueue
 from repro.core.pipeline import (
     DEFAULT_ESCALATIONS,
     EscalationRule,
@@ -134,7 +128,6 @@ class IoTSecController:
                 name,
                 deliver=self._on_stream_record,
                 dlq=self.dlq,
-                defer=self._defer_bulk,
                 host_trust=host_trust,
             )
             self._control_dispatch["stream"] = self.stream.on_batch
@@ -286,15 +279,8 @@ class IoTSecController:
         if variable:
             self.view.set(f"env:{variable}", level)
 
-    def _defer_bulk(self) -> bool:
-        """Shed mode: tell the stream consumer to leave bulk records in
-        the host buffer (defer-to-buffer) instead of dropping them."""
-        return self.ingest is not None and self.ingest.would_shed(CLASS_TELEMETRY)
-
-    def _alert_class(self, device: str, kind: str) -> int:
-        """Shedding priority: enforcing-posture alerts > monitor > telemetry."""
-        if kind == "telemetry":
-            return CLASS_TELEMETRY
+    def _alert_class(self, device: str) -> int:
+        """Shedding priority: alerts for enforcing postures before monitor."""
         posture = self.orchestrator.current.get(device)
         if (
             posture is not None
@@ -306,7 +292,6 @@ class IoTSecController:
 
     def _on_alert(self, body: dict[str, Any], sent_at: float) -> None:
         """Arrival: account for the alert, then queue or dispatch it."""
-        device = str(body.get("device", ""))
         kind = str(body.get("kind", ""))
         counter = self._alert_counters.get(kind)
         if counter is None:
@@ -317,9 +302,8 @@ class IoTSecController:
         counter.inc()
 
         if self.ingest is not None:
-            self.ingest.offer(self._alert_class(device, kind), (body, sent_at))
-        elif kind == "telemetry":
-            self._ingest_telemetry(device, body.get("detail") or {})
+            device = str(body.get("device", ""))
+            self.ingest.offer(self._alert_class(device), (body, sent_at))
         else:
             self._dispatch_alert(body, sent_at)
 
@@ -328,9 +312,6 @@ class IoTSecController:
         device = str(body.get("device", ""))
         kind = str(body.get("kind", ""))
         detail = body.get("detail") or {}  # read-only below; no copy needed
-        if kind == "telemetry":
-            self._ingest_telemetry(device, detail)
-            return
         # Continue the causal trace the µmbox started: the time between the
         # alert leaving the host and arriving here is control-channel cost.
         tracer = self.sim.tracer
@@ -373,8 +354,8 @@ class IoTSecController:
             tracer.pop()
 
     def _ingest_telemetry(self, device: str, detail: dict[str, Any]) -> None:
-        """Set ``dev:`` and ``env:`` view keys from ``detail``'s ``state``
-        and ``readings`` (a view delta, or an alert of kind telemetry)."""
+        """Set ``dev:`` and ``env:`` view keys from a view delta's
+        ``state`` and ``readings``."""
         state = detail.get("state")
         if state is not None:
             self.view.set(f"dev:{device}", str(state))

@@ -454,17 +454,15 @@ class SecuredDeployment:
 
         The cluster's alert sink and view closures resolve
         ``self.controller`` dynamically, so rebinding the attribute is
-        enough for the data path; backpressure and the checkpoint loop
-        are re-wired to the new instance.  The cluster's taps forget what
-        they reported, so every device's next report reaches the new
-        view.  Only first boot replicates to the standby -- after a
-        restart or takeover that seat is empty.
+        enough for the data path; the checkpoint loop is re-wired to the
+        new instance.  The cluster's taps forget what they reported, so
+        every device's next report reaches the new view.  Only first boot
+        replicates to the standby -- after a restart or takeover that seat
+        is empty.
         """
         self.controller = controller
         if self.cluster is not None:
             self.cluster.resync()
-        if controller.ingest is not None and self.cluster is not None:
-            controller.ingest.on_shed = self.cluster.set_backpressure
         if self.checkpoint_store is not None:
             if self.checkpointer is not None:
                 self.checkpointer.stop()

@@ -446,14 +446,15 @@ def _revive(
         checkpoint.policy if checkpoint is not None else fallback_policy
     )
     controller = site.new_controller(policy, site.CONTROLLER)
-    for device in site.devices.values():
-        controller.register_device(device)
-    # Registration marked every device dirty with its fresh NORMAL context.
-    # Flushing that round would re-derive *default* postures and tear down
+    # Registration marks every device dirty with its fresh NORMAL context.
+    # A round on that would re-derive *default* postures and tear down
     # anything stricter already on the wire (a monitor baseline, an
-    # operator's block).  Discard it: the checkpoint's dirty set is the
-    # authoritative open round, and reconcile() handles divergence.
-    controller.pipeline.halt()
+    # operator's block) -- at once, when the restart is called outside
+    # the event loop.  Discard it unflushed: the checkpoint's dirty set is
+    # the authoritative open round, and reconcile() handles divergence.
+    with controller.pipeline.discarding():
+        for device in site.devices.values():
+            controller.register_device(device)
     if checkpoint is not None:
         restore_checkpoint(controller, checkpoint)
     counts = replay_entries(controller, tail)

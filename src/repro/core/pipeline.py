@@ -31,8 +31,9 @@ remain immediately observable.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.obs import COUNT_BUCKETS
 from repro.policy.context import COMPROMISED, SEVERITY, SUSPICIOUS
@@ -197,6 +198,8 @@ class ReactivePipeline:
         #: open round
         self._dirty: dict[str, tuple[str, float, int | None]] = {}
         self._flush_event: "Event | None" = None
+        #: Inside :meth:`discarding`: mark nothing for a round.
+        self._discarding = False
         self._refresh_policy_view()
         view.subscribe_dirty(self.ingest)
         # Observability: stage gauges are callbacks over ``stats`` (free on
@@ -279,7 +282,7 @@ class ReactivePipeline:
     # Stages 3 + 4: evaluate and actuate
     # ------------------------------------------------------------------
     def _schedule_flush(self) -> None:
-        if not self._dirty:
+        if not self._dirty or self._discarding:
             return
         if self.sim.executing:
             # Inside the event loop: coalesce every same-instant change
@@ -377,6 +380,18 @@ class ReactivePipeline:
             self.sim.cancel(self._flush_event)
             self._flush_event = None
         self._dirty.clear()
+
+    @contextmanager
+    def discarding(self) -> Iterator[None]:
+        """Open no round for the view changes made inside the block:
+        nothing flushes, in the event loop or outside it, and whatever
+        they marked dirty is dropped on exit."""
+        self._discarding = True
+        try:
+            yield
+        finally:
+            self._discarding = False
+            self.halt()
 
     # ------------------------------------------------------------------
     # Checkpoint support

@@ -261,13 +261,14 @@ class FaultPlan:
 
     @staticmethod
     def _start_storm(dep: "SecuredDeployment", event: FaultEvent) -> None:
-        """Arm a telemetry flood at the controller's ingest path.
+        """Arm an alert flood at the controller's ingest path.
 
         The storm models a compromised fleet (or buggy firmware) spraying
-        telemetry at ``intensity`` alerts/second over the event's window,
-        round-robin across the target devices.  It rides the ordinary
-        control channel, so it competes with real alerts exactly the way
-        the load-shedding queue is designed to arbitrate.
+        ``storm`` alerts, a kind no escalation rule names, at ``intensity``
+        alerts/second over the event's window, round-robin across the
+        target devices.  It rides the ordinary control channel, so it
+        competes with real alerts exactly the way the priority ingest
+        queue is designed to arbitrate.
         """
         targets = (
             sorted(dep.devices) if event.target == "*" else [event.target]
@@ -282,7 +283,7 @@ class FaultPlan:
             event.at + event.duration,
             lambda n: {
                 "device": targets[(n - 1) % len(targets)],
-                "kind": "telemetry",
+                "kind": "storm",
                 "detail": {"storm": True, "n": n},
             },
         )

@@ -237,8 +237,6 @@ class MboxHost(Node):
         self.unbound_drops = 0
         self.down_drops = 0
         self.fail_open_passes = 0
-        #: Controller backpressure (alert-storm shedding), as last signalled.
-        self.backpressure = False
         #: Optional durable store-and-forward stream
         #: (:class:`repro.obs.stream.HostStream`).
         self.stream = None
@@ -408,15 +406,6 @@ class MboxHost(Node):
     def attach_stream(self, stream) -> None:
         """Install a durable store-and-forward stream for this host's alerts."""
         self.stream = stream
-
-    def set_backpressure(self, active: bool) -> None:
-        """Controller shed-mode signal, journaled as it changes.
-
-        Nothing is sampled away here: alerts always go upstream, and a
-        view delta is a change the controller has not seen yet.
-        """
-        self.backpressure = active
-        self.sim.journal.record("backpressure", mbox=self.name, active=active)
 
     def _on_alert(self, alert: Alert) -> None:
         self.alerts.append(alert)

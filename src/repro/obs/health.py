@@ -505,7 +505,7 @@ def standard_slos(dep: SecuredDeployment, plane: HealthPlane) -> None:
             )
         )
 
-    # --- overload: enforcing-alert delivery under shedding ------------
+    # --- overload: enforcing-alert delivery under a full queue --------
     if getattr(dep.controller, "ingest", None) is not None:
         health.register("overload")
         slos.add(
@@ -523,14 +523,15 @@ def standard_slos(dep: SecuredDeployment, plane: HealthPlane) -> None:
             )
         )
 
-        def shed_probe() -> tuple[str, str] | None:
+        def full_probe() -> tuple[str, str] | None:
+            # A full queue evicts or drops what arrives next.
             ctrl = dep.controller
             queue = getattr(ctrl, "ingest", None) if ctrl is not None else None
-            if queue is not None and queue.shedding:
-                return (HEALTH_DEGRADED, "ingest queue in shed mode")
+            if queue is not None and queue.depth() >= queue.config.capacity:
+                return (HEALTH_DEGRADED, "ingest queue full")
             return None
 
-        health.probe("overload", shed_probe)
+        health.probe("overload", full_probe)
 
 
 def attach_health_plane(dep: SecuredDeployment, period: float = DEFAULT_PERIOD) -> HealthPlane:

@@ -257,11 +257,12 @@ def test_a_push_after_a_controller_restart_continues_the_epochs():
     assert orchestrator.repin("plug")
     dep.run(until=4.0)
     after = orchestrator.updater.reports[-1]
-    # The restart's own reconciliation pushed one in between (this policy
-    # hands the camera back to ``allow``); still uncommitted when the plug
-    # is re-pinned, its scope rides along, with the no rules it now has.
-    assert after.version == in_flight.version + 2 and after.committed_at is not None
+    # The restart pushed nothing in between: it keeps the camera's monitor
+    # posture rather than flushing a round of default postures.
+    assert orchestrator.current["cam"].name == "monitor"
+    assert after.version == in_flight.version + 1 and after.committed_at is not None
     assert after.rules_installed == len(live_group(dep, "plug")) == 5
-    assert {r.version for r in dep.edge.flow_table} == {after.version}
+    assert {r.version for r in live_group(dep, "plug")} == {after.version}
+    assert {r.version for r in live_group(dep, "cam")} == {in_flight.version}
     assert dep.edge.active_version == after.version
     assert_converged(dep)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.deployment import SecuredDeployment
 from repro.devices import protocol
 from repro.devices.library import smart_camera, smart_plug, window_actuator
+from repro.obs.stream import VIEW_DELTA
 from repro.policy.builder import PolicyBuilder
 from repro.policy.context import COMPROMISED, NORMAL, SUSPICIOUS
 from repro.policy.posture import block_commands
@@ -97,13 +98,13 @@ class TestPolicyLoop:
 class TestTelemetryIngestion:
     def test_telemetry_updates_device_state_and_env(self, dep):
         ctrl = dep.controller
-        ctrl._on_alert(
+        ctrl._apply_delta(
             {
                 "device": "cam",
-                "kind": "telemetry",
-                "detail": {"state": "recording", "readings": {"person": "present"}},
-            },
-            0.0,
+                "kind": VIEW_DELTA,
+                "state": "recording",
+                "readings": {"person": "present"},
+            }
         )
         assert ctrl.view.get("dev:cam") == "recording"
         assert ctrl.view.get("env:occupancy") == "present"

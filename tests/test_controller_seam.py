@@ -93,10 +93,7 @@ def test_every_incarnation_is_bound_the_same_way(
     dep, controller = incarnate(standby, ingest)
     assert controller is not None and not controller.crashed
     assert dep.controller is controller
-    if ingest:
-        assert controller.ingest.on_shed == dep.cluster.set_backpressure
-    else:
-        assert controller.ingest is None
+    assert (controller.ingest is not None) == ingest
     live = [cp for cp in checkpointers if cp._stops]
     assert live == [dep.checkpointer]
     assert dep.checkpointer.controller is controller

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.deployment import SecuredDeployment
 from repro.core.metrics import summarize
+from repro.core.overload import IngestConfig
 from repro.faults.scenario import (
     arm_health,
     e9_spec,
@@ -155,6 +156,21 @@ class TestDeploymentPlane:
             "stream-headroom",
             "checkpoint-staleness",
         } <= rich_names
+
+    def test_full_ingest_queue_degrades_overload(self):
+        """The overload probe reads degraded exactly while the ingest
+        queue is full, when the next arrival is evicted or dropped."""
+        dep = build_home(ingest=IngestConfig(capacity=2, service_time=1.0))
+        health = dep.health_plane.health
+        alert = {"device": "cam", "kind": "port-scan", "detail": {}}
+        dep.controller._on_alert(alert, 0.0)
+        assert health.state_of("overload") == HEALTH_OK
+        dep.controller._on_alert(alert, 0.0)
+        assert dep.controller.ingest.depth() == 2
+        assert health.state_of("overload") == HEALTH_DEGRADED
+        assert health.reasons_of("overload") == ["ingest queue full"]
+        dep.run(until=1.0)  # one serviced: room again
+        assert health.state_of("overload") == HEALTH_OK
 
     def test_fresh_deployment_rolls_up_ok(self):
         dep = build_home()

@@ -308,6 +308,7 @@ class TestFailoverCli:
         assert main(["failover", "--storm"]) == 0
         out = capsys.readouterr().out
         assert "fifo" in out and "shed" in out
+        assert "p99_latency_s[monitor]" in out
         assert "enforcing alerts kept" in out
 
     def test_failover_json(self, capsys):

@@ -1,14 +1,8 @@
-"""Tests for the bounded priority ingest queue (alert-storm shedding)."""
+"""Tests for the bounded priority ingest queue (enforcing before monitor)."""
 
 import pytest
 
-from repro.core.overload import (
-    CLASS_ENFORCING,
-    CLASS_MONITOR,
-    CLASS_TELEMETRY,
-    IngestConfig,
-    IngestQueue,
-)
+from repro.core.overload import CLASS_ENFORCING, CLASS_MONITOR, IngestConfig, IngestQueue
 
 
 def make_queue(sim, handled, **kwargs):
@@ -21,12 +15,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             IngestConfig(capacity=0)
 
-    def test_rejects_bad_watermarks(self):
-        with pytest.raises(ValueError):
-            IngestConfig(low_watermark=0.8, high_watermark=0.5)
-        with pytest.raises(ValueError):
-            IngestConfig(low_watermark=0.0)
-
     def test_rejects_negative_service_time(self):
         with pytest.raises(ValueError):
             IngestConfig(service_time=-1.0)
@@ -36,22 +24,20 @@ class TestPriorityService:
     def test_strict_class_order(self, sim):
         handled = []
         q = make_queue(sim, handled, capacity=8, service_time=0.01)
-        q.offer(CLASS_TELEMETRY, "t1")
         q.offer(CLASS_MONITOR, "m1")
         q.offer(CLASS_ENFORCING, "e1")
-        q.offer(CLASS_TELEMETRY, "t2")
+        q.offer(CLASS_MONITOR, "m2")
+        q.offer(CLASS_ENFORCING, "e2")
         sim.run()
-        assert handled == ["e1", "m1", "t1", "t2"]
+        assert handled == ["e1", "e2", "m1", "m2"]
 
     def test_fifo_mode_is_arrival_order(self, sim):
         handled = []
-        q = make_queue(
-            sim, handled, capacity=8, service_time=0.01, prioritized=False, shed=False
-        )
-        q.offer(CLASS_TELEMETRY, "t1")
+        q = make_queue(sim, handled, capacity=8, service_time=0.01, prioritized=False)
+        q.offer(CLASS_MONITOR, "m1")
         q.offer(CLASS_ENFORCING, "e1")
         sim.run()
-        assert handled == ["t1", "e1"]
+        assert handled == ["m1", "e1"]
 
     def test_service_rate_paces_handling(self, sim):
         handled = []
@@ -67,114 +53,30 @@ class TestPriorityService:
 class TestEviction:
     def test_full_queue_evicts_newest_lower_class(self, sim):
         handled = []
-        q = make_queue(sim, handled, capacity=2, service_time=1.0, shed=False)
-        assert q.offer(CLASS_TELEMETRY, "t1")
-        assert q.offer(CLASS_TELEMETRY, "t2")
-        # Full.  An enforcing arrival evicts the *newest* telemetry entry.
+        q = make_queue(sim, handled, capacity=2, service_time=1.0)
+        assert q.offer(CLASS_MONITOR, "m1")
+        assert q.offer(CLASS_MONITOR, "m2")
+        # Full.  An enforcing arrival evicts the *newest* monitor entry.
         assert q.offer(CLASS_ENFORCING, "e1")
-        assert q.dropped[CLASS_TELEMETRY] == 1
+        assert q.dropped[CLASS_MONITOR] == 1
         sim.run()
-        assert handled == ["e1", "t1"]
+        assert handled == ["e1", "m1"]
 
     def test_equal_class_is_dropped_not_evicted(self, sim):
         handled = []
-        q = make_queue(sim, handled, capacity=1, service_time=1.0, shed=False)
+        q = make_queue(sim, handled, capacity=1, service_time=1.0)
         assert q.offer(CLASS_ENFORCING, "e1")
         assert not q.offer(CLASS_ENFORCING, "e2")
         assert q.dropped[CLASS_ENFORCING] == 1
 
     def test_fifo_mode_is_drop_tail(self, sim):
         handled = []
-        q = make_queue(
-            sim, handled, capacity=1, service_time=1.0, prioritized=False, shed=False
-        )
-        assert q.offer(CLASS_TELEMETRY, "t1")
+        q = make_queue(sim, handled, capacity=1, service_time=1.0, prioritized=False)
+        assert q.offer(CLASS_MONITOR, "m1")
         assert not q.offer(CLASS_ENFORCING, "e1")
         assert q.dropped[CLASS_ENFORCING] == 1
         sim.run()
-        assert handled == ["t1"]
-
-
-class TestShedMode:
-    def test_watermark_enter_and_exit(self, sim):
-        handled = []
-        q = make_queue(
-            sim,
-            handled,
-            capacity=10,
-            service_time=0.01,
-            high_watermark=0.5,
-            low_watermark=0.2,
-        )
-        shed_signals = []
-        q.on_shed = shed_signals.append
-        for i in range(5):
-            q.offer(CLASS_MONITOR, i)
-        assert q.shedding  # depth hit 5 >= 0.5 * 10
-        # Telemetry is refused at the door while shedding.
-        assert not q.offer(CLASS_TELEMETRY, "t")
-        assert q.dropped[CLASS_TELEMETRY] == 1
-        # Higher classes are still admitted.
-        assert q.offer(CLASS_ENFORCING, "e")
-        sim.run()
-        assert not q.shedding  # drained below 0.2 * 10
-        assert shed_signals == [True, False]
-        assert q.shed_transitions == 2
-
-    def test_shed_transitions_journaled(self, sim):
-        handled = []
-        q = make_queue(
-            sim, handled, capacity=4, service_time=0.01, high_watermark=0.5
-        )
-        for i in range(2):
-            q.offer(CLASS_TELEMETRY, i)
-        sim.run()
-        kinds = [e.kind for e in sim.journal.entries() if e.kind.startswith("shed")]
-        assert kinds == ["shed-on", "shed-off"]
-
-    def test_shed_disabled_never_triggers(self, sim):
-        handled = []
-        q = make_queue(sim, handled, capacity=2, service_time=0.01, shed=False)
-        q.offer(CLASS_TELEMETRY, "t1")
-        q.offer(CLASS_TELEMETRY, "t2")
-        assert not q.shedding and q.shed_transitions == 0
-
-
-class TestWouldShed:
-    def test_reflects_shed_state_and_class(self, sim):
-        handled = []
-        q = make_queue(
-            sim, handled, capacity=10, service_time=0.01, high_watermark=0.5
-        )
-        assert not q.would_shed(CLASS_TELEMETRY)
-        for i in range(5):
-            q.offer(CLASS_MONITOR, i)
-        assert q.shedding
-        # Only telemetry is sheddable; higher classes always pass.
-        assert q.would_shed(CLASS_TELEMETRY)
-        assert not q.would_shed(CLASS_MONITOR)
-        assert not q.would_shed(CLASS_ENFORCING)
-        sim.run()
-        assert not q.would_shed(CLASS_TELEMETRY)
-
-    def test_false_when_shedding_disabled(self, sim):
-        handled = []
-        q = make_queue(sim, handled, capacity=2, service_time=1.0, shed=False)
-        q.offer(CLASS_TELEMETRY, "t1")
-        q.offer(CLASS_TELEMETRY, "t2")
-        assert not q.would_shed(CLASS_TELEMETRY)
-
-    def test_offer_uses_the_same_predicate(self, sim):
-        """``offer`` refuses telemetry exactly when ``would_shed`` says so
-        -- the defer-to-buffer consumer relies on this equivalence."""
-        handled = []
-        q = make_queue(
-            sim, handled, capacity=10, service_time=0.01, high_watermark=0.5
-        )
-        for i in range(5):
-            q.offer(CLASS_MONITOR, i)
-        assert q.would_shed(CLASS_TELEMETRY)
-        assert not q.offer(CLASS_TELEMETRY, "t")
+        assert handled == ["m1"]
 
 
 class TestClear:
@@ -182,7 +84,7 @@ class TestClear:
         handled = []
         q = make_queue(sim, handled, capacity=8, service_time=0.5)
         q.offer(CLASS_ENFORCING, "e1")
-        q.offer(CLASS_TELEMETRY, "t1")
+        q.offer(CLASS_MONITOR, "m1")
         assert q.clear() == 2
         sim.run()
         assert handled == [] and q.depth() == 0

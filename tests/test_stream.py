@@ -17,6 +17,7 @@ from repro.netsim.simulator import Simulator
 from repro.obs.stream import (
     LANE_BULK,
     LANE_URGENT,
+    VIEW_DELTA,
     DeadLetterQueue,
     HostStream,
     StreamConfig,
@@ -224,7 +225,8 @@ class TestValidateRecord:
         assert validate_record(record) == expected
 
     def test_lane_for(self):
-        assert lane_for("telemetry") == LANE_BULK
+        assert lane_for(VIEW_DELTA) == LANE_BULK
+        assert lane_for("storm") == LANE_URGENT
         assert lane_for("port-scan") == LANE_URGENT
         assert lane_for("login-rejected") == LANE_URGENT
 
@@ -408,7 +410,7 @@ class TestDeadLetterQueue:
 class Rig:
     """One host stream wired to one consumer over a real control channel."""
 
-    def __init__(self, sim, config=None, defer=None, latency=0.001):
+    def __init__(self, sim, config=None, latency=0.001):
         self.sim = sim
         self.channel = ControlChannel(sim, latency=latency)
         self.delivered: list[tuple[dict, float]] = []
@@ -419,7 +421,6 @@ class Rig:
             "ctrl",
             deliver=lambda body, at: self.delivered.append((body, at)),
             dlq=self.dlq,
-            defer=defer,
         )
         self.channel.register("ctrl", self._dispatch)
         self.stream = HostStream(
@@ -457,10 +458,10 @@ class TestEndToEnd:
         for i in range(6):
             rig.stream.offer("port-scan", body(i))
         for i in range(6, 9):
-            rig.stream.offer("telemetry", body(i, kind="telemetry"))
+            rig.stream.offer(VIEW_DELTA, body(i, kind=VIEW_DELTA))
         sim.run(until=5.0)
         assert [b["detail"]["i"] for b in rig.bodies("port-scan")] == [0, 1, 2, 3, 4, 5]
-        assert [b["detail"]["i"] for b in rig.bodies("telemetry")] == [6, 7, 8]
+        assert [b["detail"]["i"] for b in rig.bodies(VIEW_DELTA)] == [6, 7, 8]
         assert rig.stream.outstanding() == 0
         # Fully acked: both lanes drained back to zero retained records.
         assert all(lane.depth() == 0 for lane in rig.stream.lanes.values())
@@ -501,22 +502,6 @@ class TestEndToEnd:
         # only the probe-free buffering path: zero "stream" sends).
         assert rig.stream.batches_sent == 0
         assert rig.stream.skipped_unreachable > 0
-
-    def test_shed_defers_bulk_to_buffer_then_replays(self, sim):
-        shed = {"on": True}
-        rig = Rig(sim, defer=lambda: shed["on"])
-        for i in range(4):
-            rig.stream.offer("telemetry", body(i, kind="telemetry"))
-        rig.stream.offer("port-scan", body(99))
-        sim.run(until=3.0)
-        # Urgent records flow during shed; bulk is deferred, not dropped.
-        assert [b["detail"]["i"] for b in rig.bodies()] == [99]
-        assert rig.consumer.deferred > 0
-        assert rig.stream.lanes[LANE_BULK].replay_lag() == 4
-        shed["on"] = False
-        sim.run(until=10.0)
-        assert [b["detail"]["i"] for b in rig.bodies("telemetry")] == [0, 1, 2, 3]
-        assert rig.stream.outstanding() == 0
 
     def test_flagged_host_quarantined_but_stream_advances(self, sim):
         rig = Rig(sim)
@@ -614,10 +599,10 @@ class TestEndToEnd:
         # Record 0 crosses before the partition, giving the consumer a
         # cursor; the flood during the outage overflows the tiny buffer.
         rig.channel.partition(0.5, 20.0)
-        rig.stream.offer("telemetry", body(0, kind="telemetry"))
+        rig.stream.offer(VIEW_DELTA, body(0, kind=VIEW_DELTA))
         for i in range(1, 20):  # capacity 4: most must be evicted
             sim.schedule(
-                0.5 + 0.1 * i, rig.stream.offer, "telemetry", body(i, kind="telemetry")
+                0.5 + 0.1 * i, rig.stream.offer, VIEW_DELTA, body(i, kind=VIEW_DELTA)
             )
         sim.run(until=40.0)
         lane = rig.stream.lanes[LANE_BULK]
@@ -702,7 +687,7 @@ class TestEndToEnd:
     def test_buffer_gauges_registered(self, sim):
         rig = Rig(sim)
         rig.channel.partition(0.0, 50.0)
-        rig.stream.offer("telemetry", body(0, kind="telemetry"))
+        rig.stream.offer(VIEW_DELTA, body(0, kind=VIEW_DELTA))
         sim.run(until=1.0)
         labels = dict(rig.stream.metric_labels, lane=LANE_BULK)
         assert sim.metrics.value("stream_buffer_depth", **labels) == 1
@@ -723,13 +708,13 @@ class TestReplayProperty:
         rig.channel.inject_faults(model)
         total = 40
         for i in range(total):
-            kind = "telemetry" if i % 3 == 0 else "port-scan"
+            kind = VIEW_DELTA if i % 3 == 0 else "port-scan"
             sim.schedule(0.6 * i, rig.stream.offer, kind, body(i, kind=kind))
         sim.run(until=240.0)
         # Zero loss: every record shows up despite drops and partitions...
         assert rig.stream.outstanding() == 0, f"seed {seed} left a backlog"
         urgent = [b["detail"]["i"] for b in rig.bodies("port-scan")]
-        bulk = [b["detail"]["i"] for b in rig.bodies("telemetry")]
+        bulk = [b["detail"]["i"] for b in rig.bodies(VIEW_DELTA)]
         assert len(urgent) + len(bulk) == total, f"seed {seed} lost records"
         # ...exactly once (no duplicate delivery past the dedup cursor)...
         assert len(set(urgent)) == len(urgent)

@@ -130,3 +130,24 @@ def test_restored_view_learns_a_change_made_after_its_checkpoint():
 
     dep.run(until=13.0 + PERIOD + TRIP)
     assert controller.view.get("dev:plug") == "on"
+
+
+@pytest.mark.parametrize("in_loop", [False, True], ids=["direct", "in-loop"])
+def test_a_restart_keeps_the_monitor_baseline(in_loop):
+    """Restore never lowers a defense: whether the restart is called
+    directly or scheduled inside the event loop, registering the devices
+    flushes no round of default postures."""
+    dep = _site(checkpointing=True, checkpoint_period=5.0)
+    dep.run(until=11.0)
+
+    def postures():
+        return {name: posture.name for name, posture in dep.orchestrator.current.items()}
+
+    assert postures() == {"cam": "monitor", "plug": "monitor"}
+    dep.crash_controller()
+    if in_loop:
+        dep.sim.schedule(0.0, dep.restart_controller)
+        dep.run(until=11.0 + CHANNEL_LATENCY)
+    else:
+        dep.restart_controller()
+    assert postures() == {"cam": "monitor", "plug": "monitor"}
