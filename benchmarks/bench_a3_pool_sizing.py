@@ -14,6 +14,7 @@ import random
 
 from _util import percent, print_table, record
 
+from repro.core.metrics import nearest_rank
 from repro.mboxes.base import MboxHost
 from repro.mboxes.manager import MboxManager
 from repro.netsim.simulator import Simulator
@@ -44,17 +45,12 @@ def run_pool(pool_size: int, bursts: int, burst_width: int, seed: int) -> dict:
     fresh = sorted(
         r.latency for r in manager.records if r.operation in ("boot", "pool")
     )
-    total = len(fresh)
-
-    def pct(p: float) -> float:
-        return fresh[min(total - 1, int(p * total))] * 1e3
-
     return {
         "pool": pool_size,
-        "deployments": total,
-        "p50_ms": pct(0.50),
-        "p95_ms": pct(0.95),
-        "hit_rate": manager.pool_hits / max(1, total),
+        "deployments": len(fresh),
+        "p50_ms": nearest_rank(fresh, 0.50) * 1e3,
+        "p95_ms": nearest_rank(fresh, 0.95) * 1e3,
+        "hit_rate": manager.pool_hits / max(1, len(fresh)),
     }
 
 

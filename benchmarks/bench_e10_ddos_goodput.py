@@ -7,9 +7,9 @@ uplink.  We measure the victim's *benign goodput* during the attack,
 with and without the `dns_guard` posture on the resolver fleet.
 
 Setup: 4 Wemo-class open resolvers in the home; the victim sits behind a
-5 kB/s drop-tail access link; a friend sends 200 B messages at 2/s; the
-attacker bounces 60 B spoofed queries (8x amplification) off every
-resolver at 50 q/s each.
+5 kB/s drop-tail access link; a friend sends 200 B messages at 2/s on
+the simulator's timer (``sim.every``); the attacker bounces 60 B spoofed
+queries (8x amplification) off every resolver at 50 q/s each.
 
 Expected shape: unprotected, reflected bytes exceed the link capacity and
 benign delivery collapses; with the guard, zero reflected bytes and
@@ -26,7 +26,6 @@ from repro.core.orchestrator import build_recommended_posture
 from repro.devices.library import smart_plug
 from repro.netsim.node import Host
 from repro.netsim.packet import Packet
-from repro.netsim.traffic import PeriodicSender
 
 N_RESOLVERS = 4
 VICTIM_BANDWIDTH = 5_000.0   # bytes/second
@@ -64,15 +63,20 @@ def run_arm(protect: bool) -> dict:
             )
     dep.run(until=1.0)
 
-    benign = PeriodicSender(
-        dep.sim,
-        friend,
-        lambda: Packet(
-            src="friend", dst="victim", dport=7777,
-            payload={"seq": 0}, size=BENIGN_SIZE,
-        ),
-        period=1.0 / BENIGN_RATE,
-    ).start(initial_delay=0.0)
+    benign_sent = 0
+
+    def send_benign() -> None:
+        nonlocal benign_sent
+        friend.send(
+            Packet(
+                src="friend", dst="victim", dport=7777,
+                payload={"seq": 0}, size=BENIGN_SIZE,
+            )
+        )
+        benign_sent += 1
+
+    send_benign()
+    dep.sim.every(1.0 / BENIGN_RATE, send_benign)
 
     for resolver in resolvers:
         EXPLOITS["dns_reflection_ddos"].launch(
@@ -89,9 +93,9 @@ def run_arm(protect: bool) -> dict:
     attack_bytes = sum(p.size for p in victim.inbox if p.protocol == "dns")
     return {
         "arm": "dns_guard" if protect else "unprotected",
-        "benign_sent": benign.stats.packets,
+        "benign_sent": benign_sent,
         "benign_received": benign_received,
-        "goodput": benign_received / max(1, benign.stats.packets),
+        "goodput": benign_received / max(1, benign_sent),
         "attack_bytes": attack_bytes,
         "link_queue_drops": victim_link.queue_drops,
         "guard_blocks": sum(

@@ -6,13 +6,14 @@ honeypots to ensure coverage for every specific device SKU."
 Section 4.1 proposes the crowdsourced repository with reputation/voting.
 
 Part A -- coverage race.  A universe of SKUs with Zipf-like deployment
-popularity; attack campaigns sweep SKUs over time.  Arms: a honeypot farm
-emulating the N most popular SKUs (each campaign that touches an emulated
-SKU teaches it after an analysis delay) vs the crowdsourced repository
-(every *deployment* of the SKU is a sensor: the first victim site
-publishes).  Expected shape: crowdsourcing tracks the attack frontier
-closely and reaches full coverage; honeypots plateau at their emulation
-budget and never cover tail SKUs.
+popularity; attack campaigns sweep SKUs over time.  Both arms are a
+``CrowdRepository`` and read coverage from ``covered_skus()``.  The
+honeypot farm emulates the N most popular SKUs: a campaign that touches an
+emulated SKU publishes to the farm's repository after an hour of analysis.
+The crowdsourced repository has every *deployment* of the SKU as a sensor:
+the first victim site publishes at once.  Expected shape: crowdsourcing
+tracks the attack frontier closely and reaches full coverage; honeypots
+plateau at their emulation budget and never cover tail SKUs.
 
 Part B -- poisoning.  A fraction of publishers submit bogus signatures
 (e.g. "block all port-80 traffic").  Arms: repository with voting/
@@ -26,7 +27,6 @@ import random
 
 from _util import percent, print_table, record
 
-from repro.learning.honeypot import HoneypotFarm
 from repro.learning.repository import CrowdRepository
 from repro.learning.reputation import ReputationSystem
 from repro.learning.signatures import AttackSignature, SignatureMatch
@@ -60,9 +60,10 @@ def coverage_race(n_skus: int, n_honeypots: int, horizon: float, seed: int) -> d
     rng = random.Random(seed)
     sim = Simulator()
     universe = make_universe(n_skus, rng)
-    farm = HoneypotFarm.covering_most_popular(
-        universe, n_honeypots, detection_delay=3600.0
-    )
+    # The rational farm operator emulates the n most-deployed SKUs.
+    by_popularity = sorted(universe, key=lambda sku: (-universe[sku], sku))
+    emulated = set(by_popularity[:n_honeypots])
+    farm = CrowdRepository(sim)
     repo = CrowdRepository(sim, free_rider_delay=300.0)
 
     # Campaign arrival: popular SKUs attacked sooner and more often.
@@ -72,8 +73,9 @@ def coverage_race(n_skus: int, n_honeypots: int, horizon: float, seed: int) -> d
     for i, sku in enumerate(skus):
         at = rng.uniform(0, horizon) * (0.2 + 0.8 * i / len(skus))
 
-        def campaign(sku=sku, at=at) -> None:
-            farm.observe_campaign(sku, at, rng)
+        def campaign(sku=sku) -> None:
+            if sku in emulated:  # the honeypot's analysis takes an hour
+                sim.schedule(3600.0, farm.publish, signature_for(sku), f"honeypot-{sku}")
             # some victim site that deployed the SKU observes + publishes
             repo.publish(signature_for(sku), reporter=f"site-of-{sku}")
 
@@ -82,7 +84,7 @@ def coverage_race(n_skus: int, n_honeypots: int, horizon: float, seed: int) -> d
 
     def sample() -> None:
         curve_crowd.append((sim.now, len(repo.covered_skus()) / n_skus))
-        curve_honey.append((sim.now, farm.coverage(universe, sim.now)))
+        curve_honey.append((sim.now, len(farm.covered_skus()) / n_skus))
 
     sim.every(sample_every, sample)
     sim.run(until=horizon)

@@ -5,10 +5,15 @@ Section 5.1 raises two control-plane challenges and sketches answers:
 Part A -- responsiveness under event load.  "We can have a hierarchical
 control architecture where frequently interacting components are handled
 together by a low-level controller."  We drive Poisson-ish event storms at
-deployments partitioned by policy independence and compare reaction-
-latency percentiles and global-controller load, flat vs two-level.
-Expected shape: local events are handled ~20x faster (on-premise RTT) and
-the global controller sees only the cross-partition fraction.
+deployments partitioned per room and compare reaction-latency percentiles
+and global-controller load, flat vs two-level.  Both arms run on the real
+parts: one ``ControlChannel`` with a ``global`` endpoint 20 ms away and,
+in the two-level arm, a ``local-<room>`` endpoint 1 ms away per room;
+each endpoint feeds its own FIFO ``IngestQueue`` (0.5 ms a message).  A
+local controller forwards a crossing device's event (``crossing_devices``)
+to ``global``.  Expected shape: local events are handled ~20x faster
+(on-premise RTT) and the global controller sees only the cross-partition
+fraction.
 
 Part B -- consistent updates.  "Critical state ... that must be handled in
 a consistent fashion does change often."  We push rule-set epochs to a
@@ -23,17 +28,14 @@ import random
 
 from _util import print_table, record
 
-from repro.core.hierarchical import (
-    HierarchicalControl,
-    crossing_devices,
-    latency_percentiles,
-    partition_by_independence,
-)
+from repro.core.metrics import nearest_rank
+from repro.core.overload import CLASS_MONITOR, IngestConfig, IngestQueue
 from repro.netsim.simulator import Simulator
 from repro.netsim.switch import Switch
 from repro.policy.builder import PolicyBuilder
 from repro.policy.context import SUSPICIOUS
 from repro.policy.posture import block_commands
+from repro.policy.pruning import crossing_devices
 from repro.sdn.channel import ControlChannel
 from repro.sdn.consistency import ConsistentUpdater
 from repro.sdn.flowrule import Action, FlowMatch, FlowRule
@@ -62,9 +64,8 @@ def clustered_policy(n_rooms: int, cross_fraction: float):
 def run_control(n_rooms: int, cross_fraction: float, events: int, rate: float, seed: int) -> dict:
     policy = clustered_policy(n_rooms, cross_fraction)
     # Partition by *interaction frequency* as section 5.1 proposes: each
-    # room is a partition (pure independence grouping would merge every
-    # vacation-coupled room into one giant local controller -- see
-    # partition_by_independence for that alternative).
+    # room is a partition (grouping by policy independence would merge
+    # every vacation-coupled room into one giant local controller).
     partition = {}
     for room in range(n_rooms):
         partition[f"alarm{room}"] = room
@@ -73,35 +74,64 @@ def run_control(n_rooms: int, cross_fraction: float, events: int, rate: float, s
     rng = random.Random(seed)
     devices = list(policy.devices)
 
-    def drive(control) -> dict:
+    def drive(placement: dict[str, int]) -> dict:
+        """One arm: devices in ``placement`` report to their room's local
+        controller, every other device straight to the global one."""
         sim = Simulator()
-        control_instance = control(sim)
+        channel = ControlChannel(sim, latency=0.020)
+        config = IngestConfig(capacity=events, service_time=0.0005, prioritized=False)
+        queues: list[IngestQueue] = []
+        latencies: list[float] = []
+
+        def endpoint(name: str, handler) -> IngestQueue:
+            queue = IngestQueue(sim, handler, config, name=name)
+            channel.register(name, lambda message: queue.offer(CLASS_MONITOR, message.body))
+            queues.append(queue)
+            return queue
+
+        def handled(body: dict) -> None:
+            latencies.append(sim.now - body["emitted"])
+
+        def local(name: str):
+            def triage(body: dict) -> None:
+                if body["device"] in crossing:
+                    channel.send(name, "global", "event", body)
+                else:
+                    handled(body)
+
+            return triage
+
+        global_queue = endpoint("global", handled)
+        for room in sorted(set(placement.values())):
+            name = f"local-{room}"
+            channel.set_latency_to(name, 0.001)
+            endpoint(name, local(name))
+
+        def emit(device: str) -> None:
+            part = placement.get(device)
+            to = "global" if part is None else f"local-{part}"
+            channel.send(device, to, "event", {"device": device, "emitted": sim.now})
+
         t = 0.0
         for __ in range(events):
             t += rng.expovariate(rate)
             device = devices[rng.randrange(len(devices))]
-            sim.schedule(t, control_instance.emit, device)
+            sim.schedule(t, emit, device)
         sim.run()
-        stats = latency_percentiles(control_instance.handled)
+        # The queues are bounded: a drop would shape the latencies unseen.
+        assert sum(sum(queue.dropped) for queue in queues) == 0
+        assert len(latencies) == events
+        latencies.sort()
         return {
-            "p50_ms": stats["p50"] * 1e3,
-            "p99_ms": stats["p99"] * 1e3,
-            "global_events": control_instance.global_load(),
+            "p50_ms": nearest_rank(latencies, 0.50) * 1e3,
+            "p99_ms": nearest_rank(latencies, 0.99) * 1e3,
+            "global_events": sum(global_queue.processed),
         }
 
     rng_state = rng.getstate()
-    flat = drive(
-        lambda sim: HierarchicalControl(
-            sim, {}, set(), service_time=0.0005, global_latency=0.020
-        )
-    )
+    flat = drive({})
     rng.setstate(rng_state)  # identical event sequence for both arms
-    hier = drive(
-        lambda sim: HierarchicalControl(
-            sim, partition, crossing,
-            service_time=0.0005, local_latency=0.001, global_latency=0.020,
-        )
-    )
+    hier = drive(partition)
     return {
         "rooms": n_rooms,
         "devices": len(devices),

@@ -7,9 +7,6 @@
 - :mod:`repro.core.controller` -- the IoTSec controller: consumes alerts
   and context reports, escalates device security contexts, re-evaluates
   the policy FSM, and redeploys postures.
-- :mod:`repro.core.hierarchical` -- two-level control: local controllers
-  own frequently-interacting partitions, the global controller owns
-  cross-partition rules (section 5.1's scaling proposal).
 - :mod:`repro.core.deployment` -- the harness that assembles a complete
   secured deployment (topology, devices, environment, cluster, controller)
   from a :class:`SiteSpec`.

@@ -10,11 +10,24 @@ output backend.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import SecuredDeployment
+
+
+def nearest_rank(sorted_samples: Sequence[float], p: float) -> float:
+    """The nearest-rank ``p`` quantile of an ascending, non-empty sample.
+
+    That is the smallest value with at least ``p*n`` observations at or
+    below it: element ``ceil(p*n)`` (1-based).  ``sorted_samples[int(p*n)]``
+    is one rank high -- p99 equals the max at n=100, and p50 takes the
+    upper middle value on an even count.
+    """
+    n = len(sorted_samples)
+    return sorted_samples[min(n - 1, max(0, math.ceil(p * n) - 1))]
 
 
 @dataclass
@@ -167,10 +180,8 @@ def summarize(dep: "SecuredDeployment") -> DeploymentReport:
     if dep.controller is not None and dep.controller.reactions:
         # Exact quantiles from the reaction list (the registry histogram
         # only has bucket resolution; benches rely on precise latencies).
-        # Nearest-rank, as in ``hierarchical.latency_percentiles``: the
-        # lower middle value on an even count.
         latencies = sorted(r.latency for r in dep.controller.reactions)
-        report.reaction_p50_ms = latencies[(len(latencies) - 1) // 2] * 1e3
+        report.reaction_p50_ms = nearest_rank(latencies, 0.5) * 1e3
         report.reaction_max_ms = latencies[-1] * 1e3
     if dep.sim.metrics.enabled:
         report.metrics = dep.sim.metrics.snapshot()

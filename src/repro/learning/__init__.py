@@ -10,8 +10,6 @@ Signatures (section 4.1)
     - :mod:`repro.learning.anonymize` -- privacy scrubbing of reports.
     - :mod:`repro.learning.reputation` -- reputation/voting against
       poisoned or misconfigured signatures.
-    - :mod:`repro.learning.honeypot` -- the per-SKU honeypot baseline the
-      paper argues cannot scale.
 
 Cross-device interactions (section 4.2)
     - :mod:`repro.learning.abstract_env` -- the qualitative environment

@@ -9,7 +9,6 @@ This package provides the network on which every IoTSec experiment runs:
 - :mod:`repro.netsim.link` -- point-to-point links with latency and capacity.
 - :mod:`repro.netsim.switch` -- an OpenFlow-style switch with a flow table.
 - :mod:`repro.netsim.topology` -- builders for common topologies.
-- :mod:`repro.netsim.traffic` -- workload/traffic generation helpers.
 
 The simulator substitutes for the paper's physical testbed (OpenDaylight +
 real switches); see DESIGN.md section 2.

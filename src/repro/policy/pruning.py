@@ -43,8 +43,8 @@ def independence_groups(fsm: PolicyFSM) -> list[set[str]]:
 
     Two variables are dependent when one rule's predicate tests both, or
     when both influence the same device's posture.  Independent groups can
-    be monitored and updated by separate (local) controllers -- the
-    hierarchy of section 5.1 builds on exactly this partition.
+    be monitored and updated by separate (local) controllers, as section
+    5.1 proposes; :func:`crossing_devices` checks a given placement.
     """
     parent = {v.key: v.key for v in fsm.space.variables()}
 
@@ -68,6 +68,45 @@ def independence_groups(fsm: PolicyFSM) -> list[set[str]]:
     for key in parent:
         groups.setdefault(find(key), set()).add(key)
     return list(groups.values())
+
+
+def crossing_devices(fsm: PolicyFSM, partition: dict[str, int]) -> set[str]:
+    """Devices whose posture couples to *another* partition's variables.
+
+    ``partition`` places devices under local controllers (section 5.1).  A
+    device is crossing when a variable its rules test is owned by another
+    partition, or when its own context drives a device placed elsewhere:
+    its events must escalate to the global controller.
+    """
+    # A device's context belongs to its partition; an env variable belongs
+    # to the first partition whose rules test it.
+    owner: dict[str, int] = {}
+    for device, part in partition.items():
+        owner[f"ctx:{device}"] = part
+    for device in fsm.devices:
+        part = partition.get(device)
+        if part is None:
+            continue
+        for key in relevant_variables(fsm, device):
+            owner.setdefault(key, part)
+
+    crossing = set()
+    for device in fsm.devices:
+        part = partition.get(device)
+        for key in relevant_variables(fsm, device):
+            if owner.get(key, part) != part:
+                crossing.add(device)
+                break
+        own_key = f"ctx:{device}"
+        for other in fsm.devices:
+            if other == device:
+                continue
+            if own_key in relevant_variables(fsm, other) and partition.get(
+                other
+            ) != part:
+                crossing.add(device)
+                break
+    return crossing
 
 
 @dataclass

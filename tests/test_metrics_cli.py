@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.deployment import SecuredDeployment
-from repro.core.metrics import summarize
+from repro.core.metrics import nearest_rank, summarize
 from repro.core.orchestrator import build_recommended_posture
 from repro.devices import protocol
 from repro.devices.library import smart_camera, smart_plug
@@ -57,8 +57,8 @@ class TestMetrics:
         assert report.reaction_p50_ms is not None
 
     def test_reaction_p50_is_nearest_rank(self):
-        """Two reactions, 1 ms and 3 ms: the median is the lower one, the
-        nearest-rank rule ``hierarchical.latency_percentiles`` uses."""
+        """Two reactions, 1 ms and 3 ms: the median is the lower one, by
+        ``nearest_rank``."""
         from repro.core.pipeline import ReactionRecord
 
         dep = self.make_dep()
@@ -142,6 +142,26 @@ class TestMetrics:
         dep.run(until=5.0)
         report = summarize(dep)
         assert report.compromised_devices() == ["plug"]
+
+
+def test_nearest_rank():
+    """Element ceil(p*n), 1-based.  With samples 1..100, p99 is the 99th
+    value, not the max (``int(p*n)`` is one rank high), and p50 is the
+    50th, not the 51st."""
+    samples = [float(v) for v in range(1, 101)]
+    assert nearest_rank(samples, 0.50) == 50.0
+    assert nearest_rank(samples, 0.99) == 99.0
+    assert nearest_rank(samples, 1.0) == 100.0
+
+
+def test_nearest_rank_small_samples():
+    # n=1: every percentile is the single observation
+    assert nearest_rank([7.0], 0.5) == nearest_rank([7.0], 0.99) == 7.0
+    # n=2: p50 is the lower value (ceil(1.0)-1 = index 0), p99 the upper
+    assert nearest_rank([1.0, 9.0], 0.5) == 1.0
+    assert nearest_rank([1.0, 9.0], 0.99) == 9.0
+    # n=4 even length: p50 = ceil(2)-1 = index 1, the 2nd value
+    assert nearest_rank([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
 
 
 class TestCli:

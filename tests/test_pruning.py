@@ -7,6 +7,7 @@ from repro.policy.pruning import (
     PrunedPolicy,
     analyze,
     collapse_classes,
+    crossing_devices,
     independence_groups,
     relevant_variables,
 )
@@ -101,3 +102,42 @@ def test_unruled_device_always_default():
     state = next(policy.enumerate_states())
     assert pruned.posture_for(state, "alarm") is policy.default_posture
     assert pruned.posture_for(state, "not-a-device") is policy.default_posture
+
+
+def coupled_pairs_policy():
+    """Two coupled pairs: (alarm->window) and (sensor->oven); bulb alone."""
+    return (
+        PolicyBuilder()
+        .device("alarm")
+        .device("window")
+        .device("sensor")
+        .device("oven")
+        .device("bulb")
+        .when(ctx("alarm"), SUSPICIOUS).give("window", block_commands("open"))
+        .when(ctx("sensor"), SUSPICIOUS).give("oven", block_commands("on"))
+        .when(ctx("bulb"), SUSPICIOUS).give("bulb", block_commands("on"))
+        .build()
+    )
+
+
+PAIRS_PLACED = {"alarm": 0, "window": 0, "sensor": 1, "oven": 1, "bulb": 2}
+
+
+def test_no_crossing_devices_when_pairs_share_a_partition():
+    assert crossing_devices(coupled_pairs_policy(), PAIRS_PLACED) == set()
+
+
+def test_crossing_detected_for_a_split_pair():
+    partition = {**PAIRS_PLACED, "window": 3}
+    crossing = crossing_devices(coupled_pairs_policy(), partition)
+    # alarm's context drives window, and window's rules test alarm's context
+    assert crossing == {"alarm", "window"}
+
+
+def test_crossing_devices_tolerates_unplaced_devices():
+    """A device absent from the partition owns no variables; a coupled
+    peer placed elsewhere makes it crossing.  Unrelated pairs stay local."""
+    partition = {k: v for k, v in PAIRS_PLACED.items() if k != "alarm"}
+    crossing = crossing_devices(coupled_pairs_policy(), partition)
+    assert "alarm" in crossing
+    assert "sensor" not in crossing and "oven" not in crossing
