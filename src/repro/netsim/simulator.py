@@ -24,7 +24,7 @@ Hot-path notes (see docs/architecture.md, "Performance architecture"):
   change every site that builds one, and these are all of them:
 
   - :meth:`Simulator.schedule` here;
-  - :class:`_Periodic` here (each re-arm);
+  - :class:`_Lane` here (each push of a lane's head);
   - :meth:`Link.transmit <repro.netsim.link.Link.transmit>`;
   - the fault-free unreliable branch of :meth:`ControlChannel.send
     <repro.sdn.channel.ControlChannel.send>`, the one site outside
@@ -35,14 +35,20 @@ Hot-path notes (see docs/architecture.md, "Performance architecture"):
   :meth:`step` per event; both share the same observable semantics.  It
   pops first and pushes the head back only when ``until`` or the budget
   stops it.
-- :meth:`every` uses a preallocated :class:`_Periodic` dispatch object
-  instead of a pair of closures, so each tick re-arms itself without
-  rebuilding cells.
+- :meth:`every` puts a recurrence in the one :class:`_Lane` of its period.
+  A recurrence re-arms at ``now + period`` with a fresh ``seq``, so the
+  lane's FIFO of recurrences is always in ``(time, seq)`` order and only
+  its head sits in the heap, as one entry carrying the head's own
+  ``(time, seq)``: a fleet of devices reporting on one period costs one
+  heap entry, not one each, and every other event sifts through a heap
+  that much shallower.  Event order, counts, :meth:`events_pending` and
+  :meth:`timeline` are those of one entry per recurrence.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterator
 
@@ -56,52 +62,130 @@ _INF = float("inf")
 Event = list
 
 
-class _Periodic:
-    """Precomputed dispatch object behind :meth:`Simulator.every`.
+class _Recurrence:
+    """One :meth:`Simulator.every` recurrence, queued in its period's lane.
 
-    One instance per recurrence; the simulator schedules the instance
-    itself as the event callback, so each tick is a plain ``__call__``
-    with no closure-cell traffic.  Only the live (next) entry is kept:
-    long-running periodic tasks (health checks, telemetry) must not
-    accumulate one dead entry per fired tick.
+    ``time`` and ``seq`` are the key of its next tick, drawn exactly as a
+    heap entry's would be.  ``armed`` is True while it waits in the lane
+    to fire; ``stopped`` once :meth:`stop` has been called.
     """
 
-    __slots__ = ("sim", "period", "fn", "args", "until", "stopped", "event")
+    __slots__ = ("lane", "fn", "args", "until", "time", "seq", "armed", "stopped")
 
     def __init__(
         self,
-        sim: "Simulator",
-        period: float,
+        lane: "_Lane",
         fn: Callable[..., None],
         args: tuple,
         until: float | None,
+        time: float,
+        seq: int,
     ) -> None:
-        self.sim = sim
-        self.period = period
+        self.lane = lane
         self.fn = fn
         self.args = args
         self.until = until
+        self.time = time
+        self.seq = seq
+        self.armed = True
         self.stopped = False
-        self.event: Event | None = sim.schedule(period, self)
-
-    def __call__(self) -> None:
-        if self.stopped:
-            return
-        self.fn(*self.args)
-        sim = self.sim
-        when = sim.now + self.period
-        if self.until is None or when <= self.until:
-            self.event = event = [when, next(sim._seq), self, ()]
-            heappush(sim._heap, event)
-        else:
-            self.event = None
 
     def stop(self) -> None:
+        """Stop the recurrence.  Queued, it is dropped and never fires.
+        From inside its own tick, the tick still re-arms once and that
+        last entry fires as a counted no-op (the event counts pinned in
+        ``tests/fixtures`` rest on it)."""
         self.stopped = True
-        event = self.event
-        if event is not None:
-            event[2] = None
-            self.event = None
+        if self.armed:
+            self.armed = False
+            self.lane.drop(self)
+
+
+class _Lane:
+    """Every recurrence of one period, in firing order, behind one heap entry.
+
+    ``queue`` holds the recurrences in ``(time, seq)`` order: each one
+    re-arms at ``now + period`` with a fresh ``seq``, and so does each
+    newcomer, so appending keeps the order.  ``entry`` is the heap entry
+    for the first armed recurrence, ``[time, seq, lane, ()]`` with that
+    recurrence's own key, or None while the lane has no armed recurrence.
+    A recurrence stopped from outside stays in ``queue`` disarmed until it
+    reaches the front.
+
+    Calling the lane is the tick: it takes the head off, pushes the next
+    armed head, fires the taken one's ``fn`` itself -- one Python frame a
+    tick, as one entry per recurrence cost -- and re-arms it at the tail.
+    """
+
+    __slots__ = ("sim", "period", "queue", "entry")
+
+    def __init__(self, sim: "Simulator", period: float) -> None:
+        self.sim = sim
+        self.period = period
+        self.queue: deque[_Recurrence] = deque()
+        self.entry: Event | None = None
+
+    def join(self, fn: Callable[..., None], args: tuple, until: float | None) -> _Recurrence:
+        """Queue a new recurrence one period out.  Its first tick fires
+        whatever ``until`` says; ``until`` bounds the re-arms."""
+        sim = self.sim
+        member = _Recurrence(self, fn, args, until, sim.now + self.period, next(sim._seq))
+        self.queue.append(member)
+        if self.entry is None:
+            self._push_head()
+        return member
+
+    def drop(self, member: _Recurrence) -> None:
+        """``member`` was just disarmed; if its key is the one in the heap,
+        tombstone that entry and push the next armed head's."""
+        entry = self.entry
+        if entry is not None and self.queue[0] is member:
+            entry[2] = None
+            self.entry = None
+            self._push_head()
+
+    def _push_head(self) -> None:
+        queue = self.queue
+        while queue:
+            head = queue[0]
+            if head.armed:
+                self.entry = entry = [head.time, head.seq, self, ()]
+                heappush(self.sim._heap, entry)
+                return
+            queue.popleft()
+
+    def __call__(self) -> None:
+        # The loop popped ``entry``.  The next armed head goes into the heap
+        # before the callback runs, so the callback (and a ``step()`` or
+        # ``run()`` it nests, or a raise out of it) finds the heap as one
+        # entry per recurrence would leave it.  ``_push_head`` is inlined:
+        # a call would add a frame to every tick.  If no head was pushed the
+        # queue is empty, so the re-armed recurrence is the head.
+        queue = self.queue
+        member = queue.popleft()
+        member.armed = False
+        self.entry = None
+        while queue:
+            head = queue[0]
+            if head.armed:
+                self.entry = entry = [head.time, head.seq, self, ()]
+                heappush(self.sim._heap, entry)
+                break
+            queue.popleft()
+        if member.stopped:
+            return
+        member.fn(*member.args)
+        sim = self.sim
+        when = sim.now + self.period
+        until = member.until
+        if until is None or when <= until:
+            member.time = when
+            member.seq = seq = next(sim._seq)
+            member.armed = True
+            queue.append(member)
+            if self.entry is None:
+                self.entry = entry = [when, seq, self, ()]
+                heappush(sim._heap, entry)
 
 
 class Simulator:
@@ -122,6 +206,8 @@ class Simulator:
         self.now: float = 0.0
         self._heap: list[Event] = []
         self._seq = itertools.count()
+        #: One :class:`_Lane` per distinct :meth:`every` period.
+        self._lanes: dict[float, _Lane] = {}
         self._events_processed = 0
         self._executing = False
         #: Shared observability: every component of an experiment registers
@@ -271,9 +357,21 @@ class Simulator:
         if until is not None and until > self.now:
             self.now = until
 
+    def _pending_times(self) -> Iterator[float]:
+        """The time of every scheduled (non-cancelled) event: the live heap
+        entries other than the lanes' heads, and every armed recurrence."""
+        for entry in self._heap:
+            fn = entry[2]
+            if fn is not None and fn.__class__ is not _Lane:
+                yield entry[0]
+        for lane in self._lanes.values():
+            for member in lane.queue:
+                if member.armed:
+                    yield member.time
+
     def events_pending(self) -> int:
         """Number of scheduled (non-cancelled) events still in the queue."""
-        return sum(1 for entry in self._heap if entry[2] is not None)
+        return sum(1 for __ in self._pending_times())
 
     @property
     def events_processed(self) -> int:
@@ -292,15 +390,20 @@ class Simulator:
     ) -> Callable[[], None]:
         """Run ``fn(*args)`` every ``period`` seconds, starting one period out.
 
-        Returns a zero-argument callable that stops the recurrence.
+        Returns a zero-argument callable that stops the recurrence.  Every
+        recurrence of one ``period`` shares one heap entry (see
+        :class:`_Lane`).
         """
-        if period <= 0:
+        if not period > 0:  # NaN too: one NaN key breaks the lane's order
             raise ValueError(f"period must be positive (got {period})")
-        return _Periodic(self, period, fn, args, until).stop
+        lane = self._lanes.get(period)
+        if lane is None:
+            lane = self._lanes[period] = _Lane(self, period)
+        return lane.join(fn, args, until).stop
 
     def timeline(self) -> Iterator[float]:
         """Yield the (sorted) times of currently pending events (debugging)."""
-        return iter(sorted(entry[0] for entry in self._heap if entry[2] is not None))
+        return iter(sorted(self._pending_times()))
 
     def __repr__(self) -> str:
         return (

@@ -32,6 +32,18 @@ def _freeze(value: Any) -> Any:
     return value
 
 
+def _thaw(value: Any) -> Any:
+    """Invert :func:`_freeze`: pair tuples keyed by strings become dicts,
+    other tuples lists.  Module-level, not nested in ``config_dict``: a
+    nested recursive function reaches itself through its closure cell, a
+    cycle only the collector frees, left behind by every call."""
+    if isinstance(value, tuple):
+        if all(isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], str) for e in value):
+            return {k: _thaw(v) for k, v in value}
+        return [_thaw(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class MboxSpec:
     """One security module in a posture: a µmbox kind plus configuration.
@@ -54,15 +66,7 @@ class MboxSpec:
 
     def config_dict(self) -> dict[str, Any]:
         """Thaw the frozen config back into plain dicts/lists."""
-
-        def thaw(value: Any) -> Any:
-            if isinstance(value, tuple):
-                if all(isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], str) for e in value):
-                    return {k: thaw(v) for k, v in value}
-                return [thaw(v) for v in value]
-            return value
-
-        result = thaw(self.config)
+        result = _thaw(self.config)
         if result == []:  # empty config freezes to ()
             return {}
         return result

@@ -1,5 +1,7 @@
 """Tests for postures and mbox specs."""
 
+import gc
+
 from repro.policy.posture import (
     ALLOW_ALL,
     MboxSpec,
@@ -32,6 +34,24 @@ def test_spec_config_roundtrip():
     assert config["commands"] == ["on"]
     assert config["require"] == {"env:occupancy": "present"}
     assert config["nested"] == {"a": [1, 2], "b": {"c": 3}}
+
+
+def cyclic_garbage(action) -> int:
+    """Objects in reference cycles that ``action()`` leaves behind: what a
+    collection frees when the collector was off while it ran."""
+    gc.collect()
+    gc.disable()
+    try:
+        action()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_config_dict_leaves_no_cycles():
+    # One per posture-swap element: a recursive closure left 3 objects a call.
+    spec = MboxSpec.make("context_gate", commands=["on"], nested={"a": [1, 2], "b": {"c": 3}})
+    assert cyclic_garbage(lambda: [spec.config_dict() for __ in range(100)]) == 0
 
 
 def test_spec_empty_config():

@@ -176,6 +176,12 @@ def test_every_rejects_nonpositive_period(sim):
         sim.every(0.0, lambda: None)
 
 
+def test_every_rejects_nan_period(sim):
+    with pytest.raises(ValueError):
+        sim.every(float("nan"), lambda: None)
+    assert sim.events_pending() == 0
+
+
 def test_events_pending_and_processed(sim):
     sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
@@ -226,6 +232,21 @@ def test_every_does_not_accumulate_dead_events(sim):
     stop()
     sim.run()
     assert sim.events_pending() == 0
+
+
+def test_recurrences_of_one_period_share_one_heap_entry(sim):
+    """A fleet reporting on one period is one heap entry, whatever its
+    phases: only the earliest recurrence sits in the heap."""
+    fired = []
+    for index in range(1000):
+        sim.schedule(index * 0.001, lambda index=index: sim.every(1.0, fired.append, index))
+    sim.run(until=0.9995)
+    for __ in range(3):
+        assert sim.events_pending() == 1000
+        assert len(sim._heap) == 1
+        assert sim._heap[0][0] == next(sim.timeline())  # the earliest one
+        sim.run(until=sim.now + 1.0)
+    assert fired == [*range(1000)] * 3
 
 
 def test_run_until_advances_now_on_empty_heap(sim):
