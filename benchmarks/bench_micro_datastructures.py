@@ -104,7 +104,7 @@ def test_signature_ids_match_30_rules(benchmark):
         src="attacker", dst="cam", protocol="http", dport=80,
         payload={"action": "login", "username": "admin", "password": "admin"},
     )
-    packet.meta["direction"] = "to_device"
+    packet.direction = "to_device"
     benchmark(ids.process, packet, ctx)
 
 

@@ -213,14 +213,15 @@ class IoTSecController:
     def _on_packet_in(self, switch: "Switch", packet: "Packet", in_port: int) -> None:
         self.packet_ins += 1
         # Device-to-device traffic must traverse the *destination's* µmbox
-        # too: if the destination is tunnelled and has not inspected this
-        # packet yet, re-encapsulate toward its µmbox instead of forwarding.
+        # too: unless the packet is the return of that very µmbox, a packet
+        # to a tunnelled device is re-encapsulated toward it, not forwarded.
+        inspected_by = packet.inspected_by
         attachment = self.orchestrator.attachments.get(packet.dst)
         if (
             attachment is not None
             and attachment.switch is switch
             and packet.dst in self.orchestrator.tunnels
-            and packet.dst not in packet.meta.get("inspected_devices", ())
+            and packet.dst != inspected_by
         ):
             outer = tunnel_packet(packet, switch.name, packet.dst)
             # Address the outer packet to the cluster host so intermediate
@@ -234,9 +235,8 @@ class IoTSecController:
         if port is None:
             return
         # Inspected packets may legitimately hairpin: they arrived from the
-        # cluster on the uplink and must leave through the same uplink
-        # (re-tunnelling is prevented by the inspected_devices marking).
-        if port != in_port or packet.meta.get("inspected"):
+        # cluster on the uplink and must leave through the same uplink.
+        if port != in_port or inspected_by is not None:
             switch.send(packet, port)
 
     # ------------------------------------------------------------------

@@ -64,7 +64,7 @@ class AnomalyGate(Element):
         return now - self._started_at < self.training_window
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
-        if packet.meta.get("direction") != "to_device" or "cmd" not in packet.payload:
+        if packet.direction != "to_device" or "cmd" not in packet.payload:
             return Verdict.PASS, packet
         if self._started_at is None:
             self._started_at = ctx.now

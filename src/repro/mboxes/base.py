@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
-from repro.sdn.tunnel import TUNNEL_OVERHEAD_BYTES, TUNNEL_PROTOCOL
+from repro.sdn.tunnel import TUNNEL_PROTOCOL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.simulator import Simulator
@@ -116,10 +116,12 @@ class MboxContext:
 class Element:
     """One stage of a µmbox pipeline.
 
-    ``process`` returns ``(verdict, packet)``; the packet may be a
-    rewritten copy (never mutate the input -- other elements or the caller
-    may hold references).  Direction is available in
-    ``packet.meta["direction"]`` (``"to_device"`` / ``"from_device"``).
+    ``process`` returns ``(verdict, packet)``.  The input is the sender's
+    own packet, not a copy: an element that rewrites returns a rewritten
+    :meth:`~repro.netsim.packet.Packet.copy` and never mutates the input's
+    payload or header fields (the sender, and every element after it, hold
+    the same object).  ``packet.direction`` is ``"to_device"`` or
+    ``"from_device"``, set by the host before the chain runs.
     """
 
     name = "element"
@@ -273,14 +275,15 @@ class MboxHost(Node):
             self._drain_boot_queue(device)
 
     def unbind(self, device: str) -> None:
+        """Drop the device's µmbox; its boot queue takes the unbound path."""
         self.mboxes.pop(device, None)
-        self._boot_queues.pop(device, None)
+        self._drain_boot_queue(device)
 
-    def mark_ready(self, device: str) -> None:
-        mbox = self.mboxes.get(device)
-        if mbox is not None:
+    def mark_ready(self, mbox: Mbox) -> None:
+        """``mbox`` booted; ignored once unbound (a torn-down one's timer)."""
+        if self.mboxes.get(mbox.device) is mbox:
             mbox.ready = True
-            self._drain_boot_queue(device)
+            self._drain_boot_queue(mbox.device)
 
     def _drain_boot_queue(self, device: str) -> None:
         for packet, in_port in self._boot_queues.pop(device, []):
@@ -298,13 +301,10 @@ class MboxHost(Node):
     def _process_inner(self, outer: Packet, in_port: int) -> None:
         payload = outer.payload
         inner: Packet = payload["inner"]
-        ingress: str = payload["ingress"]
         device = payload.get("target", "")
         mbox = self.mboxes.get(device)
         if mbox is None:
-            if self.default_verdict is Verdict.PASS:
-                self._return_packet(inner, ingress, device, in_port)
-            else:
+            if self.default_verdict is not Verdict.PASS:
                 self.unbound_drops += 1
                 self.sim.journal.record(
                     "verdict",
@@ -315,23 +315,14 @@ class MboxHost(Node):
                     pkt=inner.pkt_id,
                     src=inner.src,
                 )
-            return
-        if mbox.down:
+                return
+            result = inner
+        elif mbox.down:
             # Degradation policy: a crashed enforcement µmbox fails closed
             # (the device blocks -- unprotected is worse than unreachable);
             # a crashed monitoring µmbox fails open (losing visibility is
             # acceptable, losing connectivity is not).
-            if mbox.fail_mode == "open":
-                self.fail_open_passes += 1
-                self.sim.journal.record(
-                    "fail-open",
-                    device=device,
-                    mbox=mbox.name,
-                    pkt=inner.pkt_id,
-                    src=inner.src,
-                )
-                self._return_packet(inner, ingress, device, in_port)
-            else:
+            if mbox.fail_mode != "open":
                 self.down_drops += 1
                 self.sim.journal.record(
                     "verdict",
@@ -342,8 +333,17 @@ class MboxHost(Node):
                     pkt=inner.pkt_id,
                     src=inner.src,
                 )
-            return
-        if not mbox.ready:
+                return
+            self.fail_open_passes += 1
+            self.sim.journal.record(
+                "fail-open",
+                device=device,
+                mbox=mbox.name,
+                pkt=inner.pkt_id,
+                src=inner.src,
+            )
+            result = inner
+        elif not mbox.ready:
             queue = self._boot_queues.setdefault(device, [])
             if len(queue) < self.boot_queue_limit:
                 queue.append((outer, in_port))
@@ -359,48 +359,31 @@ class MboxHost(Node):
                     src=inner.src,
                 )
             return
-        direction = "to_device" if inner.dst == device else "from_device"
-        copied = inner.copy()
-        copied.meta["direction"] = direction
-
-        ctx = self._ctx_cache.get(device)
-        if ctx is None or ctx.mbox_name != mbox.name:
-            ctx = MboxContext(
-                sim=self.sim,
-                mbox_name=mbox.name,
-                device=device,
-                view=self.view,
-                emit_alert=self._on_alert,
-                emit_delta=self._on_delta,
-            )
-            self._ctx_cache[device] = ctx
-        ctx.packet = copied
-        verdict, result = mbox.process(copied, ctx)
-        if verdict is Verdict.PASS:
-            self._return_packet(result, ingress, device, in_port)
-
-    def _return_packet(self, inner: Packet, ingress: str, device: str, in_port: int) -> None:
-        """Send the surviving packet back to the ingress switch, marked as
-        already-inspected so the switch's bypass rule forwards it."""
+        else:
+            # The chain sees the sender's own packet (elements copy before
+            # they rewrite); only the direction slot is the host's to write.
+            inner.direction = "to_device" if inner.dst == device else "from_device"
+            ctx = self._ctx_cache.get(device)
+            if ctx is None or ctx.mbox_name != mbox.name:
+                ctx = MboxContext(
+                    sim=self.sim,
+                    mbox_name=mbox.name,
+                    device=device,
+                    view=self.view,
+                    emit_alert=self._on_alert,
+                    emit_delta=self._on_delta,
+                )
+                self._ctx_cache[device] = ctx
+            ctx.packet = inner
+            verdict, result = mbox.process(inner, ctx)
+            if verdict is not Verdict.PASS:
+                return
+        # The one return path, for every PASS: the envelope turns around.
         self.returned += 1
-        # Always a fresh list: ``inner`` is usually a copy whose meta still
-        # shares the sender's list.
-        inspected = inner.meta.get("inspected_devices") or ()
-        inner.meta["inspected_devices"] = (
-            [*inspected] if device in inspected else [*inspected, device]
-        )
-        # The return envelope of repro.sdn.tunnel, built in one step:
-        # addressed to the ingress switch and marked inspected.
-        name = self.name
-        outer = Packet(
-            name,
-            ingress,
-            TUNNEL_PROTOCOL,
-            0,
-            0,
-            {"inner": inner, "ingress": name, "target": device, "inspected": True},
-            inner.size + TUNNEL_OVERHEAD_BYTES,
-        )
+        payload["inner"] = result
+        payload["inspected"] = True
+        outer.src = self.name
+        outer.dst = payload["ingress"]
         self.send(outer, in_port)
 
     def attach_stream(self, stream) -> None:

@@ -37,7 +37,7 @@ class DnsGuard(Element):
         self._window_count = 0
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
-        if packet.meta.get("direction") != "to_device" or packet.dport != DNS_PORT:
+        if packet.direction != "to_device" or packet.dport != DNS_PORT:
             return Verdict.PASS, packet
         if packet.src not in self.local_sources:
             self.blocked += 1

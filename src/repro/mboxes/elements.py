@@ -25,7 +25,7 @@ class CommandFilter(Element):
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
         cmd = packet.payload.get("cmd")
         if (
-            packet.meta.get("direction") == "to_device"
+            packet.direction == "to_device"
             and cmd is not None
             and cmd in self.deny
         ):
@@ -53,7 +53,7 @@ class CommandWhitelist(Element):
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
         cmd = packet.payload.get("cmd")
-        if packet.meta.get("direction") != "to_device" or cmd is None:
+        if packet.direction != "to_device" or cmd is None:
             return Verdict.PASS, packet
         if packet.src in self.allowed_sources:
             return Verdict.PASS, packet
@@ -84,7 +84,7 @@ class ContextGate(Element):
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
         cmd = packet.payload.get("cmd")
-        if packet.meta.get("direction") != "to_device" or cmd not in self.commands:
+        if packet.direction != "to_device" or cmd not in self.commands:
             return Verdict.PASS, packet
         for key, wanted in self.require.items():
             actual = ctx.view(key)
@@ -114,7 +114,7 @@ class SourceFilter(Element):
         self.allowed_sources = frozenset(allowed_sources)
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
-        if packet.meta.get("direction") != "to_device":
+        if packet.direction != "to_device":
             return Verdict.PASS, packet
         if packet.src not in self.allowed_sources:
             ctx.alert("unapproved-source", src=packet.src, dport=packet.dport)
@@ -190,7 +190,7 @@ class TelemetryTap(Element):
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
         payload = packet.payload
         if (
-            packet.meta.get("direction") == "from_device"
+            packet.direction == "from_device"
             and payload.get("action") == "telemetry"
         ):
             self.reports += 1
@@ -223,7 +223,7 @@ class LoginMonitor(Element):
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
         if (
-            packet.meta.get("direction") == "to_device"
+            packet.direction == "to_device"
             and packet.dport == self.mgmt_port
             and packet.payload.get("action") == "login"
         ):

@@ -46,7 +46,7 @@ class StatefulFirewall(Element):
         self.blind_peers = self.trusted_sources
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
-        direction = packet.meta.get("direction")
+        direction = packet.direction
         if direction == "from_device":
             # Outbound traffic establishes state for replies.
             self.tracker.note_outbound(packet)

@@ -327,7 +327,7 @@ class MboxManager:
 
         mbox.ready = False
         self.host.bind(device, mbox)
-        self.sim.schedule(latency, self.host.mark_ready, device)
+        self.sim.schedule(latency, self.host.mark_ready, mbox)
         record = DeploymentRecord(device, posture.name, operation, now, now + latency)
         self.records.append(record)
         self._deploy_latency[operation].observe(record.latency)

@@ -48,7 +48,7 @@ class PasswordProxy(Element):
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
         if (
-            packet.meta.get("direction") != "to_device"
+            packet.direction != "to_device"
             or packet.dport != self.mgmt_port
             or packet.payload.get("action") != "login"
         ):

@@ -60,7 +60,7 @@ class RateLimiter(Element):
         return bucket
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
-        if packet.meta.get("direction") != "to_device":
+        if packet.direction != "to_device":
             return Verdict.PASS, packet
         if self.match_dport is not None and packet.dport != self.match_dport:
             return Verdict.PASS, packet

@@ -7,10 +7,10 @@ this library are message-oriented (e.g. ``{"cmd": "on"}`` to a smart plug or
 structured payload keeps device and µmbox logic explicit rather than buried
 in byte parsing, while ``size`` preserves the traffic-volume dimension.
 
-Hot-path notes: :class:`Packet` is a hand-written ``__slots__`` class (it is
-allocated per hop on the forwarding path), :class:`Flow` objects are interned
-through a bounded cache so repeated lookups of the same 5-tuple share one
-object, and :func:`flow_key` exposes the raw tuple for code that only needs
+Hot-path notes: :class:`Packet` is a hand-written ``__slots__`` class (one
+per message and one envelope per inspection), :class:`Flow` objects are
+interned through a bounded cache so repeated lookups of the same 5-tuple
+share one object, and :func:`flow_key` exposes the raw tuple for code that only needs
 a dict/set key (connection trackers) without constructing a Flow at all.
 """
 
@@ -77,7 +77,8 @@ class Packet:
         Port numbers; IoT management interfaces commonly sit on 80/8080.
     payload:
         Structured application content.  Never mutated in place by the
-        forwarding path; middleboxes that rewrite use :meth:`copy`.
+        forwarding path.  µmbox elements see the sender's own packet, so
+        one that rewrites does so on a :meth:`copy`.
     size:
         Bytes on the wire, used for bandwidth/volume accounting.
     created_at:
@@ -85,8 +86,13 @@ class Packet:
     trace:
         Names of nodes the packet traversed, appended by the forwarding
         path; used by tests and by taint-style analyses.
-    meta:
-        Free-form annotations added by µmboxes (e.g. ``{"verdict": "drop"}``).
+    direction:
+        ``"to_device"`` or ``"from_device"``, written by the µmbox host
+        before the chain runs (``None`` before any inspection).
+    inspected_by:
+        The device whose µmbox returned the packet, set by the switch that
+        decapsulates the return for that one lookup: a re-sent packet is
+        judged afresh.
     """
 
     __slots__ = (
@@ -100,7 +106,8 @@ class Packet:
         "created_at",
         "pkt_id",
         "trace",
-        "meta",
+        "direction",
+        "inspected_by",
     )
 
     def __init__(
@@ -115,7 +122,6 @@ class Packet:
         created_at: float = 0.0,
         pkt_id: int | None = None,
         trace: list[str] | None = None,
-        meta: dict[str, Any] | None = None,
     ) -> None:
         self.src = src
         self.dst = dst
@@ -127,7 +133,8 @@ class Packet:
         self.created_at = created_at
         self.pkt_id = next(_PACKET_IDS) if pkt_id is None else pkt_id
         self.trace = [] if trace is None else trace
-        self.meta = {} if meta is None else meta
+        self.direction: str | None = None
+        self.inspected_by: str | None = None
 
     @property
     def flow(self) -> Flow:
@@ -137,12 +144,10 @@ class Packet:
     def copy(self, **overrides: Any) -> "Packet":
         """A deep-enough copy with a fresh packet id and optional overrides.
 
-        ``payload``, ``trace`` and ``meta`` are shallow-copied so the clone
-        can be rewritten without mutating the original.
+        ``payload`` and ``trace`` are shallow-copied so the clone can be
+        rewritten without mutating the original.
         """
-        # Field by field, not through ``__init__``: every inspected packet
-        # is copied once, and an eleven-argument constructor call costs
-        # more than the stores it makes.
+        # Field by field: cheaper than ``__init__`` with every field passed.
         clone = Packet.__new__(Packet)
         clone.src = self.src
         clone.dst = self.dst
@@ -154,7 +159,8 @@ class Packet:
         clone.created_at = self.created_at
         clone.pkt_id = next(_PACKET_IDS)
         clone.trace = list(self.trace)
-        clone.meta = dict(self.meta)
+        clone.direction = self.direction
+        clone.inspected_by = self.inspected_by
         if overrides:
             for key, value in overrides.items():
                 setattr(clone, key, value)

@@ -301,18 +301,20 @@ class Switch(Node):
     # Data path
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet, in_port: int) -> None:
-        name = self.name
-        while (
+        inspected_by = None
+        if (
             packet.protocol == TUNNEL_PROTOCOL
-            and packet.dst == name
+            and packet.dst == self.name
             and packet.payload.get("inspected")
         ):
             # A µmbox returned an inspected packet: decapsulate and run the
             # inner packet through the table.  The in_port is the
             # cluster-facing port, which the orchestrator's bypass rules
-            # key on -- that is what prevents re-tunnelling loops.
-            packet = packet.payload["inner"]
-            packet.meta["inspected"] = True
+            # key on -- that is what prevents re-tunnelling loops.  The
+            # inspector's mark lasts for this lookup and its actions only.
+            payload = packet.payload
+            packet = payload["inner"]
+            packet.inspected_by = inspected_by = payload["target"]
         # The megaflow probe and the hit counters of ``lookup`` /
         # ``FlowRule.record_hit``, done here: a cached flow costs this
         # method one dict probe, not two more calls.
@@ -323,11 +325,14 @@ class Switch(Node):
         if rule is _MISS:
             rule = self.lookup(packet, in_port)
         if rule is None:
-            self._apply(_TABLE_MISS, packet, in_port)
-            return
-        rule.hits += 1
-        rule.hit_bytes += packet.size
-        self._apply(rule.actions, packet, in_port)
+            actions = _TABLE_MISS
+        else:
+            rule.hits += 1
+            rule.hit_bytes += packet.size
+            actions = rule.actions
+        self._apply(actions, packet, in_port)
+        if inspected_by is not None:
+            packet.inspected_by = None
 
     def _apply(self, actions: tuple[Action, ...], packet: Packet, in_port: int) -> None:
         # Ordered by data-path frequency: conforming edge traffic tunnels

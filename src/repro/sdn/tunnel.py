@@ -4,7 +4,9 @@ Section 2.2: "Each IoT device's first-hop edge router or wireless access
 point (AP) is configured to tunnel packets to/from the device to the cluster
 or an IoT router."  We model encapsulation by wrapping the original packet
 in a new one addressed to the µmbox host; the inner packet rides in
-``payload["inner"]``.
+``payload["inner"]``, by reference.  One envelope makes the round trip: the
+host turns it around to the ingress switch (``payload["inspected"]`` set,
+``payload["inner"]`` the chain's result), which decapsulates it once.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ def detunnel(packet: Packet) -> tuple[Packet, str]:
     if packet.protocol != TUNNEL_PROTOCOL:
         raise ValueError(f"not a tunnel packet: {packet!r}")
     return packet.payload["inner"], packet.payload["ingress"]
-
-
-def is_tunnelled(packet: Packet) -> bool:
-    return packet.protocol == TUNNEL_PROTOCOL
 
 
 class TunnelTable:
