@@ -31,7 +31,7 @@ def make_ctx(sim):
 
 def cmd(command="heat", src="hub"):
     pkt = Packet(src=src, dst="thermo", dport=8080, payload={"cmd": command})
-    pkt.meta["direction"] = "to_device"
+    pkt.direction = "to_device"
     return pkt
 
 
@@ -94,7 +94,7 @@ class TestAnomalyGate:
         ctx = make_ctx({})
         gate = AnomalyGate("thermo", training_window=0.0, min_training=1)
         pkt = Packet(src="x", dst="thermo", dport=80, payload={"action": "login"})
-        pkt.meta["direction"] = "to_device"
+        pkt.direction = "to_device"
         assert gate.process(pkt, ctx)[0] is Verdict.PASS
 
     def test_validation(self):

@@ -86,6 +86,11 @@ PAYLOADS = st.fixed_dictionaries(
 PORTS = st.sampled_from([0, 53, 80, 8080, 5683, 49153]) | st.integers(0, 65535)
 
 
+def directed(packet, direction):
+    packet.direction = direction
+    return packet
+
+
 def packets(src, dst, direction):
     """Packets as the host hands them to a chain: direction already marked."""
     return st.builds(
@@ -97,8 +102,7 @@ def packets(src, dst, direction):
         dport=PORTS,
         payload=PAYLOADS,
         size=st.integers(1, 1500),
-        meta=st.just(direction).map(lambda d: {"direction": d}),
-    )
+    ).map(lambda packet: directed(packet, direction))
 
 
 def context(sim, alerts):
@@ -145,10 +149,10 @@ def test_element_keeps_its_declared_blindness(kind):
         # harmless by the test below
         before = {k: copy.deepcopy(v) for k, v in vars(element).items() if k != "tracker"}
         seen, journaled = len(alerts), sim.journal.recorded
-        fields = (packet.payload.copy(), packet.meta.copy(), packet.dport, packet.dst)
+        fields = (packet.payload.copy(), packet.direction, packet.dport, packet.dst)
         verdict, returned = element.process(packet, ctx)
         assert verdict is Verdict.PASS and returned is packet
-        assert (packet.payload, packet.meta, packet.dport, packet.dst) == fields
+        assert (packet.payload, packet.direction, packet.dport, packet.dst) == fields
         assert len(alerts) == seen and sim.journal.recorded == journaled
         assert {k: v for k, v in vars(element).items() if k != "tracker"} == before
 
@@ -193,9 +197,9 @@ def test_firewall_does_read_the_entry_toward_anyone_else():
     an untrusted peer is what admits that peer's reply."""
     sim, alerts = Simulator(), []
     firewall = StatefulFirewall(trusted_sources=TRUSTED)
-    outbound = Packet(DEVICE, "cloud", sport=4000, dport=443, meta={"direction": "from_device"})
+    outbound = directed(Packet(DEVICE, "cloud", sport=4000, dport=443), "from_device")
     reply = outbound.reply()
-    reply.meta["direction"] = "to_device"
+    reply.direction = "to_device"
     assert firewall.process(reply, context(sim, alerts))[0] is Verdict.DROP
     firewall.process(outbound, context(sim, alerts))
     assert firewall.process(reply, context(sim, alerts))[0] is Verdict.PASS
@@ -282,7 +286,8 @@ def test_blind_report_skips_the_tunnel_and_still_arrives(site):
     site.devices["cam"].send(original)
     site.devices["plug"].send(Packet("plug", "internet", dport=443))  # not a trusted peer
     site.run(until=2.0)
-    assert at_hub == [original] and at_hub[0] is original and original.meta == {}
+    # no µmbox marked it: the host writes a direction before every chain
+    assert at_hub == [original] and at_hub[0] is original and original.direction is None
     assert site.internet.rx_count == 1
     assert site.cluster.tunnelled_in == tunnelled + 1  # the plug's, not the camera's
 
@@ -311,8 +316,10 @@ def test_device_to_device_is_inspected_once_by_the_destination(site):
     # the command met the plug's chain only; the plug's reply, a blind flow
     # of *its* chain, met the camera's only (as device-bound traffic)
     assert targets == ["plug", "plug", "cam"]
+    # the plug's µmbox saw it last, as device-bound traffic; the return's
+    # inspection mark ended with the edge's lookup
     (packet,) = arrived
-    assert packet.meta["inspected_devices"] == ["plug"]
+    assert (packet.direction, packet.inspected_by) == ("to_device", None)
     assert site.devices["plug"].state == "on"
 
 

@@ -1,6 +1,10 @@
 """Tests for µmbox pipeline elements (exercised directly)."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mboxes.base import Alert, Mbox, MboxContext, Verdict
 from repro.mboxes.dnsguard import DnsGuard
@@ -14,8 +18,11 @@ from repro.mboxes.elements import (
     TelemetryTap,
 )
 from repro.mboxes.firewall import StatefulFirewall
+from repro.mboxes.manager import MBOX_KINDS
 from repro.mboxes.ratelimit import RateLimiter
 from repro.netsim.packet import Packet
+from repro.netsim.simulator import Simulator
+from tests.test_blind_flows import DEVICE, PEERS, context, directed, element_of, packets
 
 
 class _RecordingContext(MboxContext):
@@ -41,13 +48,13 @@ def ctx(sim):
 
 def to_device(payload=None, dport=8080, src="attacker", **kw):
     pkt = Packet(src=src, dst="dev", dport=dport, payload=payload or {}, **kw)
-    pkt.meta["direction"] = "to_device"
+    pkt.direction = "to_device"
     return pkt
 
 
 def from_device(payload=None, dport=0, dst="cloud", **kw):
     pkt = Packet(src="dev", dst=dst, dport=dport, payload=payload or {}, **kw)
-    pkt.meta["direction"] = "from_device"
+    pkt.direction = "from_device"
     return pkt
 
 
@@ -170,7 +177,7 @@ class TestStatefulFirewall:
         outbound.sport, outbound.dport = 5000, 443
         fw.process(outbound, ctx)
         reply = Packet(src="cloud", dst="dev", sport=443, dport=5000)
-        reply.meta["direction"] = "to_device"
+        reply.direction = "to_device"
         assert fw.process(reply, ctx)[0] is Verdict.PASS
 
     def test_backdoor_port_blocked(self, ctx):
@@ -346,3 +353,78 @@ class TestPacketCapture:
         logger.process(to_device({"cmd": "a"}, src="attacker"), ctx)
         logger.process(to_device({"cmd": "b"}, src="hub"), ctx)
         assert len(logger.captured_from("attacker")) == 1
+
+
+# ----------------------------------------------------------------------
+# The input is the sender's own packet
+# ----------------------------------------------------------------------
+#: What ``process`` may not change on its input: every header field, and
+#: the payload (compared deep, readings included).
+HEADER = ("src", "dst", "protocol", "sport", "dport", "size", "created_at", "pkt_id",
+          "direction", "inspected_by")
+
+
+#: What random payloads seldom build but some element acts on: the proxy's
+#: own login (the one rewrite in the registry), a DNS query, a command.
+CRAFTED = (
+    ("http", 80, {"action": "login", "username": "admin", "password": "S3cure!gateway"}),
+    ("http", 80, {"action": "login", "username": "admin", "password": "admin"}),
+    ("dns", 53, {"action": "query", "name": "example.com"}),
+    ("iot", 8080, {"cmd": "on"}),
+)
+
+
+def crafted(src, dst, direction):
+    return st.builds(
+        lambda peer, which: directed(
+            Packet(
+                peer if src is None else src,
+                peer if dst is None else dst,
+                CRAFTED[which][0],
+                dport=CRAFTED[which][1],
+                payload=copy.deepcopy(CRAFTED[which][2]),
+            ),
+            direction,
+        ),
+        st.sampled_from(PEERS),
+        st.integers(0, len(CRAFTED) - 1),
+    )
+
+
+def _snapshot(packet):
+    return (
+        [getattr(packet, field) for field in HEADER],
+        copy.deepcopy(packet.payload),
+        list(packet.trace),
+    )
+
+
+@pytest.mark.parametrize("direction", ["to_device", "from_device"])
+@pytest.mark.parametrize("kind", MBOX_KINDS)
+def test_process_never_mutates_its_input(kind, direction):
+    """The host hands a chain the sender's packet itself (no inspection
+    copy), so an element that rewrites returns a copy: across any traffic,
+    in either direction, the input's payload and header stay as sent."""
+    sim, alerts = Simulator(), []
+    ctx = context(sim, alerts)
+    inbound = packets(st.sampled_from(PEERS), st.just(DEVICE), "to_device") | crafted(
+        None, DEVICE, "to_device"
+    )
+    outbound = packets(st.just(DEVICE), st.sampled_from(PEERS), "from_device") | crafted(
+        DEVICE, None, "from_device"
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        warmup=st.lists(inbound | outbound, max_size=4),
+        packet=inbound if direction == "to_device" else outbound,
+    )
+    def check(warmup, packet):
+        element = element_of(kind)
+        for earlier in warmup:  # so there is state to read
+            element.process(earlier, ctx)
+        before = _snapshot(packet)
+        element.process(packet, ctx)
+        assert _snapshot(packet) == before
+
+    check()

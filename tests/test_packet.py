@@ -24,9 +24,9 @@ def test_copy_is_independent():
     clone = pkt.copy()
     clone.payload["cmd"] = "off"
     clone.trace.append("sw1")
-    clone.meta["verdict"] = "drop"
+    clone.direction, clone.inspected_by = "to_device", "b"
     assert pkt.payload == {"cmd": "on"}
-    assert pkt.trace == [] and pkt.meta == {}
+    assert pkt.trace == [] and (pkt.direction, pkt.inspected_by) == (None, None)
     assert clone.pkt_id != pkt.pkt_id
 
 

@@ -317,7 +317,7 @@ def test_rate_limiter_conservation(gaps, rate, burst):
         sim.schedule_at(now, lambda: None)
         sim.run()
         pkt = Packet(src="s", dst="d", dport=80)
-        pkt.meta["direction"] = "to_device"
+        pkt.direction = "to_device"
         verdict, __ = limiter.process(pkt, ctx)
         if verdict is Verdict.PASS:
             passed += 1

@@ -39,7 +39,7 @@ def login(username, password, src="attacker"):
         dport=80,
         payload={"action": "login", "username": username, "password": password},
     )
-    pkt.meta["direction"] = "to_device"
+    pkt.direction = "to_device"
     return pkt
 
 
@@ -77,13 +77,13 @@ class TestPasswordProxy:
     def test_non_login_traffic_untouched(self, ctx):
         proxy = self.make()
         pkt = Packet(src="a", dst="cam", dport=8080, payload={"cmd": "on"})
-        pkt.meta["direction"] = "to_device"
+        pkt.direction = "to_device"
         assert proxy.process(pkt, ctx)[0] is Verdict.PASS
 
     def test_from_device_untouched(self, ctx):
         proxy = self.make()
         pkt = login("admin", "admin")
-        pkt.meta["direction"] = "from_device"
+        pkt.direction = "from_device"
         assert proxy.process(pkt, ctx)[0] is Verdict.PASS
 
     def test_same_password_rejected_at_construction(self):

@@ -5,9 +5,9 @@ import pytest
 from repro.netsim.packet import Packet
 from repro.sdn.tunnel import (
     TUNNEL_OVERHEAD_BYTES,
+    TUNNEL_PROTOCOL,
     TunnelTable,
     detunnel,
-    is_tunnelled,
     tunnel_packet,
 )
 
@@ -15,7 +15,7 @@ from repro.sdn.tunnel import (
 def test_roundtrip():
     inner = Packet(src="a", dst="cam", payload={"cmd": "on"}, size=100)
     outer = tunnel_packet(inner, ingress="edge", target="cam")
-    assert is_tunnelled(outer)
+    assert outer.protocol == TUNNEL_PROTOCOL
     assert outer.size == 100 + TUNNEL_OVERHEAD_BYTES
     unwrapped, ingress = detunnel(outer)
     assert unwrapped is inner

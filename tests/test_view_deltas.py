@@ -30,7 +30,7 @@ def _report(state: str, readings: dict[str, str]) -> Packet:
     packet = Packet(
         src="dev", dst="hub", payload={"action": "telemetry", "state": state, "readings": readings}
     )
-    packet.meta["direction"] = "from_device"
+    packet.direction = "from_device"
     return packet
 
 
