@@ -35,7 +35,7 @@ from repro.core.pipeline import (
 )
 from repro.core.view import GlobalView
 from repro.obs.stream import VIEW_DELTA, DeadLetterQueue, StreamConsumer
-from repro.policy.context import NORMAL, SEVERITY, UNPATCHED
+from repro.policy.context import NORMAL, SEVERITY
 from repro.policy.fsm import PolicyFSM
 from repro.sdn.channel import ControlChannel, ControlMessage
 from repro.sdn.tunnel import tunnel_packet
@@ -191,18 +191,6 @@ class IoTSecController:
             # the live sensor feed belongs to its successor.
             return
         self.view.set(f"env:{variable}", level)
-
-    def watch_disclosures(self, feed) -> None:
-        """React to public vulnerability disclosures (section 2's
-        unpatchable-flaw reality): every deployed instance of a disclosed
-        SKU is marked ``unpatched`` so keyed policies harden proactively."""
-
-        def on_disclosure(disclosure) -> None:
-            for name, device in self.devices.items():
-                if device.firmware.sku == disclosure.sku:
-                    self.set_context(name, UNPATCHED)
-
-        feed.subscribe(on_disclosure)
 
     def adopt_packet_in(self, switch: "Switch") -> None:
         """Serve as the switch's reactive forwarder."""
@@ -427,10 +415,10 @@ class IoTSecController:
         """Add a rule to the live policy and re-enforce the affected device.
 
         Policies are not static in IoT (section 5.1's whole point): new
-        signatures, disclosures, or attack-graph hardening plans add rules
-        at runtime.  The pruned lookup structure is updated *incrementally*
-        -- only the touched device's projected table is rebuilt -- and that
-        device re-evaluated immediately.
+        signatures or attack-graph hardening plans add rules at runtime.
+        The pruned lookup structure is updated *incrementally* -- only the
+        touched device's projected table is rebuilt -- and that device
+        re-evaluated immediately.
         """
         self.pipeline.add_rule(rule)
         if rule.device in self.orchestrator.attachments:

@@ -18,17 +18,14 @@ Cross-device interactions (section 4.2)
       device x environment space to discover implicit couplings.
     - :mod:`repro.learning.modelextract` -- empirical model extraction from
       an instrumented (simulated) testbed.
-    - :mod:`repro.learning.fsmlearner` -- learn a device's FSM by
-      systematic actuation (the section's stated future work).
     - :mod:`repro.learning.attackgraph` -- multi-stage attack discovery
       and greedy hardening plans.
-    - :mod:`repro.learning.anomaly` -- per-device behavioural profiles.
+    - :mod:`repro.learning.anomaly` -- per-device behavioural profiles
+      (what the ``anomaly_gate`` µmbox consults).
 
 Operational feeds
     - :mod:`repro.learning.traceminer` -- mine signatures from labelled
       packet captures ("publish traces or signatures").
-    - :mod:`repro.learning.disclosure` -- public vulnerability disclosures
-      driving the ``unpatched`` context.
 """
 
 from repro.learning.repository import CrowdRepository

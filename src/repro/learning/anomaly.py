@@ -9,20 +9,16 @@ answer, consistent with section 3's context argument, is to make profiles
 heats while occupant present" and "thermostat heats while house empty" are
 different events with different support.
 
-Two detectors:
-
-- :class:`BehaviorProfile` -- categorical events (commands) with Laplace-
-  smoothed frequencies; an event is anomalous when its conditional
-  probability falls below threshold.
-- :class:`RateProfile` -- volumetric (bytes/packets per window) with an
-  EWMA mean and deviation bound; catches brute-force storms and DNS
-  reflection take-off without any signature.
+:class:`BehaviorProfile` models categorical events (commands) with
+Laplace-smoothed frequencies; an event is anomalous when its conditional
+probability falls below threshold.  The ``anomaly_gate`` µmbox element
+(:mod:`repro.mboxes.anomaly_gate`) trains and consults one per device.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -66,55 +62,3 @@ class BehaviorProfile:
     def score(self, event: BehaviorEvent) -> float:
         """Anomaly score in [0, 1]: 1 = never seen, 0 = dominant event."""
         return 1.0 - min(1.0, self.probability(event) / max(self.threshold, 1e-9))
-
-
-@dataclass
-class RateProfile:
-    """EWMA volumetric profile: flag windows far above the learned mean."""
-
-    device: str
-    alpha: float = 0.2
-    deviation_factor: float = 4.0
-    min_windows: int = 5
-    mean: float = 0.0
-    windows_seen: int = 0
-    alerts: list[tuple[int, float]] = field(default_factory=list)
-
-    def observe_window(self, volume: float) -> bool:
-        """Feed one window's volume; returns True when it is anomalous.
-
-        Anomalous windows are *not* absorbed into the mean (otherwise a
-        slow-boil attacker retrains the profile upward).
-        """
-        self.windows_seen += 1
-        if self.windows_seen <= self.min_windows:
-            self.mean = self.mean + self.alpha * (volume - self.mean)
-            return False
-        bound = self.deviation_factor * max(self.mean, 1e-9)
-        if volume > bound:
-            self.alerts.append((self.windows_seen, volume))
-            return True
-        self.mean = self.mean + self.alpha * (volume - self.mean)
-        return False
-
-
-class ProfileBank:
-    """All devices' profiles, with a convenience scoring API."""
-
-    def __init__(self, threshold: float = 0.05, min_training: int = 20) -> None:
-        self.threshold = threshold
-        self.min_training = min_training
-        self.profiles: dict[str, BehaviorProfile] = {}
-
-    def profile(self, device: str) -> BehaviorProfile:
-        if device not in self.profiles:
-            self.profiles[device] = BehaviorProfile(
-                device, threshold=self.threshold, min_training=self.min_training
-            )
-        return self.profiles[device]
-
-    def observe(self, event: BehaviorEvent) -> None:
-        self.profile(event.device).observe(event)
-
-    def is_anomalous(self, event: BehaviorEvent) -> bool:
-        return self.profile(event.device).is_anomalous(event)

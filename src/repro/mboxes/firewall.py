@@ -15,11 +15,43 @@ family of Table 1: the backdoor port is simply never in ``open_ports``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.mboxes.base import Element, MboxContext, Verdict
 from repro.netsim.packet import Packet
-from repro.policy.acl import ConnectionTracker
+
+
+@dataclass
+class ConnectionTracker:
+    """Minimal stateful-firewall state: allow replies to outbound flows.
+
+    "a stateful firewall allows incoming traffic if an outgoing connection
+    was established earlier" (section 3.1).
+    """
+
+    established: set[tuple[str, str, str, int, int]] = field(default_factory=set)
+
+    def note_outbound(self, packet: Packet) -> None:
+        # The packet's 5-tuple, taken directly off the header fields --
+        # same key as flow_key(packet), no Flow object in the fast path.
+        self.established.add(
+            (packet.src, packet.dst, packet.protocol, packet.sport, packet.dport)
+        )
+
+    def is_reply(self, packet: Packet) -> bool:
+        # Reversed 5-tuple: a reply to (src, dst, sport, dport) travels
+        # (dst, src, dport, sport).
+        return (
+            packet.dst,
+            packet.src,
+            packet.protocol,
+            packet.dport,
+            packet.sport,
+        ) in self.established
+
+    def __len__(self) -> int:
+        return len(self.established)
 
 
 class StatefulFirewall(Element):

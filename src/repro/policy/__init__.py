@@ -1,7 +1,8 @@
 """Policy abstractions (paper section 3).
 
-The package contains both the paper's proposal and the strawmen it argues
-against, so the experiments can compare them:
+The package contains both the paper's proposal and the IFTTT strawman it
+argues against, so the experiments can compare them (bench E8 builds the
+other strawman, static ACLs, as plain flow rules):
 
 - :mod:`repro.policy.context` -- device security contexts, environment
   levels, and the joint :class:`SystemState` whose combinatorial size
@@ -16,7 +17,6 @@ against, so the experiments can compare them:
   (section 3.1's critique of independent recipes).
 - :mod:`repro.policy.ifttt` -- the IFTTT strawman: recipes, the Table 2
   corpus, a runtime engine, and translation into the FSM abstraction.
-- :mod:`repro.policy.acl` -- the traditional Match -> Action strawman.
 - :mod:`repro.policy.builder` -- a fluent DSL for writing policies.
 """
 

@@ -1,11 +1,6 @@
 """Tests for behavioural anomaly profiles."""
 
-from repro.learning.anomaly import (
-    BehaviorEvent,
-    BehaviorProfile,
-    ProfileBank,
-    RateProfile,
-)
+from repro.learning.anomaly import BehaviorEvent, BehaviorProfile
 
 
 def benign(n=50, context="occupancy=present"):
@@ -52,38 +47,3 @@ class TestBehaviorProfile:
         novel = profile.score(BehaviorEvent("thermo", "reboot", "attacker", "x"))
         assert novel > common
         assert 0.0 <= common <= 1.0 and 0.0 <= novel <= 1.0
-
-
-class TestRateProfile:
-    def test_learns_then_flags_spike(self):
-        profile = RateProfile("cam", min_windows=5, deviation_factor=4.0)
-        for __ in range(10):
-            assert not profile.observe_window(100.0)
-        assert profile.observe_window(1000.0)
-        assert profile.alerts
-
-    def test_anomalous_window_not_absorbed(self):
-        profile = RateProfile("cam", min_windows=5, deviation_factor=4.0)
-        for __ in range(10):
-            profile.observe_window(100.0)
-        mean_before = profile.mean
-        profile.observe_window(10_000.0)
-        assert profile.mean == mean_before
-
-    def test_slow_drift_tracked(self):
-        profile = RateProfile("cam", min_windows=5, deviation_factor=4.0)
-        for i in range(50):
-            assert not profile.observe_window(100.0 + i)  # gentle growth
-
-
-class TestProfileBank:
-    def test_bank_separates_devices(self):
-        bank = ProfileBank()
-        for event in benign():
-            bank.observe(event)
-        # the camera's profile is untrained, so it abstains
-        cam_event = BehaviorEvent("cam", "record", "attacker", "")
-        assert not bank.is_anomalous(cam_event)
-        # thermo's profile flags the novel source
-        attack = BehaviorEvent("thermo", "heat", "attacker", "occupancy=present")
-        assert bank.is_anomalous(attack)

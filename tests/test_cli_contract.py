@@ -84,7 +84,6 @@ ID_COUNTERS = (
     ("repro.sdn.flowrule", "_RULE_IDS"),
     ("repro.sdn.channel", "_MSG_IDS"),
     ("repro.learning.signatures", "_SIG_IDS"),
-    ("repro.learning.disclosure", "_IDS"),
 )
 
 

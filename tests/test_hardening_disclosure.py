@@ -1,15 +1,7 @@
-"""Tests for attack-graph hardening plans and the disclosure feed."""
+"""Tests for attack-graph hardening plans."""
 
-import pytest
-
-from repro.devices.library import (
-    fire_alarm,
-    smart_camera,
-    smart_plug,
-    window_actuator,
-)
+from repro.devices.library import fire_alarm, smart_plug, window_actuator
 from repro.learning.attackgraph import ATTACKER, AttackGraphBuilder, control, envfact
-from repro.learning.disclosure import DisclosureFeed
 from repro.policy.ifttt import Recipe
 
 
@@ -63,82 +55,3 @@ class TestHardeningPlan:
     def test_unreachable_goal_empty_plan(self, sim):
         builder = self.build(sim)
         assert builder.hardening_plan(envfact("door", "unlocked")) == []
-
-
-class TestDisclosureFeed:
-    def test_publish_and_delayed_delivery(self, sim):
-        feed = DisclosureFeed(sim, propagation_delay=60.0)
-        got = []
-        feed.subscribe(got.append)
-        feed.publish("dlink:DCS-930L:1.0", "exposed-credentials")
-        sim.run(until=30.0)
-        assert got == []
-        sim.run(until=61.0)
-        assert len(got) == 1
-        assert got[0].sku == "dlink:DCS-930L:1.0"
-
-    def test_backlog_replayed_to_late_subscribers(self, sim):
-        feed = DisclosureFeed(sim, propagation_delay=1.0)
-        feed.publish("a:b:1", "backdoor")
-        sim.run()
-        got = []
-        feed.subscribe(got.append)
-        sim.run()
-        assert len(got) == 1
-
-    def test_disclosures_for(self, sim):
-        feed = DisclosureFeed(sim)
-        feed.publish("a:b:1", "backdoor")
-        feed.publish("c:d:1", "exposed-access")
-        assert len(feed.disclosures_for("a:b:1")) == 1
-
-    def test_controller_marks_devices_unpatched(self, sim):
-        from repro.core.deployment import SecuredDeployment
-        from repro.policy.builder import PolicyBuilder
-        from repro.policy.context import UNPATCHED
-        from repro.policy.posture import block_commands
-
-        dep = SecuredDeployment.build(sim=sim)
-        policy = (
-            PolicyBuilder()
-            .device("cam", contexts=("normal", "unpatched", "suspicious", "compromised"))
-            .env("occupancy", ("absent", "present"))
-            .when("ctx:cam", UNPATCHED)
-            .give("cam", block_commands("record", name="harden-unpatched"))
-            .build()
-        )
-        dep.policy = policy
-        cam = dep.add_device(smart_camera, "cam")
-        dep.finalize()
-        feed = DisclosureFeed(sim, propagation_delay=10.0)
-        dep.controller.watch_disclosures(feed)
-        feed.publish(cam.sku, "exposed-credentials")
-        dep.run(until=20.0)
-        assert dep.controller.context_of("cam") == UNPATCHED
-        assert dep.orchestrator.posture_of("cam").name == "harden-unpatched"
-
-    def test_disclosure_for_other_sku_ignored(self, sim):
-        from repro.core.deployment import SecuredDeployment
-
-        dep = SecuredDeployment.build(sim=sim)
-        dep.add_device(smart_camera, "cam")
-        dep.finalize()
-        feed = DisclosureFeed(sim, propagation_delay=1.0)
-        dep.controller.watch_disclosures(feed)
-        feed.publish("totally:different:sku", "backdoor")
-        dep.run(until=5.0)
-        assert dep.controller.context_of("cam") == "normal"
-
-    def test_suspicious_not_downgraded_by_disclosure(self, sim):
-        from repro.core.deployment import SecuredDeployment
-        from repro.policy.context import SUSPICIOUS
-
-        dep = SecuredDeployment.build(sim=sim)
-        cam = dep.add_device(smart_camera, "cam")
-        dep.finalize()
-        feed = DisclosureFeed(sim, propagation_delay=1.0)
-        dep.controller.watch_disclosures(feed)
-        dep.controller.set_context("cam", SUSPICIOUS)
-        feed.publish(cam.sku, "exposed-credentials")
-        dep.run(until=5.0)
-        assert dep.controller.context_of("cam") == SUSPICIOUS

@@ -17,7 +17,7 @@ from repro.mboxes.elements import (
     SourceFilter,
     TelemetryTap,
 )
-from repro.mboxes.firewall import StatefulFirewall
+from repro.mboxes.firewall import ConnectionTracker, StatefulFirewall
 from repro.mboxes.manager import MBOX_KINDS
 from repro.mboxes.ratelimit import RateLimiter
 from repro.netsim.packet import Packet
@@ -188,6 +188,30 @@ class TestStatefulFirewall:
     def test_default_validation(self):
         with pytest.raises(ValueError):
             StatefulFirewall(default="maybe")
+
+
+def flow(src, dst, sport=0, dport=80):
+    return Packet(src=src, dst=dst, protocol="http", sport=sport, dport=dport)
+
+
+class TestConnectionTracker:
+    def test_reply_allowed_after_outbound(self):
+        tracker = ConnectionTracker()
+        tracker.note_outbound(flow("cam", "cloud", sport=5000, dport=443))
+        assert tracker.is_reply(flow("cloud", "cam", sport=443, dport=5000))
+
+    def test_unrelated_inbound_not_reply(self):
+        tracker = ConnectionTracker()
+        tracker.note_outbound(flow("cam", "cloud", sport=5000, dport=443))
+        assert not tracker.is_reply(flow("attacker", "cam", sport=443, dport=5000))
+        assert not tracker.is_reply(flow("cloud", "cam", sport=443, dport=9999))
+
+    def test_len(self):
+        tracker = ConnectionTracker()
+        tracker.note_outbound(flow("cam", "a"))
+        tracker.note_outbound(flow("cam", "a"))  # same flow
+        tracker.note_outbound(flow("cam", "b"))
+        assert len(tracker) == 2
 
 
 class TestRateLimiter:
