@@ -338,10 +338,17 @@ class MboxManager:
             self._pool += 1
 
     def teardown(self, device: str) -> None:
-        if device in self.host.mboxes:
+        mbox = self.host.mboxes.get(device)
+        if mbox is not None:
             self.host.unbind(device)
             self._postures.pop(device, None)
             self._restarting.discard(device)
+            if mbox.down:
+                # The crashed instance is gone, and its outage with it; a
+                # restart still booting for it finds it unbound and stops.
+                outage = self._outage_for(device)
+                if outage is not None and outage.restored_at is None:
+                    outage.restored_at = self.sim.now
             self.records.append(
                 DeploymentRecord(device, "-", "teardown", self.sim.now, self.sim.now)
             )
@@ -426,10 +433,15 @@ class MboxManager:
             stream.heartbeat()
 
     def _restart(self, device: str) -> None:
-        """Cold-boot a replacement micro-VM for a crashed instance."""
+        """Cold-boot a replacement micro-VM for a crashed instance.
+
+        The replacement binds only over the instance it replaces: a
+        teardown (and any redeploy) while it boots leaves it unbound.
+        """
         posture = self._postures.get(device)
         if posture is None:
             return
+        crashed = self.host.mboxes[device]
         self._restarting.add(device)
         outage = self._outage_for(device)
         if outage is not None and outage.detected_at is None:
@@ -444,10 +456,10 @@ class MboxManager:
         )
 
         def come_up() -> None:
+            if self.host.mboxes.get(device) is not crashed:
+                return  # torn down (perhaps redeployed) while rebooting
             self._restarting.discard(device)
-            current = self._postures.get(device)
-            if current is None:
-                return  # torn down while rebooting
+            current = self._postures[device]
             replacement = Mbox(
                 name=f"mbox-{next(self._ids)}",
                 device=device,

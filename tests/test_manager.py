@@ -132,3 +132,32 @@ class TestMonolithic:
         mono = box.apply_config({})
         micro = manager.deploy("dev", block_commands("x"))
         assert mono.latency > micro.latency * 50
+
+
+def test_stale_restart_never_binds_over_a_redeploy(sim, host):
+    """A teardown and redeploy while a crash restart boots: the restart's
+    timer finds its crashed instance gone and binds nothing."""
+    manager = MboxManager(sim, host, pool_size=0, boot_latency=1.0)
+    manager.deploy("dev", block_commands("x"))
+    redeployed = []
+
+    def crash_and_restart():
+        assert manager.crash("dev")
+        manager._health_sweep()  # restart boots until 2.1
+
+    def teardown_and_redeploy():
+        manager.teardown("dev")
+        record = manager.deploy("dev", block_commands("x"))
+        assert record.ready_at == pytest.approx(2.2)
+        redeployed.append(host.mboxes["dev"])
+
+    sim.schedule(1.1, crash_and_restart)
+    sim.schedule(1.2, teardown_and_redeploy)
+    sim.run(until=2.15)
+    fresh = redeployed[0]
+    assert host.mboxes["dev"] is fresh and not fresh.ready
+    sim.run(until=3.0)
+    assert host.mboxes["dev"] is fresh and fresh.ready
+    assert fresh.name == "mbox-2"
+    assert manager.open_outages() == []  # the teardown ended the outage
+    assert not sim.journal.entries(kind="mbox-recovered")
