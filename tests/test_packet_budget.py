@@ -62,9 +62,9 @@ horizons.  What it keeps is its requests in flight (the last
 ``REPLY_TIMEOUT`` of them), so neither that nor the growth in tracked
 objects over the second window depends on how long the stream has run.
 
-The layer-by-layer table and the list of entry points that must stay real
-call boundaries (the ledger benchmark wraps them) are in
-``docs/architecture.md``, "Performance architecture".
+The list of entry points that must stay real call boundaries (the ledger
+benchmark wraps them) is in ``docs/architecture.md``, "The per-packet call
+budget".
 """
 
 from __future__ import annotations
