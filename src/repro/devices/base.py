@@ -77,6 +77,10 @@ class IoTDevice(Node):
         self.compromised_by: list[str] = []
         self.dns_replies = 0
         self._telemetry_stop = None
+        #: What :meth:`sensor_readings` returns, and the environment's
+        #: ``levels_version`` it was built at.
+        self._readings: dict[str, str] = {}
+        self._readings_version = -1
         if env is not None:
             self._bind_environment(env)
 
@@ -106,16 +110,23 @@ class IoTDevice(Node):
                 self.apply_command(trigger.command, src=self.name, via="trigger")
 
     def sensor_readings(self) -> dict[str, str]:
-        """Current sensed levels, keyed by report name."""
-        if self.env is None:
-            return {}
-        variables = self.env.variables
-        readings = {}
-        for report_key, name in self.model.sensors:
-            variable = variables.get(name)
-            if variable is not None:
-                readings[report_key] = variable.level
-        return readings
+        """Current sensed levels, keyed by report name.
+
+        Built once per sensed change, not once per report: every call
+        returns the same dict until the environment's ``levels_version``
+        moves, so reports share it and nothing may edit it.
+        """
+        env = self.env
+        if env is not None and env.levels_version != self._readings_version:
+            variables = env.variables
+            readings = {}
+            for report_key, name in self.model.sensors:
+                variable = variables.get(name)
+                if variable is not None:
+                    readings[report_key] = variable.level
+            self._readings = readings
+            self._readings_version = env.levels_version
+        return self._readings
 
     # ------------------------------------------------------------------
     # Command execution (the FSM)

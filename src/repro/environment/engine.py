@@ -4,6 +4,9 @@ One :class:`Environment` per deployment.  Devices contribute *actuation
 inputs* (``set_input``) and read variables through sensors; processes
 integrate the variables forward on a fixed tick driven by the shared
 simulator.  Policy-level observers subscribe to level changes.
+``levels_version`` counts every change to what a sensor can read (a level
+change, a variable added), so a reader can keep what it built from the
+levels until the counter moves.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ class Environment:
         self.inputs: dict[str, float] = {}
         self._input_contributions: dict[str, dict[str, float]] = {}
         self._level_observers: list[Callable[[str, str], None]] = []
+        #: Bumped by every level change and every added variable.
+        self.levels_version = 0
         self._ticker_stop: Callable[[], None] | None = None
 
     @property
@@ -46,6 +51,7 @@ class Environment:
         if variable.name in self.variables:
             raise ValueError(f"duplicate variable {variable.name!r}")
         self.variables[variable.name] = variable
+        self.levels_version += 1
         variable.observe(self._on_level_change)
         return variable
 
@@ -133,6 +139,7 @@ class Environment:
         self._level_observers.append(callback)
 
     def _on_level_change(self, variable: EnvironmentVariable) -> None:
+        self.levels_version += 1
         for callback in list(self._level_observers):
             callback(variable.name, variable.level)
 

@@ -86,7 +86,8 @@ class MboxContext:
             attrs: dict[str, Any] = {"kind": kind, "mbox": self.mbox_name}
             start = self.now
             if self.packet is not None:
-                start = self.packet.created_at
+                if self.packet.created_at is not None:  # never sent: no age
+                    start = self.packet.created_at
                 attrs["pkt"] = self.packet.pkt_id
                 attrs["src"] = self.packet.src
             tracer.span(trace_id, "detect", start, self.now, device=self.device, **attrs)

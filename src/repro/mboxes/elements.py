@@ -166,6 +166,10 @@ class PacketLogger(Element):
 #: view key is never older than this plus the device's report period.
 TELEMETRY_HEARTBEAT = 30.0
 
+#: A marker no payload value equals: ``TelemetryTap``'s last state before
+#: any report is sent (or after a resync), and a report's missing readings.
+_MISSING = object()
+
 
 class TelemetryTap(Element):
     """Mirror device telemetry into the controller's global view.
@@ -177,14 +181,16 @@ class TelemetryTap(Element):
     when :data:`TELEMETRY_HEARTBEAT` has passed since.  :meth:`resync`
     (a new controller) forgets the last one, so the next report goes
     through.  The readings ride as the packet carries them: a payload is
-    never mutated in place.
+    never mutated in place.  A device sends one readings dict until its
+    levels change, so the comparison usually passes on identity.
     """
 
     name = "telemetry_tap"
 
     def __init__(self) -> None:
         self.reports = 0
-        self._last: tuple[Any, Any] | None = None
+        self._state: Any = _MISSING
+        self._readings: Any = None
         self._sent_at = 0.0
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
@@ -194,16 +200,24 @@ class TelemetryTap(Element):
             and payload.get("action") == "telemetry"
         ):
             self.reports += 1
-            report = (payload.get("state"), payload.get("readings", {}))
+            state = payload.get("state")
+            readings = payload.get("readings", _MISSING)
+            if readings is _MISSING:
+                readings = {}
             now = ctx.sim.now
-            if report != self._last or now - self._sent_at >= TELEMETRY_HEARTBEAT:
-                self._last = report
+            if (
+                state != self._state
+                or (readings is not self._readings and readings != self._readings)
+                or now - self._sent_at >= TELEMETRY_HEARTBEAT
+            ):
+                self._state = state
+                self._readings = readings
                 self._sent_at = now
-                ctx.emit_delta(ctx.device, *report)
+                ctx.emit_delta(ctx.device, state, readings)
         return Verdict.PASS, packet
 
     def resync(self) -> None:
-        self._last = None
+        self._state = _MISSING
 
 
 class LoginMonitor(Element):

@@ -16,7 +16,8 @@ Hot-path notes: the class is slotted, ``transmit``/``_deliver`` read the
 ``_up`` flag directly (the ``up`` property stays for the admin surface),
 the per-direction busy horizon lives in two plain floats instead of a
 dict keyed by direction, and ``transmit`` pushes the delivery's heap entry
-itself (see :mod:`repro.netsim.simulator`) instead of calling ``schedule``.
+itself (see :mod:`repro.netsim.simulator`) instead of calling ``schedule``,
+with ``_deliver`` bound once at construction rather than once a hop.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ class Link:
         "port_a",
         "port_b",
         "metric_labels",
+        "_deliver_bound",
     )
 
     #: Bumped whenever any link changes up/down state.  Routing caches use
@@ -86,6 +88,8 @@ class Link:
         self.queue_drops = 0
         self._busy_until_ab = 0.0  # a -> b serialization horizon
         self._busy_until_ba = 0.0  # b -> a serialization horizon
+        #: ``self._deliver`` made once: every hop's heap entry carries it.
+        self._deliver_bound = self._deliver
         self.port_a = port_a if port_a is not None else a.free_port()
         self.port_b = port_b if port_b is not None else b.free_port()
         a.attach(self.port_a, self)
@@ -152,7 +156,7 @@ class Link:
             args = (self.b, packet, self.port_b)
         else:
             args = (self.a, packet, self.port_a)
-        heappush(sim._heap, [sim.now + delay, next(sim._seq), self._deliver, args])
+        heappush(sim._heap, [sim.now + delay, next(sim._seq), self._deliver_bound, args])
 
     def _deliver(self, receiver: "Node", packet: Packet, in_port: int) -> None:
         if not self._up:

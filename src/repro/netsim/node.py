@@ -86,12 +86,10 @@ class Node:
                     f"({len(ports)} ports attached)"
                 )
             link = next(iter(ports.values()))
-        trace = packet.trace
-        if not trace:
+        if packet.created_at is None:
             # First send only: a forwarded packet (or a copy of one) keeps
             # its origin's stamp -- also when that stamp is t = 0.0.
             packet.created_at = self.sim.now
-        trace.append(self.name)
         self.tx_count += 1
         self.tx_bytes += packet.size
         link.transmit(self, packet)

@@ -82,10 +82,11 @@ class Packet:
     size:
         Bytes on the wire, used for bandwidth/volume accounting.
     created_at:
-        Simulated send time, stamped by the sender.
-    trace:
-        Names of nodes the packet traversed, appended by the forwarding
-        path; used by tests and by taint-style analyses.
+        Simulated time of the first send, or ``None`` until then.  The
+        first :meth:`Node.send <repro.netsim.node.Node.send>` stamps it; a
+        forwarded packet, or a :meth:`copy` of one, keeps its origin's
+        stamp (``t = 0.0`` included).  Nothing records the hops a packet
+        takes: the nodes' ``rx_count``/``tx_count`` count them.
     direction:
         ``"to_device"`` or ``"from_device"``, written by the µmbox host
         before the chain runs (``None`` before any inspection).
@@ -105,7 +106,6 @@ class Packet:
         "size",
         "created_at",
         "pkt_id",
-        "trace",
         "direction",
         "inspected_by",
     )
@@ -119,9 +119,8 @@ class Packet:
         dport: int = 0,
         payload: dict[str, Any] | None = None,
         size: int = 64,
-        created_at: float = 0.0,
+        created_at: float | None = None,
         pkt_id: int | None = None,
-        trace: list[str] | None = None,
     ) -> None:
         self.src = src
         self.dst = dst
@@ -132,7 +131,6 @@ class Packet:
         self.size = size
         self.created_at = created_at
         self.pkt_id = next(_PACKET_IDS) if pkt_id is None else pkt_id
-        self.trace = [] if trace is None else trace
         self.direction: str | None = None
         self.inspected_by: str | None = None
 
@@ -144,8 +142,8 @@ class Packet:
     def copy(self, **overrides: Any) -> "Packet":
         """A deep-enough copy with a fresh packet id and optional overrides.
 
-        ``payload`` and ``trace`` are shallow-copied so the clone can be
-        rewritten without mutating the original.
+        ``payload`` is shallow-copied so the clone can be rewritten
+        without mutating the original.
         """
         # Field by field: cheaper than ``__init__`` with every field passed.
         clone = Packet.__new__(Packet)
@@ -158,7 +156,6 @@ class Packet:
         clone.size = self.size
         clone.created_at = self.created_at
         clone.pkt_id = next(_PACKET_IDS)
-        clone.trace = list(self.trace)
         clone.direction = self.direction
         clone.inspected_by = self.inspected_by
         if overrides:

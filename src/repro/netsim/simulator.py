@@ -16,7 +16,8 @@ Hot-path notes (see docs/architecture.md, "Performance architecture"):
   Cancelling is ``entry[2] = None`` behind :meth:`Simulator.cancel`; the
   loop skips such entries when they surface.  A handle whose event has
   fired is just a list nothing else refers to, so cancelling through it
-  does nothing -- there is no pool and no entry is ever reused.
+  does nothing -- there is no pool and no handle is ever reused; a lane
+  re-pushes its own entry (a lane entry is never a caller's handle).
 - The data-plane-volume senders build and push their entry themselves --
   same ``now + delay``, same ``next(seq)`` -- which saves the call into
   :meth:`schedule` on every hop, timer tick and alert.  Each checks its
@@ -24,7 +25,8 @@ Hot-path notes (see docs/architecture.md, "Performance architecture"):
   change every site that builds one, and these are all of them:
 
   - :meth:`Simulator.schedule` here;
-  - :class:`_Lane` here (each push of a lane's head);
+  - :class:`_Lane` here (each push of a lane's head, and each re-key of
+    the entry a tick pops);
   - :meth:`Link.transmit <repro.netsim.link.Link.transmit>`;
   - the fault-free unreliable branch of :meth:`ControlChannel.send
     <repro.sdn.channel.ControlChannel.send>`, the one site outside
@@ -113,8 +115,9 @@ class _Lane:
     reaches the front.
 
     Calling the lane is the tick: it takes the head off, pushes the next
-    armed head, fires the taken one's ``fn`` itself -- one Python frame a
-    tick, as one entry per recurrence cost -- and re-arms it at the tail.
+    armed head (re-keying the entry it was popped from, not a new one),
+    fires the taken one's ``fn`` itself -- one Python frame a tick, as one
+    entry per recurrence cost -- and re-arms it at the tail.
     """
 
     __slots__ = ("sim", "period", "queue", "entry")
@@ -161,15 +164,21 @@ class _Lane:
         # entry per recurrence would leave it.  ``_push_head`` is inlined:
         # a call would add a frame to every tick.  If no head was pushed the
         # queue is empty, so the re-armed recurrence is the head.
+        # The popped entry is re-keyed and pushed again rather than a new
+        # list built: ``spare`` holds it while it is out of the heap.
         queue = self.queue
         member = queue.popleft()
         member.armed = False
+        spare = self.entry
         self.entry = None
         while queue:
             head = queue[0]
             if head.armed:
-                self.entry = entry = [head.time, head.seq, self, ()]
-                heappush(self.sim._heap, entry)
+                spare[0] = head.time
+                spare[1] = head.seq
+                self.entry = spare
+                heappush(self.sim._heap, spare)
+                spare = None
                 break
             queue.popleft()
         if member.stopped:
@@ -184,8 +193,13 @@ class _Lane:
             member.armed = True
             queue.append(member)
             if self.entry is None:
-                self.entry = entry = [when, seq, self, ()]
-                heappush(sim._heap, entry)
+                if spare is None:
+                    spare = [when, seq, self, ()]
+                else:
+                    spare[0] = when
+                    spare[1] = seq
+                self.entry = spare
+                heappush(sim._heap, spare)
 
 
 class Simulator:

@@ -25,7 +25,11 @@ class Topology:
         self.sim = sim or Simulator()
         self.nodes: dict[str, Node] = {}
         self.links: list[Link] = []
-        self._route_fingerprint: tuple = ()
+        #: What the cached routes were computed over: node count, link
+        #: count and ``Link.state_version`` (-1 before the first route).
+        self._routed_nodes = -1
+        self._routed_links = -1
+        self._routed_link_version = -1
         #: node -> [(latency, neighbour, egress port)] over *up* links
         self._adjacency: dict[str, list[tuple[float, str, int]]] = {}
         #: source -> {destination: egress port at source}
@@ -185,15 +189,20 @@ class Topology:
         """
         if at == toward:
             return None
-        # A cheap digest of routing-relevant state; when it changes, cached
-        # routes are stale.  O(1): link up/down flips bump the global
-        # ``Link.state_version`` counter, so this per-packet path scans no
-        # links.
-        fingerprint = (len(self.nodes), len(self.links), Link.state_version)
-        if fingerprint != self._route_fingerprint:
+        # A cheap digest of routing-relevant state, compared field by field
+        # (no tuple a punt); when it changes, cached routes are stale.
+        # O(1): link up/down flips bump the global ``Link.state_version``
+        # counter, so this per-packet path scans no links.
+        if (
+            len(self.nodes) != self._routed_nodes
+            or len(self.links) != self._routed_links
+            or Link.state_version != self._routed_link_version
+        ):
             self._adjacency = self._build_adjacency()
             self._next_hops.clear()
-            self._route_fingerprint = fingerprint
+            self._routed_nodes = len(self.nodes)
+            self._routed_links = len(self.links)
+            self._routed_link_version = Link.state_version
         table = self._next_hops.get(at)
         if table is None:
             table = self._next_hops[at] = self._first_hops(at)

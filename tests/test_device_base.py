@@ -1,14 +1,18 @@
 """Tests for the executable IoT device node."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices import protocol
 from repro.devices.base import IoTDevice
 from repro.devices.firmware import Credential, Firmware
 from repro.devices.model import DeviceModel, EnvEffect, EnvTrigger
 from repro.environment.engine import Environment
+from repro.environment.physics import ThermalProcess
 from repro.netsim.link import Link
 from repro.netsim.node import Host
+from repro.netsim.simulator import Simulator
 
 
 PLUG_MODEL = DeviceModel(
@@ -173,6 +177,91 @@ def test_sensor_readings(sim):
     )
     device = IoTDevice("cam", sim, model, Firmware(vendor="v", model="m"), env=env)
     assert device.sensor_readings() == {"person": "present"}
+
+
+CAM_MODEL = DeviceModel(
+    kind="cam",
+    states=("on",),
+    initial="on",
+    sensors=(("person", "occupancy"), ("temperature", "temperature"), ("smoke", "smoke")),
+)
+
+
+def fresh_readings(env, model):
+    """What ``sensor_readings`` returned when it built a dict every call."""
+    return {
+        key: env.variables[name].level
+        for key, name in model.sensors
+        if name in env.variables
+    }
+
+
+def test_reports_share_one_readings_dict_until_a_sensed_level_changes(sim):
+    env = Environment(sim)
+    occupancy = env.add_discrete("occupancy", ("absent", "present"), initial="present")
+    device, client = make_device(sim, model=CAM_MODEL, env=env)
+    device.report_to, device.telemetry_period = "client", 1.0
+    device.start_telemetry()
+    sim.run(until=3.5)
+    first = [p.payload["readings"] for p in client.inbox]
+    assert len(first) == 3 and first[0] is first[1] is first[2]
+    occupancy.set("absent")
+    sim.run(until=5.5)
+    later = [p.payload["readings"] for p in client.inbox[3:]]
+    assert later[0] is later[1] and later[0] is not first[0]
+    assert first[0] == {"person": "present"} and later[0] == {"person": "absent"}
+    env.add_discrete("smoke", ("clear", "detected"))  # a new sensed variable
+    sim.run(until=6.5)
+    assert client.inbox[-1].payload["readings"] == {"person": "absent", "smoke": "clear"}
+
+
+DOMAINS = {
+    "occupancy": ("absent", "present"),
+    "smoke": ("clear", "detected"),
+    "window": ("closed", "open"),
+}
+
+#: Steps over an environment a camera senses: level sets, physics ticks,
+#: heat inputs and variables added mid-run (the window is not sensed).
+HISTORIES = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["occupancy", "smoke"]), st.sampled_from([0, 1])),
+        st.tuples(st.just("temperature"), st.floats(-10.0, 50.0)),
+        st.tuples(st.just("heat"), st.sampled_from([0.0, 1000.0, 50_000.0])),
+        st.tuples(st.just("tick"), st.integers(1, 30)),
+        st.tuples(st.just("add"), st.sampled_from([*DOMAINS, "temperature"])),
+    ),
+    max_size=30,
+)
+
+
+@given(HISTORIES)
+@settings(max_examples=80, deadline=None)
+def test_cached_readings_equal_a_fresh_build_after_any_history(history):
+    sim = Simulator()
+    env = Environment(sim)
+    env.add_process(ThermalProcess(leak_rate=0.01))
+    device, __ = make_device(sim, model=CAM_MODEL, env=env)
+    for op, arg in history:
+        if op == "add" and arg == "temperature" and arg not in env.variables:
+            env.add_continuous(
+                arg, initial=20.0, thresholds=(18.0, 26.0), level_names=("cold", "normal", "hot")
+            )
+        elif op == "add" and arg not in env.variables:
+            env.add_discrete(arg, DOMAINS[arg])
+        elif op == "heat":
+            env.set_input("heat_watts", arg)
+        elif op == "tick" and "temperature" in env.variables:
+            env.start()
+            sim.run(until=sim.now + arg)
+            env.stop()
+        elif op == "temperature" and op in env.variables:
+            env.variables[op].set(arg)
+        elif op in DOMAINS and op in env.variables:
+            env.variables[op].set(DOMAINS[op][arg])
+        cached = device.sensor_readings()
+        assert cached == fresh_readings(env, CAM_MODEL)
+        assert device.sensor_readings() is cached  # nothing moved in between
 
 
 def test_telemetry_reports(sim):

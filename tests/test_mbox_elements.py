@@ -419,7 +419,6 @@ def _snapshot(packet):
     return (
         [getattr(packet, field) for field in HEADER],
         copy.deepcopy(packet.payload),
-        list(packet.trace),
     )
 
 

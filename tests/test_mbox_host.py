@@ -66,7 +66,11 @@ def test_bound_mbox_processes_and_returns(sim, rig):
     (back,) = switch_side.inbox
     assert (back.src, back.dst, back.payload["target"]) == ("cluster", "edge", "dev")
     assert back.payload["inner"] is inner and back.payload["inspected"] is True
-    assert back.trace == ["edge", "cluster"]
+    # one hop each way, and the edge's first send still dates the envelope
+    assert (switch_side.tx_count, host.rx_count, host.tx_count, switch_side.rx_count) == (
+        1, 1, 1, 1
+    )
+    assert back.created_at == 0.0
 
 
 def test_bound_mbox_drop_verdict(sim, rig):
@@ -217,7 +221,9 @@ class TestInspectionSeesTheSendersPacket:
         assert at_cluster[:2] == [("cam", original), ("plug", original)]  # then the reply
         assert arrived is original and original.payload is payload
         assert payload == {"cmd": "on"}
-        assert original.trace == ["cam", "edge"]
+        # stamped by the camera's send: neither the edge's forward nor the
+        # envelopes that carried it re-dated it
+        assert original.created_at == 1.0
         assert (original.direction, original.inspected_by) == ("to_device", None)
 
     @pytest.mark.parametrize(

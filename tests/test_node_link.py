@@ -43,11 +43,33 @@ def test_counters(sim):
     assert b.rx_count == 1 and b.rx_bytes == 100
 
 
-def test_trace_records_sender(sim):
-    a, b, __ = make_pair(sim)
+def test_a_link_pushes_the_same_deliver_callable_on_every_hop(sim):
+    """``_deliver`` is bound once per link, not once per transmitted packet."""
+    a, b, link = make_pair(sim)
     a.send(Packet(src="a", dst="b"))
+    b.send(Packet(src="b", dst="a"))
+    a.send(Packet(src="a", dst="b"))
+    callables = [entry[2] for entry in sim._heap]
+    assert len(callables) == 3 and all(fn is callables[0] for fn in callables)
+    assert callables[0] == link._deliver
     sim.run()
-    assert b.inbox[0].trace == ["a"]
+    assert (len(a.inbox), len(b.inbox)) == (1, 2)
+
+
+def test_packet_has_no_trace_and_is_undated_until_its_first_send(sim):
+    """No per-hop list rides a packet; ``created_at`` is None until a node
+    first sends it, which stamps it."""
+    assert "trace" not in Packet.__slots__
+    with pytest.raises(TypeError):
+        Packet(src="a", dst="b", trace=[])  # type: ignore[call-arg]
+    a, b, __ = make_pair(sim, latency=0.25)
+    packet = Packet(src="a", dst="b")
+    sim.run(until=0.5)
+    assert packet.created_at is None
+    a.send(packet)
+    assert packet.created_at == 0.5
+    sim.run()
+    assert b.inbox == [packet] and packet.created_at == 0.5
 
 
 def test_failed_link_drops(sim):
@@ -244,7 +266,7 @@ def test_created_at_stamped_on_first_send_only_even_at_time_zero(sim):
     sim.run()
     (arrived,) = b.inbox
     assert sim.now == pytest.approx(0.006)
-    assert arrived.trace == ["a", "relay"]
+    assert (a.tx_count, relay.rx_count, relay.tx_count, b.rx_count) == (1, 1, 1, 1)
     assert arrived.created_at == 0.0
 
 

@@ -23,10 +23,10 @@ def test_copy_is_independent():
     pkt = Packet(src="a", dst="b", payload={"cmd": "on"})
     clone = pkt.copy()
     clone.payload["cmd"] = "off"
-    clone.trace.append("sw1")
+    clone.created_at = 2.0
     clone.direction, clone.inspected_by = "to_device", "b"
     assert pkt.payload == {"cmd": "on"}
-    assert pkt.trace == [] and (pkt.direction, pkt.inspected_by) == (None, None)
+    assert (pkt.created_at, pkt.direction, pkt.inspected_by) == (None, None, None)
     assert clone.pkt_id != pkt.pkt_id
 
 

@@ -249,6 +249,22 @@ def test_recurrences_of_one_period_share_one_heap_entry(sim):
     assert fired == [*range(1000)] * 3
 
 
+@pytest.mark.parametrize("recurrences", [1, 3])
+def test_a_lane_keeps_one_entry_object_across_ticks(sim, recurrences):
+    """A tick re-keys and re-pushes the heap entry it was popped from --
+    for the next head, or for the re-armed recurrence when it is alone --
+    instead of building a new list each tick."""
+    fired = []
+    for index in range(recurrences):
+        sim.every(1.0, fired.append, index)
+    (entry,) = sim._heap
+    for __ in range(4 * recurrences):
+        sim.step()
+        assert len(sim._heap) == 1 and sim._heap[0] is entry
+        assert entry[0] == next(sim.timeline())  # keyed for the next tick
+    assert fired == [*range(recurrences)] * 4
+
+
 def test_run_until_advances_now_on_empty_heap(sim):
     sim.run(until=7.5)
     assert sim.now == 7.5
