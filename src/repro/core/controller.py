@@ -304,10 +304,6 @@ class IoTSecController:
         # alert leaving the host and arriving here is control-channel cost.
         tracer = self.sim.tracer
         trace = body.get("trace")
-        if trace is not None:
-            tracer.span(
-                trace, "ingest-alert", sent_at, self.sim.now, device=device, kind=kind
-            )
         self.sim.journal.record(
             "alert-ingest",
             device=device,
@@ -369,21 +365,10 @@ class IoTSecController:
             return
         context = self.pipeline.escalate(device, alert_kind, at)
         if context is not None:
-            trace = self.sim.tracer.current()
-            if trace is not None:
-                self.sim.tracer.span(
-                    trace,
-                    "escalate",
-                    self.sim.now,
-                    self.sim.now,
-                    device=device,
-                    kind=alert_kind,
-                    context=context,
-                )
             self.sim.journal.record(
                 "escalation",
                 device=device,
-                trace=trace,
+                trace=self.sim.tracer.current(),
                 alert_kind=alert_kind,
                 context=context,
             )

@@ -574,9 +574,8 @@ class StandbyController:
         self.active = True
         self._stop_check()
         sim = self.sim
-        detected_at = sim.now
         tracer = sim.tracer
-        trace = tracer.start_trace(device="", kind="failover", standby=self.name)
+        trace = tracer.start_trace()
         sim.journal.record(
             "failover",
             trace=trace,
@@ -586,14 +585,6 @@ class StandbyController:
             checkpoint_seq=self.checkpoint.seq if self.checkpoint else None,
             deltas=len(self.deltas),
         )
-        if trace is not None:
-            tracer.span(
-                trace,
-                "detect",
-                self.last_heartbeat,
-                detected_at,
-                timeout=self.timeout,
-            )
         tracer.push(trace)
         try:
             tail = [
@@ -606,16 +597,6 @@ class StandbyController:
             )
         finally:
             tracer.pop()
-        if trace is not None:
-            tracer.span(
-                trace,
-                "restore",
-                detected_at,
-                sim.now,
-                replayed=sum(counts.values()),
-                reconciled=checked,
-                repushed=repushed,
-            )
         sim.journal.record(
             "failover-complete",
             trace=trace,

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.mboxes.manager import MboxManager, blind_peers
 from repro.obs import COUNT_BUCKETS
@@ -86,6 +86,14 @@ _NOTHING: frozenset[str] = frozenset()
 def _peers_text(blind: frozenset[str] | None) -> str:
     """A blind set as a journal field: ``*`` is any peer."""
     return "*" if blind is None else ",".join(sorted(blind))
+
+
+def _one_or_all(trace_ids: Sequence[int]) -> int | tuple[int, ...] | None:
+    """The ``trace`` of a record that closes these chains: one id stays
+    an id, several become a tuple."""
+    if len(trace_ids) > 1:
+        return tuple(trace_ids)
+    return trace_ids[0] if trace_ids else None
 
 
 @dataclass
@@ -259,7 +267,6 @@ class PostureOrchestrator:
         switch's flow push gets a ``flow-install`` or ``epoch-commit`` span.
         """
         traces = traces or {}
-        tracer = self.sim.tracer
         records: list[OrchestrationRecord] = []
         installs: Installs = {}
         epochs: EpochScopes = {}
@@ -298,18 +305,8 @@ class PostureOrchestrator:
                     ready_at = deploy.ready_at
                     operation = deploy.operation
 
-                if trace is not None:
-                    tracer.span(
-                        trace,
-                        "actuate",
-                        now,
-                        ready_at,
-                        device=device,
-                        posture=posture.name,
-                        operation=operation,
-                    )
-                    if flow_change:
-                        switch_traces.setdefault(attachment.switch.name, []).append(trace)
+                if trace is not None and flow_change:
+                    switch_traces.setdefault(attachment.switch.name, []).append(trace)
 
                 previous = self.current.get(device)
                 self.current[device] = posture
@@ -349,26 +346,15 @@ class PostureOrchestrator:
     ) -> None:
         """One flow push per touched switch: a rule batch in direct mode,
         a two-phase epoch in consistent mode."""
-        tracer = self.sim.tracer
         for switch, rules in installs.values():
             switch.install_many(rules)
             self._h_rules_batch.observe(len(rules))
-            switch_trace_ids = switch_traces.get(switch.name, ())
             self.sim.journal.record(
                 "flow-install",
-                trace=switch_trace_ids[0] if switch_trace_ids else None,
+                trace=_one_or_all(switch_traces.get(switch.name, ())),
                 switch=switch.name,
                 rules=len(rules),
             )
-            for trace in switch_trace_ids:
-                tracer.span(
-                    trace,
-                    "flow-install",
-                    self.sim.now,
-                    self.sim.now,
-                    switch=switch.name,
-                    rules=len(rules),
-                )
         for switch, devices in epochs.values():
             self._push_epoch(switch, devices, switch_traces.get(switch.name, ()))
 
@@ -565,7 +551,7 @@ class PostureOrchestrator:
         )
 
     def _push_epoch(
-        self, switch: "Switch", devices: Iterable[str], trace_ids: Iterable[int] = ()
+        self, switch: "Switch", devices: Iterable[str], trace_ids: Sequence[int] = ()
     ) -> None:
         """Consistent mode: one two-phase epoch on ``switch`` that replaces
         the rule groups of ``devices`` (fresh FlowRule objects -- the
@@ -592,29 +578,23 @@ class PostureOrchestrator:
             if device in self.tunnels:
                 desired.extend(self._device_rules(device, self.attachments[device]))
         self._h_rules_batch.observe(len(desired))
-        trace_ids = tuple(trace_ids)
-        tracer = self.sim.tracer
-        switch_name = switch.name
         in_flight = self._in_flight
 
         def on_committed(report: "UpdateReport") -> None:
             for device in scope:
                 if in_flight.get(device) is report:
                     del in_flight[device]
-            for trace in trace_ids:
-                tracer.span(
-                    trace,
-                    "epoch-commit",
-                    report.started_at,
-                    report.committed_at,
-                    switch=switch_name,
-                    version=report.version,
-                    rules=report.rules_installed,
-                )
 
-        report = self.updater.push_two_phase(
-            {switch: desired}, on_committed=on_committed, scope={switch: scope}
-        )
+        # The epoch's commit record closes these chains: the updater reads
+        # them off the active-trace stack when the epoch starts.
+        tracer = self.sim.tracer
+        tracer.push(_one_or_all(trace_ids))
+        try:
+            report = self.updater.push_two_phase(
+                {switch: desired}, on_committed=on_committed, scope={switch: scope}
+            )
+        finally:
+            tracer.pop()
         for device in scope:
             in_flight[device] = report
 

@@ -328,7 +328,6 @@ class ReactivePipeline:
             traces={dev: t[2] for dev, t in triggers.items() if t[2] is not None},
         )
         applied_at = self.sim.now
-        tracer = self.sim.tracer
         metrics = self.sim.metrics
         round_no = self.stats.rounds
         for record in records:
@@ -350,17 +349,6 @@ class ReactivePipeline:
                 )
                 self._device_apply_counters[record.device] = counter
             counter.inc()
-            if trace is not None:
-                tracer.span(
-                    trace,
-                    "evaluate",
-                    trigger_at,
-                    applied_at,
-                    device=record.device,
-                    round=round_no,
-                    key=trigger_key,
-                    posture=record.posture,
-                )
         self.stats.applies += len(records)
         self.sim.journal.record(
             "pipeline-round",

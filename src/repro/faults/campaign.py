@@ -408,9 +408,7 @@ class CampaignRunner:
             return self
         self.started = True
         sim = self.sim
-        self.trace_id = sim.tracer.start_trace(
-            "", campaign=self.campaign.name, campaign_class=self.campaign.campaign_class
-        )
+        self.trace_id = sim.tracer.start_trace()
         sim.journal.record(
             "campaign-start",
             trace=self.trace_id,
@@ -460,15 +458,6 @@ class CampaignRunner:
             stage_kind=stage.kind,
             status=status,
             detail=detail,
-        )
-        self.sim.tracer.span(
-            self.trace_id,
-            "campaign-stage",
-            self.sim.now,
-            self.sim.now,
-            stage_name=stage.name,
-            stage_kind=stage.kind,
-            status=status,
         )
 
     def _gate(self, stage: CampaignStage) -> tuple[str, str]:

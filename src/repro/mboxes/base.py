@@ -70,8 +70,8 @@ class MboxContext:
     device: str
     view: Callable[[str], str | None]
     emit_alert: Callable[[Alert], None]
-    #: The packet under inspection, when the host set one: lets the
-    #: ``detect`` span measure packet-creation -> alert latency.
+    #: The packet under inspection, when the host set one: its first send
+    #: is when the alert's ``detect`` stage starts.
     packet: Packet | None = None
     emit_delta: Callable[[str, Any, Any], None] = lambda device, state, readings: None
 
@@ -80,26 +80,18 @@ class MboxContext:
         return self.sim.now
 
     def alert(self, kind: str, **detail: Any) -> Alert:
-        tracer = self.sim.tracer
-        trace_id = tracer.start_trace(device=self.device, kind=kind)
-        if trace_id is not None:
-            attrs: dict[str, Any] = {"kind": kind, "mbox": self.mbox_name}
-            start = self.now
-            if self.packet is not None:
-                if self.packet.created_at is not None:  # never sent: no age
-                    start = self.packet.created_at
-                attrs["pkt"] = self.packet.pkt_id
-                attrs["src"] = self.packet.src
-            tracer.span(trace_id, "detect", start, self.now, device=self.device, **attrs)
-        alert = Alert(
-            self.sim.now, self.mbox_name, self.device, kind, detail, trace_id, next(_ALERT_IDS)
-        )
-        # Flight recorder: the alert's birth is durable evidence even
-        # after the trace ages out of the tracer's bounded retention.
+        now = self.sim.now
+        trace_id = self.sim.tracer.start_trace()
+        # The trace's ``detect`` stage starts when the offending packet was
+        # first sent; a packet never sent (or no packet) has no age.
+        packet = self.packet
+        started = now if packet is None or packet.created_at is None else packet.created_at
+        alert = Alert(now, self.mbox_name, self.device, kind, detail, trace_id, next(_ALERT_IDS))
+        # Flight recorder: the alert's birth opens its causal trace.
         fields = {
             k: v
             for k, v in detail.items()
-            if k not in ("device", "trace", "alert_kind", "mbox")
+            if k not in ("device", "trace", "alert_kind", "mbox", "started")
             and isinstance(v, (str, int, float, bool))
         }
         self.sim.journal.record(
@@ -108,6 +100,7 @@ class MboxContext:
             trace=trace_id,
             alert_kind=kind,
             mbox=self.mbox_name,
+            started=started,
             **fields,
         )
         self.emit_alert(alert)

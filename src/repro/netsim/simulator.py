@@ -232,6 +232,7 @@ class Simulator:
         #: The flight recorder (see :mod:`repro.obs.journal`): every layer
         #: appends structured audit entries through ``journal.record``.
         self.journal = Journal(clock=lambda: self.now, enabled=observe)
+        self.tracer.journal = self.journal  # traces are read from it
         self.metrics.gauge("sim_now", fn=lambda: self.now)
         self.metrics.gauge("sim_events_processed", fn=lambda: self._events_processed)
         self.metrics.gauge("sim_events_pending", fn=self.events_pending)

@@ -1,24 +1,21 @@
 """Incident reconstruction: one device's forensic timeline.
 
-Joins the three observability planes into a single per-device narrative:
+Builds a single per-device narrative from two sources:
 
 - **journal** entries (:mod:`repro.obs.journal`) supply the durable facts:
   attack steps, verdicts, alerts, escalations, context changes, posture
-  transitions, flow pushes;
-- **traces** (:mod:`repro.obs.trace`) supply causality and per-stage
-  *simulated* latencies for each detection chain
-  (detect -> ingest-alert -> escalate -> evaluate -> actuate ->
-  flow-install / epoch-commit);
+  transitions, flow pushes.  Read through :mod:`repro.obs.trace`, the
+  entries that share a trace id are one detection chain with per-stage
+  *simulated* latencies (detect -> ingest-alert -> escalate -> evaluate ->
+  actuate -> flow-install / epoch-commit);
 - **metrics** (:mod:`repro.obs.registry`) supply the aggregate context
   (how many alerts of each kind, how many applies for this device).
 
-Join semantics: a journal entry and a span belong to the same *chain* when
-they carry the same trace id; journal entries without a trace id (attack
-steps, device state changes, ground-truth compromises) still appear on the
-timeline, ordered by simulated time with sequence numbers breaking ties.
-Causality edges are the consecutive stage pairs of each chain, in stage
-order -- the rendered incident is exactly the paper's Figure 2 loop,
-replayed from evidence.
+Journal entries without a trace id (attack steps, device state changes,
+ground-truth compromises) still appear on the timeline, ordered by
+simulated time with sequence numbers breaking ties.  Causality edges are
+the consecutive stage pairs of each chain, in stage order -- the rendered
+incident is exactly the paper's Figure 2 loop, replayed from evidence.
 """
 
 from __future__ import annotations
@@ -30,20 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.simulator import Simulator
 
 __all__ = ["Incident", "IncidentChain", "SITE_EVENT_KINDS", "reconstruct"]
-
-#: Canonical stage order of one detection chain (Figure 2's loop).  Spans
-#: sort by simulated start time first; this index breaks same-instant ties
-#: so e.g. ``escalate`` (instantaneous) lands before ``evaluate``.
-STAGE_ORDER = (
-    "detect",
-    "ingest-alert",
-    "escalate",
-    "evaluate",
-    "actuate",
-    "flow-install",
-    "epoch-commit",
-)
-_STAGE_INDEX = {stage: i for i, stage in enumerate(STAGE_ORDER)}
 
 #: Site-scoped journal kinds (recorded with ``device=""``) that a device
 #: timeline can opt into via ``reconstruct(..., site_events=True)``:
@@ -72,6 +55,9 @@ class IncidentChain:
     stages: list[dict[str, Any]] = field(default_factory=list)
     #: Journal entries carrying this chain's trace id.
     journal_seqs: list[int] = field(default_factory=list)
+    #: The journal's ring evicted the records that opened this chain, so
+    #: ``stages`` is only its tail.
+    evicted: bool = False
 
     @property
     def stage_names(self) -> list[str]:
@@ -95,6 +81,7 @@ class IncidentChain:
             "edges": [list(edge) for edge in self.edges()],
             "journal_seqs": list(self.journal_seqs),
             "total_latency": self.total_latency,
+            "evicted": self.evicted,
         }
 
 
@@ -156,7 +143,9 @@ class Incident:
             lines.append(
                 f"  chain trace#{chain.trace_id}"
                 f" ({len(chain.stages)} stages,"
-                f" total {chain.total_latency * 1e3:.1f}ms):"
+                f" total {chain.total_latency * 1e3:.1f}ms"
+                + (", opening records evicted" if chain.evicted else "")
+                + "):"
             )
             for stage in chain.stages:
                 lines.append(
@@ -165,10 +154,6 @@ class Incident:
                     f"  (+{stage['latency'] * 1e3:7.2f}ms)"
                 )
         return "\n".join(lines)
-
-
-def _span_sort_key(span) -> tuple[float, int]:
-    return (span.start, _STAGE_INDEX.get(span.stage, len(STAGE_ORDER)))
 
 
 def reconstruct(
@@ -186,7 +171,7 @@ def reconstruct(
     optional explainers: when both are given the incident also reports
     which rule currently decides the device's posture
     (:meth:`PolicyFSM.rule_for`) -- the "why", next to the journal's
-    "what" and the trace's "when".
+    "what" and its chains' "when".
 
     ``dlq`` (a :class:`~repro.obs.stream.DeadLetterQueue`) adds the
     quarantined evidence: records the stream consumer refused for this
@@ -266,14 +251,14 @@ def reconstruct(
                 if entry.trace_id is not None:
                     seqs_by_trace.setdefault(entry.trace_id, []).append(entry.seq)
 
-    # -- trace plane: causal chains with per-stage simulated latencies ----
+    # -- causal chains: the journal's traces, with per-stage latencies -----
     tracer = sim.tracer
     for trace_id in tracer.traces_for(device):
-        spans = sorted(tracer.spans(trace_id), key=_span_sort_key)
-        if not spans:
-            continue
+        spans = tracer.spans(trace_id)
         chain = IncidentChain(
-            trace_id=trace_id, journal_seqs=seqs_by_trace.get(trace_id, [])
+            trace_id=trace_id,
+            journal_seqs=seqs_by_trace.get(trace_id, []),
+            evicted=tracer.evicted(trace_id),
         )
         for span in spans:
             chain.stages.append(

@@ -1,9 +1,10 @@
 """The flight recorder: an append-only, bounded security audit journal.
 
-Aggregate metrics answer "how much"; causal traces answer "how fast"; the
-journal answers the forensic question neither can: *what exactly happened,
-in what order, and what did the controller do about it*.  Every layer
-writes structured events through one API::
+Aggregate metrics answer "how much"; the journal answers the forensic
+question: *what exactly happened, in what order, and what did the
+controller do about it*.  It is also the only record of causality: the
+causal traces of :mod:`repro.obs.trace` are read from the entries that
+carry a trace id.  Every layer writes structured events through one API::
 
     sim.journal.record("alert", device="cam", trace=tid, alert_kind="login-rejected")
 
@@ -17,8 +18,8 @@ Design constraints (shared with the rest of :mod:`repro.obs`):
 - **Bounded retention.**  Entries accumulate into fixed-size *segments*
   arranged as a ring: when the ring exceeds ``max_segments`` the oldest
   whole segment is evicted -- optionally spilled to a JSONL file first --
-  so long runs cannot grow memory with event volume (the same contract as
-  the tracer's ``max_traces``).
+  so long runs cannot grow memory with event volume.  The traces read
+  from the journal share this retention.
 - **Near-zero hot-path cost.**  ``record`` appends one raw tuple to the
   head segment buffer; :class:`JournalEntry` objects are materialized
   lazily, only when a reader (forensics, WAL replay, spill/export) asks.
@@ -55,7 +56,7 @@ class JournalEntry:
         at: float,
         kind: str,
         device: str,
-        trace_id: int | None,
+        trace_id: int | tuple[int, ...] | None,
         fields: dict[str, Any],
     ) -> None:
         self.seq = seq
@@ -149,10 +150,9 @@ class Journal:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def record(
-        self, kind: str, device: str = "", trace: int | None = None, **fields: Any
-    ) -> None:
-        """Append one entry (a no-op when the journal is disabled)."""
+    def record(self, kind: str, device: str = "", trace: Any = None, **fields: Any) -> None:
+        """Append one entry (a no-op when the journal is disabled).  ``trace``
+        is its causal trace id, or a tuple of the chains it closes."""
         if not self.enabled:
             return None
         seq = self._next_seq
@@ -417,13 +417,14 @@ class Journal:
                     continue
                 try:
                     data = json.loads(line)
+                    trace = data.get("trace_id")  # a tuple of ids spills as a list
                     entries.append(
                         JournalEntry(
                             seq=int(data["seq"]),
                             at=float(data["at"]),
                             kind=str(data["kind"]),
                             device=str(data["device"]),
-                            trace_id=data.get("trace_id"),
+                            trace_id=tuple(trace) if isinstance(trace, list) else trace,
                             fields=dict(data["fields"]),
                         )
                     )

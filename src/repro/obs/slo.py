@@ -253,19 +253,8 @@ class SloTracker:
         self.breached_at = now
         self._c_breaches.inc()
         sim = self.sim
-        trace = sim.tracer.start_trace(device=slo.device, slo=slo.name)
+        trace = sim.tracer.start_trace()
         self.last_trace = trace
-        if trace is not None:
-            sim.tracer.span(
-                trace,
-                "slo-breach",
-                now,
-                now,
-                device=slo.device,
-                slo=slo.name,
-                burn_fast=round(fast, 3),
-                burn_slow=round(slow, 3),
-            )
         fields: dict[str, Any] = {
             "slo": slo.name,
             "subsystem": slo.subsystem,
@@ -286,15 +275,6 @@ class SloTracker:
         self.breached_at = None
         sim = self.sim
         trace = self.last_trace
-        if trace is not None:
-            sim.tracer.span(
-                trace,
-                "slo-recover",
-                breached_at if breached_at is not None else now,
-                now,
-                device=slo.device,
-                slo=slo.name,
-            )
         fields: dict[str, Any] = {
             "slo": slo.name,
             "subsystem": slo.subsystem,

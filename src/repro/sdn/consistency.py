@@ -150,6 +150,8 @@ class ConsistentUpdater:
             switches=len(assignments),
         )
         self.reports.append(report)
+        # The chains this epoch closes (see ``PostureOrchestrator._push_epoch``).
+        trace = self.sim.tracer.current()
 
         def commit() -> None:
             report.committed_at = self.sim.now
@@ -157,6 +159,7 @@ class ConsistentUpdater:
             self._h_commit.observe(report.committed_at - report.started_at)
             self.sim.journal.record(
                 "epoch-commit",
+                trace=trace,
                 version=report.version,
                 mode=report.mode,
                 switches=report.switches,

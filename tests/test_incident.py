@@ -15,8 +15,9 @@ from repro.core.orchestrator import build_recommended_posture
 from repro.devices import protocol
 from repro.devices.library import smart_camera, window_actuator
 from repro.netsim.simulator import Simulator
-from repro.obs.incident import STAGE_ORDER, reconstruct
+from repro.obs.incident import reconstruct
 from repro.obs.journal import Journal
+from repro.obs.trace import STAGE_ORDER
 from repro.policy.builder import PolicyBuilder
 from repro.policy.context import SUSPICIOUS
 from repro.policy.posture import block_commands
@@ -105,7 +106,7 @@ class TestPasswordProxyScenario:
         chain = _full_chain(incident, "epoch-commit")
         assert chain is not None, [c.stage_names for c in incident.chains]
         assert "flow-install" not in chain.stage_names
-        assert chain.stages[-1]["attrs"].get("rules", 0) > 0
+        assert chain.stages[-1]["attrs"].get("rules_installed", 0) > 0
         # The data-plane commit paid two phases of switch RTTs.
         assert {s["stage"]: s for s in chain.stages}["epoch-commit"]["latency"] > 0
 

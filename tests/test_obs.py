@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs import (
     COUNT_BUCKETS,
+    Journal,
     MetricsRegistry,
     Tracer,
     to_prometheus,
@@ -170,38 +171,70 @@ class TestPrometheusExport:
 # ----------------------------------------------------------------------
 # Tracer
 # ----------------------------------------------------------------------
+def _journaled(**ring):
+    """A tracer reading its own journal, and ``at(t, kind, **fields)``,
+    which journals one record at simulated time ``t``."""
+    now = [0.0]
+    journal = Journal(clock=lambda: now[0], **ring)
+    tracer = Tracer()
+    tracer.journal = journal
+
+    def at(t: float, kind: str, **fields) -> None:
+        now[0] = t
+        journal.record(kind, **fields)
+
+    return tracer, journal, at
+
+
 class TestTracer:
     def test_spans_ordered_by_start(self):
-        tracer = Tracer()
-        t = tracer.start_trace(device="cam")
-        tracer.span(t, "late", 2.0, 3.0)
-        tracer.span(t, "early", 0.0, 1.0)
-        assert [s.stage for s in tracer.spans(t)] == ["early", "late"]
+        tracer, __, at = _journaled()
+        t = tracer.start_trace()
+        at(2.0, "alert", device="cam", trace=t, started=1.0)
+        at(3.0, "alert-ingest", device="cam", trace=t, sent_at=2.0)
+        at(3.0, "escalation", device="cam", trace=t, context="suspicious")
+        at(3.0, "posture", device="win", trace=t, posture="block", ready_at=3.5)
+        at(3.0, "flow-install", trace=t, rules=2)
+        # Same-instant stages fall in the chain's stage order.
+        assert [(s.stage, s.start) for s in tracer.spans(t)] == [
+            ("detect", 1.0),
+            ("ingest-alert", 2.0),
+            ("escalate", 3.0),
+            ("evaluate", 3.0),
+            ("actuate", 3.0),
+            ("flow-install", 3.0),
+        ]
 
     def test_span_latency(self):
-        tracer = Tracer()
+        tracer, __, at = _journaled()
         t = tracer.start_trace()
-        span = tracer.span(t, "s", 1.0, 1.5)
+        at(1.5, "alert", device="cam", trace=t, started=1.0)
+        (span,) = tracer.spans(t)
         assert span.latency == 0.5
 
     def test_device_index_and_last_trace(self):
-        tracer = Tracer()
-        t1 = tracer.start_trace(device="cam")
-        t2 = tracer.start_trace(device="cam")
-        tracer.start_trace(device="plug")
+        tracer, __, at = _journaled()
+        t1, t2, t3 = (tracer.start_trace() for __ in range(3))
+        at(1.0, "alert", device="cam", trace=t1)
+        at(2.0, "alert", device="cam", trace=t2)
+        at(3.0, "alert", device="plug", trace=t3)
         assert tracer.traces_for("cam") == [t1, t2]
         assert tracer.last_trace("cam") == t2
         assert tracer.last_trace("missing") is None
 
     def test_bounded_retention_evicts_oldest(self):
-        tracer = Tracer(max_traces=3)
-        ids = [tracer.start_trace(device="cam") for _ in range(5)]
+        """Retention is the journal's ring: a trace whose records it has
+        evicted is gone from the view, oldest first."""
+        tracer, journal, at = _journaled(segment_size=2, max_segments=2)
+        ids = [tracer.start_trace() for __ in range(5)]
+        for i, t in enumerate(ids):
+            at(float(i), "alert", device="cam", trace=t)
+        assert journal.evicted == 2
         assert tracer.trace_ids() == ids[-3:]
-        assert tracer.evicted == 2
-        # spans for evicted traces are silently dropped
-        assert tracer.span(ids[0], "s", 0.0, 1.0) is None
-        # the device index never returns evicted ids
+        assert tracer.spans(ids[0]) == []
+        # the device lookup never returns evicted ids
         assert tracer.traces_for("cam") == ids[-3:]
+        assert not any(tracer.evicted(t) for t in ids)
 
     def test_push_pop_current_stack(self):
         tracer = Tracer()
@@ -218,30 +251,33 @@ class TestTracer:
         tracer.pop()  # popping an empty stack is harmless
 
     def test_disabled_tracer_is_inert(self):
-        tracer = Tracer(enabled=False)
+        tracer, __, at = _journaled()
+        tracer.enabled = False
         assert tracer.start_trace(device="cam") is None
         assert tracer.span(None, "s", 0.0, 1.0) is None
+        at(1.0, "alert", device="cam", trace=None)
         assert tracer.started == 0
         assert tracer.traces_for("cam") == []
 
     def test_render_contains_stages_and_latencies(self):
-        tracer = Tracer()
-        t = tracer.start_trace(device="cam")
-        tracer.span(t, "detect", 1.0, 1.01, device="cam", kind="probe")
-        tracer.span(t, "actuate", 1.01, 1.04, device="cam")
+        tracer, __, at = _journaled()
+        t = tracer.start_trace()
+        at(1.01, "alert", device="cam", trace=t, alert_kind="probe", started=1.0)
+        at(1.01, "posture", device="cam", trace=t, posture="monitor", ready_at=1.04)
         text = tracer.render(t)
         assert "detect" in text and "actuate" in text
-        assert "kind=probe" in text
+        assert "alert_kind=probe" in text
         assert "total=40.0ms" in text
+        assert "evicted" not in text
 
     def test_trace_as_dicts_json_round_trip(self):
-        tracer = Tracer()
-        t = tracer.start_trace(device="cam")
-        tracer.span(t, "detect", 1.0, 2.0, device="cam", n=3)
+        tracer, __, at = _journaled()
+        t = tracer.start_trace()
+        at(2.0, "alert", device="cam", trace=t, started=1.0, n=3)
         data = json.loads(json.dumps(trace_as_dicts(tracer, t)))
         assert data[0]["stage"] == "detect"
         assert data[0]["latency"] == 1.0
-        assert data[0]["attrs"] == {"n": 3}
+        assert data[0]["attrs"] == {"started": 1.0, "n": 3}
 
 
 # ----------------------------------------------------------------------

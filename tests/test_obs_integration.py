@@ -92,7 +92,7 @@ class TestFullCausalChain:
         assert by_stage["detect"].device == "cam0"
         assert by_stage["escalate"].attrs["context"] == SUSPICIOUS
         assert by_stage["actuate"].attrs["posture"] == "block-commands"
-        assert by_stage["epoch-commit"].attrs["rules"] > 0
+        assert by_stage["epoch-commit"].attrs["rules_installed"] > 0
 
     def test_direct_mode_records_flow_install_stage(self):
         dep, cams = _cross_device_deployment()  # no consistent updates

@@ -35,6 +35,7 @@ from repro.faults.scenario import (
     arm_resilience,
     horizon_of,
 )
+from repro.obs.incident import reconstruct
 from repro.policy.builder import PolicyBuilder
 from repro.policy.context import SUSPICIOUS
 from repro.policy.posture import block_commands
@@ -50,7 +51,6 @@ RECORDING = bool(os.environ.get("REPRO_RECORD_FIXTURES"))
 def _unbounded(dep):
     """Keep the whole run: the pin is every span, not the ring's tail."""
     dep.sim.journal.max_segments = 10**9
-    dep.sim.tracer.max_traces = 10**9
     return dep
 
 
@@ -144,3 +144,33 @@ def test_spans_match_fixture(name):
     expected = json.loads(FIXTURE_PATH.read_text())[name]
     assert rows, f"{name}: the run produced no spans"
     assert rows == expected
+
+
+def test_chain_whose_opening_records_were_evicted_is_marked():
+    """A tiny ring evicts the chain's alert and alert-ingest while its
+    posture record survives: the view serves the tail and says so."""
+    dep, __ = _cross_device_deployment()
+    dep.sim.journal.segment_size = 4
+    dep.sim.journal.max_segments = 2
+    dep.secure(
+        "cam0", build_recommended_posture("password_proxy", "cam0", new_password="S3c!")
+    )
+    _brute_force(dep, "cam0", n=3)
+    dep.run(until=30.0)
+    tracer = dep.sim.tracer
+    trace = tracer.last_trace("win")
+    assert trace is not None
+    stages = [span.stage for span in tracer.spans(trace)]
+    assert "actuate" in stages and "detect" not in stages
+    assert tracer.evicted(trace)
+    assert "(opening records evicted)" in tracer.render(trace)
+    (chain,) = [c for c in reconstruct(dep.sim, "win").chains if c.trace_id == trace]
+    assert chain.evicted and "opening records evicted" in reconstruct(dep.sim, "win").render()
+
+
+def test_whole_chain_is_not_marked():
+    tracer = _chain().sim.tracer
+    trace = tracer.last_trace("win")
+    assert tracer.spans(trace)[0].stage == "detect"
+    assert not tracer.evicted(trace)
+    assert "evicted" not in tracer.render(trace)
