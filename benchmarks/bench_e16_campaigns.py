@@ -2,7 +2,7 @@
 
 E8 measured one end-to-end attack; the paper's claim needs *campaigns* --
 multi-stage, cross-device, fabric-degrading attacks (ROADMAP open item
-4).  This bench runs the full shipped corpus (19 campaigns, four classes)
+4).  This bench runs the full shipped corpus (20 campaigns, four classes)
 against the standard protected home and rolls the per-campaign scorecards
 into one per-class table:
 

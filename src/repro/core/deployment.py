@@ -39,8 +39,9 @@ from repro.core.orchestrator import (
 from repro.devices.base import IoTDevice
 from repro.environment.engine import Environment
 from repro.environment.physics import LightProcess, SmokeProcess, ThermalProcess
-from repro.mboxes.base import Alert, MboxHost, Verdict
+from repro.mboxes.base import SOURCE_FORGERY, Alert, MboxContext, MboxHost, Verdict
 from repro.mboxes.manager import MboxManager
+from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import Topology
 from repro.obs.stream import VIEW_DELTA
@@ -56,6 +57,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.switch import Switch
     from repro.obs.health import HealthPlane
     from repro.obs.stream import HostStream
+
+def _no_view(key: str) -> None:
+    """The view of an alert raised outside any µmbox: nothing."""
+    return None
+
 
 #: One-way latency of a site's control channel (µmbox host, switches and
 #: controller are on premises).
@@ -225,6 +231,12 @@ class SecuredDeployment:
             )
             self.topology.add(self.cluster)
             self.topology.connect(self.edge, self.cluster, latency=0.001)
+            # Source binding: the hub may speak only from its own port, and
+            # the controller, which has none, from no port at all.
+            self.edge.trunks.add(self.edge.port_to(self.CLUSTER))
+            self.edge.on_forgery = self._on_forgery
+            self._bind_identity(self.HUB, self.edge, self.edge.port_to(self.HUB))
+            self._bind_identity(self.CONTROLLER)
             self.manager = MboxManager(self.sim, self.cluster)
             # Room for one µmbox per device of the fleet, and then some.
             self.manager.capacity = max(self.manager.capacity, len(spec.devices) + 8)
@@ -280,6 +292,11 @@ class SecuredDeployment:
         room = self.topology.add_switch(name)
         self.topology.connect(self.edge, room, latency=latency)
         self.rooms[name] = room
+        if self.spec.with_iotsec:
+            room.bound = dict.fromkeys(self.edge.bound)  # all bound elsewhere
+            room.trunks.add(room.port_to(self.EDGE))
+            self.edge.trunks.add(self.edge.port_to(name))
+            room.on_forgery = self._on_forgery
         if self.controller is not None:
             self.controller.adopt_packet_in(room)
         elif not self.spec.with_iotsec:
@@ -308,14 +325,14 @@ class SecuredDeployment:
             toward = self.CLUSTER if room is None else self.EDGE
             cluster_port = switch.port_to(toward)
             assert cluster_port is not None
+            device_port = link.port_a if link.a is switch else link.port_b
             self.orchestrator.attach(
                 name,
                 SwitchAttachment(
-                    switch=switch,
-                    device_port=link.port_a if link.a is switch else link.port_b,
-                    cluster_port=cluster_port,
+                    switch=switch, device_port=device_port, cluster_port=cluster_port
                 ),
             )
+            self._bind_identity(name, switch, device_port)
         if self.controller is not None:
             self.controller.register_device(device)
         return device
@@ -502,6 +519,22 @@ class SecuredDeployment:
         controller = restore_controller(self, checkpoint, tail)
         self._bind(controller)
         return controller
+
+    def _bind_identity(
+        self, identity: str, switch: "Switch | None" = None, port: int | None = None
+    ) -> None:
+        """Let ``identity`` into the site only at ``port`` of ``switch``
+        (nowhere, without them); every other switch's access ports refuse it."""
+        for each in self.switches():
+            each.bound[identity] = port if each is switch else None
+
+    def _on_forgery(self, switch: "Switch", packet: Packet, in_port: int) -> None:
+        """The edge dropped a packet claiming a bound identity: raise an
+        enforcing ``source-forgery`` alert against the host on that port."""
+        link = switch.ports[in_port]
+        host = (link.b if link.a is switch else link.a).name
+        context = MboxContext(self.sim, switch.name, host, _no_view, self._forward_alert, packet)
+        context.alert(SOURCE_FORGERY, claimed=packet.src, dst=packet.dst, port=in_port)
 
     def _forward_alert(self, alert: Alert) -> None:
         # The detail is shared, not copied: an alert's detail is immutable

@@ -66,6 +66,9 @@ DEFAULT_ESCALATIONS: tuple[EscalationRule, ...] = (
     EscalationRule("context-gate-blocked", SUSPICIOUS, count=2, window=60.0),
     EscalationRule("command-not-whitelisted", SUSPICIOUS, count=1),
     EscalationRule("dns-reflection-blocked", COMPROMISED, count=10, window=10.0),
+    # The edge dropped a packet that claimed a trusted identity from a
+    # port not its own (``SecuredDeployment._on_forgery``).
+    EscalationRule("source-forgery", COMPROMISED, count=1),
     EscalationRule("unapproved-source", SUSPICIOUS, count=3, window=60.0),
     EscalationRule("anomalous-command", SUSPICIOUS, count=2, window=300.0),
     # "insider": a *registered device* appears as the source of an alert at

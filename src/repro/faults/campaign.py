@@ -52,6 +52,7 @@ from repro.attacks.exploits import EXPLOITS
 from repro.devices import protocol
 from repro.environment.variables import DiscreteVariable
 from repro.faults.plan import FAULT_KINDS, FaultEvent, FaultPlan
+from repro.mboxes.base import SOURCE_FORGERY
 from repro.netsim.routing_attacks import ROUTING_ATTACK_KINDS, RoutingAttack
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -539,6 +540,7 @@ class CampaignRunner:
     def _execute_command(self, stage: CampaignStage) -> str:
         params = dict(stage.params)
         cmd = str(params.pop("command"))
+        src = str(params.pop("src", self.attacker.name))  # a forged source
         dport = params.pop("dport", None)
         use_session = bool(params.pop("use_session", False))
         target = stage.target
@@ -550,7 +552,7 @@ class CampaignRunner:
             if dport is not None:
                 kwargs["dport"] = int(dport)
             attacker.fire_and_forget(
-                protocol.command(attacker.name, target, cmd, session=session, **kwargs)
+                protocol.command(src, target, cmd, session=session, **kwargs)
             )
 
         count = self._wave(params, fire)
@@ -801,10 +803,16 @@ def score_campaign(
         if isinstance(victim, str) and victim in dep.devices:
             attacked.setdefault(victim, result.fired_at)
 
+    # A forged packet dies at the edge: its alert names the forging host,
+    # and detects the attack on the device the packet was sent to.
     alerted = {
-        entry.device
+        name
         for entry in journal.entries(kind="alert")
-        if entry.device and entry.device in dep.devices
+        for name in (
+            entry.device,
+            entry.fields.get("dst") if entry.fields.get("alert_kind") == SOURCE_FORGERY else None,
+        )
+        if name in dep.devices
     }
     true_positives = attacked.keys() & alerted
     recall = len(true_positives) / len(attacked) if attacked else 1.0

@@ -1,4 +1,4 @@
-"""The standing campaign corpus: 19 named campaigns over one home.
+"""The standing campaign corpus: 20 named campaigns over one home.
 
 Every campaign in :data:`CAMPAIGNS` runs against the same
 :func:`build_home` deployment -- eight devices from the Table 1 library,
@@ -367,6 +367,21 @@ def _lateral_movement() -> list[Campaign]:
                   {"exploit": "brute_force_login"},
                   target="window", depends_on=("meter-hijack",),
                   precondition={"kind": "loot", "target": "cam"}),
+            ),
+        ),
+        Campaign(
+            "hub-impersonation-lock",
+            "lateral-movement",
+            description="Hub commands forged from the attacker's port at the "
+            "pinned lock, whose firewall trusts the hub's address: only the "
+            "edge's source binding stands in the way.",
+            seed=205,
+            horizon=25.0,
+            expect_contained=("lock",),
+            stages=(
+                S("forge", 2.0, "command",
+                  {"command": "unlock", "src": "hub", "count": 5, "period": 0.5},
+                  target="lock", jitter=0.3),
             ),
         ),
     ]

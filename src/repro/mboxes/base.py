@@ -54,6 +54,11 @@ class Alert:
         return f"Alert#{self.alert_id}[{self.kind}] {self.device} via {self.mbox}: {self.detail}"
 
 
+#: The alert an edge switch raises against the host on a port that sent a
+#: packet claiming an identity bound to another port.
+SOURCE_FORGERY = "source-forgery"
+
+
 @dataclass(slots=True)
 class MboxContext:
     """What an element can see beyond the packet itself.

@@ -68,6 +68,16 @@ class Switch(Node):
         #: owner -> its rules, every version of them.
         self._by_owner: dict[Optional[str], list[FlowRule]] = {}
         self.packet_in_handler: Optional[Callable[["Switch", Packet, int], None]] = None
+        #: Source binding: the port behind which each identity the policy
+        #: trusts sits (None: no port of this switch).  ``trunks`` -- the
+        #: ports to other switches and to the µmbox cluster -- relay such
+        #: traffic and are exempt.  A packet claiming a bound identity from
+        #: any other port is dropped, counted in ``forged`` and reported to
+        #: ``on_forgery``.
+        self.bound: dict[str, Optional[int]] = {}
+        self.trunks: set[int] = set()
+        self.forged = 0
+        self.on_forgery: Optional[Callable[["Switch", Packet, int], None]] = None
         self.punted = 0
         self.dropped = 0
         self.miss_drops = 0
@@ -97,6 +107,7 @@ class Switch(Node):
         metrics.gauge("switch_punted", fn=lambda: self.punted, **self.metric_labels)
         metrics.gauge("switch_dropped", fn=lambda: self.dropped, **self.metric_labels)
         metrics.gauge("switch_miss_drops", fn=lambda: self.miss_drops, **self.metric_labels)
+        metrics.gauge("switch_forged", fn=lambda: self.forged, **self.metric_labels)
         metrics.gauge("switch_table_size", fn=self.table_size, **self.metric_labels)
 
     # ------------------------------------------------------------------
@@ -301,6 +312,12 @@ class Switch(Node):
     # Data path
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet, in_port: int) -> None:
+        # The one source-binding probe: an unbound source reads its own port.
+        if self.bound.get(packet.src, in_port) != in_port and in_port not in self.trunks:
+            self.forged += 1
+            if self.on_forgery is not None:
+                self.on_forgery(self, packet, in_port)
+            return
         inspected_by = None
         if (
             packet.protocol == TUNNEL_PROTOCOL

@@ -324,10 +324,21 @@ def test_device_to_device_is_inspected_once_by_the_destination(site):
 
 
 def test_forged_source_from_another_port_still_tunnels(site):
+    """The offload rules key on the device's port: with the edge's source
+    binding out of the way, a forged source still takes the inspected path."""
+    site.edge.bound.clear()
     tunnelled = site.cluster.tunnelled_in
     site.attackers["attacker"].fire_and_forget(protocol.telemetry("cam", "hub", "idle", {}))
     site.run(until=2.0)
     assert site.cluster.tunnelled_in == tunnelled + 1
+
+
+def test_forged_source_from_another_port_is_dropped_at_the_edge(site):
+    tunnelled, hub_rx = site.cluster.tunnelled_in, site.hub.rx_count
+    site.attackers["attacker"].fire_and_forget(protocol.telemetry("cam", "hub", "idle", {}))
+    site.run(until=2.0)
+    assert site.edge.forged == 1
+    assert (site.cluster.tunnelled_in, site.hub.rx_count) == (tunnelled, hub_rx)
 
 
 def test_unpin_withdraws_at_once(site):

@@ -78,6 +78,7 @@ from repro.core.deployment import SecuredDeployment
 from repro.core.orchestrator import build_recommended_posture
 from repro.devices.library import smart_plug
 from repro.netsim.simulator import Simulator
+from repro.netsim.switch import Switch
 from tests.test_hot_path_equivalence import build_e9_small
 
 WARMUP = 20.0
@@ -206,9 +207,33 @@ def test_bare_forwarding_stays_within_its_call_budget():
     )
 
 
+def test_source_binding_is_one_probe_a_switch_hop():
+    """The edge's source-binding check is one dict probe each time a switch
+    takes a packet: a C call, so the call budgets above never see it."""
+    dep, __ = build_e9_small(telemetry_period=2.0)
+    dep.run(until=WARMUP)
+    tables = {id(switch.bound) for switch in dep.switches()}
+    on_packet = Switch.on_packet.__code__
+    probes = hops = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal probes, hops
+        if event == "call" and frame.f_code is on_packet:
+            hops += 1
+        elif event == "c_call" and id(getattr(arg, "__self__", None)) in tables:
+            probes += 1
+
+    sys.setprofile(count)
+    try:
+        dep.run(until=WARMUP + WINDOW)
+    finally:
+        sys.setprofile(None)
+    assert hops > PACKETS and probes == hops
+
+
 def test_attacker_state_does_not_grow_with_the_horizon():
-    # observe=False: the journal and trace store are bounded rings that take
-    # longer than a window to fill, so they stay out of the count.  The
+    # observe=False: the journal is a bounded ring that takes longer than a
+    # window to fill, so it stays out of the count.  The
     # alert log (one alert a dropped request) is cleared at each read.
     dep = SecuredDeployment.build(sim=Simulator(observe=False))
     dep.add_device(smart_plug, "plug")
