@@ -262,9 +262,10 @@ class PostureOrchestrator:
         devices changed posture this round, carrying those devices' rule
         groups and no one else's.
 
-        ``traces`` optionally maps devices to causal-trace ids; each traced
-        device gets an ``actuate`` span (posture deploy latency) and its
-        switch's flow push gets a ``flow-install`` or ``epoch-commit`` span.
+        ``traces`` optionally maps devices to causal-trace ids: a traced
+        device's ``posture`` entry carries its trace, and its switch's
+        ``flow-install`` or ``epoch-commit`` entry carries every trace whose
+        flows it pushes.
         """
         traces = traces or {}
         records: list[OrchestrationRecord] = []

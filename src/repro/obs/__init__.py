@@ -1,6 +1,6 @@
 """repro.obs: always-on, near-zero-overhead observability.
 
-Three primitives and their glue:
+Two records, a view over one of them, and their glue:
 
 - :class:`MetricsRegistry` (:mod:`repro.obs.registry`) -- counters, gauges
   and fixed-bucket histograms keyed by ``(name, labels)``.  Simulated-time
@@ -8,20 +8,21 @@ Three primitives and their glue:
   instrument is one attribute increment.  Callback gauges cost *nothing*
   until a snapshot is taken -- they read counters a component already
   keeps.
-- :class:`Tracer` (:mod:`repro.obs.trace`) -- span-based causal tracing.
-  An alert is stamped with a trace id where it is born (the µmbox) and
-  the id rides the control channel, the escalation engine, the reactive
-  pipeline's dirty set, and the orchestrator's actuation batch, so one
-  trace shows the packet -> alert -> escalation -> posture -> flow-rule
-  chain with per-stage *simulated* latencies.
 - :class:`Journal` (:mod:`repro.obs.journal`) -- the flight recorder: an
   append-only, bounded, structured security audit journal every layer
   writes through ``sim.journal.record(kind, **fields)``.  Where metrics
-  aggregate and traces time, the journal *remembers*: packet verdicts,
-  alerts, escalations, posture/FSM transitions, flow installs, epoch
-  commits, device lifecycle and attack steps, in order, in simulated
-  time.  :func:`reconstruct` (:mod:`repro.obs.incident`) joins journal +
-  traces + metrics into a per-device incident timeline.
+  aggregate, the journal *remembers*: packet verdicts, alerts,
+  escalations, posture/FSM transitions, flow installs, epoch commits,
+  device lifecycle and attack steps, in order, in simulated time.
+- :class:`Tracer` (:mod:`repro.obs.trace`) -- causal traces read from the
+  journal.  An alert gets a trace id where it is born (the µmbox) and the
+  id rides the control channel, the escalation engine, the reactive
+  pipeline's dirty set, and the orchestrator's actuation batch; every
+  stage's journal entry carries it, so the entries sharing an id are the
+  packet -> alert -> escalation -> posture -> flow-rule chain with
+  per-stage *simulated* latencies.  :func:`reconstruct`
+  (:mod:`repro.obs.incident`) builds a per-device incident timeline from
+  the journal, its chains and the metrics.
 
 The durable telemetry plane (:mod:`repro.obs.stream`) sits between the
 µmbox hosts and the controller: per-host store-and-forward buffers with
