@@ -280,8 +280,9 @@ class TestSpillRotation:
         assert files[-1] == str(spill)
         assert len(files) <= journal.spill_max_files
         for path in files:
-            for line in open(path, encoding="utf-8"):
-                json.loads(line)  # every retained line is complete JSON
+            with open(path, encoding="utf-8") as fh:
+                for line in fh:
+                    json.loads(line)  # every retained line is complete JSON
 
     def test_file_cap_drops_oldest_and_counts_loss(self, tmp_path):
         journal, spill = self._rotating(tmp_path, max_files=2, max_bytes=128)
