@@ -133,13 +133,21 @@ def span_rows(tracer) -> list[list]:
     )
 
 
+def _one_row_a_line(fixture: dict) -> str:
+    blocks = [
+        f"{json.dumps(name)}: [\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]"
+        for name, rows in sorted(fixture.items())
+    ]
+    return "{\n" + ",\n".join(blocks) + "\n}\n"
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_spans_match_fixture(name):
     rows = span_rows(SCENARIOS[name]().sim.tracer)
     if RECORDING:
         fixture = json.loads(FIXTURE_PATH.read_text()) if FIXTURE_PATH.exists() else {}
         fixture[name] = rows
-        FIXTURE_PATH.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n")
+        FIXTURE_PATH.write_text(_one_row_a_line(fixture))
         return
     expected = json.loads(FIXTURE_PATH.read_text())[name]
     assert rows, f"{name}: the run produced no spans"
