@@ -58,6 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.health import HealthPlane
     from repro.obs.stream import HostStream
 
+
 def _no_view(key: str) -> None:
     """The view of an alert raised outside any µmbox: nothing."""
     return None

@@ -417,14 +417,13 @@ class Journal:
                     continue
                 try:
                     data = json.loads(line)
-                    trace = data.get("trace_id")  # a tuple of ids spills as a list
                     entries.append(
                         JournalEntry(
                             seq=int(data["seq"]),
                             at=float(data["at"]),
                             kind=str(data["kind"]),
                             device=str(data["device"]),
-                            trace_id=tuple(trace) if isinstance(trace, list) else trace,
+                            trace_id=data.get("trace_id"),
                             fields=dict(data["fields"]),
                         )
                     )
