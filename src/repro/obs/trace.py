@@ -163,8 +163,8 @@ class Tracer:
         """Index what was journaled since the last read; forget what the
         ring has evicted since."""
         journal = self.journal
-        if journal is None:
-            return
+        if journal is None or journal.last_seq == self._read:
+            return  # the ring evicts only when it records
         chains, indexed = self._chains, self._indexed
         for record in journal.entries_since(self._read):
             trace = record.trace_id
