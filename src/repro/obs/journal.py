@@ -315,15 +315,13 @@ class Journal:
         ring are gone (evicted/spilled), so callers checkpoint often
         enough that the tail past their checkpoint is still retained.
         """
-        out = []
-        for segment in reversed(self._segments):
-            if segment and segment[-1][0] <= seq:
-                break
-            for raw in segment:
-                if raw[0] > seq:
-                    out.append(raw)
-        out.sort(key=lambda raw: raw[0])
-        return [JournalEntry(*raw) for raw in out]
+        return [
+            JournalEntry(*raw)
+            for segment in self._segments  # oldest first, each in seq order
+            if segment and segment[-1][0] > seq
+            for raw in segment
+            if raw[0] > seq
+        ]
 
     def __iter__(self) -> Iterator[JournalEntry]:
         for segment in self._segments:
