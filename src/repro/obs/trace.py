@@ -93,19 +93,19 @@ def _spans_of(trace_id: int, records: "deque[JournalEntry]") -> list[Span]:
             # The controller's insider record rides the alert's trace; only
             # the alert itself crossed the channel.
             if fields.get("alert_kind") != "insider":
-                add("ingest-alert", fields["sent_at"], at, device, fields)
+                add("ingest-alert", fields.get("sent_at", at), at, device, fields)
         elif kind == "escalation":
             add("escalate", at, at, device, fields)
         elif kind == "posture":
             since = opened.get("alert-ingest", opened.get("failover", at))
             add("evaluate", since, at, device, fields)
-            add("actuate", at, fields["ready_at"], device, fields)
+            add("actuate", at, fields.get("ready_at", at), device, fields)
         elif kind == "flow-install":
             add("flow-install", at, at, "", fields)
         elif kind == "epoch-commit":
-            add("epoch-commit", at - fields["duration"], at, "", fields)
+            add("epoch-commit", at - fields.get("duration", 0.0), at, "", fields)
         elif kind == "failover":
-            add("detect", fields["last_heartbeat"], at, "", fields)
+            add("detect", fields.get("last_heartbeat", at), at, "", fields)
         elif kind == "failover-complete":
             add("restore", opened.get("failover", at), at, "", fields)
         elif kind in ("slo-breach", "slo-recover"):
