@@ -69,7 +69,7 @@ def build_home(arm: str):
                 edge.install(
                     FlowRule(
                         match=FlowMatch(in_port=port, dport=allowed),
-                        actions=(Action.controller(),),
+                        actions=(Action.normal(),),
                         priority=600,
                     )
                 )
@@ -80,13 +80,6 @@ def build_home(arm: str):
                     priority=400,
                 )
             )
-
-        def forwarder(switch, packet, in_port):
-            hop = dep.topology.next_hop_port(switch.name, packet.dst)
-            if hop is not None and hop != in_port:
-                switch.send(packet, hop)
-
-        edge.packet_in_handler = forwarder
 
     if arm == "iotsec":
         trusted = (dep.HUB, dep.CONTROLLER, "owner_phone")

@@ -47,10 +47,10 @@ def test_flow_table_lookup_64_rules(benchmark):
     for i in range(16):
         device = f"dev{i}"
         switch.install(FlowRule(
-            match=FlowMatch(dst=device, in_port=1), actions=(Action.controller(),), priority=900,
+            match=FlowMatch(dst=device, in_port=1), actions=(Action.normal(),), priority=900,
         ))
         switch.install(FlowRule(
-            match=FlowMatch(src=device, in_port=1), actions=(Action.controller(),), priority=890,
+            match=FlowMatch(src=device, in_port=1), actions=(Action.normal(),), priority=890,
         ))
         switch.install(FlowRule(
             match=FlowMatch(dst=device), actions=(Action.drop(),), priority=500,

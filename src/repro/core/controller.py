@@ -38,7 +38,6 @@ from repro.obs.stream import VIEW_DELTA, DeadLetterQueue, StreamConsumer
 from repro.policy.context import NORMAL, SEVERITY
 from repro.policy.fsm import PolicyFSM
 from repro.sdn.channel import ControlChannel, ControlMessage
-from repro.sdn.tunnel import tunnel_packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devices.base import IoTDevice
@@ -46,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.packet import Packet
     from repro.netsim.simulator import Simulator
     from repro.netsim.switch import Switch
-    from repro.netsim.topology import Topology
     from repro.policy.pruning import PrunedPolicy
 
 __all__ = [
@@ -69,7 +67,6 @@ class IoTSecController:
         policy: PolicyFSM,
         orchestrator: PostureOrchestrator,
         channel: ControlChannel,
-        topology: "Topology | None" = None,
         escalations: tuple[EscalationRule, ...] = DEFAULT_ESCALATIONS,
         ingest: IngestConfig | None = None,
         durable_telemetry: bool = False,
@@ -80,7 +77,6 @@ class IoTSecController:
         self.policy = policy
         self.orchestrator = orchestrator
         self.channel = channel
-        self.topology = topology
         self.escalations = escalations
         self.view = GlobalView(sim)
         self.pipeline = ReactivePipeline(
@@ -193,39 +189,16 @@ class IoTSecController:
         self.view.set(f"env:{variable}", level)
 
     def adopt_packet_in(self, switch: "Switch") -> None:
-        """Serve as the switch's reactive forwarder."""
+        """Serve the switch's table misses.  Installed rules forward
+        everything else on the switch itself (``normal``), so this is the
+        only traffic a controller outage cuts."""
         switch.packet_in_handler = self._on_packet_in
         if switch not in self._adopted:
             self._adopted.append(switch)
 
     def _on_packet_in(self, switch: "Switch", packet: "Packet", in_port: int) -> None:
         self.packet_ins += 1
-        # Device-to-device traffic must traverse the *destination's* µmbox
-        # too: unless the packet is the return of that very µmbox, a packet
-        # to a tunnelled device is re-encapsulated toward it, not forwarded.
-        inspected_by = packet.inspected_by
-        attachment = self.orchestrator.attachments.get(packet.dst)
-        if (
-            attachment is not None
-            and attachment.switch is switch
-            and packet.dst in self.orchestrator.tunnels
-            and packet.dst != inspected_by
-        ):
-            outer = tunnel_packet(packet, switch.name, packet.dst)
-            # Address the outer packet to the cluster host so intermediate
-            # switches (enterprise core) can route it there.
-            outer.dst = self.orchestrator.manager.host.name
-            switch.send(outer, attachment.cluster_port)
-            return
-        if self.topology is None:
-            return
-        port = self.topology.next_hop_port(switch.name, packet.dst)
-        if port is None:
-            return
-        # Inspected packets may legitimately hairpin: they arrived from the
-        # cluster on the uplink and must leave through the same uplink.
-        if port != in_port or inspected_by is not None:
-            switch.send(packet, port)
+        switch.forward_normal(packet, in_port)
 
     # ------------------------------------------------------------------
     # Control-channel ingress
@@ -422,7 +395,8 @@ class IoTSecController:
         The endpoint is unregistered (reliable sends wait on their lane
         and deliver, in order, to whichever controller registers the name
         next -- restart or failover), adopted switches lose their
-        packet-in handler (reactive forwarding goes dark), the pipeline
+        packet-in handler (table misses are dropped; inspected returns and
+        blind flows ride installed rules and keep flowing), the pipeline
         is halted so no queued zero-delay round actuates posthumously,
         and any queued ingest work is discarded.
         """

@@ -10,26 +10,31 @@ Flow-rule scheme per secured device (priorities matter):
 ====  =========================================  =======================
 prio  match                                      action
 ====  =========================================  =======================
- 900  dst=D, in_port=cluster_port                controller (reactive fwd)
- 890  src=D, in_port=cluster_port                controller (reactive fwd)
- 700  src=D[, dst=peer], in_port=device_port     controller (reactive fwd)
+ 900  dst=D, in_port=cluster_port                normal
+ 890  src=D, in_port=cluster_port                normal
+ 700  src=D[, dst=peer], in_port=device_port     normal
  500  dst=D                                      tunnel(mbox, cluster_port)
  500  src=D                                      tunnel(mbox, cluster_port)
 ====  =========================================  =======================
 
 Inspected packets return from the cluster on ``cluster_port`` and hit the
-900/890 bypasses, which is what breaks the re-tunnelling loop.  Device-to-
-device traffic is inspected by the *destination's* µmbox (the dst rule is
-installed ahead of the src rule at equal priority/specificity).
+900/890 bypasses, which is what breaks the re-tunnelling loop.  Their
+``normal`` action is resolved by the switch: a packet bound for another
+device secured there whose µmbox has not seen it yet is re-tunnelled into
+that µmbox (the switch's ``tunnels`` map, written here whenever a tunnel
+is bound or unbound), anything else takes the next hop toward its
+destination.  So device-to-device traffic visits both µmboxes, whichever
+500 rule the edge matched first, and no conforming packet needs the
+controller: it serves only table misses.
 
 The 700 rows exist only for a **pinned** device, one per *blind flow* of
 its chain.  A chain is blind to a flow when every element declares
 (:attr:`repro.mboxes.base.Element.blind_peers`) that it neither judges nor
 remembers such a packet: the µmbox would return it untouched, so the edge
-hands it straight to the same reactive forwarder inspected packets come
-back through -- two hops instead of four, and the destination's µmbox (if
-it has one) still sees it, because that forwarder re-tunnels toward an
-uninspected secured destination.  The rule names the device's own port, so
+forwards it as it forwards an inspected return (``normal``) -- two hops
+instead of four, and the destination's µmbox (if it has one) still sees
+it, because ``normal`` re-tunnels toward an uninspected secured
+destination.  The rule names the device's own port, so
 a packet forging ``src=D`` from anywhere else still tunnels.  Pinned-only
 because a pinned posture is the administrator's vetted resting state that
 the policy loop never changes: the rules are static and ride the flow push
@@ -292,6 +297,7 @@ class PostureOrchestrator:
                     self._remove_tunnel(device, attachment, epochs)
                     self.manager.teardown(device)
                     self.tunnels.unbind(device)
+                    attachment.switch.tunnels.pop(device, None)
                     ready_at = now
                     operation = "teardown"
                     flow_change = True
@@ -302,7 +308,7 @@ class PostureOrchestrator:
                     if granted or device not in self.tunnels:
                         self._install(device, attachment, installs, epochs)
                         flow_change = True
-                    self.tunnels.bind(device, mbox_name)
+                    self._bind_tunnel(device, attachment, mbox_name)
                     ready_at = deploy.ready_at
                     operation = deploy.operation
 
@@ -374,7 +380,7 @@ class PostureOrchestrator:
         attachment = self.attachments.get(device)
         if posture is None or posture.is_permissive or mbox is None or attachment is None:
             return False
-        self.tunnels.bind(device, mbox.name)
+        self._bind_tunnel(device, attachment, mbox.name)
         self.sim.journal.record(
             "chain-repin",
             device=device,
@@ -392,6 +398,16 @@ class PostureOrchestrator:
         return True
 
     # ------------------------------------------------------------------
+    def _tunnel(self, device: str, att: SwitchAttachment) -> Action:
+        """Where the device's switch sends what must meet its µmbox."""
+        return Action.tunnel(device, att.cluster_port, via=self.manager.host.name)
+
+    def _bind_tunnel(self, device: str, att: SwitchAttachment, mbox: str) -> None:
+        """Record the device's µmbox, and its tunnel at its switch for
+        ``normal`` to re-tunnel into, from this instant on."""
+        self.tunnels.bind(device, mbox)
+        att.switch.tunnels[device] = self._tunnel(device, att)
+
     def _blind_peers(self, device: str, posture: Posture | None) -> frozenset[str] | None:
         """What the edge may offload for ``device`` under ``posture``."""
         if posture is None or device not in self.pinned:
@@ -462,36 +478,33 @@ class PostureOrchestrator:
     def _device_rules(self, device: str, att: SwitchAttachment) -> list[FlowRule]:
         """The device's rule group.  Every rule is stamped ``owner=device``:
         the group is installed, flipped and removed as one."""
+        tunnel = self._tunnel(device, att)
         return [
-            # Returned-from-cluster packets go through the controller's
-            # forwarder: only it knows whether the *destination's* µmbox has
-            # inspected the packet yet (device-to-device traffic must visit
-            # both µmboxes; a static forward here would skip the second).
+            # Returned-from-cluster packets are forwarded ``normal``: the
+            # switch knows whether the *destination's* µmbox has inspected
+            # the packet yet (device-to-device traffic must visit both
+            # µmboxes; a static forward here would skip the second).
             FlowRule(
                 match=FlowMatch(dst=device, in_port=att.cluster_port),
-                actions=(Action.controller(),),
+                actions=(Action.normal(),),
                 priority=BYPASS_DST_PRIORITY,
                 owner=device,
             ),
             FlowRule(
                 match=FlowMatch(src=device, in_port=att.cluster_port),
-                actions=(Action.controller(),),
+                actions=(Action.normal(),),
                 priority=BYPASS_SRC_PRIORITY,
                 owner=device,
             ),
             FlowRule(
                 match=FlowMatch(dst=device),
-                actions=(
-                    Action.tunnel(device, att.cluster_port, via=self.manager.host.name),
-                ),
+                actions=(tunnel,),
                 priority=TUNNEL_PRIORITY,
                 owner=device,
             ),
             FlowRule(
                 match=FlowMatch(src=device),
-                actions=(
-                    Action.tunnel(device, att.cluster_port, via=self.manager.host.name),
-                ),
+                actions=(tunnel,),
                 priority=TUNNEL_PRIORITY,
                 owner=device,
             ),
@@ -500,12 +513,12 @@ class PostureOrchestrator:
 
     def _offload_rules(self, device: str, att: SwitchAttachment) -> list[FlowRule]:
         """One rule per blind flow of a pinned device's chain, matched on
-        the device's own port and handed to the reactive forwarder."""
+        the device's own port and forwarded ``normal``."""
         blind = self.offloaded.get(device, _NOTHING)
         return [
             FlowRule(
                 match=FlowMatch(src=device, dst=peer, in_port=att.device_port),
-                actions=(Action.controller(),),
+                actions=(Action.normal(),),
                 priority=OFFLOAD_PRIORITY,
                 owner=device,
             )

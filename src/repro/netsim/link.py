@@ -23,7 +23,7 @@ with ``_deliver`` bound once at construction rather than once a hop.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.netsim.packet import Packet
 
@@ -52,12 +52,8 @@ class Link:
         "port_b",
         "metric_labels",
         "_deliver_bound",
+        "on_state_change",
     )
-
-    #: Bumped whenever any link changes up/down state.  Routing caches use
-    #: it (together with node/link counts) as an O(1) staleness check
-    #: instead of scanning every link's status per lookup.
-    state_version: int = 0
 
     def __init__(
         self,
@@ -90,6 +86,9 @@ class Link:
         self._busy_until_ba = 0.0  # b -> a serialization horizon
         #: ``self._deliver`` made once: every hop's heap entry carries it.
         self._deliver_bound = self._deliver
+        #: Called after every up/down flip: the topology routing over this
+        #: link drops its routes there (``Topology.connect`` sets it).
+        self.on_state_change: Callable[[], None] | None = None
         self.port_a = port_a if port_a is not None else a.free_port()
         self.port_b = port_b if port_b is not None else b.free_port()
         a.attach(self.port_a, self)
@@ -112,7 +111,8 @@ class Link:
     def up(self, value: bool) -> None:
         if value != self._up:
             self._up = value
-            Link.state_version += 1
+            if self.on_state_change is not None:
+                self.on_state_change()
 
     def other_end(self, node: "Node") -> "Node":
         """The node at the far side from ``node``."""

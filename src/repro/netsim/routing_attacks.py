@@ -18,8 +18,11 @@ that quietly breaks that assumption:
   notice from connectivity alone.
 
 The attack wraps the switch's action-application hook, so it sits below
-the flow table and the megaflow cache: every tunnel decision passes
-through it while engaged.  ``disengage`` restores the pristine data path.
+the flow table and the megaflow cache: every ``tunnel`` action passes
+through it while engaged.  A ``normal`` action passes through untouched,
+so the re-tunnel it makes inside the switch (device-to-device traffic
+into the destination's µmbox) escapes the wrapper.  ``disengage``
+restores the pristine data path.
 Engagement and disengagement are journaled (kind ``"routing-attack"``)
 because the *simulation* is omniscient evidence even when the defence is
 blind -- the incident timeline can show exactly when the fabric lied.

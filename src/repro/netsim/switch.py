@@ -2,9 +2,11 @@
 
 Every IoT device's first-hop edge router "is configured to tunnel packets
 to/from the device to the cluster" (paper section 2.2).  The switch holds a
-prioritized flow table; unmatched packets are punted to the controller over
-the control channel (packet-in), exactly the reactive SDN model the paper
-assumes.
+prioritized flow table and forwards on it: a ``normal`` action (OpenFlow's
+NORMAL) is resolved here, from the tunnels the orchestrator binds at this
+switch and the next hops of the topology it belongs to.  Only a packet no
+rule matches is punted to the controller (packet-in), so a dead controller
+costs the table misses and nothing that installed rules carry.
 """
 
 from __future__ import annotations
@@ -19,12 +21,16 @@ from repro.sdn.tunnel import TUNNEL_PROTOCOL, tunnel_packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.simulator import Simulator
+    from repro.netsim.topology import Topology
 
 #: Cache-miss sentinel (``None`` is a valid cached lookup result).
 _MISS = object()
 
 #: What a packet no rule matches gets: the table-miss entry, packet-in.
+#: A secured site's controller serves it (``normal`` again, once counted);
+#: a plain site never misses, its catch-all rule is ``normal``.
 _TABLE_MISS = (Action.controller(),)
+_NORMAL = (Action.normal(),)
 
 #: Megaflow cache floor: the cache may hold this many entries or four per
 #: installed rule, whichever is more.  Conforming traffic needs a few keys
@@ -50,7 +56,8 @@ def _bucket_keys(rules: Iterable[FlowRule]) -> tuple[set[str], set[Optional[str]
 
 
 class Switch(Node):
-    """A flow-table switch with controller punting and version filtering.
+    """A flow-table switch that forwards on its rules, punts table misses
+    to the controller and filters rules by version.
 
     Rules come in groups, one per :attr:`FlowRule.owner`, and a group is
     the unit a configuration epoch replaces: liveness is decided per owner
@@ -81,6 +88,15 @@ class Switch(Node):
         self.punted = 0
         self.dropped = 0
         self.miss_drops = 0
+        #: What a ``normal`` action reads, one dict probe each on a steady
+        #: flow: the tunnel of every secured device attached here (the
+        #: orchestrator writes it when it binds or unbinds one), and the
+        #: next hop toward each destination, filled from ``routes`` (the
+        #: topology this switch belongs to), which drops it with its own
+        #: route tables.
+        self.tunnels: dict[str, Action] = {}
+        self.routes: Optional["Topology"] = None
+        self.next_hops: dict[str, Optional[int]] = {}
         # Lookup accelerator: every rule lands in exactly one bucket --
         # keyed by its concrete src, else by its concrete dst, else the
         # wildcard list (src first: a fleet's ``src=D, dst=hub`` rules
@@ -351,12 +367,44 @@ class Switch(Node):
         if inspected_by is not None:
             packet.inspected_by = None
 
+    def forward_normal(self, packet: Packet, in_port: int) -> None:
+        """Apply a ``normal`` action to ``packet``: what a controller does
+        with a table miss it serves."""
+        self._apply(_NORMAL, packet, in_port)
+
+    def _next_hop(self, dst: str) -> Optional[int]:
+        """The next-hop port toward ``dst`` (None: no route), cached."""
+        routes = self.routes
+        port = self.next_hops[dst] = (
+            routes.next_hop_port(self.name, dst) if routes is not None else None
+        )
+        return port
+
     def _apply(self, actions: tuple[Action, ...], packet: Packet, in_port: int) -> None:
-        # Ordered by data-path frequency: conforming edge traffic tunnels
-        # on the way in and punts on the way back (the orchestrator's
-        # bypass rules are ``controller`` actions); forward/drop are colder.
+        # Ordered by data-path frequency: conforming edge traffic comes
+        # back from its µmbox (or skips it, a blind flow) to a ``normal``
+        # rule, and tunnels on the way in; controller/forward/drop are
+        # colder.  A re-tunnel a ``normal`` action makes here is not
+        # another ``_apply`` call, so a wrapper interposed on this method
+        # (``routing_attacks``) does not see it as a tunnel action.
         for action in actions:
             kind = action.kind
+            if kind == "normal":
+                dst = packet.dst
+                inspected_by = packet.inspected_by
+                tunnel = self.tunnels.get(dst)
+                if tunnel is None or dst == inspected_by:
+                    port = self.next_hops.get(dst, _MISS)
+                    if port is _MISS:
+                        port = self._next_hop(dst)
+                    # Only an inspected return may hairpin: it came back
+                    # from the cluster on the uplink it must leave by.
+                    if port is not None and (port != in_port or inspected_by is not None):
+                        self.send(packet, port)
+                    continue
+                # Device-to-device: the destination's µmbox has not seen
+                # the packet yet.
+                action, kind = tunnel, "tunnel"
             if kind == "tunnel":
                 outer = tunnel_packet(packet, self.name, action.target)
                 if action.via is not None:

@@ -25,15 +25,13 @@ class Topology:
         self.sim = sim or Simulator()
         self.nodes: dict[str, Node] = {}
         self.links: list[Link] = []
-        #: What the cached routes were computed over: node count, link
-        #: count and ``Link.state_version`` (-1 before the first route).
-        self._routed_nodes = -1
-        self._routed_links = -1
-        self._routed_link_version = -1
-        #: node -> [(latency, neighbour, egress port)] over *up* links
-        self._adjacency: dict[str, list[tuple[float, str, int]]] = {}
+        #: node -> [(latency, neighbour, egress port)] over *up* links;
+        #: None once a change has made the routes stale.
+        self._adjacency: dict[str, list[tuple[float, str, int]]] | None = None
         #: source -> {destination: egress port at source}
         self._next_hops: dict[str, dict[str, int]] = {}
+        #: The switches whose ``next_hops`` caches read these routes.
+        self._switches: list[Switch] = []
 
     # ------------------------------------------------------------------
     # Construction
@@ -43,6 +41,10 @@ class Topology:
         if node.name in self.nodes:
             raise ValueError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
+        if isinstance(node, Switch):
+            node.routes = self
+            self._switches.append(node)
+        self._drop_routes()
         return node
 
     def add_switch(self, name: str) -> Switch:
@@ -67,6 +69,8 @@ class Topology:
         node_b = self._resolve(b)
         link = Link(self.sim, node_a, node_b, latency=latency, bandwidth=bandwidth)
         self.links.append(link)
+        link.on_state_change = self._drop_routes
+        self._drop_routes()
         return link
 
     def _resolve(self, ref: str | Node) -> Node:
@@ -135,6 +139,14 @@ class Topology:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
+    def _drop_routes(self) -> None:
+        """Forget every computed route, the switches' caches of them too:
+        a node or link was added, or a link went up or down."""
+        self._adjacency = None
+        self._next_hops.clear()
+        for switch in self._switches:
+            switch.next_hops.clear()
+
     def _build_adjacency(self) -> dict[str, list[tuple[float, str, int]]]:
         """Neighbours of every node over the links that are up, in link
         insertion order, each with the port that reaches it."""
@@ -181,28 +193,16 @@ class Topology:
     def next_hop_port(self, at: str, toward: str) -> int | None:
         """The output port at node ``at`` on a shortest path to ``toward``.
 
-        Reactive forwarding calls this per packet, so the answer is read
-        from a per-source table that one Dijkstra from ``at`` fills for
-        every destination at once.  The tables (and the adjacency they are
-        computed over) are dropped whenever nodes/links are added or links
-        change state.
+        The answer is read from a per-source table that one Dijkstra from
+        ``at`` fills for every destination at once.  The tables (and the
+        adjacency they are computed over) are dropped, with every switch's
+        ``next_hops`` cache, whenever nodes or links are added or a link
+        changes state (``_drop_routes``).
         """
         if at == toward:
             return None
-        # A cheap digest of routing-relevant state, compared field by field
-        # (no tuple a punt); when it changes, cached routes are stale.
-        # O(1): link up/down flips bump the global ``Link.state_version``
-        # counter, so this per-packet path scans no links.
-        if (
-            len(self.nodes) != self._routed_nodes
-            or len(self.links) != self._routed_links
-            or Link.state_version != self._routed_link_version
-        ):
+        if self._adjacency is None:
             self._adjacency = self._build_adjacency()
-            self._next_hops.clear()
-            self._routed_nodes = len(self.nodes)
-            self._routed_links = len(self.links)
-            self._routed_link_version = Link.state_version
         table = self._next_hops.get(at)
         if table is None:
             table = self._next_hops[at] = self._first_hops(at)

@@ -34,7 +34,7 @@ HELP_TEXT: dict[str, str] = {
     "mbox_unbound_drops": "Packets dropped for lack of a bound mbox",
     "controller_alerts": "Alerts ingested by the controller, by kind",
     "controller_view_deltas": "View deltas applied to the controller's global view",
-    "controller_packet_ins": "Reactive packet-in events at the controller",
+    "controller_packet_ins": "Table misses the switches punted to the controller",
     "pipeline_rounds": "Evaluation rounds flushed by the reactive pipeline",
     "pipeline_reaction_latency": "Trigger-to-apply latency in simulated seconds",
     "pipeline_escalations": "Context escalations decided by the pipeline",

@@ -89,9 +89,14 @@ class Action:
 
     ``kind`` is one of:
 
+    - ``"normal"`` -- OpenFlow's NORMAL output, resolved by the switch
+      itself: into the destination's tunnel when the destination is a
+      secured device attached there whose µmbox has not yet seen the
+      packet, else out of the next-hop port toward the destination.
     - ``"forward"`` -- output on ``port``.
     - ``"drop"`` -- discard.
-    - ``"controller"`` -- punt to the controller (packet-in).
+    - ``"controller"`` -- punt to the controller (packet-in): a secured
+      site's table-miss entry.
     - ``"tunnel"`` -- encapsulate toward the µmbox bound to ``target`` and
       output on ``port`` (the port facing the security cluster).  ``via``
       optionally names the cluster host: multi-switch topologies address
@@ -103,7 +108,7 @@ class Action:
     target: Optional[str] = None
     via: Optional[str] = None
 
-    KINDS = ("forward", "drop", "controller", "tunnel")
+    KINDS = ("normal", "forward", "drop", "controller", "tunnel")
 
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
@@ -112,6 +117,10 @@ class Action:
             raise ValueError(f"{self.kind} action requires a port")
         if self.kind == "tunnel" and self.target is None:
             raise ValueError("tunnel action requires a target µmbox name")
+
+    @classmethod
+    def normal(cls) -> "Action":
+        return cls("normal")
 
     @classmethod
     def forward(cls, port: int) -> "Action":

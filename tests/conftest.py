@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.deployment import SecuredDeployment, default_home_environment
 from repro.netsim.simulator import Simulator
-from repro.netsim.topology import Topology
 
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -35,20 +34,6 @@ def sim() -> Simulator:
 @pytest.fixture
 def env(sim: Simulator):
     return default_home_environment(sim)
-
-
-@pytest.fixture
-def home() -> Topology:
-    """A small plain home topology with reactive forwarding installed."""
-    topo = Topology.smart_home(["dev_a", "dev_b"])
-
-    def forwarder(switch, packet, in_port):
-        port = topo.next_hop_port(switch.name, packet.dst)
-        if port is not None and port != in_port:
-            switch.send(packet, port)
-
-    topo["edge"].packet_in_handler = forwarder  # type: ignore[attr-defined]
-    return topo
 
 
 @pytest.fixture

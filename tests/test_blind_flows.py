@@ -266,7 +266,7 @@ def test_one_rule_per_blind_flow_on_the_devices_own_port(site):
         ("hub", att["plug"].device_port),
     ]
     assert all(
-        r.actions == (Action.controller(),)
+        r.actions == (Action.normal(),)
         for r in site.edge.flow_table
         if r.priority == OFFLOAD_PRIORITY
     )
@@ -456,7 +456,7 @@ def test_invariant_checker_names_a_rule_that_should_not_be_there(site):
     site.run(until=2.0)
     stale = FlowRule(
         match=FlowMatch(src="cam", in_port=att.device_port),
-        actions=(Action.controller(),),
+        actions=(Action.normal(),),
         priority=OFFLOAD_PRIORITY,
     )
     site.edge.install(stale)

@@ -9,6 +9,7 @@ from repro.netsim.node import Host
 from repro.netsim.packet import Packet
 from repro.netsim.switch import Switch
 from repro.netsim.topology import Topology
+from repro.sdn.flowrule import Action, FlowMatch, FlowRule
 
 
 def test_smart_home_shape():
@@ -210,12 +211,7 @@ def test_replace_node_preserves_links(sim):
     topo.replace_node("cam", replacement)
     assert topo["cam"] is replacement
     # traffic still flows over the preserved link
-    def forwarder(sw, pkt, in_port):
-        port = topo.next_hop_port(sw.name, pkt.dst)
-        if port is not None:
-            sw.send(pkt, port)
-
-    topo["edge"].packet_in_handler = forwarder  # type: ignore[attr-defined]
+    topo["edge"].install(FlowRule(FlowMatch(), (Action.normal(),), priority=0))
     topo["internet"].send(Packet(src="internet", dst="cam"))
     topo.run()
     assert len(replacement.inbox) == 1
