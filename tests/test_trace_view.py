@@ -23,6 +23,8 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.deployment import SecuredDeployment
 from repro.core.orchestrator import build_recommended_posture
@@ -36,6 +38,8 @@ from repro.faults.scenario import (
     horizon_of,
 )
 from repro.obs.incident import reconstruct
+from repro.obs.journal import Journal
+from repro.obs.trace import Tracer
 from repro.policy.builder import PolicyBuilder
 from repro.policy.context import SUSPICIOUS
 from repro.policy.posture import block_commands
@@ -182,3 +186,131 @@ def test_whole_chain_is_not_marked():
     assert tracer.spans(trace)[0].stage == "detect"
     assert not tracer.evicted(trace)
     assert "evicted" not in tracer.render(trace)
+
+
+# ----------------------------------------------------------------------
+# The incremental view against a fresh one
+# ----------------------------------------------------------------------
+#: Every kind ``_spans_of`` derives a span from, an opener that derives
+#: none (``campaign-start``), and two kinds the view never reads.
+VIEW_KINDS = (
+    "alert",
+    "alert-ingest",
+    "escalation",
+    "posture",
+    "flow-install",
+    "epoch-commit",
+    "failover",
+    "failover-complete",
+    "slo-breach",
+    "slo-recover",
+    "campaign-start",
+    "campaign-stage",
+    "mbox-drop",
+    "reconfigure",
+)
+IDS = range(1, 9)
+
+_times = st.integers(0, 400).map(lambda n: n / 4)
+_fields = st.fixed_dictionaries(
+    {},
+    optional={
+        "started": _times,
+        "sent_at": _times,
+        "ready_at": _times,
+        "duration": _times,
+        "last_heartbeat": _times,
+        "alert_kind": st.sampled_from(["insider", "login-rejected"]),
+    },
+)
+_trace = st.one_of(
+    st.none(),
+    st.sampled_from(IDS),
+    st.lists(st.sampled_from(IDS), min_size=1, max_size=3).map(tuple),
+)
+_record = st.tuples(
+    st.just("record"), st.sampled_from(VIEW_KINDS), st.sampled_from(["", "cam", "win"]),
+    _trace, _fields, _times,
+)
+_read = st.tuples(st.sampled_from(["trace_ids", "spans", "evicted"]), st.sampled_from(IDS))
+
+
+def _retained_ids(journal) -> list[int]:
+    """The trace ids the ring still holds a record of, ascending."""
+    ids = set()
+    for entry in journal:
+        trace = entry.trace_id
+        if trace is not None:
+            ids.update(trace if isinstance(trace, tuple) else (trace,))
+    return sorted(ids)
+
+
+def _assert_matches_fresh(tracer, journal) -> None:
+    """The incremental view reads what a tracer indexing the ring from
+    scratch reads, and lists ids ascending."""
+    fresh = Tracer()
+    fresh.journal = journal
+    assert tracer.trace_ids() == fresh.trace_ids() == _retained_ids(journal)
+    for trace_id in IDS:
+        assert tracer.spans(trace_id) == fresh.spans(trace_id)
+        assert tracer.evicted(trace_id) == fresh.evicted(trace_id)
+
+
+def _replay(segment_size: int, max_segments: int, ops) -> None:
+    now = [0.0]
+    journal = Journal(clock=lambda: now[0], segment_size=segment_size, max_segments=max_segments)
+    tracer = Tracer()
+    tracer.journal = journal
+    for op in ops:
+        if op[0] == "record":
+            __, kind, device, trace, fields, dt = op
+            now[0] += dt
+            journal.record(kind, device=device, trace=trace, **fields)
+            continue
+        read, trace_id = op
+        if read == "trace_ids":
+            tracer.trace_ids()
+        else:
+            getattr(tracer, read)(trace_id)
+        _assert_matches_fresh(tracer, journal)
+    _assert_matches_fresh(tracer, journal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(1, 4),
+    st.lists(st.one_of(_record, _record, _read), max_size=60),
+)
+def test_incremental_view_equals_a_fresh_one(segment_size, max_segments, ops):
+    """Random interleavings of records and reads on a small ring: after
+    every read the view equals a fresh tracer bound to the same journal."""
+    _replay(segment_size, max_segments, ops)
+
+
+def _alert(trace, t=1.0):
+    return ("record", "alert", "cam", trace, {"started": t}, 1.0)
+
+
+def test_ids_journaled_out_of_order_and_a_trace_back_after_full_eviction():
+    """Id 5 is journaled before 2, and 2 comes back once the ring has
+    evicted every record of it, behind the still-retained 7."""
+    untraced = ("record", "mbox-drop", "cam", None, {}, 1.0)
+    _replay(
+        2,
+        2,
+        [
+            _alert(5),
+            _alert(2),
+            ("trace_ids", 1),
+            _alert(7),
+            ("trace_ids", 1),
+            untraced,
+            untraced,
+            ("trace_ids", 1),  # 5 and 2 are gone; 7 stays
+            _alert(2),
+            ("spans", 2),
+            _alert((3, 7)),
+            ("evicted", 3),
+        ],
+    )
