@@ -308,6 +308,20 @@ class Journal:
         """
         return self._next_seq - 1
 
+    def raw_since(self, seq: int) -> list[tuple]:
+        """Retained raw ``(seq, at, kind, device, trace_id, fields)`` tuples
+        with a sequence number strictly after ``seq``, oldest first.
+
+        The tuples are the ring's own (never edit one).  Each record takes
+        the next sequence number, so a segment's seqs are consecutive and
+        the tail of a partly read segment is a slice.
+        """
+        out: list[tuple] = []
+        for segment in self._segments:  # oldest first
+            if segment and segment[-1][0] > seq:
+                out.extend(segment[max(seq - segment[0][0] + 1, 0):])
+        return out
+
     def entries_since(self, seq: int) -> list[JournalEntry]:
         """Retained entries with a sequence number strictly after ``seq``.
 
@@ -315,13 +329,7 @@ class Journal:
         ring are gone (evicted/spilled), so callers checkpoint often
         enough that the tail past their checkpoint is still retained.
         """
-        return [
-            JournalEntry(*raw)
-            for segment in self._segments  # oldest first, each in seq order
-            if segment and segment[-1][0] > seq
-            for raw in segment
-            if raw[0] > seq
-        ]
+        return [JournalEntry(*raw) for raw in self.raw_since(seq)]
 
     def __iter__(self) -> Iterator[JournalEntry]:
         for segment in self._segments:

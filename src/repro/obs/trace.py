@@ -14,9 +14,12 @@ synchronous cascade the active trace rides a stack (:meth:`Tracer.push` /
 :meth:`Tracer.current`): the simulator is single-threaded.
 
 The view indexes new records only when read, so a run nobody reads pays
-nothing for it.  Retention is the journal's ring: a trace whose records
-were all evicted is gone, and one that lost only its opening records says
-so (:meth:`Tracer.evicted`) instead of looking like a short chain.
+nothing for it.  It indexes the journal's raw record tuples in place: a
+read skips the untraced ones and appends each traced tuple to its chain,
+with no entry object built per record.  Retention is the journal's ring:
+a trace whose records were all evicted is gone, and one that lost only
+its opening records says so (:meth:`Tracer.evicted`) instead of looking
+like a short chain.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.journal import Journal, JournalEntry
+    from repro.obs.journal import Journal
 
 #: Canonical stage order of one detection chain (Figure 2's loop).  Spans
 #: sort by simulated start time first; this index breaks same-instant ties
@@ -48,7 +51,7 @@ _STAGE_INDEX = {stage: i for i, stage in enumerate(STAGE_ORDER)}
 _OPENERS = frozenset({"alert", "failover", "slo-breach", "campaign-start"})
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One stage of one causal chain, in simulated time.  ``attrs`` is the
     fields of the journal record that closed the stage (read-only)."""
@@ -76,42 +79,41 @@ class Span:
         }
 
 
-def _spans_of(trace_id: int, records: "deque[JournalEntry]") -> list[Span]:
-    """One trace's spans, derived from its records (oldest first)."""
+def _spans_of(trace_id: int, records: "deque[tuple]") -> list[Span]:
+    """One trace's spans, derived from its raw journal records (oldest
+    first, ``(seq, at, kind, device, trace, fields)``)."""
     out: list[Span] = []
+    add = out.append
     opened: dict[str, float] = {}  # when the first record of a kind was journaled
-
-    def add(stage: str, start: float, end: float, device: str, fields: dict) -> None:
-        out.append(Span(trace_id, stage, start, end, device, fields))
-
-    for record in records:
-        kind, at, fields, device = record.kind, record.at, record.fields, record.device
+    for __, at, kind, device, __, fields in records:
         opened.setdefault(kind, at)
         if kind == "alert":
-            add("detect", fields.get("started", at), at, device, fields)
+            add(Span(trace_id, "detect", fields.get("started", at), at, device, fields))
         elif kind == "alert-ingest":
             # The controller's insider record rides the alert's trace; only
             # the alert itself crossed the channel.
             if fields.get("alert_kind") != "insider":
-                add("ingest-alert", fields.get("sent_at", at), at, device, fields)
+                start = fields.get("sent_at", at)
+                add(Span(trace_id, "ingest-alert", start, at, device, fields))
         elif kind == "escalation":
-            add("escalate", at, at, device, fields)
+            add(Span(trace_id, "escalate", at, at, device, fields))
         elif kind == "posture":
             since = opened.get("alert-ingest", opened.get("failover", at))
-            add("evaluate", since, at, device, fields)
-            add("actuate", at, fields.get("ready_at", at), device, fields)
+            add(Span(trace_id, "evaluate", since, at, device, fields))
+            add(Span(trace_id, "actuate", at, fields.get("ready_at", at), device, fields))
         elif kind == "flow-install":
-            add("flow-install", at, at, "", fields)
+            add(Span(trace_id, "flow-install", at, at, "", fields))
         elif kind == "epoch-commit":
-            add("epoch-commit", at - fields.get("duration", 0.0), at, "", fields)
+            start = at - fields.get("duration", 0.0)
+            add(Span(trace_id, "epoch-commit", start, at, "", fields))
         elif kind == "failover":
-            add("detect", fields.get("last_heartbeat", at), at, "", fields)
+            add(Span(trace_id, "detect", fields.get("last_heartbeat", at), at, "", fields))
         elif kind == "failover-complete":
-            add("restore", opened.get("failover", at), at, "", fields)
+            add(Span(trace_id, "restore", opened.get("failover", at), at, "", fields))
         elif kind in ("slo-breach", "slo-recover"):
-            add(kind, opened.get("slo-breach", at), at, device, fields)
+            add(Span(trace_id, kind, opened.get("slo-breach", at), at, device, fields))
         elif kind == "campaign-stage":
-            add("campaign-stage", at, at, "", fields)
+            add(Span(trace_id, "campaign-stage", at, at, "", fields))
     last = len(STAGE_ORDER)
     out.sort(key=lambda s: (s.start, _STAGE_INDEX.get(s.stage, last)))
     return out
@@ -127,12 +129,17 @@ class Tracer:
         self._ids = itertools.count(1)
         self._stack: list[Any] = []
         self.started = 0
-        # The view: retained traced records by trace id, plus one
-        # (seq, trace id) per indexed record, oldest first, so the ring's
-        # evictions leave the index without a rescan.
+        # The view: the journal's retained traced tuples by trace id, in
+        # the order the ids first appeared, plus every traced tuple it
+        # indexed, oldest first, so the ring's evictions leave the index
+        # without a rescan.  ``_top`` is the largest id indexed since the
+        # chains were last in ascending order; an id below it sets
+        # ``_unsorted`` until the next ``trace_ids()`` sorts them.
         self._read = 0
-        self._chains: dict[int, deque[JournalEntry]] = {}
-        self._indexed: deque[tuple[int, int]] = deque()
+        self._chains: dict[int, deque[tuple]] = {}
+        self._indexed: deque[tuple] = deque()
+        self._top = 0
+        self._unsorted = False
 
     def start_trace(self, device: str = "", **attrs: Any) -> int | None:
         """Allocate a new trace id (None when tracing is disabled).
@@ -143,9 +150,10 @@ class Tracer:
         return next(self._ids)
 
     def span(self, trace_id, stage, start, end, device="", **attrs) -> None:
-        """Records nothing: spans are derived from journal records.  Kept
-        only because the ledger's wrapped-call list and its ``span_ns``
-        probe still name it."""
+        """Records nothing: spans are derived from journal records.  Keep
+        it and its signature: the ledger's ``ENTRY_POINTS`` wraps it as
+        the ``obs.trace`` layer, and its ``trace_span`` probe calls it
+        (``tests/test_ledger_contract.py`` holds both)."""
 
     # -- active-trace stack (synchronous cascade propagation) ------------
     def push(self, trace_id: Any) -> None:
@@ -165,21 +173,32 @@ class Tracer:
         journal = self.journal
         if journal is None or journal.last_seq == self._read:
             return  # the ring evicts only when it records
-        chains, indexed = self._chains, self._indexed
-        for record in journal.entries_since(self._read):
-            trace = record.trace_id
+        chains, indexed, top = self._chains, self._indexed, self._top
+        for raw in journal.raw_since(self._read):
+            trace = raw[4]
             if trace is None:
                 continue
+            indexed.append(raw)
             for trace_id in trace if isinstance(trace, tuple) else (trace,):
-                chains.setdefault(trace_id, deque()).append(record)
-                indexed.append((record.seq, trace_id))
+                chain = chains.get(trace_id)
+                if chain is not None:
+                    chain.append(raw)
+                    continue
+                chains[trace_id] = deque((raw,))
+                if trace_id > top:
+                    top = trace_id
+                else:
+                    self._unsorted = True
+        self._top = top
         self._read = journal.last_seq
-        while indexed and indexed[0][0] <= journal.evicted:  # seqs 1..evicted are gone
-            trace_id = indexed.popleft()[1]
-            chain = chains[trace_id]
-            chain.popleft()
-            if not chain:
-                del chains[trace_id]
+        evicted = journal.evicted  # seqs 1..evicted are gone
+        while indexed and indexed[0][0] <= evicted:
+            trace = indexed.popleft()[4]
+            for trace_id in trace if isinstance(trace, tuple) else (trace,):
+                chain = chains[trace_id]
+                chain.popleft()
+                if not chain:
+                    del chains[trace_id]
 
     def spans(self, trace_id: int) -> list[Span]:
         """The spans of one trace, by start time, then stage order."""
@@ -192,12 +211,16 @@ class Tracer:
         so its retained spans are only the chain's tail."""
         self._sync()
         records = self._chains.get(trace_id)
-        return bool(records) and records[0].kind not in _OPENERS
+        return bool(records) and records[0][2] not in _OPENERS
 
     def trace_ids(self) -> list[int]:
         """Trace ids with a retained record, oldest first."""
         self._sync()
-        return sorted(self._chains)
+        if self._unsorted:
+            self._chains = dict(sorted(self._chains.items()))
+            self._top = next(reversed(self._chains), 0)
+            self._unsorted = False
+        return list(self._chains)
 
     def traces_for(self, device: str) -> list[int]:
         """Trace ids (oldest first) with a span on ``device``."""
