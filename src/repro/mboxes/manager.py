@@ -21,6 +21,7 @@ restart during which *all* devices lose protection.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
@@ -49,10 +50,21 @@ if TYPE_CHECKING:  # pragma: no cover
 SignatureProvider = Callable[[str], list[AttackSignature]]
 
 
+@functools.lru_cache(maxsize=256)
+def _thawed(spec: MboxSpec) -> dict[str, Any]:
+    """``spec``'s config, thawed once for every element built from it.
+
+    Shared, so read-only: every element constructor copies what it keeps
+    (frozensets, ``dict(require)``), and a posture change rebuilds its
+    chain from the same few specs over and over.
+    """
+    return spec.config_dict()
+
+
 def build_element(
     spec: MboxSpec, signature_provider: SignatureProvider | None
 ) -> Element:
-    config: dict[str, Any] = spec.config_dict()
+    config = _thawed(spec)
     kind = spec.kind
     if kind == "password_proxy":
         return PasswordProxy(

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.mboxes.base import MboxHost, Verdict
-from repro.mboxes.manager import MBOX_KINDS, MboxManager, MonolithicMiddlebox
+from repro.mboxes.manager import (
+    MBOX_KINDS,
+    MboxManager,
+    MonolithicMiddlebox,
+    _thawed,
+    build_element,
+)
 from repro.policy.posture import MboxSpec, Posture, block_commands
 
 
@@ -32,6 +38,36 @@ def test_all_registered_kinds_buildable(sim, host):
         sim.run()
         assert host.mboxes[f"dev-{kind}"].elements, kind
         manager.teardown(f"dev-{kind}")
+
+
+def _containers(value, found):
+    if isinstance(value, (list, dict)):
+        found.add(id(value))
+        for item in value.values() if isinstance(value, dict) else value:
+            _containers(item, found)
+    return found
+
+
+@pytest.mark.parametrize("kind", MBOX_KINDS)
+def test_elements_keep_no_part_of_the_shared_config(kind):
+    """One thawed config serves every element built from a spec, so no
+    element may keep (and later edit) a list or dict of it."""
+    config_for = {
+        "password_proxy": {"new_password": "x"},
+        "stateful_firewall": {"trusted_sources": ["hub"], "open_ports": [80]},
+        "command_filter": {"deny": ["open"]},
+        "command_whitelist": {"allow": ["on"], "allowed_sources": ["hub"]},
+        "context_gate": {"commands": ["on"], "require": {"env:x": "y"}},
+        "source_filter": {"allowed_sources": ["hub"]},
+        "rate_limiter": {"exempt_sources": ["hub"]},
+        "dns_guard": {"local_sources": ["hub"]},
+    }
+    spec = MboxSpec.make(kind, **config_for.get(kind, {}))
+    element = build_element(spec, None)
+    shared = _thawed(spec)
+    assert shared == spec.config_dict() and shared is not spec.config_dict()
+    kept = {id(value) for value in vars(element).values()}
+    assert not kept & _containers(shared, set())
 
 
 def test_unknown_kind_rejected(sim, host):
