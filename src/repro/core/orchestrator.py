@@ -13,8 +13,8 @@ prio  match                                      action
  900  dst=D, in_port=cluster_port                normal
  890  src=D, in_port=cluster_port                normal
  700  src=D[, dst=peer], in_port=device_port     normal
+ 510  src=D                                      tunnel(mbox, cluster_port)
  500  dst=D                                      tunnel(mbox, cluster_port)
- 500  src=D                                      tunnel(mbox, cluster_port)
 ====  =========================================  =======================
 
 Inspected packets return from the cluster on ``cluster_port`` and hit the
@@ -23,9 +23,11 @@ Inspected packets return from the cluster on ``cluster_port`` and hit the
 device secured there whose µmbox has not seen it yet is re-tunnelled into
 that µmbox (the switch's ``tunnels`` map, written here whenever a tunnel
 is bound or unbound), anything else takes the next hop toward its
-destination.  So device-to-device traffic visits both µmboxes, whichever
-500 rule the edge matched first, and no conforming packet needs the
-controller: it serves only table misses.
+destination.  So device-to-device traffic visits both µmboxes: the
+source's 510 row outranks the destination's 500 row, so the sender's
+µmbox sees the packet first whichever device was secured first, and
+``normal`` on its return re-tunnels into the destination's.  No
+conforming packet needs the controller: it serves only table misses.
 
 The 700 rows exist only for a **pinned** device, one per *blind flow* of
 its chain.  A chain is blind to a flow when every element declares
@@ -80,8 +82,15 @@ EpochScopes = dict[str, tuple["Switch", list[str]]]
 BYPASS_DST_PRIORITY = 900
 BYPASS_SRC_PRIORITY = 890
 OFFLOAD_PRIORITY = 700
+TUNNEL_SRC_PRIORITY = 510
 TUNNEL_PRIORITY = 500
-RULE_PRIORITIES = (BYPASS_DST_PRIORITY, BYPASS_SRC_PRIORITY, OFFLOAD_PRIORITY, TUNNEL_PRIORITY)
+RULE_PRIORITIES = (
+    BYPASS_DST_PRIORITY,
+    BYPASS_SRC_PRIORITY,
+    OFFLOAD_PRIORITY,
+    TUNNEL_SRC_PRIORITY,
+    TUNNEL_PRIORITY,
+)
 
 #: The empty blind set: a chain with one undeclared module, and every
 #: device that is not pinned.
@@ -505,7 +514,7 @@ class PostureOrchestrator:
             FlowRule(
                 match=FlowMatch(src=device),
                 actions=(tunnel,),
-                priority=TUNNEL_PRIORITY,
+                priority=TUNNEL_SRC_PRIORITY,
                 owner=device,
             ),
             *self._offload_rules(device, att),

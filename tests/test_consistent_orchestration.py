@@ -32,9 +32,10 @@ def test_rules_installed_with_version_tags(dep):
     dep.secure("cam", block_commands("stop"))
     dep.run(until=1.0)
     rules = dep.edge.rules_for("cam")
-    # two bypasses, two tunnel rules and the pinned command filter's one
-    # blind flow (anything the camera sends), all in the same epoch
-    assert sorted(r.priority for r in rules) == [500, 500, 700, 890, 900]
+    # two bypasses, two tunnel rules (the source row above the destination
+    # row) and the pinned command filter's one blind flow (anything the
+    # camera sends), all in the same epoch
+    assert sorted(r.priority for r in rules) == [500, 510, 700, 890, 900]
     assert all(r.version is not None for r in rules)
     assert dep.edge.active_version == rules[0].version
 
@@ -107,7 +108,9 @@ def test_both_devices_protected_end_to_end(dep):
 # ----------------------------------------------------------------------
 # Scoped epochs under concurrency, loss and restarts
 # ----------------------------------------------------------------------
-BASE_GROUP = [500, 500, 890, 900]  # two tunnel rules, two bypasses
+#: two tunnel rules (510 ``src=``, so a sender's own µmbox sees its
+#: device-to-device traffic first; 500 ``dst=``) and two bypasses
+BASE_GROUP = [500, 510, 890, 900]
 
 
 def live_group(dep, device):

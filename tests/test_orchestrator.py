@@ -23,7 +23,8 @@ def test_apply_installs_tunnel_rules(dep):
     dep.secure("cam", block_commands("stop"))
     rules = dep.edge.rules_for("cam")
     priorities = sorted(r.priority for r in rules)
-    assert priorities == [500, 500, 700, 890, 900]  # 700: the pinned filter's blind flow
+    # 510/500: the src/dst tunnel rows; 700: the pinned filter's blind flow
+    assert priorities == [500, 510, 700, 890, 900]
     assert dep.orchestrator.tunnels.mbox_for("cam") is not None
 
 
