@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from repro.obs import COUNT_BUCKETS
 from repro.policy.context import COMPROMISED, SEVERITY, SUSPICIOUS
@@ -169,6 +170,11 @@ class EscalationEngine:
             for (device, kind), times in sorted(self._alert_times.items())
             if times
         ]
+
+    def windows(self) -> Mapping[tuple[str, str], list[float]]:
+        """Every ``(device, alert_kind)`` window, live and unsorted (empty
+        ones included): read-only, and copied by whoever keeps one."""
+        return MappingProxyType(self._alert_times)
 
     def restore(self, data: Iterable[Iterable]) -> None:
         """Load a :meth:`snapshot` (replacing current window state)."""

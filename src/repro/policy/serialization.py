@@ -84,14 +84,26 @@ def policy_to_dict(policy: PolicyFSM) -> dict[str, Any]:
     }
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``'s encoder,
+#: built once: ``dumps`` with those arguments builds a new one per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value: Any) -> str:
     """The form content digests hash: sorted keys, no whitespace."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(value)
 
 
-def policy_section(policy: PolicyFSM) -> tuple[dict[str, Any], str]:
-    """``policy_to_dict(policy)`` and its canonical JSON, built once per
-    policy revision.
+def canonical_member(key: str, value: Any) -> str:
+    """One ``"key":value`` member of a canonical JSON object, encoded on
+    its own: joined with ``,`` in key order and braced, members make the
+    object's canonical JSON."""
+    return canonical_json({key: value})[1:-1]
+
+
+def policy_section(policy: PolicyFSM) -> tuple[dict[str, Any], bytes]:
+    """``policy_to_dict(policy)`` and its canonical JSON as UTF-8 (the
+    bytes a checkpoint digest hashes), built once per policy revision.
 
     Every checkpoint captured while the revision stands shares the one
     dict, so it is read-only: ``add_rule`` bumps the revision and the next
@@ -101,7 +113,11 @@ def policy_section(policy: PolicyFSM) -> tuple[dict[str, Any], str]:
     memo = policy._section
     if memo is None or memo[0] != policy.revision:
         data = policy_to_dict(policy)
-        memo = policy._section = (policy.revision, data, canonical_json(data))
+        memo = policy._section = (
+            policy.revision,
+            data,
+            canonical_json(data).encode("utf-8"),
+        )
     return memo[1], memo[2]
 
 

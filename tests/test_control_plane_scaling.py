@@ -2,11 +2,14 @@
 
 Counted, never timed, so the guard is deterministic: building a fleet twice
 the size may cost about twice the work -- a device's registration touches
-its own policy variables, its own flow rules and its own port -- and a
-checkpoint tick under an unchanged policy serializes no posture at all.
+its own policy variables, its own flow rules and its own port -- a
+checkpoint tick under an unchanged policy serializes no posture at all,
+and it encodes only the view keys, alert windows and postures that
+changed since the previous checkpoint.
 Quadratic growth (4x for 2x the devices) is what these paths used to do.
 """
 
+from repro.core import ha
 from repro.core.deployment import SecuredDeployment
 from repro.core.view import GlobalView
 from repro.devices.library import smart_plug
@@ -110,3 +113,56 @@ def test_steady_state_checkpoint_tick_serializes_no_posture(monkeypatch):
     assert calls[0] == 0
     digests = {e.fields["digest"] for e in dep.sim.journal.entries(kind="checkpoint")}
     assert len(digests) == 4  # the ticks still checkpoint (distinct ``at``)
+
+
+def checkpoint_tick_encodes(monkeypatch, n, k=5):
+    """``canonical_json`` calls, and the characters they return, in the
+    one checkpoint tick that follows ``k`` context changes and ``k``
+    alerts on an ``n``-device site."""
+    dep = SecuredDeployment.build(checkpointing=True, checkpoint_period=1.0)
+    dep.manager.capacity = n
+    for i in range(n):
+        dep.add_device(smart_plug, f"plug{i:03d}")
+    dep.finalize()
+    dep.run(until=1.5)  # the first tick encodes every entry once
+    for i in range(k):
+        dep.controller.set_context(f"plug{i:03d}", "suspicious")
+        dep.channel.send(
+            dep.CLUSTER,
+            dep.CONTROLLER,
+            "alert",
+            {"device": f"plug{n - 1 - i:03d}", "kind": "login-attempt", "detail": {}},
+        )
+    encoded = [0, 0]
+    original = serialization.canonical_json
+
+    def counted(value):
+        text = original(value)
+        encoded[0] += 1
+        encoded[1] += len(text)
+        return text
+
+    with monkeypatch.context() as patch:
+        # ha.py holds its own name for it; the serialization helpers use
+        # the module's
+        for module in (serialization, ha):
+            patch.setattr(module, "canonical_json", counted)
+        dep.run(until=2.5)
+    assert dep.checkpoint_store.captured == 2
+    latest = dep.checkpoint_store.latest()
+    assert len(latest.view) > 2 * n and len(latest.postures) == n
+    assert sum(name != "allow" for __, name in latest.postures) == k
+    assert len(latest.escalations) == k
+    return tuple(encoded)
+
+
+def test_checkpoint_tick_encodes_only_what_changed(monkeypatch):
+    """A section encoded whole is one call whatever its size, so the
+    characters encoded are counted too: both are set by the k changes."""
+    small = checkpoint_tick_encodes(monkeypatch, 200)
+    large = checkpoint_tick_encodes(monkeypatch, 400)
+    assert small == large, (small, large)
+    calls, characters = small
+    # a handful of scalar sections plus one fragment per changed view
+    # key, window and posture
+    assert 0 < calls <= 30 and characters < 1000, small

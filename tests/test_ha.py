@@ -16,7 +16,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.deployment import SecuredDeployment
@@ -213,6 +213,113 @@ class TestPolicySectionReuse:
             == shipped.digest()
             == reference_digest(first)
         )
+
+
+def revived_postures(checkpoint):
+    """The postures a fresh site runs once restored from ``checkpoint``."""
+    site = make_dep()
+    site.crash_controller()
+    controller = restore_controller(site, checkpoint)
+    return {device: p.name for device, p in controller.orchestrator.current.items()}
+
+
+#: One step of the incremental-checkpoint interleavings below.
+_steps = st.one_of(
+    # view sets: new keys, changed and unchanged values, free text
+    st.tuples(
+        st.just("set"),
+        st.sampled_from(["env:note", "env:n1", "env:n2", "misc"]),
+        st.sampled_from(["a", "b"]) | st.text(max_size=6),
+    ),
+    st.tuples(
+        st.just("context"),
+        st.sampled_from(["cam", "plug"]),
+        st.sampled_from(["suspicious", "compromised"]),
+    ),
+    # observes move time forward: a long gap prunes the window
+    st.tuples(
+        st.just("observe"),
+        st.sampled_from(["cam", "plug"]),
+        st.sampled_from(["login-attempt", "login-rejected", "unruled-kind"]),
+        st.sampled_from([0.0, 0.5, 20.0, 90.0]),
+    ),
+    st.tuples(
+        st.just("posture"),
+        st.sampled_from(["cam", "plug"]),
+        st.sampled_from(["on", "stop", "record"]),
+    ),
+    st.tuples(st.just("policy"), st.integers(min_value=800, max_value=999)),
+    st.tuples(st.just("run"), st.sampled_from([0.01, 0.3, 1.0])),
+    st.just(("tick",)),
+)
+
+
+class TestIncrementalCheckpoint:
+    """A tick shares every unchanged entry with the previous checkpoint;
+    what it hashes, keeps and revives equals a fresh, full capture."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_steps, min_size=1, max_size=24))
+    # Between the two ticks each section both gains a key and changes an
+    # entry it had: the path that lays a section out afresh.
+    @example(
+        [
+            ("observe", "cam", "login-attempt", 0.0),
+            ("set", "env:note", "a"),
+            ("tick",),
+            ("observe", "cam", "login-attempt", 0.5),
+            ("observe", "plug", "login-rejected", 0.0),
+            ("set", "env:note", "b"),
+            ("set", "env:n1", "c"),
+            ("posture", "plug", "stop"),
+            ("posture", "cam", "on"),
+        ]
+    )
+    def test_a_tick_equals_a_fresh_capture(self, steps):
+        dep = make_dep()
+        controller, store = dep.controller, dep.checkpoint_store
+        escalator = controller.pipeline.escalator
+        clock = 0.0
+        pinned: dict[int, tuple[Checkpoint, str, str]] = {}
+        for step in (*steps, ("tick",)):
+            kind = step[0]
+            if kind == "set":
+                controller.view.set(step[1], step[2])
+            elif kind == "context":
+                controller.set_context(step[1], step[2])
+            elif kind == "observe":
+                clock += step[3]
+                escalator.observe(step[1], step[2], clock)
+            elif kind == "posture":
+                command = step[2]
+                posture = block_commands(command, name=f"block-{command}")
+                controller.orchestrator.apply_many([(step[1], posture)])
+            elif kind == "policy":
+                controller.update_policy(
+                    PostureRule(
+                        predicate=StatePredicate.make({"ctx:plug": "suspicious"}),
+                        device="plug",
+                        posture=block_commands("off", name=f"rule-{step[1]}"),
+                        priority=step[1],
+                    )
+                )
+            elif kind == "run":
+                dep.run(until=dep.sim.now + step[1])
+            else:
+                fresh = Checkpoint.capture(controller)  # before the tick journals
+                dep.checkpointer._tick()
+                latest = store.latest()
+                assert latest.at == dep.sim.now
+                assert latest.digest() == reference_digest(fresh) == reference_digest(latest)
+                for checkpoint in store:
+                    pinned.setdefault(
+                        id(checkpoint),
+                        (checkpoint, checkpoint.digest(), reference_digest(checkpoint)),
+                    )
+                for checkpoint, digest, reference in pinned.values():
+                    assert checkpoint.digest() == digest
+                    assert reference_digest(checkpoint) == reference
+                assert revived_postures(latest) == revived_postures(fresh)
 
 
 class TestCheckpointStore:
