@@ -137,6 +137,12 @@ class IoTSecController:
         metrics.gauge(
             "controller_packet_ins", fn=lambda: self.packet_ins, **self.metric_labels
         )
+        metrics.gauge("controller_up", fn=lambda: 0 if self.crashed else 1, **self.metric_labels)
+        metrics.gauge(
+            "controller_reachable",
+            fn=lambda: 1 if channel.reachable(self.name) else 0,
+            **self.metric_labels,
+        )
         self._alert_counters: dict[str, Any] = {}
         #: ``controller_view_deltas``, registered at the first delta.
         self._delta_counter: Any = None

@@ -491,6 +491,8 @@ class SecuredDeployment:
                 channel=self.channel if replicate else None,
                 standby=self.STANDBY if replicate else None,
             )
+        if self.health_plane is not None:
+            self.health_plane.rebind()
 
     # ------------------------------------------------------------------
     # Controller failure / recovery

@@ -494,6 +494,9 @@ class Checkpointer:
         self._c_reused = metrics.counter(
             "checkpoint_sections_reused", controller=controller.name
         )
+        self.metric_labels = controller.metric_labels
+        self._started_at = controller.sim.now
+        metrics.gauge("checkpoint_age", fn=self.age, **self.metric_labels)
         self._stops: list[Callable[[], None]] = [
             controller.sim.every(period, self._tick)
         ]
@@ -501,6 +504,12 @@ class Checkpointer:
             self._stops.append(
                 controller.sim.every(heartbeat_period, self._heartbeat)
             )
+
+    def age(self) -> float:
+        """Seconds since the newest checkpoint (before the first, since
+        this checkpointer started)."""
+        latest = self.store.latest_at()
+        return self.controller.sim.now - (self._started_at if latest is None else latest)
 
     def _tick(self) -> None:
         controller = self.controller

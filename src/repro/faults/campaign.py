@@ -703,38 +703,23 @@ def attach_campaign_slos(
     are the SLO's bad events; sustained misses breach the burn-rate
     windows and journal ``slo-breach`` like any other security SLO.
     """
-    from repro.obs.health import HEALTH_CRITICAL
-    from repro.obs.slo import SEVERITY_CRITICAL, SLO
+    from repro.obs.health import HEALTH_CRITICAL, Probe
+    from repro.obs.slo import SEVERITY_CRITICAL, SLO, Reading
 
-    if not plane.enabled:
-        return
-    plane.health.register("campaign")
-    plane.slos.add(
-        SLO(
-            name="campaign-containment",
-            subsystem="campaign",
-            objective=(
-                "expected campaign targets are contained within the deadline "
-                "on 95% of evaluation ticks"
-            ),
-            target=0.95,
-            fast_window=5.0,
-            slow_window=30.0,
-            fast_burn=2.0,
-            slow_burn=1.0,
-            severity=SEVERITY_CRITICAL,
-            signal=lambda: (tracker.ok_ticks, tracker.miss_ticks),
-        )
-    )
-    plane.health.probe(
-        "campaign",
-        lambda: None
-        if not tracker.current_misses
-        else (
-            HEALTH_CRITICAL,
-            f"uncontained past deadline: {', '.join(tracker.current_misses)}",
-        ),
-    )
+    metrics = dep.sim.metrics
+    metrics.gauge("campaign_contained_ticks", fn=lambda: tracker.ok_ticks)
+    metrics.gauge("campaign_missed_ticks", fn=lambda: tracker.miss_ticks)
+    metrics.gauge("campaign_uncontained", fn=lambda: len(tracker.current_misses))
+    plane.add(SLO(
+        "campaign-containment", "campaign",
+        "expected campaign targets are contained within the deadline on 95% of evaluation ticks",
+        Reading("campaign_contained_ticks", bad="campaign_missed_ticks"),
+        0.95, 5.0, 30.0, 2.0, 1.0, SEVERITY_CRITICAL,
+    ))  # fmt: skip
+    plane.add(Probe("campaign", (
+        (HEALTH_CRITICAL, Reading("campaign_uncontained", limit=0),
+         lambda: f"uncontained past deadline: {', '.join(tracker.current_misses)}"),
+    )))  # fmt: skip
 
 
 # ----------------------------------------------------------------------

@@ -780,9 +780,12 @@ def arm_campaign(
 
 
 def checked(dep: "SecuredDeployment") -> "SecuredDeployment":
-    """The run-level invariants every measure step holds a finished run to."""
-    violations = dep.orchestrator.offload_violations()
-    assert not violations, violations
+    """The run invariants (``repro.obs.health.INVARIANTS``) every measure
+    step holds a finished run to."""
+    from repro.obs.health import violations
+
+    broken = violations(dep)
+    assert not broken, broken
     return dep
 
 

@@ -80,33 +80,21 @@ class Federation:
         Degraded while any site runs autonomously on cached policy;
         critical while any started site still awaits its first sync
         (that is the one state with a real enforcement gap)."""
-        from repro.obs.health import (
-            HEALTH_CRITICAL,
-            HEALTH_DEGRADED,
-            HealthPlane,
-        )
+        from repro.obs.health import HEALTH_CRITICAL, HEALTH_DEGRADED, HealthPlane, Probe
+        from repro.obs.slo import Reading
 
-        plane = HealthPlane(self.sim, period=period)
-        if plane.enabled:
-            plane.health.register("federation")
-
-            def probe() -> tuple[str, str] | None:
-                unsynced = sum(1 for s in self.sites.values() if not s.first_synced)
-                if unsynced:
-                    return (
-                        HEALTH_CRITICAL,
-                        f"{unsynced} site(s) awaiting first sync",
-                    )
-                offline = sum(1 for s in self.sites.values() if s.autonomous)
-                if offline:
-                    return (
-                        HEALTH_DEGRADED,
-                        f"{offline} site(s) autonomous on cached policy",
-                    )
-                return None
-
-            plane.health.probe("federation", probe)
-            plane.start()
+        metrics = self.sim.metrics
+        sites = self.sites.values()
+        metrics.gauge("federation_unsynced_sites", fn=lambda: sum(not s.first_synced for s in sites))
+        metrics.gauge("federation_autonomous_sites", fn=lambda: sum(s.autonomous for s in sites))
+        plane = HealthPlane(self.sim, period=period, root=self)
+        plane.add(Probe("federation", (
+            (HEALTH_CRITICAL, Reading("federation_unsynced_sites", limit=0),
+             "{federation_unsynced_sites} site(s) awaiting first sync"),
+            (HEALTH_DEGRADED, Reading("federation_autonomous_sites", limit=0),
+             "{federation_autonomous_sites} site(s) autonomous on cached policy"),
+        )))  # fmt: skip
+        plane.start()
         self.health_plane = plane
         return plane
 

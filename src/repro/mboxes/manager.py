@@ -269,6 +269,12 @@ class MboxManager:
         metrics.gauge("mbox_crashes", fn=lambda: self.crashes, **self.metric_labels)
         metrics.gauge("mbox_restarts", fn=lambda: self.restarts, **self.metric_labels)
         metrics.gauge("mbox_down", fn=self.down_count, **self.metric_labels)
+        metrics.gauge("mbox_outages", fn=lambda: len(self.open_outages()), **self.metric_labels)
+        metrics.gauge(
+            "mbox_fail_open_outages",
+            fn=lambda: sum(o.fail_mode == "open" for o in self.open_outages()),
+            **self.metric_labels,
+        )
         self._deploy_latency = {
             operation: metrics.histogram(
                 "mbox_deploy_latency", operation=operation, **self.metric_labels

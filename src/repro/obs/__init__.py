@@ -53,8 +53,8 @@ from repro.obs.health import (
     HEALTH_CRITICAL,
     HEALTH_DEGRADED,
     HEALTH_OK,
-    HealthMonitor,
     HealthPlane,
+    Probe,
     attach_health_plane,
 )
 from repro.obs.incident import Incident, IncidentChain, reconstruct
@@ -67,7 +67,7 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.slo import SLO, SloMonitor, SloTracker
+from repro.obs.slo import SLO, Reading, SloTracker
 from repro.obs.stream import (
     DeadLetterQueue,
     HostStream,
@@ -86,7 +86,6 @@ __all__ = [
     "HEALTH_CRITICAL",
     "HEALTH_DEGRADED",
     "HEALTH_OK",
-    "HealthMonitor",
     "HealthPlane",
     "Histogram",
     "HostStream",
@@ -96,8 +95,9 @@ __all__ = [
     "JournalEntry",
     "LATENCY_BUCKETS",
     "MetricsRegistry",
+    "Probe",
+    "Reading",
     "SLO",
-    "SloMonitor",
     "SloTracker",
     "Span",
     "StreamConfig",

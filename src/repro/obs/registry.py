@@ -226,6 +226,18 @@ class MetricsRegistry:
             return None
         return instrument.value
 
+    def find(self, name: str, **labels: str) -> Any:
+        """The instrument of one series; KeyError when it was never registered."""
+        return self._instruments[self._key(name, labels)]
+
+    def total(self, name: str, **labels: str) -> float:
+        """The sum of every ``name`` series whose labels include ``labels``."""
+        return sum(
+            inst.value
+            for (n, __), inst in self._instruments.items()
+            if n == name and labels.items() <= inst.labels.items()
+        )
+
     def __iter__(self):
         return iter(self._instruments.values())
 

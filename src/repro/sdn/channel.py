@@ -464,6 +464,7 @@ class ControlChannel:
         metrics.gauge("channel_sent", fn=lambda: self.sent, **labels)
         metrics.gauge("channel_delivered", fn=lambda: self.delivered, **labels)
         metrics.gauge("channel_undeliverable", fn=lambda: self.undeliverable, **labels)
+        metrics.gauge("channel_unacked", fn=self.unacked, **labels)
         self._c_dropped = metrics.counter("channel_dropped", **labels)
         self._c_retries = metrics.counter("channel_retries", **labels)
         self._c_duplicates = metrics.counter("channel_duplicates", **labels)
