@@ -39,7 +39,7 @@ from repro.core.orchestrator import (
 from repro.devices.base import IoTDevice
 from repro.environment.engine import Environment
 from repro.environment.physics import LightProcess, SmokeProcess, ThermalProcess
-from repro.mboxes.base import SOURCE_FORGERY, Alert, MboxContext, MboxHost, Verdict
+from repro.mboxes.base import PASS, SOURCE_FORGERY, Alert, MboxContext, MboxHost
 from repro.mboxes.manager import MboxManager
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
@@ -234,7 +234,7 @@ class SecuredDeployment:
             self.cluster = MboxHost(
                 self.CLUSTER,
                 self.sim,
-                default_verdict=Verdict.PASS,  # unbound devices flow freely
+                default_verdict=PASS,  # unbound devices flow freely
             )
             self.topology.add(self.cluster)
             self.topology.connect(self.edge, self.cluster, latency=0.001)

@@ -18,16 +18,18 @@ frequently reconfigured."
   model, pre-boot pooling, and the monolithic-middlebox baseline.
 """
 
-from repro.mboxes.base import Alert, Element, Mbox, MboxContext, MboxHost, Verdict
+from repro.mboxes.base import DROP, PASS, Alert, Element, Mbox, MboxContext, MboxHost, Verdict
 from repro.mboxes.manager import MBOX_KINDS, MboxManager
 
 __all__ = [
     "Alert",
+    "DROP",
     "Element",
     "MBOX_KINDS",
     "Mbox",
     "MboxContext",
     "MboxHost",
     "MboxManager",
+    "PASS",
     "Verdict",
 ]

@@ -19,7 +19,7 @@ a stolen session token replayed from a strange source at a strange time.
 from __future__ import annotations
 
 from repro.learning.anomaly import BehaviorEvent, BehaviorProfile
-from repro.mboxes.base import Element, MboxContext, Verdict
+from repro.mboxes.base import DROP, PASS, Element, MboxContext, Verdict
 from repro.netsim.packet import Packet
 
 
@@ -65,13 +65,13 @@ class AnomalyGate(Element):
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
         if packet.direction != "to_device" or "cmd" not in packet.payload:
-            return Verdict.PASS, packet
+            return PASS, packet
         if self._started_at is None:
             self._started_at = ctx.now
         event = self._event(packet, ctx)
         if self.in_training(ctx.now):
             self.profile.observe(event)
-            return Verdict.PASS, packet
+            return PASS, packet
         if self.profile.is_anomalous(event):
             self.flagged += 1
             ctx.alert(
@@ -82,11 +82,11 @@ class AnomalyGate(Element):
                 score=round(self.profile.score(event), 3),
             )
             if self.enforce:
-                return Verdict.DROP, packet
+                return DROP, packet
         else:
             # normal events seen after training keep refining the profile
             self.profile.observe(event)
-        return Verdict.PASS, packet
+        return PASS, packet
 
     def describe(self) -> str:
         mode = "enforce" if self.enforce else "alert-only"

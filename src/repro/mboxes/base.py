@@ -36,6 +36,13 @@ class Verdict(enum.Enum):
     DROP = "drop"
 
 
+# The data path reads these, never ``Verdict.PASS``: on CPython 3.10/3.11 an
+# Enum member read goes through the metaclass ``__getattr__`` hook (~15x a
+# module global), and a chain of k elements makes 2k+2 of them per packet.
+PASS = Verdict.PASS
+DROP = Verdict.DROP
+
+
 @dataclass(slots=True)
 class Alert:
     """A security event raised by an element."""
@@ -179,7 +186,7 @@ class Mbox:
         current = packet
         for element in self.elements:
             verdict, current = element.process(current, ctx)
-            if verdict is Verdict.DROP:
+            if verdict is DROP:
                 self.dropped += 1
                 # Journal the security verdict: which element of which
                 # µmbox refused which packet.  PASS verdicts are routine
@@ -194,8 +201,8 @@ class Mbox:
                     src=current.src,
                     dport=current.dport,
                 )
-                return Verdict.DROP, current
-        return Verdict.PASS, current
+                return DROP, current
+        return PASS, current
 
     def reconfigure(self, elements: list[Element]) -> None:
         self.elements = list(elements)
@@ -220,7 +227,7 @@ class MboxHost(Node):
         sim: "Simulator",
         view: Callable[[str], str | None] | None = None,
         alert_sink: Callable[[Alert], None] | None = None,
-        default_verdict: Verdict = Verdict.DROP,
+        default_verdict: Verdict = DROP,
         boot_queue_limit: int = 64,
     ) -> None:
         super().__init__(name, sim)
@@ -303,7 +310,7 @@ class MboxHost(Node):
         device = payload.get("target", "")
         mbox = self.mboxes.get(device)
         if mbox is None:
-            if self.default_verdict is not Verdict.PASS:
+            if self.default_verdict is not PASS:
                 self.unbound_drops += 1
                 self.sim.journal.record(
                     "verdict",
@@ -375,7 +382,7 @@ class MboxHost(Node):
                 self._ctx_cache[device] = ctx
             ctx.packet = inner
             verdict, result = mbox.process(inner, ctx)
-            if verdict is not Verdict.PASS:
+            if verdict is not PASS:
                 return
         # The one return path, for every PASS: the envelope turns around.
         self.returned += 1

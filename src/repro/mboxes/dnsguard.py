@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.mboxes.base import Element, MboxContext, Verdict
+from repro.mboxes.base import DROP, PASS, Element, MboxContext, Verdict
 from repro.netsim.packet import Packet
 
 DNS_PORT = 53
@@ -38,11 +38,11 @@ class DnsGuard(Element):
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
         if packet.direction != "to_device" or packet.dport != DNS_PORT:
-            return Verdict.PASS, packet
+            return PASS, packet
         if packet.src not in self.local_sources:
             self.blocked += 1
             ctx.alert("dns-reflection-blocked", claimed_src=packet.src)
-            return Verdict.DROP, packet
+            return DROP, packet
         # Local clients are rate-capped too: a compromised local host must
         # not turn the device into an amplifier either.
         if ctx.now - self._window_start >= 1.0:
@@ -52,8 +52,8 @@ class DnsGuard(Element):
         if self._window_count > self.max_qps:
             self.blocked += 1
             ctx.alert("dns-rate-capped", src=packet.src)
-            return Verdict.DROP, packet
-        return Verdict.PASS, packet
+            return DROP, packet
+        return PASS, packet
 
     def describe(self) -> str:
         return f"dns_guard(local={sorted(self.local_sources)}, qps={self.max_qps})"

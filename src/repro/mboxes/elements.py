@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.mboxes.base import Element, MboxContext, Verdict
+from repro.mboxes.base import DROP, PASS, Element, MboxContext, Verdict
 from repro.netsim.packet import Packet
 
 
@@ -30,8 +30,8 @@ class CommandFilter(Element):
             and cmd in self.deny
         ):
             ctx.alert("command-blocked", cmd=cmd, src=packet.src)
-            return Verdict.DROP, packet
-        return Verdict.PASS, packet
+            return DROP, packet
+        return PASS, packet
 
     def describe(self) -> str:
         return f"command_filter(deny={sorted(self.deny)})"
@@ -54,13 +54,13 @@ class CommandWhitelist(Element):
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
         cmd = packet.payload.get("cmd")
         if packet.direction != "to_device" or cmd is None:
-            return Verdict.PASS, packet
+            return PASS, packet
         if packet.src in self.allowed_sources:
-            return Verdict.PASS, packet
+            return PASS, packet
         if cmd not in self.allow:
             ctx.alert("command-not-whitelisted", cmd=cmd, src=packet.src)
-            return Verdict.DROP, packet
-        return Verdict.PASS, packet
+            return DROP, packet
+        return PASS, packet
 
     def describe(self) -> str:
         return f"command_whitelist(allow={sorted(self.allow)})"
@@ -85,7 +85,7 @@ class ContextGate(Element):
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
         cmd = packet.payload.get("cmd")
         if packet.direction != "to_device" or cmd not in self.commands:
-            return Verdict.PASS, packet
+            return PASS, packet
         for key, wanted in self.require.items():
             actual = ctx.view(key)
             if actual != wanted:
@@ -96,8 +96,8 @@ class ContextGate(Element):
                     condition=f"{key}={wanted}",
                     actual=actual,
                 )
-                return Verdict.DROP, packet
-        return Verdict.PASS, packet
+                return DROP, packet
+        return PASS, packet
 
     def describe(self) -> str:
         conds = ", ".join(f"{k}={v}" for k, v in sorted(self.require.items()))
@@ -115,11 +115,11 @@ class SourceFilter(Element):
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
         if packet.direction != "to_device":
-            return Verdict.PASS, packet
+            return PASS, packet
         if packet.src not in self.allowed_sources:
             ctx.alert("unapproved-source", src=packet.src, dport=packet.dport)
-            return Verdict.DROP, packet
-        return Verdict.PASS, packet
+            return DROP, packet
+        return PASS, packet
 
     def describe(self) -> str:
         return f"source_filter(allow={sorted(self.allowed_sources)})"
@@ -156,7 +156,7 @@ class PacketLogger(Element):
                     mbox=ctx.mbox_name,
                     limit=self.capture_limit,
                 )
-        return Verdict.PASS, packet
+        return PASS, packet
 
     def captured_from(self, src: str) -> list[Packet]:
         return [p for p in self.captured if p.src == src]
@@ -214,7 +214,7 @@ class TelemetryTap(Element):
                 self._readings = readings
                 self._sent_at = now
                 ctx.emit_delta(ctx.device, state, readings)
-        return Verdict.PASS, packet
+        return PASS, packet
 
     def resync(self) -> None:
         self._state = _MISSING
@@ -247,4 +247,4 @@ class LoginMonitor(Element):
                 src=packet.src,
                 username=packet.payload.get("username"),
             )
-        return Verdict.PASS, packet
+        return PASS, packet

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.mboxes.base import Element, MboxContext, Verdict
+from repro.mboxes.base import DROP, PASS, Element, MboxContext, Verdict
 from repro.netsim.packet import Packet
 
 
@@ -82,18 +82,18 @@ class StatefulFirewall(Element):
         if direction == "from_device":
             # Outbound traffic establishes state for replies.
             self.tracker.note_outbound(packet)
-            return Verdict.PASS, packet
+            return PASS, packet
         if packet.src in self.trusted_sources:
-            return Verdict.PASS, packet
+            return PASS, packet
         if packet.dport in self.open_ports:
-            return Verdict.PASS, packet
+            return PASS, packet
         if self.tracker.is_reply(packet):
-            return Verdict.PASS, packet
+            return PASS, packet
         if self.default == "pass":
-            return Verdict.PASS, packet
+            return PASS, packet
         self.blocked += 1
         ctx.alert("firewall-blocked", src=packet.src, dport=packet.dport)
-        return Verdict.DROP, packet
+        return DROP, packet
 
     def describe(self) -> str:
         return (

@@ -12,7 +12,7 @@ from collections import Counter
 from typing import Iterable
 
 from repro.learning.signatures import AttackSignature
-from repro.mboxes.base import Element, MboxContext, Verdict
+from repro.mboxes.base import DROP, PASS, Element, MboxContext, Verdict
 from repro.netsim.packet import Packet
 
 
@@ -60,8 +60,8 @@ class SignatureIDS(Element):
                     src=packet.src,
                 )
                 if self.drop_on_match:
-                    return Verdict.DROP, packet
-        return Verdict.PASS, packet
+                    return DROP, packet
+        return PASS, packet
 
     def describe(self) -> str:
         return f"signature_ids({len(self.signatures)} rules)"

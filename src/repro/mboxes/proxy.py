@@ -15,7 +15,7 @@ device; it is simply unreachable.
 
 from __future__ import annotations
 
-from repro.mboxes.base import Element, MboxContext, Verdict
+from repro.mboxes.base import DROP, PASS, Element, MboxContext, Verdict
 from repro.netsim.packet import Packet
 
 
@@ -52,7 +52,7 @@ class PasswordProxy(Element):
             or packet.dport != self.mgmt_port
             or packet.payload.get("action") != "login"
         ):
-            return Verdict.PASS, packet
+            return PASS, packet
         username = packet.payload.get("username")
         password = packet.payload.get("password")
         if username == self.new_username and password == self.new_password:
@@ -60,7 +60,7 @@ class PasswordProxy(Element):
             rewritten.payload["username"] = self.device_username
             rewritten.payload["password"] = self.device_password
             self.rewritten += 1
-            return Verdict.PASS, rewritten
+            return PASS, rewritten
         self.rejected += 1
         ctx.alert(
             "login-rejected",
@@ -70,7 +70,7 @@ class PasswordProxy(Element):
                 username == self.device_username and password == self.device_password
             ),
         )
-        return Verdict.DROP, packet
+        return DROP, packet
 
     def describe(self) -> str:
         return f"password_proxy(user={self.new_username!r})"

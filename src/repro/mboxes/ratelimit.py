@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mboxes.base import Element, MboxContext, Verdict
+from repro.mboxes.base import DROP, PASS, Element, MboxContext, Verdict
 from repro.netsim.packet import Packet
 
 
@@ -61,18 +61,18 @@ class RateLimiter(Element):
 
     def process(self, packet: Packet, ctx: MboxContext) -> tuple[Verdict, Packet]:
         if packet.direction != "to_device":
-            return Verdict.PASS, packet
+            return PASS, packet
         if self.match_dport is not None and packet.dport != self.match_dport:
-            return Verdict.PASS, packet
+            return PASS, packet
         if packet.src in self.exempt_sources:
-            return Verdict.PASS, packet
+            return PASS, packet
         bucket = self._bucket(packet.src, ctx.now)
         if bucket.tokens >= 1.0:
             bucket.tokens -= 1.0
-            return Verdict.PASS, packet
+            return PASS, packet
         self.limited += 1
         ctx.alert("rate-limited", src=packet.src, dport=packet.dport)
-        return Verdict.DROP, packet
+        return DROP, packet
 
     def describe(self) -> str:
         port = f", dport={self.match_dport}" if self.match_dport is not None else ""
