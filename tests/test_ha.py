@@ -27,6 +27,7 @@ from repro.core.ha import (
     restore_controller,
 )
 from repro.devices.library import smart_camera, smart_plug
+from repro.netsim.simulator import Simulator
 from repro.policy.fsm import PostureRule, StatePredicate
 from repro.policy.posture import block_commands
 from repro.policy.serialization import policy_to_dict
@@ -189,6 +190,16 @@ class TestPolicySectionReuse:
         metrics = dep.sim.metrics
         assert metrics.value("checkpoints_captured", controller=dep.CONTROLLER) == 5
         assert metrics.value("checkpoint_sections_reused", controller=dep.CONTROLLER) == 3
+
+    def test_sites_sharing_a_simulator_count_their_own_checkpoints(self):
+        sim = Simulator()
+        first, second = make_dep(sim), make_dep(sim)
+        sim.run(until=10.0)
+        for dep in (first, second):
+            labels = dep.controller.metric_labels
+            assert sim.metrics.value("checkpoints_captured", **labels) == 10
+            assert sim.metrics.value("checkpoint_sections_reused", **labels) == 9
+        assert len(sim.metrics.series("checkpoints_captured")) == 2
 
     @settings(max_examples=25, deadline=None)
     @given(random_policies(), st.data())

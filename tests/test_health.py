@@ -135,6 +135,37 @@ class TestHealthMonitor:
         assert plane.snapshot() == {"enabled": False}
         assert plane.render() == "health plane disabled (observe=False)"
 
+    def test_planes_sharing_a_simulator_read_their_own_series(self):
+        """Two planes with the same SLO and subsystem names on one simulator
+        (two sites): the first keeps the bare labels, the second its own
+        series, so a breach on one never shows on the other's gauges."""
+        sim = Simulator()
+        sim.metrics.gauge("ok_a", fn=lambda: 1)
+        sim.metrics.gauge("ok_b", fn=lambda: 0)
+        planes = [HealthPlane(sim, period=1.0), HealthPlane(sim, period=1.0)]
+        for plane, gauge in zip(planes, ("ok_a", "ok_b")):
+            plane.add(check_slo(subsystem="overload", severity="critical", gauge=gauge))
+            plane.start()
+        sim.run(until=6.0)
+        first, second = planes
+        assert first.metric_labels == {} and second.metric_labels
+        assert sim.metrics.value("slo_breached", slo="probe-me") == 0
+        assert sim.metrics.value("health_state", subsystem="overload") == 0
+        assert sim.metrics.value("health_rollup") == 0
+        labels = second.metric_labels
+        assert sim.metrics.value("slo_breached", slo="probe-me", **labels) == 1
+        assert sim.metrics.value("slo_breaches", slo="probe-me", **labels) == 1
+        assert sim.metrics.value("health_state", subsystem="overload", **labels) == 2
+        assert sim.metrics.value("health_rollup", **labels) == 2
+
+    def test_plane_labels_leave_component_names_alone(self):
+        """A subsystem or SLO named like a component does not take that
+        component's clean label value."""
+        sim = Simulator()
+        for __ in range(2):
+            HealthPlane(sim).register("controller")
+        assert sim.metrics.unique("controller") == "controller"
+
 
 def build_home(sim=None, **over):
     dep = SecuredDeployment.build(sim=sim or Simulator(), health=True, **over)
@@ -164,6 +195,17 @@ class TestDeploymentPlane:
             "stream-headroom",
             "checkpoint-staleness",
         } <= rich_names
+
+    def test_two_sites_on_one_simulator_get_a_series_per_row(self):
+        sim = Simulator()
+        planes = [build_home(sim).health_plane for __ in range(2)]
+        metrics = sim.metrics
+        trackers = sum(len(plane.trackers) for plane in planes)
+        subsystems = sum(len(plane.evaluate()) for plane in planes)
+        assert len(metrics.series("slo_breaches")) == trackers
+        assert len(metrics.series("slo_burn_rate")) == 2 * trackers
+        assert len(metrics.series("health_state")) == subsystems
+        assert len(metrics.series("health_rollup")) == 2
 
     def test_on_time_count_includes_every_reaction_after_a_rebind(self):
         """Incarnation A applies N reactions and the plane ticks; after a
