@@ -488,13 +488,9 @@ class Checkpointer:
         # Reuse rate = sections_reused / captured: how many ticks shared
         # the previous checkpoint's policy section instead of building one.
         metrics = controller.sim.metrics
-        self._c_captured = metrics.counter(
-            "checkpoints_captured", controller=controller.name
-        )
-        self._c_reused = metrics.counter(
-            "checkpoint_sections_reused", controller=controller.name
-        )
         self.metric_labels = controller.metric_labels
+        self._c_captured = metrics.counter("checkpoints_captured", **self.metric_labels)
+        self._c_reused = metrics.counter("checkpoint_sections_reused", **self.metric_labels)
         self._started_at = controller.sim.now
         metrics.gauge("checkpoint_age", fn=self.age, **self.metric_labels)
         self._stops: list[Callable[[], None]] = [

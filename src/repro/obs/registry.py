@@ -169,18 +169,22 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._instruments: dict[tuple[str, tuple[tuple[str, str], ...]], Any] = {}
-        self._unique_names: dict[str, int] = {}
+        self._unique_names: dict[tuple[str, str], int] = {}
 
     # ------------------------------------------------------------------
-    def unique(self, prefix: str) -> str:
+    def unique(self, prefix: str, namespace: str = "") -> str:
         """A collision-free label value for same-named instances.
 
         The first caller keeps the clean name (``"edge"``); later callers
         get ``"edge#2"``, ``"edge#3"`` -- which keeps single-site metrics
         readable while multi-site (shared simulator) fleets stay distinct.
+        Each ``namespace`` counts apart, so a family named after another
+        component (the updater serving ``"controller"``) does not take
+        that component's clean name.
         """
-        n = self._unique_names.get(prefix, 0) + 1
-        self._unique_names[prefix] = n
+        key = (namespace, prefix)
+        n = self._unique_names.get(key, 0) + 1
+        self._unique_names[key] = n
         return prefix if n == 1 else f"{prefix}#{n}"
 
     # ------------------------------------------------------------------

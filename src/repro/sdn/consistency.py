@@ -81,7 +81,7 @@ class ConsistentUpdater:
         # Observability: epoch counts and the commit-latency distribution
         # (observed once per committed two-phase epoch).
         metrics = sim.metrics
-        self.metric_labels = {"updater": metrics.unique(controller_name)}
+        self.metric_labels = {"updater": metrics.unique(controller_name, "updater")}
         metrics.gauge(
             "updater_epochs", fn=lambda: len(self.reports), **self.metric_labels
         )
