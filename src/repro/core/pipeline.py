@@ -8,9 +8,10 @@ explicit stages instead of ad-hoc callbacks:
    pruned policy's reverse index ``variable key -> affected devices``.
    No per-change scan over all devices ever happens.
 2. **escalate**: raw alert streams become context values through sliding
-   count/window rules (:class:`EscalationEngine`).  Alert timestamps are
-   pruned to the widest window of the alert's kind, so long runs stay
-   bounded.
+   count/window rules (:class:`EscalationEngine`).  A ``(device, kind)``
+   window is pruned to the kind's widest rule window only when that pair
+   observes again, so a device that stops alerting keeps its last window
+   for the rest of the run (ROADMAP item 21(a)).
 3. **evaluate**: dirty devices accumulated at the same simulated instant
    are coalesced into one evaluation round -- one ``system_state`` build,
    one pruned lookup per dirty device -- scheduled as a zero-delay event
@@ -110,10 +111,12 @@ class PipelineStats:
 class EscalationEngine:
     """Stage 2: sliding count/window escalation over per-device alert streams.
 
-    Timestamps are kept per ``(device, alert kind)`` and pruned on every
-    observation to the widest window any rule declares for that kind
-    (boundary-inclusive, matching the ``t >= at - window`` rule test), so
-    memory stays proportional to recent alert rate instead of run length.
+    Timestamps are kept per ``(device, alert kind)`` and pruned, when that
+    pair observes, to the widest window any rule declares for that kind
+    (boundary-inclusive, matching the ``t >= at - window`` rule test).  A
+    pair that stops observing is never pruned: retained memory grows with
+    the number of pairs that ever alerted and keeps their last window,
+    which every checkpoint carries (ROADMAP item 21(a)).
     """
 
     def __init__(self, rules: Iterable[EscalationRule]) -> None:
