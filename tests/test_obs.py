@@ -399,6 +399,27 @@ class TestUniqueLabelDedup:
         assert sim.metrics.value("controller_packet_ins", **a.metric_labels) == 10
         assert sim.metrics.value("controller_packet_ins", **b.metric_labels) == 0
 
+    def test_each_component_kind_counts_its_own_names(self):
+        """Components of different kinds may share a name (the controller,
+        its updater, its stream consumer and its dead-letter queue are all
+        ``controller``); each keeps the clean label value under its own key."""
+        from repro.core.deployment import SecuredDeployment
+        from repro.devices.library import smart_camera
+
+        dep = SecuredDeployment.build(durable_telemetry=True, consistent_updates=True)
+        dep.add_device(smart_camera, "cam")
+        dep.finalize()
+        values: dict[str, set[str]] = {}
+        for instrument in dep.sim.metrics:
+            for key, value in instrument.labels.items():
+                values.setdefault(key, set()).add(value)
+        assert {key: values[key] for key in ("controller", "consumer", "dlq", "stream")} == {
+            "controller": {"controller"},
+            "consumer": {"controller"},
+            "dlq": {"controller"},
+            "stream": {"cluster"},
+        }
+
 
 # ----------------------------------------------------------------------
 # observe=False hands out shared no-op instruments (PR 3 satellite)
