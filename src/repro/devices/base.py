@@ -327,7 +327,7 @@ class IoTDevice(Node):
             {"action": "telemetry", "state": self.state, "readings": self.sensor_readings()},
         )
         if self.ports:
-            self.send(packet, next(iter(self.ports)))
+            next(iter(self.ports.values())).transmit(self, packet)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -3,6 +3,13 @@
 A :class:`Node` owns a set of numbered ports, each optionally attached to a
 :class:`~repro.netsim.link.Link`.  Subclasses (IoT devices, switches,
 µmboxes, attacker hosts) override :meth:`on_packet`.
+
+The links count every hop; a node's ``rx_count``/``tx_count``/``rx_bytes``/
+``tx_bytes`` are read-only sums over its links.  :meth:`Node.send`
+resolves a port and hands the packet to its link; a forwarder on the hot
+path that resolved the port itself (a next hop, a tunnel binding, the port
+a packet came in on) calls ``self.ports[port].transmit(self, packet)``
+directly, so no per-hop attribute site sees more than one node type.
 """
 
 from __future__ import annotations
@@ -19,15 +26,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Node:
     """Base class for anything attached to the simulated network.
 
-    Slotted: the per-packet counters and the port map are the hottest
-    attributes in the forwarding path.  Subclasses may still declare
-    ad-hoc attributes (they get a ``__dict__`` unless they opt into
-    ``__slots__`` themselves).
+    Slotted: the port map is the hottest attribute in the forwarding path.
+    Subclasses may still declare ad-hoc attributes (they get a
+    ``__dict__`` unless they opt into ``__slots__`` themselves).
     """
 
-    __slots__ = (
-        "name", "sim", "ports", "rx_count", "tx_count", "rx_bytes", "tx_bytes", "_port_hint"
-    )
+    __slots__ = ("name", "sim", "ports", "_port_hint")
 
     def __init__(self, name: str, sim: "Simulator") -> None:
         self.name = name
@@ -36,10 +40,25 @@ class Node:
         #: Low-water mark for :meth:`free_port`: every port below it is
         #: attached (ports are never detached, so it only moves up).
         self._port_hint = 0
-        self.rx_count = 0
-        self.tx_count = 0
-        self.rx_bytes = 0
-        self.tx_bytes = 0
+
+    # ------------------------------------------------------------------
+    # Hop counts: what this node's links counted at its end
+    # ------------------------------------------------------------------
+    @property
+    def rx_count(self) -> int:
+        return sum(link.counts(self)[0] for link in self.ports.values())
+
+    @property
+    def rx_bytes(self) -> int:
+        return sum(link.counts(self)[1] for link in self.ports.values())
+
+    @property
+    def tx_count(self) -> int:
+        return sum(link.counts(self)[2] for link in self.ports.values())
+
+    @property
+    def tx_bytes(self) -> int:
+        return sum(link.counts(self)[3] for link in self.ports.values())
 
     # ------------------------------------------------------------------
     # Wiring
@@ -86,12 +105,6 @@ class Node:
                     f"({len(ports)} ports attached)"
                 )
             link = next(iter(ports.values()))
-        if packet.created_at is None:
-            # First send only: a forwarded packet (or a copy of one) keeps
-            # its origin's stamp -- also when that stamp is t = 0.0.
-            packet.created_at = self.sim.now
-        self.tx_count += 1
-        self.tx_bytes += packet.size
         link.transmit(self, packet)
         return True
 
@@ -99,7 +112,7 @@ class Node:
         """Handle a delivered packet.  Default: drop silently (a sink).
 
         The delivering :class:`~repro.netsim.link.Link` has already counted
-        the arrival in ``rx_count``/``rx_bytes``.
+        the arrival.
         """
 
     def __repr__(self) -> str:

@@ -83,10 +83,10 @@ class Packet:
         Bytes on the wire, used for bandwidth/volume accounting.
     created_at:
         Simulated time of the first send, or ``None`` until then.  The
-        first :meth:`Node.send <repro.netsim.node.Node.send>` stamps it; a
-        forwarded packet, or a :meth:`copy` of one, keeps its origin's
-        stamp (``t = 0.0`` included).  Nothing records the hops a packet
-        takes: the nodes' ``rx_count``/``tx_count`` count them.
+        first :meth:`Link.transmit <repro.netsim.link.Link.transmit>`
+        stamps it; a forwarded packet, or a :meth:`copy` of one, keeps its
+        origin's stamp (``t = 0.0`` included).  Nothing records the hops a
+        packet takes: the links count them, per end.
     direction:
         ``"to_device"`` or ``"from_device"``, written by the µmbox host
         before the chain runs (``None`` before any inspection).

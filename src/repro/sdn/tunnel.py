@@ -17,15 +17,19 @@ TUNNEL_PROTOCOL = "iotsec-tunnel"
 TUNNEL_OVERHEAD_BYTES = 20
 
 
-def tunnel_packet(packet: Packet, ingress: str, target: str) -> Packet:
+def tunnel_packet(
+    packet: Packet, ingress: str, target: str, via: str | None = None
+) -> Packet:
     """Encapsulate ``packet`` toward the µmbox named ``target``.
 
     ``ingress`` records which switch encapsulated it, so the µmbox host can
-    return the (possibly rewritten) packet to the right place.
+    return the (possibly rewritten) packet to the right place.  ``via``,
+    when given, addresses the envelope to the µmbox host instead, so that
+    intermediate switches can route it there.
     """
     return Packet(
         ingress,
-        target,
+        target if via is None else via,
         TUNNEL_PROTOCOL,
         0,
         0,
