@@ -133,7 +133,7 @@ class IoTSecController:
         # Observability: alert ingress by kind (cached counters) plus a
         # packet-in gauge over the attribute the data path increments.
         metrics = sim.metrics
-        self.metric_labels = {"controller": metrics.unique(name)}
+        self.metric_labels = {"controller": metrics.unique(name, "controller")}
         metrics.gauge(
             "controller_packet_ins", fn=lambda: self.packet_ins, **self.metric_labels
         )

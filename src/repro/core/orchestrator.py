@@ -167,7 +167,7 @@ class PostureOrchestrator:
         # Observability: actuation gauges plus the per-switch rule batch
         # size distribution (one observation per flow push).
         metrics = sim.metrics
-        self.metric_labels = {"orchestrator": metrics.unique("orchestrator")}
+        self.metric_labels = {"orchestrator": metrics.unique("orchestrator", "orchestrator")}
         metrics.gauge(
             "orchestrator_applies", fn=lambda: self.applies, **self.metric_labels
         )

@@ -96,7 +96,7 @@ class IngestQueue:
         self.dropped = [0, 0]
         self.on_processed: Callable[[int, float], None] | None = None
         metrics = sim.metrics
-        self.metric_labels = {"queue": metrics.unique(f"ingest:{name}")}
+        self.metric_labels = {"queue": metrics.unique(f"ingest:{name}", "queue")}
         metrics.gauge("ingest_depth", fn=self.depth, **self.metric_labels)
         self._c_dropped = [
             metrics.counter("ingest_dropped", cls=cls, **self.metric_labels)

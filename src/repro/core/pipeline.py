@@ -218,7 +218,7 @@ class ReactivePipeline:
         # the hot path); histograms are observed once per round.
         metrics = sim.metrics
         stats = self.stats
-        self.metric_labels = {"pipeline": metrics.unique("pipeline")}
+        self.metric_labels = {"pipeline": metrics.unique("pipeline", "pipeline")}
         metrics.gauge("pipeline_ingested", fn=lambda: stats.ingested, **self.metric_labels)
         metrics.gauge("pipeline_coalesced", fn=lambda: stats.coalesced, **self.metric_labels)
         metrics.gauge("pipeline_rounds", fn=lambda: stats.rounds, **self.metric_labels)

@@ -58,7 +58,7 @@ class DlqEvidenceBridge:
         self.evidence_by_reporter: dict[str, int] = {}
         self.revoked_total = 0
         metrics = self.sim.metrics
-        labels = {"dlq": metrics.unique(dlq.name)}
+        labels = dlq.metric_labels
         self._c_evidence = metrics.counter("dlq_poison_evidence", **labels)
         metrics.gauge(
             "dlq_evidence_reporters",

@@ -79,7 +79,7 @@ class RoutingAttack:
         self._original_apply = None
         self._shadowed_apply = None
         metrics = self.sim.metrics
-        self.metric_labels = {"switch": metrics.unique(switch.name), "mode": mode}
+        self.metric_labels = {"switch": metrics.unique(switch.name, "switch"), "mode": mode}
         metrics.gauge("routing_sinkholed", fn=lambda: self.sinkholed, **self.metric_labels)
         metrics.gauge("routing_bypassed", fn=lambda: self.bypassed, **self.metric_labels)
 

@@ -178,9 +178,10 @@ class MetricsRegistry:
         The first caller keeps the clean name (``"edge"``); later callers
         get ``"edge#2"``, ``"edge#3"`` -- which keeps single-site metrics
         readable while multi-site (shared simulator) fleets stay distinct.
-        Each ``namespace`` counts apart, so a family named after another
-        component (the updater serving ``"controller"``) does not take
-        that component's clean name.
+        Each ``namespace`` counts apart: a component passes its label key
+        (``"controller"``, ``"dlq"``, ...), so a component of another kind
+        with the same name (the dead-letter queue, stream consumer and
+        updater serving ``"controller"``) does not take its clean name.
         """
         key = (namespace, prefix)
         n = self._unique_names.get(key, 0) + 1

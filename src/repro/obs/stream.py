@@ -262,7 +262,7 @@ class HostStream:
         metrics = sim.metrics
         # ``stream`` (unique) disambiguates multiple streams; ``host`` is
         # the stable per-host label the exposition promises operators.
-        self.metric_labels = {"stream": metrics.unique(host), "host": host}
+        self.metric_labels = {"stream": metrics.unique(host, "stream"), "host": host}
         for lane in self.lanes.values():
             labels = dict(self.metric_labels, lane=lane.name)
             metrics.gauge("stream_buffer_depth", fn=lane.depth, **labels)
@@ -439,7 +439,7 @@ class DeadLetterQueue:
         self.rotated = 0
         self.by_reason: dict[str, int] = {}
         metrics = sim.metrics
-        self.metric_labels = {"dlq": metrics.unique(name)}
+        self.metric_labels = {"dlq": metrics.unique(name, "dlq")}
         metrics.gauge("dlq_depth", fn=lambda: len(self._records), **self.metric_labels)
         metrics.gauge("dlq_rotated", fn=lambda: self.rotated, **self.metric_labels)
         self._c_quarantined = metrics.counter("dlq_quarantined", **self.metric_labels)
@@ -583,7 +583,7 @@ class StreamConsumer:
         self.batches = 0
         self.replayed_batches = 0
         metrics = sim.metrics
-        self.metric_labels = {"consumer": metrics.unique(name)}
+        self.metric_labels = {"consumer": metrics.unique(name, "consumer")}
         self._c_delivered = metrics.counter("stream_delivered", **self.metric_labels)
         self._c_duplicates = metrics.counter("stream_duplicates", **self.metric_labels)
         self._c_gaps = metrics.counter("stream_gaps", **self.metric_labels)

@@ -459,7 +459,7 @@ class ControlChannel:
         self.duplicates = 0
         self.acked = 0
         metrics = sim.metrics
-        self.metric_labels = {"channel": metrics.unique("control")}
+        self.metric_labels = {"channel": metrics.unique("control", "channel")}
         labels = self.metric_labels
         metrics.gauge("channel_sent", fn=lambda: self.sent, **labels)
         metrics.gauge("channel_delivered", fn=lambda: self.delivered, **labels)
